@@ -52,7 +52,9 @@ from .sampling import (
     haar_unitary,
     random_normal_operator,
     random_stormer_block,
+    random_stormer_blocks,
     random_stormer_pair,
+    random_stormer_pairs,
     uniform_disk,
 )
 from .states import (

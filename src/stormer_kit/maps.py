@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, require_square
-from .sampling import ginibre, random_stormer_block, random_stormer_pair
-from .stormer import OperatorBlockMatrix, gram_block, swap_block
+from .sampling import ginibre, random_stormer_blocks, random_stormer_pairs
+from .stormer import OperatorBlockMatrix
 
 __all__ = [
     "NecessityReport",
@@ -97,9 +97,14 @@ class PositiveMap:
         return None
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate the map on a square matrix."""
-        a = require_square(x, "map argument")
-        if self.input_dim is not None and a.shape[0] != self.input_dim:
+        """Evaluate the map on a square matrix, or on each matrix of a stack
+        of shape (..., k, k) at once."""
+        a = np.asarray(x, dtype=complex)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+            raise DimensionError(f"map argument must be square matrices, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("map argument entries must be finite")
+        if self.input_dim is not None and a.shape[-1] != self.input_dim:
             raise DimensionError(
                 f"map expects {self.input_dim} x {self.input_dim} input, got {a.shape}"
             )
@@ -107,29 +112,30 @@ class PositiveMap:
             if self.name == "identity":
                 return a.copy()
             if self.name == "transpose":
-                return a.T.copy()
+                return np.swapaxes(a, -1, -2).copy()
             return _choi3_apply(a)
         if self.kind == "choi_raw":
             k = self.input_dim
             l = self.output_dim
             c4 = self.choi.reshape(k, l, k, l)
-            return np.einsum("ij,irjc->rc", a, c4)
+            return np.einsum("...ij,irjc->...rc", a, c4)
         out = 0.0
         for kr in self.kraus_cp:
             out = out + kr @ a @ adjoint(kr)
+        at = np.swapaxes(a, -1, -2)
         for kr in self.kraus_cocp:
-            out = out + kr @ a.T @ adjoint(kr)
+            out = out + kr @ at @ adjoint(kr)
         return out
 
 
 def _choi3_apply(x: np.ndarray) -> np.ndarray:
     """The classical positive non-decomposable map on 3 x 3 matrices:
     diagonal entries (x11+x33, x22+x11, x33+x22), off-diagonal entries
-    negated."""
+    negated; x may be a stack of shape (..., 3, 3)."""
     out = -x.copy()
-    out[0, 0] = x[0, 0] + x[2, 2]
-    out[1, 1] = x[1, 1] + x[0, 0]
-    out[2, 2] = x[2, 2] + x[1, 1]
+    out[..., 0, 0] = x[..., 0, 0] + x[..., 2, 2]
+    out[..., 1, 1] = x[..., 1, 1] + x[..., 0, 0]
+    out[..., 2, 2] = x[..., 2, 2] + x[..., 1, 1]
     return out
 
 
@@ -170,20 +176,7 @@ def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
 
 def apply_map_entrywise(phi: PositiveMap, x: OperatorBlockMatrix) -> OperatorBlockMatrix:
     """Apply a map to every block: blocks'[i][j] = phi(blocks[i][j])."""
-    if phi.input_dim is not None and x.d != phi.input_dim:
-        raise DimensionError(
-            f"block dimension {x.d} does not match map input dimension {phi.input_dim}"
-        )
-    n = x.n
-    first = phi.apply(x.blocks[0, 0])
-    out = np.zeros((n, n, first.shape[0], first.shape[1]), dtype=complex)
-    out[0, 0] = first
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            out[i, j] = phi.apply(x.blocks[i, j])
-    return OperatorBlockMatrix(out)
+    return OperatorBlockMatrix(phi.apply(x.blocks))
 
 
 @dataclass(frozen=True)
@@ -197,10 +190,33 @@ class NecessityReport:
     d: int
 
 
-def _trial_block(rng: np.random.Generator, n: int, d: int) -> OperatorBlockMatrix:
-    if n == 2:
-        return gram_block(random_stormer_pair(rng, d))
-    return random_stormer_block(rng, n, d)
+# Trials drawn, mapped and diagonalized as one stack; bounds the stack's memory.
+_TRIAL_CHUNK = 256
+
+
+def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
+    """``count`` two-sided-positive trial blocks, shape (count, n, n, d, d):
+    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
+    if n != 2:
+        return random_stormer_blocks(rng, count, n, d)
+    a1, a2 = random_stormer_pairs(rng, count, d)
+    a1h, a2h = adjoint(a1), adjoint(a2)
+    return np.stack(
+        [np.stack([a1h @ a1, a1h @ a2], axis=1), np.stack([a2h @ a1, a2h @ a2], axis=1)],
+        axis=1,
+    )
+
+
+def _assembled(blocks: np.ndarray) -> np.ndarray:
+    """(..., n, n, d, d) blocks -> (..., nd, nd) matrices, block index first."""
+    *lead, n, _, d, _ = blocks.shape
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * d, n * d)
+
+
+def _image_spectra(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each entrywise image."""
+    m = _assembled(phi.apply(blocks))
+    return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
 
 
 def theorem1_necessity_trial(
@@ -216,21 +232,30 @@ def theorem1_necessity_trial(
 
     Decomposable maps must report zero violations; a violation is a
     non-decomposability witness.
+
+    Draw order: the stream seeded by ``seed`` yields the trial blocks one
+    after another, exactly as successive :func:`random_stormer_pair` calls
+    (each taken to its Gram block) would for n = 2, and successive
+    :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
+    at most 256; every trial's arithmetic is the same as when run alone, so
+    the report depends on (phi, seed, trials, n, d, tol) only.  Raises
+    DomainError when ``trials`` is below 1.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = np.inf
-    for _ in range(trials):
-        x = _trial_block(rng, n, d)
-        m = apply_map_entrywise(phi, x).assembled()
-        w = np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
-        scale = max(abs(w[0]), abs(w[-1]))
-        if w[0] < -tol.threshold(scale):
-            violations += 1
-        worst = min(worst, float(w[0]))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        count = min(_TRIAL_CHUNK, trials - start)
+        w = _image_spectra(phi, _trial_blocks(rng, count, n, d))
+        lowest = w[:, 0]
+        scale = np.maximum(np.abs(lowest), np.abs(w[:, -1]))
+        violations += int(np.count_nonzero(lowest < -tol.threshold(scale)))
+        worst = min(worst, float(lowest.min()))
     return NecessityReport(
         trials=trials, violations=violations, worst_min_eig=worst, n=n, d=d
     )
@@ -246,22 +271,24 @@ class WitnessResult:
     restart: int
 
 
-def _boundary_block(w: np.ndarray, n: int, floor: float) -> OperatorBlockMatrix:
+def _boundary_matrix(w: np.ndarray, n: int, floor: float) -> np.ndarray:
     """Mix a trace-(nd) PSD matrix toward the identity until the swapped
     matrix's minimum eigenvalue equals floor (exact, the mix is affine)."""
     nd = w.shape[0]
-    x = OperatorBlockMatrix.from_assembled(w, n)
-    m0 = float(np.linalg.eigvalsh(swap_block(x).assembled())[0])
+    d = nd // n
+    swapped = w.reshape(n, d, n, d).transpose(2, 1, 0, 3).reshape(nd, nd)
+    m0 = float(np.linalg.eigvalsh(swapped)[0])
     if m0 >= floor:
-        return x
+        return w
     mu = (floor - m0) / (1.0 - m0)
-    return OperatorBlockMatrix.from_assembled((1.0 - mu) * w + mu * np.eye(nd), n)
+    return (1.0 - mu) * w + mu * np.eye(nd)
 
 
-def _image_min_eig(phi: PositiveMap, x: OperatorBlockMatrix) -> tuple[float, float]:
-    """Minimum eigenvalue of the entrywise image and the image's scale."""
-    m = apply_map_entrywise(phi, x).assembled()
-    w = np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
+def _image_min_eig(phi: PositiveMap, m: np.ndarray, n: int) -> tuple[float, float]:
+    """Minimum eigenvalue of the entrywise image of an assembled block
+    matrix, and the image's scale."""
+    d = m.shape[0] // n
+    w = _image_spectra(phi, m.reshape(n, d, n, d).transpose(0, 2, 1, 3))
     return float(w[0]), float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -282,18 +309,18 @@ def witness_search(
     Coordinate-wise hill climbing then perturbs single entries of G,
     re-projecting onto the set each step (the mix parameter is recomputed, so
     both positivity conditions hold by construction) and annealing the
-    boundary floor downward.  Returns the best witness whose image minimum
-    eigenvalue is below ten PSD floors, or None if the budget is exhausted.
+    boundary floor downward.  Returns the witness of the first restart whose
+    image minimum eigenvalue ends below ten PSD floors, or None if the budget
+    is exhausted.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
-    (seed, r), and ties are broken by restart index.
+    (seed, r).
     """
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
     nd = n * d
     evaluations = 0
-    best: WitnessResult | None = None
     floor_start, floor_end = 1e-2, 1e-7
     restart = 0
     while evaluations < budget:
@@ -302,8 +329,8 @@ def witness_search(
         w = g @ adjoint(g)
         w *= nd / np.trace(w).real
         floor = floor_start
-        x = _boundary_block(w, n, floor)
-        current, scale = _image_min_eig(phi, x)
+        x = _boundary_matrix(w, n, floor)
+        current, scale = _image_min_eig(phi, x, n)
         evaluations += 1
         sigma = 0.3
         for step in range(steps_per_restart):
@@ -316,8 +343,8 @@ def witness_search(
             g_new[i, j] += sigma * (rng.standard_normal() + 1j * rng.standard_normal())
             w_new = g_new @ adjoint(g_new)
             w_new *= nd / np.trace(w_new).real
-            x_new = _boundary_block(w_new, n, floor)
-            val, val_scale = _image_min_eig(phi, x_new)
+            x_new = _boundary_matrix(w_new, n, floor)
+            val, val_scale = _image_min_eig(phi, x_new, n)
             evaluations += 1
             if val < current:
                 g, current, scale, x = g_new, val, val_scale, x_new
@@ -325,10 +352,11 @@ def witness_search(
             else:
                 sigma = max(sigma * 0.97, 1e-3)
         if current < -10.0 * tol.threshold(scale):
-            if best is None or current < best.min_eig:
-                best = WitnessResult(
-                    block=x, min_eig=current, evaluations=evaluations, restart=restart
-                )
-            return best
+            return WitnessResult(
+                block=OperatorBlockMatrix.from_assembled(x, n),
+                min_eig=current,
+                evaluations=evaluations,
+                restart=restart,
+            )
         restart += 1
-    return best
+    return None

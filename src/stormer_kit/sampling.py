@@ -18,7 +18,6 @@ from .stormer import (
     gram_row_block,
     gram_vectors,
     stormer_test,
-    swap_block,
 )
 
 __all__ = [
@@ -30,7 +29,9 @@ __all__ = [
     "random_partition",
     "random_rank_deficient",
     "random_stormer_block",
+    "random_stormer_blocks",
     "random_stormer_pair",
+    "random_stormer_pairs",
     "uniform_disk",
 ]
 
@@ -44,8 +45,15 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(rng, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _haar_from_ginibre(ginibre(rng, d))
+
+
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the phases of R's diagonal moved into Q, which makes
+    Q Haar distributed; z may be a stack of shape (..., d, d)."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def uniform_disk(
@@ -66,6 +74,43 @@ def random_normal_operator(
     return (u * lam) @ adjoint(u)
 
 
+def random_stormer_pairs(
+    rng: np.random.Generator,
+    count: int,
+    d: int,
+    cond_max: float = 1e3,
+    center: complex = 1.5,
+    radius: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random pairs whose Gram blocks satisfy the two-sided
+    condition, as two stacks a1, a2 of shape (count, d, d).
+
+    a1 is Ginibre, resampled until its condition number is below ``cond_max``;
+    a2 = T a1 with T = U diag(lam) U* a random normal operator (Haar U,
+    eigenvalues uniform in a disk).  The disk default keeps T invertible so
+    the role-swapped decomposition is well conditioned too.
+
+    Draw order: pair by pair, the Ginibre draws of the a1 rejection loop,
+    then the Ginibre draw of U, then the disk draws.  Only the rejection test
+    depends on drawn values, so the rest of the algebra runs once on the
+    stack, and ``count`` pairs consume the stream exactly as ``count`` calls
+    of :func:`random_stormer_pair` do.
+    """
+    a1 = np.empty((count, d, d), dtype=complex)
+    z = np.empty((count, d, d), dtype=complex)
+    lam = np.empty((count, d), dtype=complex)
+    for t in range(count):
+        while True:
+            a1[t] = ginibre(rng, d)
+            if np.linalg.cond(a1[t]) <= cond_max:
+                break
+        z[t] = ginibre(rng, d)
+        lam[t] = uniform_disk(rng, d, center, radius)
+    u = _haar_from_ginibre(z)
+    ratio = (u * lam[:, None, :]) @ adjoint(u)
+    return a1, ratio @ a1
+
+
 def random_stormer_pair(
     rng: np.random.Generator,
     d: int,
@@ -73,19 +118,49 @@ def random_stormer_pair(
     center: complex = 1.5,
     radius: float = 1.0,
 ) -> OperatorPair:
-    """Random pair whose Gram block satisfies the two-sided condition.
+    """One pair of :func:`random_stormer_pairs` (same draws, same values)."""
+    a1, a2 = random_stormer_pairs(rng, 1, d, cond_max, center, radius)
+    return OperatorPair(a1[0], a2[0])
 
-    a1 is Ginibre, resampled until its condition number is below ``cond_max``;
-    a2 = T a1 with T a random normal operator whose eigenvalues are uniform in
-    a disk.  The disk default keeps T invertible so the role-swapped
-    decomposition is well conditioned too.
+
+def random_stormer_blocks(
+    rng: np.random.Generator,
+    count: int,
+    n: int,
+    d: int,
+    boundary: float | None = None,
+) -> np.ndarray:
+    """``count`` random n x n block matrices (d x d blocks) passing the
+    two-sided test, as one array of shape (count, n, n, d, d).
+
+    Each draws a Wishart matrix W = G G* and mixes it with the maximally
+    mixed direction until the index-swapped matrix is PSD: since
+    swap((1-mu) W + mu c I) has eigenvalues (1-mu) eig(swap W) + mu c with
+    c = tr(W)/(nd), the minimal admissible mu is available in closed form.
+    ``boundary`` sets the floor of the swapped spectrum as a fraction of c
+    (default: uniform in [0, 0.2], spreading samples from the boundary
+    inward); the assembled matrix is normalized to trace n*d.
+
+    Draw order: block by block, the Ginibre factor G, then (without
+    ``boundary``) the floor.  The Gram products, traces, swapped spectra and
+    mixing run once on the stack, and ``count`` blocks consume the stream
+    exactly as ``count`` calls of :func:`random_stormer_block` do.
     """
-    while True:
-        a1 = ginibre(rng, d)
-        if np.linalg.cond(a1) <= cond_max:
-            break
-    t = random_normal_operator(rng, d, center, radius)
-    return OperatorPair(a1, t @ a1)
+    nd = n * d
+    g = np.empty((count, nd, nd), dtype=complex)
+    floor = np.empty(count)
+    for t in range(count):
+        g[t] = ginibre(rng, nd)
+        floor[t] = rng.uniform(0.0, 0.2) if boundary is None else boundary
+    w = g @ adjoint(g)
+    w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
+    # After normalization c = tr(w)/(nd) = 1.
+    swapped = w.reshape(count, n, d, n, d).transpose(0, 3, 2, 1, 4).reshape(count, nd, nd)
+    m0 = np.linalg.eigvalsh(swapped)[:, 0]
+    low = m0 < floor
+    mu = ((floor[low] - m0[low]) / (1.0 - m0[low]))[:, None, None]
+    w[low] = (1.0 - mu) * w[low] + mu * np.eye(nd)
+    return w.reshape(count, n, d, n, d).transpose(0, 1, 3, 2, 4)
 
 
 def random_stormer_block(
@@ -94,29 +169,9 @@ def random_stormer_block(
     d: int,
     boundary: float | None = None,
 ) -> OperatorBlockMatrix:
-    """Random n x n block matrix (d x d blocks) passing the two-sided test.
-
-    Draws a Wishart matrix W = G G* and mixes it with the maximally mixed
-    direction until the index-swapped matrix is PSD: since
-    swap((1-mu) W + mu c I) has eigenvalues (1-mu) eig(swap W) + mu c with
-    c = tr(W)/(nd), the minimal admissible mu is available in closed form.
-    ``boundary`` sets the floor of the swapped spectrum as a fraction of c
-    (default: uniform in [0, 0.2], spreading samples from the boundary
-    inward); the assembled matrix is normalized to trace n*d.
-    """
-    nd = n * d
-    g = ginibre(rng, nd)
-    w = g @ adjoint(g)
-    w *= nd / np.trace(w).real
-    c = 1.0  # tr(w)/(nd) after normalization
-    x = OperatorBlockMatrix.from_assembled(w, n)
-    m0 = float(np.linalg.eigvalsh(swap_block(x).assembled())[0])
-    floor = rng.uniform(0.0, 0.2) * c if boundary is None else boundary * c
-    if m0 >= floor:
-        return x
-    mu = (floor - m0) / (c - m0)
-    mixed = (1.0 - mu) * w + mu * np.eye(nd)
-    return OperatorBlockMatrix.from_assembled(mixed, n)
+    """One block matrix of :func:`random_stormer_blocks` (same draws, same
+    values)."""
+    return OperatorBlockMatrix(random_stormer_blocks(rng, 1, n, d, boundary)[0])
 
 
 def random_rank_deficient(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError
 from .linalg import (
@@ -272,6 +271,10 @@ def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
     are clustered, with each cluster's basis re-orthonormalized.  Raises for
     input that is not normal within tolerance.
     """
+    # Imported here, its only use: scipy.linalg costs most of the package's
+    # import time, and commands that never decompose should not pay it.
+    import scipy.linalg
+
     a = require_square(t)
     if not is_normal(a, tol):
         raise DomainError("operator is not normal within tolerance")

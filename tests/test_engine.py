@@ -1,0 +1,165 @@
+"""The stacked necessity engine against its per-trial reference.
+
+The engine draws, maps and diagonalizes all trials of a call as one stack;
+every trial keeps the arithmetic it had when run alone, so reports must equal
+the reference exactly, not approximately.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from stormer_kit import (
+    DimensionError,
+    DomainError,
+    PositiveMap,
+    choi_fixture,
+    choi_matrix,
+    identity_map,
+    make_decomposable,
+    map_from_choi,
+    theorem1_necessity_trial,
+    transpose_map,
+)
+from stormer_kit import maps as maps_module
+from stormer_kit.sampling import (
+    ginibre,
+    random_stormer_block,
+    random_stormer_blocks,
+    random_stormer_pair,
+    random_stormer_pairs,
+)
+
+from helpers import oracle_apply, oracle_block, oracle_necessity, oracle_pair
+
+
+def _kraus(rng, k, l, count):
+    return [ginibre(rng, l, k) for _ in range(count)]
+
+
+def engine_maps():
+    """(label, map, d): every map kind, Kraus maps with l != k."""
+    rng = np.random.default_rng(20)
+    dec = make_decomposable(_kraus(rng, 3, 2, 2), _kraus(rng, 3, 2, 1))
+    return [
+        ("identity", identity_map(), 3),
+        ("transpose", transpose_map(), 2),
+        ("cp", make_decomposable(_kraus(rng, 2, 4, 2), []), 2),
+        ("cocp", make_decomposable([], _kraus(rng, 4, 3, 3)), 4),
+        ("cp+cocp", dec, 3),
+        ("choi_raw", map_from_choi(choi_matrix(dec), 3), 3),
+        ("kraus_cp", PositiveMap(kind="kraus_cp", kraus_cp=tuple(_kraus(rng, 2, 3, 2))), 2),
+        ("kraus_cocp", PositiveMap(kind="kraus_cocp", kraus_cocp=tuple(_kraus(rng, 2, 2, 2))), 2),
+        ("choi3", choi_fixture(), 3),
+    ]
+
+
+ENGINE_MAPS = engine_maps()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 300])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label,phi,d", ENGINE_MAPS[:6], ids=[m[0] for m in ENGINE_MAPS[:6]])
+def test_engine_equals_per_trial_reference(label, phi, d, n, trials):
+    rep = theorem1_necessity_trial(phi, seed=31 + n, trials=trials, n=n, d=d)
+    violations, worst = oracle_necessity(phi, seed=31 + n, trials=trials, n=n, d=d)
+    assert (rep.violations, rep.worst_min_eig) == (violations, worst)
+    assert (rep.trials, rep.n, rep.d) == (trials, n, d)
+
+
+def test_reference_trial_counts_cross_a_stack_boundary():
+    assert 7 < maps_module._TRIAL_CHUNK < 300
+
+
+def test_engine_counts_violations_like_reference():
+    # A random Hermitian Choi matrix gives a map that is not positive: some
+    # trials violate and some do not.
+    rng = np.random.default_rng(22)
+    h = ginibre(rng, 6)
+    phi = map_from_choi(h + h.conj().T + 3.0 * np.eye(6), 2)
+    for n in (2, 3):
+        rep = theorem1_necessity_trial(phi, seed=4, trials=300, n=n, d=2)
+        assert 0 < rep.violations < 300
+        assert (rep.violations, rep.worst_min_eig) == oracle_necessity(
+            phi, seed=4, trials=300, n=n, d=2
+        )
+
+
+@pytest.mark.parametrize("label,phi,d", ENGINE_MAPS, ids=[m[0] for m in ENGINE_MAPS])
+def test_stacked_apply_equals_per_matrix_apply(label, phi, d):
+    rng = np.random.default_rng(21)
+    x = ginibre(rng, 4 * 3 * 3 * d, d).reshape(4, 3, 3, d, d)
+    stacked = phi.apply(x)
+    for idx in np.ndindex(x.shape[:3]):
+        assert np.array_equal(stacked[idx], phi.apply(x[idx]))
+        assert np.array_equal(stacked[idx], oracle_apply(phi, x[idx]))
+
+
+def test_apply_rejects_bad_stacks():
+    with pytest.raises(DimensionError):
+        transpose_map().apply(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        choi_fixture().apply(np.zeros((5, 2, 2)))
+    with pytest.raises(DomainError):
+        identity_map().apply(np.full((2, 2, 2), np.nan))
+
+
+def test_count_one_samplers_match_reference():
+    # From d = 2 on: numpy multiplies length-1 complex operands in a loop
+    # whose rounding depends on the operands' layout.
+    for d in (2, 3, 5):
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            pair = random_stormer_pair(rng, d)
+            a1, a2 = oracle_pair(ref, d)
+            assert np.array_equal(pair.a1, a1) and np.array_equal(pair.a2, a2)
+    for n, d, boundary in [(2, 2, None), (3, 3, None), (4, 2, None), (3, 2, 0.05)]:
+        rng, ref = np.random.default_rng(n * d), np.random.default_rng(n * d)
+        for _ in range(20):
+            x = random_stormer_block(rng, n, d, boundary)
+            assert np.array_equal(x.blocks, oracle_block(ref, n, d, boundary))
+
+
+def test_stacked_samplers_consume_the_stream_like_single_draws():
+    stacked, single = np.random.default_rng(5), np.random.default_rng(5)
+    a1, a2 = random_stormer_pairs(stacked, 30, 3)
+    for t in range(30):
+        pair = random_stormer_pair(single, 3)
+        assert np.array_equal(a1[t], pair.a1) and np.array_equal(a2[t], pair.a2)
+    blocks = random_stormer_blocks(stacked, 30, 3, 2)
+    for t in range(30):
+        assert np.array_equal(blocks[t], random_stormer_block(single, 3, 2).blocks)
+    assert stacked.random() == single.random()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_necessity_rejects_non_positive_trials(trials):
+    with pytest.raises(DomainError):
+        theorem1_necessity_trial(transpose_map(), trials=trials, n=2, d=2)
+
+
+def test_necessity_eigvalsh_calls_do_not_grow_with_trials(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    counts = []
+    for trials in (20, 200):
+        calls.clear()
+        theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=3, d=3)
+        counts.append(len(calls))
+    # one stacked call for the swap floors, one for the images
+    assert counts == [2, 2]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, stormer_kit.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

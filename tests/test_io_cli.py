@@ -141,6 +141,11 @@ def test_exit_code_2_on_malformed_inputs():
     assert run_cli(*expand(["map-test", "--map", "nope"])).returncode == 2
     # dimension-agnostic map without --d
     assert run_cli("map-test", "--map", "identity", "--trials", "5").returncode == 2
+    # a run of no trials has no verdict
+    for trials in ("0", "-3"):
+        proc = run_cli("map-test", "--map", "transpose", "--d", "2", "--trials", trials, "--json")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
 def test_diagnostics_go_to_stderr_not_stdout():

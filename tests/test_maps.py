@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from stormer_kit import (
     transpose_map,
     witness_search,
 )
+from stormer_kit.io import block_from_payload
 from stormer_kit.sampling import ginibre, random_stormer_pair
 
 from helpers import hermitize, min_eig
@@ -193,3 +197,13 @@ def test_witness_search_is_deterministic():
     assert a is not None and b is not None
     assert a.min_eig == b.min_eig and a.evaluations == b.evaluations
     np.testing.assert_array_equal(a.block.blocks, b.block.blocks)
+    # and it replays the frozen seed-42 search exactly
+    payload = json.loads(
+        (Path(__file__).parent / "fixtures" / "choi3_witness.json").read_text()
+    )
+    assert (payload["seed"], payload["n"], payload["d"]) == (42, 3, 3)
+    assert (a.evaluations, a.restart) == (16828, 27)
+    assert (a.evaluations, a.restart) == (payload["evaluations"], payload["restart"])
+    assert a.min_eig == payload["min_eig"]
+    assert np.array_equal(a.block.blocks, block_from_payload(payload["block"]).blocks)
+
