@@ -30,6 +30,7 @@ from .linalg import (
     is_psd,
     op_norm,
     pinv,
+    psd_margin,
     sqrt_psd,
 )
 from .maps import (

@@ -19,10 +19,11 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _is_psd,
+    _op_norm,
     adjoint,
     as_matrix,
     is_contraction,
-    is_psd,
     op_norm,
     require_square,
 )
@@ -112,16 +113,19 @@ def psd_via_contraction(
     iff A and C are PSD, the recomposition ``sqrt(A) W0 sqrt(C)`` reproduces B
     within tolerance, and W0 is a contraction.
     """
-    if not (is_psd(p.a, tol) and is_psd(p.c, tol)):
+    if not (_is_psd(p.a, tol) and _is_psd(p.c, tol)):
         return ContractionCertificate(psd=False, w=None, residual=float("inf"))
     sa, sa_inv = _sqrt_and_pinv_sqrt(p.a, rcond)
     sc, sc_inv = _sqrt_and_pinv_sqrt(p.c, rcond)
     w0 = sa_inv @ p.b @ sc_inv
     residual = op_norm(sa @ w0 @ sc - p.b)
-    ok = residual <= tol.threshold_for(p.b) and is_contraction(w0, tol)
+    # threshold(0) is the least threshold_for(p.b) can be, so a residual
+    # below it needs no SVD of B
+    within = residual <= tol.threshold(0.0) or residual <= tol.threshold(_op_norm(p.b))
+    ok = within and is_contraction(w0, tol)
     return ContractionCertificate(psd=ok, w=w0 if ok else None, residual=residual)
 
 
 def psd_oracle(p: Partition2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full-eigenvalue positivity check of the assembled partition."""
-    return is_psd(assemble(p), tol)
+    return _is_psd(assemble(p), tol)

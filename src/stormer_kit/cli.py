@@ -4,7 +4,8 @@
                  ppt-check|map-test|selftest> [flags] [files]
 
 Exit codes: 0 when the tested condition holds (or the run succeeded), 1 when
-it fails (or a witness against a map was found), 2 on malformed input.
+it fails (or a witness against a map was found), 2 on malformed input
+(stderr ``error: ...``) and on internal errors (stderr ``internal error: ...``).
 Reports go to stdout (JSON with --json), diagnostics to stderr; identical
 inputs, flags, and seed produce byte-identical reports.
 """
@@ -320,8 +321,8 @@ def main(argv=None) -> int:
     except StormerKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # malformed input must never produce a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input; still no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(render_report(report, args.json))
     return code

@@ -4,11 +4,25 @@ tolerance-based operator predicates.
 All routines act on 2-d complex numpy arrays.  Predicates such as
 :func:`is_psd` compare eigenvalues against a scale-aware threshold
 ``abs_eps + rel_eps * (1 + scale)`` so that verdicts are stable across
-conditioning and across rescaled inputs.
+conditioning and across rescaled inputs; :func:`psd_margin` is the one place
+that rule is computed from a spectrum.
+
+Checks of a norm against a threshold (hermiticity, normality, the asymmetry
+guard of :func:`eig_hermitian`) settle with a cheap bound first: the
+operator norm is at most the Frobenius norm, so a residual whose Frobenius
+norm is at most half the scale-free floor (the threshold at scale 0) passes
+without an SVD.  Only when that bound cannot decide does the SVD-based
+comparison run, so every verdict is the one the SVD alone would give; the
+factor one half keeps rounding in either norm from flipping it.
+
+Public functions validate their arguments; the private ``_``-prefixed
+kernels they share assume a validated square complex array and are what
+the rest of the package calls on data it has validated already.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +44,7 @@ __all__ = [
     "is_psd",
     "op_norm",
     "pinv",
+    "psd_margin",
     "sqrt_psd",
 ]
 
@@ -107,28 +122,85 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _op_norm(a: np.ndarray) -> float:
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 def op_norm(m) -> float:
     """Largest singular value."""
-    a = as_matrix(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return _op_norm(as_matrix(m))
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the operator norm."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _negligible(d: np.ndarray, floor: float) -> bool:
+    """True when ``||d||_F <= floor / 2``, which settles ``||d||_2 <= t`` for
+    every threshold ``t >= floor`` because the operator norm is at most the
+    Frobenius norm.  False means undecided: the caller compares the SVD
+    norm against its threshold as before.  A bound of zero settles only for
+    d == 0, since squares of tiny entries underflow."""
+    f = _frobenius(d)
+    return f <= 0.5 * floor and (f > 0.0 or not d.any())
+
+
+def psd_margin(w, tol: Tolerance = DEFAULT_TOL):
+    """(minimum eigenvalue, PSD threshold) of ascending eigenvalues ``w``.
+
+    The threshold is ``tol.threshold`` at the spectrum's scale
+    ``max(|w_min|, |w_max|)``; the spectrum is PSD within tolerance when
+    ``min_eig >= -threshold``.  A stack of spectra of shape (..., k) gives
+    arrays of shape (...).
+    """
+    w = np.asarray(w)
+    if w.ndim == 1:  # scalar arithmetic: a few times faster than array ops
+        lowest = w[0]
+        return lowest, tol.threshold(max(abs(lowest), abs(w[-1])))
+    lowest = w[..., 0]
+    return lowest, tol.threshold(np.maximum(np.abs(lowest), np.abs(w[..., -1])))
+
+
+def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
+    d = a - adjoint(a)
+    return _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= tol.threshold(_op_norm(a))
 
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``||M - M*||`` is below the threshold for M's scale."""
-    a = require_square(m)
-    return op_norm(a - adjoint(a)) <= tol.threshold_for(a)
+    return _is_hermitian(require_square(m), tol)
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonnegligible entry is real positive."""
     out = np.array(v, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_CUTOFF)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    big = np.abs(out) > _PHASE_CUTOFF
+    cols = np.flatnonzero(big.any(axis=0))
+    pivots = out[big.argmax(axis=0)[cols], cols]
+    # Same arithmetic as rotating one column at a time: hypot is what abs()
+    # of a complex scalar computes (np.abs of an array can differ in the last
+    # bit), and each column is scaled as a row against a broadcast scalar,
+    # the loop numpy uses for array * scalar.
+    phases = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
+    out[:, cols] = (out.T[cols] * phases[:, None]).T
     return out
+
+
+def _eig_hermitian(a: np.ndarray) -> HermitianEig:
+    ah = adjoint(a)
+    h = 0.5 * (a + ah)
+    d = a - ah
+    if not _negligible(d, _HERMITICITY_REL):
+        scale = _op_norm(h)
+        asym = _op_norm(d)
+        if asym > _HERMITICITY_REL * (1.0 + scale):
+            raise DomainError(
+                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
+                f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
+            )
+    w, v = np.linalg.eigh(h)
+    return HermitianEig(w, fix_phases(v))
 
 
 def eig_hermitian(m) -> HermitianEig:
@@ -138,38 +210,30 @@ def eig_hermitian(m) -> HermitianEig:
     beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
     silently repaired.
     """
-    a = require_square(m)
-    h = 0.5 * (a + adjoint(a))
-    scale = op_norm(h)
-    asym = op_norm(a - adjoint(a))
-    if asym > _HERMITICITY_REL * (1.0 + scale):
-        raise DomainError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
-        )
-    w, v = np.linalg.eigh(h)
-    return HermitianEig(w, fix_phases(v))
+    return _eig_hermitian(require_square(m))
+
+
+def _is_psd(a: np.ndarray, tol: Tolerance) -> bool:
+    ah = adjoint(a)
+    lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (a + ah)), tol)
+    d = a - ah
+    if not (_negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr):
+        return False
+    return bool(lowest >= -thr)
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff M is Hermitian within tolerance and its minimum eigenvalue
-    clears the scale-aware floor."""
-    a = require_square(m)
-    h = 0.5 * (a + adjoint(a))
-    w = np.linalg.eigvalsh(h)
-    scale = max(abs(w[0]), abs(w[-1]))
-    thr = tol.threshold(scale)
-    if op_norm(a - adjoint(a)) > thr:
-        return False
-    return w[0] >= -thr
+    clears the scale-aware floor (see :func:`psd_margin`)."""
+    return _is_psd(require_square(m), tol)
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix, eigenvalues clipped at zero."""
     a = require_square(m)
-    if not is_psd(a, tol):
+    if not _is_psd(a, tol):
         raise DomainError("matrix is not positive semidefinite within tolerance")
-    w, v = eig_hermitian(a)
+    w, v = _eig_hermitian(a)
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
     return 0.5 * (s + adjoint(s))
 
@@ -189,19 +253,31 @@ def is_contraction(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     return n <= 1.0 + tol.threshold(n)
 
 
+def _self_commutator(a: np.ndarray) -> np.ndarray:
+    ah = adjoint(a)
+    return ah @ a - a @ ah
+
+
+def _is_normal(a: np.ndarray, tol: Tolerance, scale: float | None = None) -> bool:
+    """Normality of a validated square array; ``scale`` is ``||a||`` when
+    the caller has it, else it is computed only if the bound is undecided."""
+    c = _self_commutator(a)
+    if _negligible(c, tol.quadratic_threshold(0.0)):
+        return True
+    if scale is None:
+        scale = _op_norm(a)
+    return _op_norm(c) <= tol.quadratic_threshold(scale)
+
+
 def is_normal(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff T commutes with its adjoint.
 
     The self-commutator ``T*T - TT*`` is degree two in T, so it is compared
     against the quadratic threshold for T's scale.
     """
-    a = require_square(t)
-    c = adjoint(a) @ a - a @ adjoint(a)
-    return op_norm(c) <= tol.quadratic_threshold(op_norm(a))
+    return _is_normal(require_square(t), tol)
 
 
 def is_hyponormal(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``T*T - TT*`` is PSD, i.e. ``||T* g|| <= ||T g||`` for all g."""
-    a = require_square(t)
-    c = adjoint(a) @ a - a @ adjoint(a)
-    return is_psd(c, tol)
+    return is_psd(_self_commutator(require_square(t)), tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, require_square
+from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, psd_margin, require_square
 from .sampling import ginibre, random_stormer_blocks, random_stormer_pairs
 from .stormer import OperatorBlockMatrix
 
@@ -194,6 +194,17 @@ class NecessityReport:
 _TRIAL_CHUNK = 256
 
 
+def _trial_dims(phi: PositiveMap, n: int, d: int | None) -> int:
+    """The block dimension of trial matrices (the map's own when d is None),
+    after checking that trials have at least one block of positive size."""
+    d = d if d is not None else phi.input_dim
+    if d is None:
+        raise DimensionError("dimension-agnostic map: pass d explicitly")
+    if n < 1 or d < 1:
+        raise DimensionError(f"trial blocks need n >= 1 and d >= 1, got n={n}, d={d}")
+    return d
+
+
 def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
     """``count`` two-sided-positive trial blocks, shape (count, n, n, d, d):
     Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
@@ -239,22 +250,19 @@ def theorem1_necessity_trial(
     :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
     at most 256; every trial's arithmetic is the same as when run alone, so
     the report depends on (phi, seed, trials, n, d, tol) only.  Raises
-    DomainError when ``trials`` is below 1.
+    DomainError when ``trials`` is below 1 and DimensionError when n or d
+    is.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    d = d if d is not None else phi.input_dim
-    if d is None:
-        raise DimensionError("dimension-agnostic map: pass d explicitly")
+    d = _trial_dims(phi, n, d)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = np.inf
     for start in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - start)
-        w = _image_spectra(phi, _trial_blocks(rng, count, n, d))
-        lowest = w[:, 0]
-        scale = np.maximum(np.abs(lowest), np.abs(w[:, -1]))
-        violations += int(np.count_nonzero(lowest < -tol.threshold(scale)))
+        lowest, thr = psd_margin(_image_spectra(phi, _trial_blocks(rng, count, n, d)), tol)
+        violations += int(np.count_nonzero(lowest < -thr))
         worst = min(worst, float(lowest.min()))
     return NecessityReport(
         trials=trials, violations=violations, worst_min_eig=worst, n=n, d=d
@@ -284,12 +292,12 @@ def _boundary_matrix(w: np.ndarray, n: int, floor: float) -> np.ndarray:
     return (1.0 - mu) * w + mu * np.eye(nd)
 
 
-def _image_min_eig(phi: PositiveMap, m: np.ndarray, n: int) -> tuple[float, float]:
+def _image_margin(phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance) -> tuple[float, float]:
     """Minimum eigenvalue of the entrywise image of an assembled block
-    matrix, and the image's scale."""
+    matrix, and the image's PSD threshold."""
     d = m.shape[0] // n
-    w = _image_spectra(phi, m.reshape(n, d, n, d).transpose(0, 2, 1, 3))
-    return float(w[0]), float(max(abs(w[0]), abs(w[-1])))
+    lowest, thr = psd_margin(_image_spectra(phi, m.reshape(n, d, n, d).transpose(0, 2, 1, 3)), tol)
+    return float(lowest), float(thr)
 
 
 def witness_search(
@@ -314,11 +322,9 @@ def witness_search(
     is exhausted.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
-    (seed, r).
+    (seed, r).  Raises DimensionError when n or d is below 1.
     """
-    d = d if d is not None else phi.input_dim
-    if d is None:
-        raise DimensionError("dimension-agnostic map: pass d explicitly")
+    d = _trial_dims(phi, n, d)
     nd = n * d
     evaluations = 0
     floor_start, floor_end = 1e-2, 1e-7
@@ -330,7 +336,7 @@ def witness_search(
         w *= nd / np.trace(w).real
         floor = floor_start
         x = _boundary_matrix(w, n, floor)
-        current, scale = _image_min_eig(phi, x, n)
+        current, thr = _image_margin(phi, x, n, tol)
         evaluations += 1
         sigma = 0.3
         for step in range(steps_per_restart):
@@ -344,14 +350,14 @@ def witness_search(
             w_new = g_new @ adjoint(g_new)
             w_new *= nd / np.trace(w_new).real
             x_new = _boundary_matrix(w_new, n, floor)
-            val, val_scale = _image_min_eig(phi, x_new, n)
+            val, val_thr = _image_margin(phi, x_new, n, tol)
             evaluations += 1
             if val < current:
-                g, current, scale, x = g_new, val, val_scale, x_new
+                g, current, thr, x = g_new, val, val_thr, x_new
                 sigma = min(sigma * 1.2, 1.0)
             else:
                 sigma = max(sigma * 0.97, 1e-3)
-        if current < -10.0 * tol.threshold(scale):
+        if current < -10.0 * thr:
             return WitnessResult(
                 block=OperatorBlockMatrix.from_assembled(x, n),
                 min_eig=current,

@@ -23,6 +23,7 @@ from .linalg import (
     is_psd,
     op_norm,
     pinv,
+    psd_margin,
     sqrt_psd,
 )
 from .maps import identity_map, theorem1_necessity_trial, transpose_map
@@ -57,8 +58,8 @@ def _suite_gram_positivity(rng, tol):
         d = int(rng.integers(2, 7))
         a1, a2 = ginibre(rng, d), ginibre(rng, d)
         m = gram_block(OperatorPair(a1, a2)).assembled()
-        w = np.linalg.eigvalsh(m)
-        worst = min(worst, w[0] + tol.threshold(max(abs(w[0]), abs(w[-1]))))
+        lowest, thr = psd_margin(np.linalg.eigvalsh(m), tol)
+        worst = min(worst, lowest + thr)
     return {"passed": bool(worst >= 0.0), "worst_margin": float(worst)}
 
 
@@ -74,9 +75,8 @@ def _suite_partition_equivalence(rng, tol):
         oracle = psd_oracle(p, tol)
         if cert.psd != oracle:
             m = assemble(p)
-            w = np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
-            band = 2.0 * tol.threshold(max(abs(w[0]), abs(w[-1])))
-            if abs(w[0]) <= band:
+            lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (m + adjoint(m))), tol)
+            if abs(lowest) <= 2.0 * thr:
                 boundary += 1
             else:
                 mismatches += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, InputError
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, is_psd, require_square
+from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _is_psd, _op_norm, adjoint, require_square
 from .stormer import CanonicalDecomposition, OperatorBlockMatrix
 
 __all__ = [
@@ -59,10 +59,13 @@ class DensityState:
 def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DensityState:
     """Normalize a PSD block matrix to a density state on (n) x (d)."""
     m = x.assembled()
-    if not is_psd(m, tol):
+    if not _is_psd(m, tol):
         raise DomainError("block matrix is not PSD; cannot form a state")
     tr = float(np.trace(m).real)
-    if tr <= tol.threshold_for(m):
+    # ||m||_2 <= ||m||_F: a trace above the threshold at twice the Frobenius
+    # norm clears the threshold at the operator norm, whatever the rounding;
+    # only a trace below that pays for the SVD.
+    if tr <= tol.threshold(2.0 * _frobenius(m)) and tr <= tol.threshold(_op_norm(m)):
         raise DomainError("block matrix has (numerically) zero trace")
     rho = 0.5 * (m + adjoint(m)) / tr
     return DensityState((x.n, x.d), rho)
@@ -75,6 +78,10 @@ def partial_transpose_matrix(m, n: int, d: int, factor: int) -> np.ndarray:
         raise DimensionError(f"matrix must be {n * d} x {n * d} for dims ({n}, {d})")
     if factor not in (1, 2):
         raise InputError(f"factor must be 1 or 2, got {factor}")
+    return _partial_transpose(a, n, d, factor)
+
+
+def _partial_transpose(a: np.ndarray, n: int, d: int, factor: int) -> np.ndarray:
     t = a.reshape(n, d, n, d)
     if factor == 1:
         t = t.transpose(2, 1, 0, 3)
@@ -91,7 +98,8 @@ def partial_transpose(rho: DensityState, factor: int) -> np.ndarray:
 
 def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the partial transpose over the first factor is PSD."""
-    return is_psd(partial_transpose(rho, 1), tol)
+    n, d = rho.dims
+    return _is_psd(_partial_transpose(rho.matrix, n, d, 1), tol)
 
 
 @dataclass(frozen=True)

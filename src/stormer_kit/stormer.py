@@ -27,13 +27,15 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _eig_hermitian,
+    _is_hermitian,
+    _is_normal,
+    _is_psd,
+    _op_norm,
     adjoint,
     as_matrix,
-    eig_hermitian,
     fix_phases,
-    is_normal,
     is_psd,
-    op_norm,
     pinv,
     require_square,
 )
@@ -116,8 +118,7 @@ class OperatorBlockMatrix:
         return self.blocks[i, j]
 
     def assembled(self) -> np.ndarray:
-        n, d = self.n, self.d
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        return _assemble(self.blocks)
 
     @classmethod
     def from_assembled(cls, m, n: int) -> "OperatorBlockMatrix":
@@ -126,6 +127,12 @@ class OperatorBlockMatrix:
             raise DimensionError(f"size {a.shape[0]} is not divisible by n={n}")
         d = a.shape[0] // n
         return cls(a.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+
+
+def _assemble(blocks: np.ndarray) -> np.ndarray:
+    """(n, n, d, d) blocks -> (nd, nd) matrix, block index first."""
+    n, _, d, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 class RatioOperator(NamedTuple):
@@ -190,9 +197,9 @@ def swap_block(x: OperatorBlockMatrix) -> OperatorBlockMatrix:
 def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff both the assembled block matrix and its index swap are PSD."""
     m = x.assembled()
-    if op_norm(m - adjoint(m)) > tol.threshold_for(m):
+    if not _is_hermitian(m, tol):
         raise DomainError("assembled block matrix is not Hermitian within tolerance")
-    return is_psd(m, tol) and is_psd(swap_block(x).assembled(), tol)
+    return _is_psd(m, tol) and _is_psd(_assemble(x.blocks.swapaxes(0, 1)), tol)
 
 
 def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -204,9 +211,9 @@ def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.nda
     within tolerance of zero are clipped.
     """
     m = x.assembled()
-    if not is_psd(m, tol):
+    if not _is_psd(m, tol):
         raise DomainError("block matrix is not PSD; no Gram factorization")
-    w, v = eig_hermitian(m)
+    w, v = _eig_hermitian(m)
     w = np.clip(w, 0.0, None)
     keep = np.flatnonzero(w > 0.0)
     rows = []
@@ -230,11 +237,16 @@ def gram_row_block(row: np.ndarray) -> OperatorBlockMatrix:
     return OperatorBlockMatrix(np.einsum("ir,jc->ijrc", np.conj(r), r))
 
 
-def ratio_operator(p: OperatorPair, rcond: float = DEFAULT_RCOND) -> RatioOperator:
-    """T = a2 * pinv(a1), flagged degenerate when a1 is numerically singular."""
+def _ratio_operator(p: OperatorPair, rcond: float) -> tuple[RatioOperator, float]:
+    """The ratio operator and ``||a1||``, read off the same singular values."""
     sv = np.linalg.svd(p.a1, compute_uv=False)
     degenerate = bool(sv[-1] <= rcond * sv[0])
-    return RatioOperator(p.a2 @ pinv(p.a1, rcond), degenerate)
+    return RatioOperator(p.a2 @ pinv(p.a1, rcond), degenerate), float(sv[0])
+
+
+def ratio_operator(p: OperatorPair, rcond: float = DEFAULT_RCOND) -> RatioOperator:
+    """T = a2 * pinv(a1), flagged degenerate when a1 is numerically singular."""
+    return _ratio_operator(p, rcond)[0]
 
 
 def contraction_condition(
@@ -271,12 +283,16 @@ def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
     are clustered, with each cluster's basis re-orthonormalized.  Raises for
     input that is not normal within tolerance.
     """
+    return _spectral_resolution(require_square(t), tol)
+
+
+def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
     # Imported here, its only use: scipy.linalg costs most of the package's
     # import time, and commands that never decompose should not pay it.
     import scipy.linalg
 
-    a = require_square(t)
-    if not is_normal(a, tol):
+    scale = _op_norm(a)
+    if not _is_normal(a, tol, scale):
         raise DomainError("operator is not normal within tolerance")
     s, z = scipy.linalg.schur(a, output="complex")
     lam = np.diag(s).copy()
@@ -284,7 +300,7 @@ def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
     lam = lam[order]
     z = np.array(z[:, order])
 
-    gap = _CLUSTER_REL * (1.0 + op_norm(a))
+    gap = _CLUSTER_REL * (1.0 + scale)
     start = 0
     for stop in range(1, len(lam) + 1):
         if stop == len(lam) or abs(lam[stop] - lam[stop - 1]) > gap:
@@ -325,16 +341,16 @@ def canonical_decomposition(
     """
     if not stormer_test(gram_block(p), tol):
         raise DomainError("two-sided positivity condition not satisfied")
-    t, degenerate = ratio_operator(p, rcond)
-    if degenerate and not is_normal(t, tol):
+    (t, degenerate), a1_norm = _ratio_operator(p, rcond)
+    if degenerate and not _is_normal(t, tol):
         raise DomainError(
             "pair is degenerate and its ratio operator is not normal; "
             "canonical decomposition is undefined"
         )
-    lam, es = spectral_resolution(t, tol)
+    lam, es = _spectral_resolution(t, tol)
     g = adjoint(p.a1) @ es
     alphas = np.linalg.norm(g, axis=0).real
-    cutoff = tol.threshold(op_norm(p.a1))
+    cutoff = tol.threshold(a1_norm)
     phis = np.zeros_like(g)
     for i, alpha in enumerate(alphas):
         if alpha > cutoff:

@@ -1,9 +1,56 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 
-from stormer_kit import DEFAULT_TOL, adjoint
+from stormer_kit import DEFAULT_TOL, DomainError, HermitianEig, adjoint
 from stormer_kit.sampling import ginibre, uniform_disk
+
+
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module (scripts/ is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one table of golden CLI cases: name -> (exit code, argv), with fixture
+# file names resolved against FIXTURES and reports stored under GOLDEN.
+regen_golden = load_script("regen_golden")
+CASES, FIXTURES, GOLDEN = regen_golden.CASES, regen_golden.FIXTURES, regen_golden.GOLDEN
+
+
+@contextlib.contextmanager
+def lapack_calls(names=("eigvalsh", "eigh", "svd")):
+    """Count calls to the named ``numpy.linalg`` functions made in the block.
+
+    Yields a Counter keyed by name.  The library calls these through the
+    ``np.linalg`` attribute, so patching it sees every call; numpy's own
+    internal uses (such as the SVD inside ``pinv``) are not counted.
+    """
+    calls = Counter({name: 0 for name in names})
+    originals = {name: getattr(np.linalg, name) for name in names}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in originals.items():
+        setattr(np.linalg, name, counting(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in originals.items():
+            setattr(np.linalg, name, fn)
 
 
 def rel_fro(delta, ref) -> float:
@@ -108,3 +155,71 @@ def oracle_necessity(phi, seed, trials, n, d, tol=DEFAULT_TOL) -> tuple[int, flo
             violations += 1
         worst = min(worst, float(w[0]))
     return violations, worst
+
+
+# SVD-only references for the linear-algebra predicates: each norm is compared
+# against its threshold by a full SVD, with no Frobenius shortcut, and
+# eigenvector phases are fixed one column at a time.  The library must give
+# the same verdicts, raise the same errors and return the same arrays.
+
+_HERMITICITY_REL = 1e-6
+_PHASE_CUTOFF = 1e-12
+
+
+def svd_norm(m) -> float:
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
+
+
+def oracle_is_hermitian(a, tol=DEFAULT_TOL) -> bool:
+    a = np.asarray(a, dtype=complex)
+    return svd_norm(a - adjoint(a)) <= tol.threshold(svd_norm(a))
+
+
+def oracle_is_psd(a, tol=DEFAULT_TOL) -> bool:
+    a = np.asarray(a, dtype=complex)
+    w = np.linalg.eigvalsh(hermitize(a))
+    thr = tol.threshold(max(abs(w[0]), abs(w[-1])))
+    if svd_norm(a - adjoint(a)) > thr:
+        return False
+    return bool(w[0] >= -thr)
+
+
+def oracle_is_normal(t, tol=DEFAULT_TOL) -> bool:
+    a = np.asarray(t, dtype=complex)
+    c = adjoint(a) @ a - a @ adjoint(a)
+    return svd_norm(c) <= tol.quadratic_threshold(svd_norm(a))
+
+
+def oracle_stormer_test(blocks, tol=DEFAULT_TOL) -> bool:
+    b = np.asarray(blocks, dtype=complex)
+    n, d = b.shape[0], b.shape[2]
+    m = b.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    if svd_norm(m - adjoint(m)) > tol.threshold(svd_norm(m)):
+        raise DomainError("assembled block matrix is not Hermitian within tolerance")
+    s = b.transpose(1, 0, 2, 3).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    return oracle_is_psd(m, tol) and oracle_is_psd(s, tol)
+
+
+def oracle_fix_phases(v) -> np.ndarray:
+    out = np.array(v, dtype=complex)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > _PHASE_CUTOFF)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+def oracle_eig_hermitian(m) -> HermitianEig:
+    a = np.asarray(m, dtype=complex)
+    h = hermitize(a)
+    scale = svd_norm(h)
+    asym = svd_norm(a - adjoint(a))
+    if asym > _HERMITICITY_REL * (1.0 + scale):
+        raise DomainError(
+            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
+            f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
+        )
+    w, v = np.linalg.eigh(h)
+    return HermitianEig(w, oracle_fix_phases(v))

@@ -10,7 +10,6 @@ import contextlib
 import io as _io
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,10 +53,7 @@ from stormer_kit.sampling import (
     random_stormer_pair,
 )
 
-from helpers import hermitize, min_eig, rel_fro
-
-FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = FIXTURES / "golden"
+from helpers import CASES, FIXTURES, GOLDEN, hermitize, min_eig, rel_fro
 
 
 def report(number, name, ok, budget_s, elapsed_s, detail):
@@ -274,24 +270,6 @@ def test_c09_hyponormal_implies_normal():
     )
 
 
-GOLDEN_CASES = {
-    "check_psd_id2": (0, ["check-psd", "id2.json"]),
-    "check_psd_indefinite": (1, ["check-psd", "indefinite2.json"]),
-    "block_check_psd": (0, ["block-check", "partition_psd.json"]),
-    "block_check_bad": (1, ["block-check", "partition_bad.json"]),
-    "stormer_check_pass": (0, ["stormer-check", "--a1", "id2.json", "--a2", "diag_1i.json"]),
-    "stormer_check_fail": (1, ["stormer-check", "--a1", "id2.json", "--a2", "nilpotent2.json"]),
-    "decompose_pass": (0, ["decompose", "--a1", "id2.json", "--a2", "diag_1i.json"]),
-    "decompose_fail": (1, ["decompose", "--a1", "id2.json", "--a2", "nilpotent2.json"]),
-    "decompose_degenerate": (0, ["decompose", "--a1", "singular2.json", "--a2", "singular2.json"]),
-    "make_state_identity": (0, ["make-state", "--a1", "id2.json", "--a2", "id2.json"]),
-    "ppt_check_bell": (1, ["ppt-check", "--state", "bell4.json", "--n", "2", "--d", "2"]),
-    "map_test_transpose": (0, ["map-test", "--map", "transpose", "--trials", "50", "--d", "2"]),
-    "map_test_kraus": (0, ["map-test", "--map", "kraus_map.json", "--trials", "50"]),
-    "selftest": (0, ["selftest"]),
-}
-
-
 def _run_cli_inprocess(argv):
     out, err = _io.StringIO(), _io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -303,7 +281,7 @@ def test_c10_cli_determinism_and_exit_codes():
     start = time.time()
     ok = True
     detail = "all subcommands byte-identical"
-    for name, (expected_code, argv) in GOLDEN_CASES.items():
+    for name, (expected_code, argv) in CASES.items():
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
         code1, out1 = _run_cli_inprocess([*argv, "--json"])
         code2, out2 = _run_cli_inprocess([*argv, "--json"])

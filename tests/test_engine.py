@@ -32,7 +32,7 @@ from stormer_kit.sampling import (
     random_stormer_pairs,
 )
 
-from helpers import oracle_apply, oracle_block, oracle_necessity, oracle_pair
+from helpers import lapack_calls, oracle_apply, oracle_block, oracle_necessity, oracle_pair
 
 
 def _kraus(rng, k, l, count):
@@ -140,20 +140,12 @@ def test_necessity_rejects_non_positive_trials(trials):
         theorem1_necessity_trial(transpose_map(), trials=trials, n=2, d=2)
 
 
-def test_necessity_eigvalsh_calls_do_not_grow_with_trials(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+def test_necessity_eigvalsh_calls_do_not_grow_with_trials():
     counts = []
     for trials in (20, 200):
-        calls.clear()
-        theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=3, d=3)
-        counts.append(len(calls))
+        with lapack_calls() as calls:
+            theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=3, d=3)
+        counts.append(calls["eigvalsh"])
     # one stacked call for the swap floors, one for the images
     assert counts == [2, 2]
 

@@ -1,12 +1,14 @@
+import contextlib
+import io as _io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stormer_kit import InputError, OperatorBlockMatrix
+from stormer_kit import cli
 from stormer_kit.io import (
     block_from_payload,
     block_to_payload,
@@ -16,25 +18,7 @@ from stormer_kit.io import (
 )
 from stormer_kit.sampling import ginibre
 
-FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = FIXTURES / "golden"
-
-GOLDEN_CASES = {
-    "check_psd_id2": (0, ["check-psd", "id2.json"]),
-    "check_psd_indefinite": (1, ["check-psd", "indefinite2.json"]),
-    "block_check_psd": (0, ["block-check", "partition_psd.json"]),
-    "block_check_bad": (1, ["block-check", "partition_bad.json"]),
-    "stormer_check_pass": (0, ["stormer-check", "--a1", "id2.json", "--a2", "diag_1i.json"]),
-    "stormer_check_fail": (1, ["stormer-check", "--a1", "id2.json", "--a2", "nilpotent2.json"]),
-    "decompose_pass": (0, ["decompose", "--a1", "id2.json", "--a2", "diag_1i.json"]),
-    "decompose_fail": (1, ["decompose", "--a1", "id2.json", "--a2", "nilpotent2.json"]),
-    "decompose_degenerate": (0, ["decompose", "--a1", "singular2.json", "--a2", "singular2.json"]),
-    "make_state_identity": (0, ["make-state", "--a1", "id2.json", "--a2", "id2.json"]),
-    "ppt_check_bell": (1, ["ppt-check", "--state", "bell4.json", "--n", "2", "--d", "2"]),
-    "map_test_transpose": (0, ["map-test", "--map", "transpose", "--trials", "50", "--d", "2"]),
-    "map_test_kraus": (0, ["map-test", "--map", "kraus_map.json", "--trials", "50"]),
-    "selftest": (0, ["selftest"]),
-}
+from helpers import CASES, FIXTURES, GOLDEN
 
 
 def run_cli(*argv):
@@ -47,6 +31,34 @@ def run_cli(*argv):
 
 def expand(argv):
     return [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+
+
+def run_cli_inprocess(argv):
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Malformed inputs: each must exit 2 with an ``error:`` line on stderr and
+# nothing on stdout.
+MALFORMED = [
+    ["check-psd", "truncated.json"],
+    ["check-psd", "does_not_exist.json"],
+    ["stormer-check", "--block", "block_nonherm.json"],
+    ["stormer-check", "--a1", "id2.json"],
+    # dimension mismatch between the two operators
+    ["stormer-check", "--a1", "id2.json", "--a2", "bell4.json"],
+    ["map-test", "--map", "nope"],
+    # dimension-agnostic map without --d
+    ["map-test", "--map", "identity", "--trials", "5"],
+    # a run of no trials has no verdict
+    ["map-test", "--map", "transpose", "--d", "2", "--trials", "0"],
+    ["map-test", "--map", "transpose", "--d", "2", "--trials", "-3"],
+    # trial blocks of no size
+    ["map-test", "--map", "transpose", "--d", "2", "--n", "0"],
+    ["map-test", "--map", "transpose", "--d", "0"],
+]
 
 
 def test_matrix_payload_roundtrip_exact():
@@ -99,9 +111,13 @@ def test_load_map_spec_named_and_files():
         load_map_spec(str(FIXTURES / "truncated.json"))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_every_golden_file_has_a_case_and_every_case_a_file():
+    assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_reports(name):
-    expected_code, argv = GOLDEN_CASES[name]
+    expected_code, argv = CASES[name]
     proc = run_cli(*expand(argv), "--json")
     assert proc.returncode == expected_code, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
@@ -130,22 +146,29 @@ def test_human_readable_output():
 
 
 def test_exit_code_2_on_malformed_inputs():
-    assert run_cli(*expand(["check-psd", "truncated.json"])).returncode == 2
-    assert run_cli("check-psd", str(FIXTURES / "does_not_exist.json")).returncode == 2
-    proc = run_cli(*expand(["stormer-check", "--block", "block_nonherm.json"]))
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
-    assert run_cli(*expand(["stormer-check", "--a1", "id2.json"])).returncode == 2
-    # dimension mismatch between the two operators
-    assert run_cli(*expand(["stormer-check", "--a1", "id2.json", "--a2", "bell4.json"])).returncode == 2
-    assert run_cli(*expand(["map-test", "--map", "nope"])).returncode == 2
-    # dimension-agnostic map without --d
-    assert run_cli("map-test", "--map", "identity", "--trials", "5").returncode == 2
-    # a run of no trials has no verdict
-    for trials in ("0", "-3"):
-        proc = run_cli("map-test", "--map", "transpose", "--d", "2", "--trials", trials, "--json")
-        assert proc.returncode == 2
-        assert proc.stdout == "" and proc.stderr.startswith("error:")
+    for argv in MALFORMED:
+        proc = run_cli(*expand(argv))
+        assert proc.returncode == 2, argv
+        # an input error, not a numpy failure or an internal error
+        assert proc.stdout == "" and proc.stderr.startswith("error:"), (argv, proc.stderr)
+        assert "Warning" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_golden_cases_reach_no_internal_error():
+    for name, (expected_code, argv) in CASES.items():
+        code, _, err = run_cli_inprocess([*expand(argv), "--json"])
+        assert code == expected_code, name
+        assert "internal error" not in err, name
+
+
+def test_internal_errors_are_labelled_as_such(monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "cmd_check_psd", broken)
+    code, out, err = run_cli_inprocess(expand(["check-psd", "id2.json"]))
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: ZeroDivisionError: division by zero")
 
 
 def test_diagnostics_go_to_stderr_not_stdout():

@@ -1,0 +1,332 @@
+"""The lean linear-algebra core against its SVD-only reference.
+
+Norm-against-threshold checks settle with the Frobenius bound when it is at
+most half the scale-free floor and fall back to the SVD otherwise, so every
+verdict, error and returned array must equal the SVD-only reference in
+``helpers``.  Inputs in the band between half the floor and the threshold
+are built on purpose, since there only the SVD can decide.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stormer_kit import (
+    DEFAULT_TOL,
+    DomainError,
+    OperatorBlockMatrix,
+    OperatorPair,
+    Partition2,
+    Tolerance,
+    adjoint,
+    canonical_decomposition,
+    dual_decomposition,
+    eig_hermitian,
+    gram_block,
+    is_hermitian,
+    is_normal,
+    is_ppt,
+    is_psd,
+    psd_margin,
+    psd_via_contraction,
+    ratio_operator,
+    state_from_block,
+    stormer_test,
+)
+from stormer_kit.io import block_from_payload
+from stormer_kit.linalg import fix_phases
+from stormer_kit.sampling import (
+    ginibre,
+    haar_unitary,
+    random_normal_operator,
+    random_partition,
+    random_stormer_pair,
+)
+
+from helpers import (
+    hermitize,
+    lapack_calls,
+    oracle_eig_hermitian,
+    oracle_fix_phases,
+    oracle_is_hermitian,
+    oracle_is_normal,
+    oracle_is_psd,
+    oracle_stormer_test,
+    svd_norm,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FLOOR = DEFAULT_TOL.threshold(0.0)
+
+
+def unit_antihermitian(rng, d):
+    """Antihermitian matrix whose singular values all equal 1."""
+    u = haar_unitary(rng, d)
+    k = (u * (1j * rng.choice([-1.0, 1.0], size=d))) @ adjoint(u)
+    return 0.5 * (k - adjoint(k))
+
+
+def with_asymmetry(a, k, target):
+    """a + s k, for a Hermitian a and a unit antihermitian k, with asymmetry
+    ||2 s k|| = 2 s equal to target(a + s k); the target moves little with
+    s, so a few fixed-point steps settle it."""
+    s = 0.0
+    for _ in range(3):
+        s = 0.5 * target(a + s * k)
+    return a + s * k
+
+
+def asymmetry(a):
+    return svd_norm(a - adjoint(a))
+
+
+def hermitian_sample(rng, d, psd):
+    g = ginibre(rng, d)
+    h = g @ adjoint(g) / d + (0.5 * np.eye(d) if psd else -0.5 * np.eye(d))
+    return hermitize(h)
+
+
+# -- psd_margin -------------------------------------------------------------
+
+
+def test_psd_margin_single_spectrum():
+    w = np.array([-2.0, 0.5, 3.0])
+    lowest, thr = psd_margin(w)
+    assert np.ndim(lowest) == 0 and np.ndim(thr) == 0
+    assert lowest == -2.0
+    assert thr == DEFAULT_TOL.threshold(3.0)
+    tol = Tolerance(abs_eps=1e-3, rel_eps=1e-2)
+    assert psd_margin(np.array([-5.0, 1.0]), tol)[1] == tol.threshold(5.0)
+
+
+def test_psd_margin_stack_matches_single_spectra():
+    rng = np.random.default_rng(21)
+    w = np.sort(rng.standard_normal((40, 6)) * rng.uniform(1e-3, 1e3, (40, 1)), axis=1)
+    lowest, thr = psd_margin(w)
+    assert lowest.shape == thr.shape == (40,)
+    for row, lo, t in zip(w, lowest, thr):
+        assert (lo, t) == psd_margin(row)
+
+
+def test_psd_margin_is_the_is_psd_rule():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        h = hermitian_sample(rng, int(rng.integers(1, 7)), psd=bool(rng.integers(2)))
+        lowest, thr = psd_margin(np.linalg.eigvalsh(h))
+        assert is_psd(h) == bool(lowest >= -thr)
+
+
+# -- fix_phases ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_fix_phases_matches_column_loop_bit_for_bit(d):
+    rng = np.random.default_rng(100 + d)
+    for trial in range(40):
+        k = int(rng.integers(1, d + 2))
+        v = ginibre(rng, d, k)
+        if trial % 3 == 0:
+            v[: min(d - 1, 2)] *= 1e-13  # leading entries under the cutoff
+        if trial % 5 == 0:
+            v[:, 0] = 0.0  # a column with no pivot stays as it is
+        if trial % 7 == 0:
+            v = np.linalg.eigh(hermitize(ginibre(rng, d)))[1]
+        got, want = fix_phases(v), oracle_fix_phases(v)
+        assert np.array_equal(got.view(float), want.view(float))
+
+
+# -- the band only the SVD can decide ----------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_is_psd_and_is_hermitian_in_the_svd_band(d, factor):
+    rng = np.random.default_rng([31, d, int(10 * factor)])
+    for _ in range(10):
+        h = hermitian_sample(rng, d, psd=True)
+        k = unit_antihermitian(rng, d)
+
+        def psd_thr(a):
+            w = np.linalg.eigvalsh(hermitize(a))
+            return factor * DEFAULT_TOL.threshold(max(abs(w[0]), abs(w[-1])))
+
+        a = with_asymmetry(h, k, psd_thr)
+        assert asymmetry(a) / psd_thr(a) == pytest.approx(1.0, rel=0.02)
+        assert np.linalg.norm(a - adjoint(a)) > 0.5 * FLOOR  # the bound cannot decide
+        assert oracle_is_psd(a) is (factor < 1.0)
+        assert is_psd(a) == oracle_is_psd(a)
+
+        def herm_thr(a):
+            return factor * DEFAULT_TOL.threshold(svd_norm(a))
+
+        a = with_asymmetry(h, k, herm_thr)
+        assert asymmetry(a) / herm_thr(a) == pytest.approx(1.0, rel=0.02)
+        assert oracle_is_hermitian(a) is (factor < 1.0)
+        assert is_hermitian(a) == oracle_is_hermitian(a)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_eig_hermitian_in_the_svd_band(d, factor):
+    rng = np.random.default_rng([32, d, int(10 * factor)])
+    for _ in range(10):
+        h = hermitian_sample(rng, d, psd=False) * rng.uniform(0.1, 10.0)
+        k = unit_antihermitian(rng, d)
+        a = with_asymmetry(h, k, lambda a: factor * 1e-6 * (1.0 + svd_norm(hermitize(a))))
+        try:
+            want = oracle_eig_hermitian(a)
+        except DomainError as exc:
+            assert factor > 1.0
+            with pytest.raises(DomainError) as got:
+                eig_hermitian(a)
+            assert str(got.value) == str(exc)
+        else:
+            assert factor < 1.0
+            got = eig_hermitian(a)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_stormer_test_boundary_check_in_the_svd_band(d, factor):
+    rng = np.random.default_rng([33, d, int(10 * factor)])
+    for _ in range(10):
+        p = random_stormer_pair(rng, d)
+        m = gram_block(p).assembled()
+        m = hermitize(m)
+        k = unit_antihermitian(rng, 2 * d)
+        a = with_asymmetry(m, k, lambda a: factor * DEFAULT_TOL.threshold(svd_norm(a)))
+        x = OperatorBlockMatrix.from_assembled(a, 2)
+        if factor > 1.0:
+            with pytest.raises(DomainError):
+                oracle_stormer_test(x.blocks)
+            with pytest.raises(DomainError):
+                stormer_test(x)
+        else:
+            assert stormer_test(x) == oracle_stormer_test(x.blocks)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_is_normal_in_the_svd_band(d, factor):
+    rng = np.random.default_rng([34, d, int(10 * factor)])
+    for _ in range(10):
+        n = random_normal_operator(rng, d)
+        p = ginibre(rng, d)
+
+        def ratio(eps):
+            t = n + eps * p
+            c = adjoint(t) @ t - t @ adjoint(t)
+            return svd_norm(c) / DEFAULT_TOL.quadratic_threshold(svd_norm(t))
+
+        eps = 1e-9
+        for _ in range(3):  # the commutator is linear in eps at this size
+            eps *= factor / ratio(eps)
+        t = n + eps * p
+        assert ratio(eps) == pytest.approx(factor, rel=0.02)
+        assert oracle_is_normal(t) is (factor < 1.0)
+        assert is_normal(t) == oracle_is_normal(t)
+
+
+# -- random and ill-conditioned inputs ---------------------------------------
+
+
+def ill_conditioned_pair(rng, d, cond, normal):
+    u, v = haar_unitary(rng, d), haar_unitary(rng, d)
+    a1 = (u * np.logspace(0.0, -np.log10(cond), d)) @ v
+    t = random_normal_operator(rng, d) if normal else ginibre(rng, d)
+    return OperatorPair(a1, t @ a1)
+
+
+def pair_samples():
+    rng = np.random.default_rng(35)
+    out = []
+    for d in range(1, 7):
+        for _ in range(4):
+            out.append(random_stormer_pair(rng, d))
+            out.append(OperatorPair(ginibre(rng, d), ginibre(rng, d)))
+        for cond in (1e2, 1e4, 1e6, 1e8):
+            out.append(ill_conditioned_pair(rng, d, cond, normal=True))
+            out.append(ill_conditioned_pair(rng, d, cond, normal=False))
+    return out
+
+
+def test_predicates_match_reference_on_random_and_ill_conditioned_pairs():
+    for p in pair_samples():
+        x = gram_block(p)
+        m = x.assembled()
+        s = x.blocks.transpose(1, 0, 2, 3).transpose(0, 2, 1, 3).reshape(m.shape)
+        assert stormer_test(x) == oracle_stormer_test(x.blocks)
+        for a in (m, s, p.a1, p.a2):
+            assert is_psd(a) == oracle_is_psd(a)
+            assert is_hermitian(a) == oracle_is_hermitian(a)
+        t = ratio_operator(p).matrix
+        assert is_normal(t) == oracle_is_normal(t)
+        got, want = eig_hermitian(m), oracle_eig_hermitian(m)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def test_non_hermitian_block_fixture_still_raises():
+    payload = json.loads((FIXTURES / "block_nonherm.json").read_text())
+    x = block_from_payload(payload)
+    with pytest.raises(DomainError):
+        oracle_stormer_test(x.blocks)
+    with pytest.raises(DomainError):
+        stormer_test(x)
+
+
+def test_zero_tolerance_settles_only_exact_residuals():
+    tol = Tolerance(abs_eps=0.0, rel_eps=0.0)
+    tiny = np.array([[1.0, 1e-170], [0.0, 1.0]])  # its squares underflow
+    assert is_hermitian(tiny, tol) == oracle_is_hermitian(tiny, tol)
+    assert not is_hermitian(tiny, tol)
+    assert is_hermitian(np.eye(3), tol)
+
+
+# -- LAPACK call counts (deterministic performance gates) -----------------
+
+
+def test_stormer_test_makes_no_svd():
+    p = random_stormer_pair(np.random.default_rng(40), 3)
+    x = gram_block(p)
+    with lapack_calls() as calls:
+        assert stormer_test(x)
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0}
+
+
+def test_canonical_decomposition_lapack_calls():
+    p = random_stormer_pair(np.random.default_rng(41), 4)
+    with lapack_calls() as calls:
+        canonical_decomposition(p)
+    # two PSD checks; the ratio operator's singular values and the spectral
+    # scale (pinv and schur are separate entry points)
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+    with lapack_calls() as calls:
+        dual_decomposition(p)
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+
+
+def test_state_and_ppt_lapack_calls():
+    x = gram_block(random_stormer_pair(np.random.default_rng(42), 3))
+    with lapack_calls() as calls:
+        rho = state_from_block(x)
+    # the PSD check and the state's own validation
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0}
+    with lapack_calls() as calls:
+        assert is_ppt(rho)
+    assert calls == {"eigvalsh": 1, "eigh": 0, "svd": 0}
+
+
+def test_psd_via_contraction_lapack_calls():
+    a, b, c = random_partition(np.random.default_rng(43), 3, 2, "psd")
+    p = Partition2(a, b, c)
+    with lapack_calls() as calls:
+        cert = psd_via_contraction(p)
+    assert cert.psd
+    # PSD checks of A and C, their square roots, and two genuine norms: the
+    # reported residual and the contraction's
+    assert calls == {"eigvalsh": 2, "eigh": 2, "svd": 2}

@@ -174,6 +174,23 @@ def test_necessity_requires_dimension_for_agnostic_maps():
         theorem1_necessity_trial(identity_map(), trials=10, n=2)
 
 
+@pytest.mark.parametrize("n, d", [(0, 2), (-1, 2), (2, 0), (3, -2)])
+def test_necessity_and_witness_search_reject_empty_blocks(n, d):
+    with pytest.raises(DimensionError):
+        theorem1_necessity_trial(transpose_map(), trials=10, n=n, d=d)
+    with pytest.raises(DimensionError):
+        witness_search(transpose_map(), budget=10, n=n, d=d)
+
+
+def test_necessity_rejects_empty_blocks_of_a_sized_map():
+    rng = np.random.default_rng(15)
+    phi = make_decomposable([ginibre(rng, 2, 2)], [])
+    with pytest.raises(DimensionError):
+        theorem1_necessity_trial(phi, trials=10, n=0)
+    with pytest.raises(DimensionError):
+        witness_search(phi, budget=10, n=0)
+
+
 def test_witness_search_finds_nothing_for_identity():
     assert witness_search(identity_map(), seed=0, budget=2000, n=2, d=2) is None
 
