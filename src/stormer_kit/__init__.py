@@ -34,6 +34,7 @@ from .linalg import (
     sqrt_psd,
 )
 from .maps import (
+    NAMED_MAPS,
     NecessityReport,
     PositiveMap,
     WitnessResult,

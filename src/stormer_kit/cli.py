@@ -30,7 +30,7 @@ from .io import (
     render_report,
 )
 from .linalg import Tolerance, adjoint, is_psd, op_norm
-from .maps import theorem1_necessity_trial, witness_search
+from .maps import NAMED_MAPS, theorem1_necessity_trial, witness_search
 from .selftest import run_selftest
 from .states import (
     DensityState,
@@ -200,11 +200,8 @@ def cmd_ppt_check(args):
 def cmd_map_test(args):
     phi = load_map_spec(args.map)
     tol = _tol(args)
-    d = args.d if args.d is not None else phi.input_dim
-    if d is None:
-        raise StormerKitError("map does not fix a dimension; pass --d")
     rep = theorem1_necessity_trial(
-        phi, seed=args.seed, trials=args.trials, n=args.n, d=d, tol=tol
+        phi, seed=args.seed, trials=args.trials, n=args.n, d=args.d, tol=tol
     )
     metrics = {
         "trials": rep.trials,
@@ -215,7 +212,7 @@ def cmd_map_test(args):
         return _report(args, "map-test", "false", metrics), EXIT_FAIL
     if args.witness_budget > 0:
         found = witness_search(
-            phi, seed=args.seed, budget=args.witness_budget, n=args.n, d=d, tol=tol
+            phi, seed=args.seed, budget=args.witness_budget, n=args.n, d=args.d, tol=tol
         )
         if found is not None:
             metrics["witness_min_eig"] = float(found.min_eig)
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="necessity trials and optional witness search for a positive map",
     )
-    p.add_argument("--map", required=True, help="identity | transpose | choi3 | spec file")
+    p.add_argument("--map", required=True, help=" | ".join([*NAMED_MAPS, "spec file"]))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=2, help="block count of trial matrices")
     p.add_argument("--d", type=int, default=None, help="block dimension (defaults to the map's)")

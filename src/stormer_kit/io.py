@@ -3,9 +3,9 @@
 A matrix file is ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the
 entries row-major; a block file is ``{"n": n, "d": d, "blocks": [[matrix,
 ...], ...]}``; a partition file is ``{"A": matrix, "B": matrix, "C": matrix}``.
-Map specs are either a fixture name (identity, transpose, choi3) or a JSON
-object with Kraus or Choi data.  Reports serialize with sorted keys so that
-identical inputs produce byte-identical output.
+Map specs are either a name from ``NAMED_MAPS`` (identity, transpose, choi3)
+or a JSON object with Kraus or Choi data or such a name.  Reports serialize
+with sorted keys so that identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .maps import PositiveMap, choi_fixture, identity_map, map_from_choi, transpose_map
+from .maps import NAMED_MAPS, PositiveMap, make_decomposable, map_from_choi
 from .stormer import OperatorBlockMatrix
 
 __all__ = [
@@ -60,7 +60,7 @@ def matrix_from_payload(obj) -> np.ndarray:
         if not isinstance(entry, list) or len(entry) != 2:
             raise InputError(f"entry {i} must be a [re, im] pair")
         re, im = entry
-        if not all(isinstance(v, (int, float)) for v in (re, im)):
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
             raise InputError(f"entry {i} must hold numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InputError(f"entry {i} is not finite")
@@ -88,7 +88,9 @@ def block_from_payload(obj) -> OperatorBlockMatrix:
         raise InputError(f"block payload missing or malformed field: {exc}") from exc
     if n < 1 or d < 1:
         raise InputError("block counts must be positive")
-    if not isinstance(rows, list) or len(rows) != n or any(len(r) != n for r in rows):
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(r, list) or len(r) != n for r in rows
+    ):
         raise InputError(f"blocks must be an {n} x {n} nested list")
     blocks = np.empty((n, n, d, d), dtype=complex)
     for i in range(n):
@@ -131,26 +133,25 @@ def load_partition_blocks(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def load_map_spec(spec: str) -> PositiveMap:
-    """A fixture name, or a path to a JSON map spec."""
-    if spec == "identity":
-        return identity_map()
-    if spec == "transpose":
-        return transpose_map()
-    if spec == "choi3":
-        return choi_fixture()
-    obj = load_json(spec)
+    """A name from ``NAMED_MAPS`` (short for a named spec), or a path to a
+    JSON map spec."""
+    obj = {"kind": "named", "name": spec} if spec in NAMED_MAPS else load_json(spec)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("map spec must be a JSON object with a 'kind' field")
     kind = obj["kind"]
     if kind == "named":
-        return load_map_spec(obj.get("name", ""))
+        name = obj.get("name")
+        if not isinstance(name, str) or name not in NAMED_MAPS:
+            raise InputError(f"named map must be one of {list(NAMED_MAPS)}, got {name!r}")
+        return PositiveMap(kind="named", name=name)
     if kind == "kraus":
-        cp = [matrix_from_payload(k) for k in obj.get("cp", [])]
-        cocp = [matrix_from_payload(k) for k in obj.get("cocp", [])]
-        if not cp and not cocp:
-            raise InputError("kraus map spec needs at least one operator")
+        cp, cocp = obj.get("cp", []), obj.get("cocp", [])
+        if not (isinstance(cp, list) and isinstance(cocp, list)):
+            raise InputError("kraus map spec needs lists of matrices under cp and cocp")
         try:
-            return PositiveMap(kind="sum", kraus_cp=tuple(cp), kraus_cocp=tuple(cocp))
+            return make_decomposable(
+                [matrix_from_payload(k) for k in cp], [matrix_from_payload(k) for k in cocp]
+            )
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if kind == "choi":

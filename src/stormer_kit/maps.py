@@ -18,9 +18,10 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, psd_margin, require_square
 from .sampling import ginibre, random_stormer_blocks, random_stormer_pairs
-from .stormer import OperatorBlockMatrix
+from .stormer import OperatorBlockMatrix, _assemble, _split, _swap
 
 __all__ = [
+    "NAMED_MAPS",
     "NecessityReport",
     "PositiveMap",
     "WitnessResult",
@@ -36,18 +37,22 @@ __all__ = [
 ]
 
 
+# The named maps: name -> the input dimension it fixes (None: any square input).
+NAMED_MAPS = {"identity": None, "transpose": None, "choi3": 3}
+
+
 @dataclass(frozen=True)
 class PositiveMap:
     """A positive map given by Kraus families, a Choi matrix, or by name.
 
     kinds:
-      - ``kraus_cp``:   phi(x) = sum_K K x K*
-      - ``kraus_cocp``: phi(x) = sum_L L x^T L*
-      - ``sum``:        CP part + co-CP part (decomposable by construction)
-      - ``choi_raw``:   phi read off a Choi matrix on (input) x (output)
-      - ``named``:      one of ``identity``, ``transpose``, ``choi3``
+      - ``sum``:      phi(x) = sum_K K x K* + sum_L L x^T L*, a CP part plus a
+                      co-CP part (decomposable by construction); either part
+                      may be empty, not both
+      - ``choi_raw``: phi read off a Choi matrix on (input) x (output)
+      - ``named``:    one of :data:`NAMED_MAPS`
 
-    Named identity/transpose apply to any square input; all other kinds fix
+    Named identity/transpose apply to any square input; all other maps fix
     the input dimension.
     """
 
@@ -59,17 +64,17 @@ class PositiveMap:
     input_dim: int | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.kind in ("kraus_cp", "kraus_cocp", "sum"):
-            ops = tuple(as_matrix(k) for k in self.kraus_cp) + tuple(
-                as_matrix(k) for k in self.kraus_cocp
-            )
+        if self.kind == "sum":
+            cp = tuple(as_matrix(k) for k in self.kraus_cp)
+            cocp = tuple(as_matrix(k) for k in self.kraus_cocp)
+            ops = cp + cocp
             if not ops:
                 raise DimensionError("Kraus representation needs at least one operator")
             shape = ops[0].shape
             if any(o.shape != shape for o in ops):
                 raise DimensionError("all Kraus operators must share one l x k shape")
-            object.__setattr__(self, "kraus_cp", tuple(as_matrix(k) for k in self.kraus_cp))
-            object.__setattr__(self, "kraus_cocp", tuple(as_matrix(k) for k in self.kraus_cocp))
+            object.__setattr__(self, "kraus_cp", cp)
+            object.__setattr__(self, "kraus_cocp", cocp)
             object.__setattr__(self, "input_dim", shape[1])
         elif self.kind == "choi_raw":
             c = require_square(self.choi, "Choi matrix")
@@ -78,23 +83,20 @@ class PositiveMap:
                 raise DimensionError("choi_raw needs input_dim dividing the Choi size")
             object.__setattr__(self, "choi", c)
         elif self.kind == "named":
-            if self.name not in ("identity", "transpose", "choi3"):
+            if self.name not in NAMED_MAPS:
                 raise DomainError(f"unknown named map {self.name!r}")
-            if self.name == "choi3":
-                object.__setattr__(self, "input_dim", 3)
+            if NAMED_MAPS[self.name] is not None:
+                object.__setattr__(self, "input_dim", NAMED_MAPS[self.name])
         else:
             raise DomainError(f"unknown map kind {self.kind!r}")
 
     @property
     def output_dim(self) -> int | None:
-        if self.kind in ("kraus_cp", "kraus_cocp", "sum"):
-            ops = self.kraus_cp or self.kraus_cocp
-            return ops[0].shape[0]
+        if self.kind == "sum":
+            return (self.kraus_cp or self.kraus_cocp)[0].shape[0]
         if self.kind == "choi_raw":
             return self.choi.shape[0] // self.input_dim
-        if self.name == "choi3":
-            return 3
-        return None
+        return self.input_dim
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on a square matrix, or on each matrix of a stack
@@ -115,10 +117,7 @@ class PositiveMap:
                 return np.swapaxes(a, -1, -2).copy()
             return _choi3_apply(a)
         if self.kind == "choi_raw":
-            k = self.input_dim
-            l = self.output_dim
-            c4 = self.choi.reshape(k, l, k, l)
-            return np.einsum("...ij,irjc->...rc", a, c4)
+            return np.einsum("...ij,ijrc->...rc", a, _split(self.choi, self.input_dim))
         out = 0.0
         for kr in self.kraus_cp:
             out = out + kr @ a @ adjoint(kr)
@@ -167,11 +166,7 @@ def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
     k = input_dim or phi.input_dim
     if k is None:
         raise DimensionError("dimension-agnostic map: pass input_dim explicitly")
-    units = np.zeros((k, k, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            units[i, j, i, j] = 1.0
-    return apply_map_entrywise(phi, OperatorBlockMatrix(units)).assembled()
+    return _assemble(phi.apply(np.eye(k * k).reshape(k, k, k, k)))
 
 
 def apply_map_entrywise(phi: PositiveMap, x: OperatorBlockMatrix) -> OperatorBlockMatrix:
@@ -218,15 +213,9 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
     )
 
 
-def _assembled(blocks: np.ndarray) -> np.ndarray:
-    """(..., n, n, d, d) blocks -> (..., nd, nd) matrices, block index first."""
-    *lead, n, _, d, _ = blocks.shape
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * d, n * d)
-
-
 def _image_spectra(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each entrywise image."""
-    m = _assembled(phi.apply(blocks))
+    m = _assemble(phi.apply(blocks))
     return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
 
 
@@ -282,22 +271,22 @@ class WitnessResult:
 def _boundary_matrix(w: np.ndarray, n: int, floor: float) -> np.ndarray:
     """Mix a trace-(nd) PSD matrix toward the identity until the swapped
     matrix's minimum eigenvalue equals floor (exact, the mix is affine)."""
-    nd = w.shape[0]
-    d = nd // n
-    swapped = w.reshape(n, d, n, d).transpose(2, 1, 0, 3).reshape(nd, nd)
-    m0 = float(np.linalg.eigvalsh(swapped)[0])
+    m0 = float(np.linalg.eigvalsh(_swap(w, n))[0])
     if m0 >= floor:
         return w
     mu = (floor - m0) / (1.0 - m0)
-    return (1.0 - mu) * w + mu * np.eye(nd)
+    return (1.0 - mu) * w + mu * np.eye(w.shape[0])
 
 
 def _image_margin(phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance) -> tuple[float, float]:
     """Minimum eigenvalue of the entrywise image of an assembled block
     matrix, and the image's PSD threshold."""
-    d = m.shape[0] // n
-    lowest, thr = psd_margin(_image_spectra(phi, m.reshape(n, d, n, d).transpose(0, 2, 1, 3)), tol)
+    lowest, thr = psd_margin(_image_spectra(phi, _split(m, n)), tol)
     return float(lowest), float(thr)
+
+
+# Hill-climbing steps per restart of the witness search.
+_STEPS_PER_RESTART = 600
 
 
 def witness_search(
@@ -307,7 +296,6 @@ def witness_search(
     n: int = 3,
     d: int | None = None,
     tol: Tolerance = DEFAULT_TOL,
-    steps_per_restart: int = 600,
 ) -> WitnessResult | None:
     """Randomized search for a non-decomposability witness.
 
@@ -339,7 +327,7 @@ def witness_search(
         current, thr = _image_margin(phi, x, n, tol)
         evaluations += 1
         sigma = 0.3
-        for step in range(steps_per_restart):
+        for step in range(_STEPS_PER_RESTART):
             if evaluations >= budget:
                 break
             floor = max(floor_end, floor * 0.985)

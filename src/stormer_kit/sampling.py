@@ -14,6 +14,8 @@ from .linalg import DEFAULT_TOL, Tolerance, adjoint
 from .stormer import (
     OperatorBlockMatrix,
     OperatorPair,
+    _split,
+    _swap,
     gram_block,
     gram_row_block,
     gram_vectors,
@@ -155,12 +157,11 @@ def random_stormer_blocks(
     w = g @ adjoint(g)
     w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
     # After normalization c = tr(w)/(nd) = 1.
-    swapped = w.reshape(count, n, d, n, d).transpose(0, 3, 2, 1, 4).reshape(count, nd, nd)
-    m0 = np.linalg.eigvalsh(swapped)[:, 0]
+    m0 = np.linalg.eigvalsh(_swap(w, n))[:, 0]
     low = m0 < floor
     mu = ((floor[low] - m0[low]) / (1.0 - m0[low]))[:, None, None]
     w[low] = (1.0 - mu) * w[low] + mu * np.eye(nd)
-    return w.reshape(count, n, d, n, d).transpose(0, 1, 3, 2, 4)
+    return _split(w, n)
 
 
 def random_stormer_block(

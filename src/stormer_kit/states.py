@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InputError
 from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _is_psd, _op_norm, adjoint, require_square
-from .stormer import CanonicalDecomposition, OperatorBlockMatrix
+from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _swap
 
 __all__ = [
     "DensityState",
@@ -44,8 +44,10 @@ class DensityState:
     def __post_init__(self) -> None:
         n, d = self.dims
         m = require_square(self.matrix, "state matrix")
-        if m.shape[0] != n * d:
-            raise DimensionError(f"state of dims {self.dims} must be {n * d} x {n * d}")
+        if n < 1 or d < 1 or m.shape[0] != n * d:
+            raise DimensionError(
+                f"state of dims {self.dims} needs n, d >= 1 and a {n * d} x {n * d} matrix"
+            )
         scale = 1.0 + float(np.abs(m).max())
         if np.abs(m - adjoint(m)).max() > _HERM_EPS * scale:
             raise DomainError("state matrix is not Hermitian")
@@ -74,20 +76,12 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
 def partial_transpose_matrix(m, n: int, d: int, factor: int) -> np.ndarray:
     """Transpose of one tensor factor of a matrix on C^n (x) C^d."""
     a = require_square(m, "bipartite matrix")
-    if a.shape[0] != n * d:
-        raise DimensionError(f"matrix must be {n * d} x {n * d} for dims ({n}, {d})")
+    if n < 1 or d < 1 or a.shape[0] != n * d:
+        raise DimensionError(f"matrix must be {n * d} x {n * d} for positive dims ({n}, {d})")
     if factor not in (1, 2):
         raise InputError(f"factor must be 1 or 2, got {factor}")
-    return _partial_transpose(a, n, d, factor)
-
-
-def _partial_transpose(a: np.ndarray, n: int, d: int, factor: int) -> np.ndarray:
-    t = a.reshape(n, d, n, d)
-    if factor == 1:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(n * d, n * d)
+    # The second factor's partial transpose is the first's of the transpose.
+    return _swap(a if factor == 1 else a.T, n)
 
 
 def partial_transpose(rho: DensityState, factor: int) -> np.ndarray:
@@ -98,8 +92,7 @@ def partial_transpose(rho: DensityState, factor: int) -> np.ndarray:
 
 def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the partial transpose over the first factor is PSD."""
-    n, d = rho.dims
-    return _is_psd(_partial_transpose(rho.matrix, n, d, 1), tol)
+    return _is_psd(_swap(rho.matrix, rho.dims[0]), tol)
 
 
 @dataclass(frozen=True)

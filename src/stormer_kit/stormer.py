@@ -123,16 +123,34 @@ class OperatorBlockMatrix:
     @classmethod
     def from_assembled(cls, m, n: int) -> "OperatorBlockMatrix":
         a = require_square(m, "assembled matrix")
-        if a.shape[0] % n != 0:
-            raise DimensionError(f"size {a.shape[0]} is not divisible by n={n}")
-        d = a.shape[0] // n
-        return cls(a.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+        if n < 1 or a.shape[0] % n != 0:
+            raise DimensionError(f"size {a.shape[0]} is not a positive multiple of n={n}")
+        return cls(_split(a, n))
+
+
+# Layout kernels, on the last axes of a stack.  They run on every witness
+# evaluation, hence ndarray methods and plain shape tuples.
 
 
 def _assemble(blocks: np.ndarray) -> np.ndarray:
-    """(n, n, d, d) blocks -> (nd, nd) matrix, block index first."""
-    n, _, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    """(..., n, n, d, d) blocks -> (..., nd, nd) matrices."""
+    s = blocks.shape
+    nd = s[-4] * s[-1]
+    return blocks.swapaxes(-3, -2).reshape(s[:-4] + (nd, nd))
+
+
+def _split(m: np.ndarray, n: int) -> np.ndarray:
+    """(..., nd, nd) matrices -> (..., n, n, d, d) blocks; inverts _assemble."""
+    s = m.shape
+    d = s[-1] // n
+    return m.reshape(s[:-2] + (n, d, n, d)).swapaxes(-3, -2)
+
+
+def _swap(m: np.ndarray, n: int) -> np.ndarray:
+    """Index swap of (..., nd, nd) matrices: partial transpose of the block index."""
+    s = m.shape
+    d = s[-1] // n
+    return m.reshape(s[:-2] + (n, d, n, d)).swapaxes(-4, -2).reshape(s)
 
 
 class RatioOperator(NamedTuple):
@@ -199,7 +217,7 @@ def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     m = x.assembled()
     if not _is_hermitian(m, tol):
         raise DomainError("assembled block matrix is not Hermitian within tolerance")
-    return _is_psd(m, tol) and _is_psd(_assemble(x.blocks.swapaxes(0, 1)), tol)
+    return _is_psd(m, tol) and _is_psd(_swap(m, x.n), tol)
 
 
 def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

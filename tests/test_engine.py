@@ -14,7 +14,6 @@ import pytest
 from stormer_kit import (
     DimensionError,
     DomainError,
-    PositiveMap,
     choi_fixture,
     choi_matrix,
     identity_map,
@@ -50,8 +49,8 @@ def engine_maps():
         ("cocp", make_decomposable([], _kraus(rng, 4, 3, 3)), 4),
         ("cp+cocp", dec, 3),
         ("choi_raw", map_from_choi(choi_matrix(dec), 3), 3),
-        ("kraus_cp", PositiveMap(kind="kraus_cp", kraus_cp=tuple(_kraus(rng, 2, 3, 2))), 2),
-        ("kraus_cocp", PositiveMap(kind="kraus_cocp", kraus_cocp=tuple(_kraus(rng, 2, 2, 2))), 2),
+        ("kraus_cp", make_decomposable(_kraus(rng, 2, 3, 2), []), 2),
+        ("kraus_cocp", make_decomposable([], _kraus(rng, 2, 2, 2)), 2),
         ("choi3", choi_fixture(), 3),
     ]
 

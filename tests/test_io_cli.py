@@ -58,6 +58,13 @@ MALFORMED = [
     # trial blocks of no size
     ["map-test", "--map", "transpose", "--d", "2", "--n", "0"],
     ["map-test", "--map", "transpose", "--d", "0"],
+    # block rows that are not lists
+    ["stormer-check", "--block", "block_row_scalar.json"],
+    ["stormer-check", "--block", "block_row_object.json"],
+    # JSON booleans are not numbers
+    ["check-psd", "bool_entries.json"],
+    # state dims of no size whose product still matches the matrix
+    ["ppt-check", "--state", "bell4.json", "--n", "-2", "--d", "-2"],
 ]
 
 
@@ -85,6 +92,7 @@ def test_block_payload_roundtrip_exact():
         {"rows": 1, "cols": 1, "data": [["x", 0.0]]},
         {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
         [1, 2, 3],
+        {"rows": 1, "cols": 1, "data": [[True, False]]},
     ],
 )
 def test_matrix_payload_rejects_malformed(payload):
@@ -99,6 +107,9 @@ def test_block_payload_rejects_malformed():
         block_from_payload(
             {"n": 1, "d": 2, "blocks": [[{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}]]}
         )
+    for rows in ([5], [{"0": matrix_to_payload(np.eye(1))}], ["x"]):
+        with pytest.raises(InputError):
+            block_from_payload({"n": 1, "d": 1, "blocks": rows})
 
 
 def test_load_map_spec_named_and_files():
@@ -109,6 +120,41 @@ def test_load_map_spec_named_and_files():
     assert phi.kind == "sum" and phi.input_dim == 2
     with pytest.raises(InputError):
         load_map_spec(str(FIXTURES / "truncated.json"))
+
+
+@pytest.mark.parametrize("name", ["choi3", "transpose"])
+def test_named_map_spec_resolves_in_the_table(tmp_path, name):
+    spec = tmp_path / "named.json"
+    spec.write_text(json.dumps({"kind": "named", "name": name}))
+    phi = load_map_spec(str(spec))
+    assert (phi.kind, phi.name) == ("named", name)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # a named spec resolves only names from the table, never paths
+        *(
+            {"kind": "named", "name": name}
+            for name in ["nope", str(FIXTURES / "kraus_map.json"), 3, None, ["choi3"], {"a": 1}]
+        ),
+        {"kind": "kraus", "cp": 5},
+        {"kind": "kraus", "cp": [], "cocp": []},
+    ],
+)
+def test_map_spec_rejects_malformed(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(InputError):
+        load_map_spec(str(path))
+
+
+def test_self_referencing_named_map_spec_is_an_input_error(tmp_path):
+    spec = tmp_path / "self.json"
+    spec.write_text(json.dumps({"kind": "named", "name": str(spec)}))
+    proc = run_cli("map-test", "--map", str(spec), "--d", "2", "--trials", "5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_every_golden_file_has_a_case_and_every_case_a_file():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stormer_kit import (
+    NAMED_MAPS,
     DimensionError,
+    DomainError,
     OperatorBlockMatrix,
     OperatorPair,
     PositiveMap,
@@ -50,14 +52,14 @@ def test_named_maps_apply():
 def test_kraus_apply_and_validation():
     rng = np.random.default_rng(2)
     ks = [ginibre(rng, 4, 2) for _ in range(3)]
-    phi = PositiveMap(kind="kraus_cp", kraus_cp=tuple(ks))
+    phi = make_decomposable(ks, [])
     x = ginibre(rng, 2)
     expected = sum(k @ x @ adjoint(k) for k in ks)
     np.testing.assert_allclose(phi.apply(x), expected, atol=1e-13)
     with pytest.raises(DimensionError):
         phi.apply(ginibre(rng, 3))
     with pytest.raises(DimensionError):
-        PositiveMap(kind="kraus_cp", kraus_cp=())
+        make_decomposable([], [])
     with pytest.raises(DimensionError):
         make_decomposable([ginibre(rng, 2, 2)], [ginibre(rng, 3, 2)])
 
@@ -65,10 +67,25 @@ def test_kraus_apply_and_validation():
 def test_cocp_apply():
     rng = np.random.default_rng(3)
     ls = [ginibre(rng, 3, 3) for _ in range(2)]
-    phi = PositiveMap(kind="kraus_cocp", kraus_cocp=tuple(ls))
+    phi = make_decomposable([], ls)
     x = ginibre(rng, 3)
     expected = sum(l @ x.T @ adjoint(l) for l in ls)
     np.testing.assert_allclose(phi.apply(x), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["kraus_cp", "kraus_cocp"])
+def test_single_part_kraus_kinds_are_not_map_kinds(kind):
+    # a CP-only or co-CP-only map is a ``sum`` with one part empty
+    with pytest.raises(DomainError):
+        PositiveMap(kind=kind, kraus_cp=(np.eye(2),), kraus_cocp=(np.eye(2),))
+
+
+def test_named_maps_table_sets_dimensions():
+    for name, dim in NAMED_MAPS.items():
+        phi = PositiveMap(kind="named", name=name)
+        assert (phi.input_dim, phi.output_dim) == (dim, dim)
+    with pytest.raises(DomainError):
+        PositiveMap(kind="named", name="nope")
 
 
 def test_make_decomposable_identity_and_transpose():
@@ -93,7 +110,7 @@ def test_choi_matrix_consistent_with_kraus():
 def test_cp_choi_is_psd_cocp_is_not_necessarily():
     rng = np.random.default_rng(6)
     ks = [ginibre(rng, 3, 3) for _ in range(2)]
-    assert is_psd(choi_matrix(PositiveMap(kind="kraus_cp", kraus_cp=tuple(ks))))
+    assert is_psd(choi_matrix(make_decomposable(ks, [])))
     assert not is_psd(choi_matrix(transpose_map(), input_dim=3))
 
 
@@ -127,7 +144,7 @@ def test_apply_map_entrywise_identity_and_trace():
         apply_map_entrywise(identity_map(), x).blocks, x.blocks
     )
     # trace map x -> tr(x) I is CP with matrix-unit Kraus family
-    trace_map = PositiveMap(kind="kraus_cp", kraus_cp=tuple(matrix_units(3)))
+    trace_map = make_decomposable(matrix_units(3), [])
     out = apply_map_entrywise(trace_map, x)
     assert is_psd(out.assembled())
     np.testing.assert_allclose(

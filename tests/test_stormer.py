@@ -59,6 +59,9 @@ def test_block_matrix_roundtrip():
     x = OperatorBlockMatrix.from_assembled(m, 2)
     assert x.n == 2 and x.d == 3
     np.testing.assert_array_equal(x.assembled(), m)
+    for n in (4, 0, -2):
+        with pytest.raises(DimensionError):
+            OperatorBlockMatrix.from_assembled(m, n)
 
 
 def test_gram_block_identity_pair():
