@@ -2,17 +2,26 @@
 """Run the full witness search against the 3x3 non-decomposable map fixture
 and freeze the result for regression replay.
 
-Run from the repository root:  python3 scripts/find_witness.py
+Run from the repository root:
+
+    python3 scripts/find_witness.py            # search and write the fixture
+    python3 scripts/find_witness.py --check    # replay and compare, write nothing
+
+``--check`` exits 1 when the replay's evaluations, restart, min_eig or block
+differ from the frozen fixture, and prints the search time either way.
 """
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stormer_kit.io import block_to_payload
+from stormer_kit.io import block_from_payload, block_to_payload
 from stormer_kit.maps import choi_fixture, witness_search
 
 SEED = 42
@@ -20,13 +29,47 @@ BUDGET = 10**6
 OUT = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "choi3_witness.json"
 
 
-def main() -> None:
-    start = time.time()
+def search():
+    """The seed-42 search and its wall time in seconds."""
+    start = time.perf_counter()
     result = witness_search(choi_fixture(), seed=SEED, budget=BUDGET, n=3, d=3)
-    elapsed = time.time() - start
+    return result, time.perf_counter() - start
+
+
+def check() -> int:
+    """Replay the frozen search; 0 when it reproduces the fixture exactly."""
+    payload = json.loads(OUT.read_text())
+    result, elapsed = search()
+    if result is None:
+        print(f"MISMATCH: no witness within budget {BUDGET} ({elapsed:.2f}s)")
+        return 1
+    print(
+        f"replay: {result.evaluations} evaluations, restart {result.restart}, "
+        f"{elapsed:.2f}s, {elapsed / result.evaluations * 1e6:.1f} us per evaluation"
+    )
+    frozen = block_from_payload(payload["block"]).blocks
+    mismatches = [
+        name
+        for name, same in [
+            ("evaluations", result.evaluations == payload["evaluations"]),
+            ("restart", result.restart == payload["restart"]),
+            ("min_eig", result.min_eig == payload["min_eig"]),
+            ("block", np.array_equal(result.block.blocks, frozen)),
+        ]
+        if not same
+    ]
+    if mismatches:
+        print(f"MISMATCH against {OUT}: {', '.join(mismatches)}")
+        return 1
+    print(f"matches {OUT}")
+    return 0
+
+
+def freeze() -> int:
+    result, elapsed = search()
     if result is None:
         print(f"INCONCLUSIVE after budget {BUDGET} ({elapsed:.1f}s); raise the budget")
-        raise SystemExit(1)
+        return 1
     payload = {
         "map": "choi3",
         "seed": SEED,
@@ -44,6 +87,16 @@ def main() -> None:
         f"witness frozen: min_eig={result.min_eig:.6e} after "
         f"{result.evaluations} evaluations ({elapsed:.1f}s) -> {OUT}"
     )
+    return 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true", help="replay the frozen search and compare; write nothing"
+    )
+    args = parser.parse_args()
+    raise SystemExit(check() if args.check else freeze())
 
 
 if __name__ == "__main__":

@@ -83,11 +83,12 @@ def main() -> None:
     print(f"wrote {FIXTURES / 'truncated.json'}")
 
     # well-formed JSON with the wrong types: block rows that are not lists,
-    # and JSON booleans as matrix entries
+    # JSON booleans as matrix entries, and dimensions that are not integers
     one = matrix_to_payload(np.eye(1))
     dump("block_row_scalar.json", {"n": 1, "d": 1, "blocks": [5]})
     dump("block_row_object.json", {"n": 1, "d": 1, "blocks": [{"0": one}]})
     dump("bool_entries.json", {"rows": 1, "cols": 1, "data": [[True, False]]})
+    dump("nonint_dims.json", {"rows": True, "cols": 1.9, "data": [[1.0, 0.0]]})
 
     # nontriviality instance: two-sided-positive block with a failing summand
     x, rows, k = find_nontrivial_block(seed=0, d=2)

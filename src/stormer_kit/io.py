@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _int_field(obj: dict, key: str) -> int:
+    """``obj[key]`` when it is a JSON integer; booleans and floats are not."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_payload(m) -> dict:
     a = np.asarray(m, dtype=complex)
     return {
@@ -47,7 +55,7 @@ def matrix_from_payload(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError("matrix payload must be a JSON object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _int_field(obj, "rows"), _int_field(obj, "cols")
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"matrix payload missing or malformed field: {exc}") from exc
@@ -82,7 +90,7 @@ def block_from_payload(obj) -> OperatorBlockMatrix:
     if not isinstance(obj, dict):
         raise InputError("block payload must be a JSON object")
     try:
-        n, d = int(obj["n"]), int(obj["d"])
+        n, d = _int_field(obj, "n"), _int_field(obj, "d")
         rows = obj["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"block payload missing or malformed field: {exc}") from exc
@@ -156,9 +164,7 @@ def load_map_spec(spec: str) -> PositiveMap:
             raise InputError(str(exc)) from exc
     if kind == "choi":
         try:
-            return map_from_choi(
-                matrix_from_payload(obj["choi"]), int(obj["input_dim"])
-            )
+            return map_from_choi(matrix_from_payload(obj["choi"]), _int_field(obj, "input_dim"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed choi map spec: {exc}") from exc
     raise InputError(f"unknown map spec kind {kind!r}")

@@ -268,25 +268,42 @@ class WitnessResult:
     restart: int
 
 
-def _boundary_matrix(w: np.ndarray, n: int, floor: float) -> np.ndarray:
-    """Mix a trace-(nd) PSD matrix toward the identity until the swapped
-    matrix's minimum eigenvalue equals floor (exact, the mix is affine)."""
-    m0 = float(np.linalg.eigvalsh(_swap(w, n))[0])
-    if m0 >= floor:
-        return w
+def _normalized_grams(g: np.ndarray) -> np.ndarray:
+    """G G* of each factor in a (k, nd, nd) stack, scaled to trace nd."""
+    w = g @ adjoint(g)
+    nd = w.shape[-1]
+    w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
+    return w
+
+
+def _boundary_matrix(w: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
+    """Mix each trace-(nd) PSD matrix of a (k, nd, nd) stack toward the
+    identity until its swapped matrix's minimum eigenvalue equals its floor
+    (exact, the mix is affine); matrices already at their floor are kept."""
+    m0 = np.linalg.eigvalsh(_swap(w, n))[:, :1, None]
+    floor = floor[:, None, None]
     mu = (floor - m0) / (1.0 - m0)
-    return (1.0 - mu) * w + mu * np.eye(w.shape[0])
+    return np.where(m0 < floor, (1.0 - mu) * w + mu * np.eye(w.shape[-1]), w)
 
 
-def _image_margin(phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance) -> tuple[float, float]:
-    """Minimum eigenvalue of the entrywise image of an assembled block
-    matrix, and the image's PSD threshold."""
-    lowest, thr = psd_margin(_image_spectra(phi, _split(m, n)), tol)
-    return float(lowest), float(thr)
+def _image_margin(
+    phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum eigenvalue of the entrywise image of each assembled block
+    matrix in a (k, nd, nd) stack, and each image's PSD threshold."""
+    return psd_margin(_image_spectra(phi, _split(m, n)), tol)
 
 
 # Hill-climbing steps per restart of the witness search.
 _STEPS_PER_RESTART = 600
+# Hill-climbing steps the witness search evaluates as one stack.
+_WINDOW = 5
+
+
+# The boundary floor of a restart's first evaluation and of each step after
+# it: 1e-2, multiplied by 0.985 per step (one rounding each, in order), and
+# never below 1e-7.
+_FLOORS = np.maximum(1e-7, np.cumprod(np.r_[1e-2, np.full(_STEPS_PER_RESTART, 0.985)]))
 
 
 def witness_search(
@@ -309,42 +326,54 @@ def witness_search(
     image minimum eigenvalue ends below ten PSD floors, or None if the budget
     is exhausted.
 
+    A step kicks one entry of the current G; an improving step is accepted
+    and widens the kick (sigma * 1.2, at most 1), a rejected one narrows it
+    (sigma * 0.97, at least 1e-3).  A restart's kicks and floors do not
+    depend on acceptance, so the climb draws them up front and evaluates the
+    next five steps as one stack, each with the sigma it has if every step
+    before it in the window is rejected; the first improving step is
+    accepted, the steps after it are discarded and the next window starts
+    from it.  The result is equal to the one-step climb for every input.
+
     Deterministic in (seed, budget): restart r uses the stream seeded by
     (seed, r).  Raises DimensionError when n or d is below 1.
     """
     d = _trial_dims(phi, n, d)
     nd = n * d
     evaluations = 0
-    floor_start, floor_end = 1e-2, 1e-7
     restart = 0
     while evaluations < budget:
         rng = np.random.default_rng([seed, restart])
         g = ginibre(rng, nd)
-        w = g @ adjoint(g)
-        w *= nd / np.trace(w).real
-        floor = floor_start
-        x = _boundary_matrix(w, n, floor)
-        current, thr = _image_margin(phi, x, n, tol)
-        evaluations += 1
+        steps = min(_STEPS_PER_RESTART, budget - evaluations - 1)
+        kicks = [
+            (rng.integers(nd), rng.integers(nd), rng.standard_normal() + 1j * rng.standard_normal())
+            for _ in range(steps)
+        ]
+        x = _boundary_matrix(_normalized_grams(g[None]), n, _FLOORS[:1])
+        lowest, thr = _image_margin(phi, x, n, tol)
+        current, thr, x = float(lowest[0]), float(thr[0]), x[0]
         sigma = 0.3
-        for step in range(_STEPS_PER_RESTART):
-            if evaluations >= budget:
-                break
-            floor = max(floor_end, floor * 0.985)
-            i = rng.integers(0, nd)
-            j = rng.integers(0, nd)
-            g_new = g.copy()
-            g_new[i, j] += sigma * (rng.standard_normal() + 1j * rng.standard_normal())
-            w_new = g_new @ adjoint(g_new)
-            w_new *= nd / np.trace(w_new).real
-            x_new = _boundary_matrix(w_new, n, floor)
-            val, val_thr = _image_margin(phi, x_new, n, tol)
-            evaluations += 1
-            if val < current:
-                g, current, thr, x = g_new, val, val_thr, x_new
-                sigma = min(sigma * 1.2, 1.0)
-            else:
+        step = 0
+        while step < steps:
+            k = min(_WINDOW, steps - step)
+            cand = np.repeat(g[None], k, axis=0)
+            sigmas = []
+            for t, (i, j, z) in enumerate(kicks[step : step + k]):
+                cand[t, i, j] += sigma * z
+                sigmas.append(sigma)
                 sigma = max(sigma * 0.97, 1e-3)
+            xs = _boundary_matrix(_normalized_grams(cand), n, _FLOORS[step + 1 : step + 1 + k])
+            lowest, thrs = _image_margin(phi, xs, n, tol)
+            better = np.flatnonzero(lowest < current)
+            if better.size == 0:
+                step += k
+                continue
+            a = int(better[0])
+            g, current, thr, x = cand[a], float(lowest[a]), float(thrs[a]), xs[a]
+            sigma = min(sigmas[a] * 1.2, 1.0)
+            step += a + 1
+        evaluations += 1 + step
         if current < -10.0 * thr:
             return WitnessResult(
                 block=OperatorBlockMatrix.from_assembled(x, n),

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from stormer_kit import DEFAULT_TOL, DomainError, HermitianEig, adjoint
+from stormer_kit import (
+    DEFAULT_TOL,
+    DomainError,
+    HermitianEig,
+    OperatorBlockMatrix,
+    WitnessResult,
+    adjoint,
+)
 from stormer_kit.sampling import ginibre, uniform_disk
 
 
@@ -117,19 +124,40 @@ def oracle_pair(rng, d, cond_max=1e3, center=1.5, radius=1.0):
     return a1, t @ a1
 
 
+def oracle_boundary(w, n, floor) -> np.ndarray:
+    """Mix a trace-(nd) PSD matrix toward the identity until its swapped
+    matrix's minimum eigenvalue equals floor."""
+    nd = w.shape[0]
+    d = nd // n
+    swapped = w.reshape(n, d, n, d).transpose(2, 1, 0, 3).reshape(nd, nd)
+    m0 = float(np.linalg.eigvalsh(swapped)[0])
+    if m0 >= floor:
+        return w
+    mu = (floor - m0) / (1.0 - m0)
+    return (1.0 - mu) * w + mu * np.eye(nd)
+
+
 def oracle_block(rng, n, d, boundary=None) -> np.ndarray:
     """(n, n, d, d) blocks of one random two-sided-positive block matrix."""
     nd = n * d
     g = ginibre(rng, nd)
     w = g @ adjoint(g)
     w *= nd / np.trace(w).real
-    swapped = w.reshape(n, d, n, d).transpose(2, 1, 0, 3).reshape(nd, nd)
-    m0 = float(np.linalg.eigvalsh(swapped)[0])
-    floor = rng.uniform(0.0, 0.2) if boundary is None else boundary
-    if m0 < floor:
-        mu = (floor - m0) / (1.0 - m0)
-        w = (1.0 - mu) * w + mu * np.eye(nd)
+    w = oracle_boundary(w, n, rng.uniform(0.0, 0.2) if boundary is None else boundary)
     return w.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
+def oracle_image_spectrum(phi, x) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of the entrywise image of
+    (n, n, d, d) blocks, mapped one block at a time."""
+    n = x.shape[0]
+    first = oracle_apply(phi, x[0, 0])
+    out = np.zeros((n, n, *first.shape), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = oracle_apply(phi, x[i, j])
+    m = out.transpose(0, 2, 1, 3).reshape(n * first.shape[0], -1)
+    return np.linalg.eigvalsh(hermitize(m))
 
 
 def oracle_necessity(phi, seed, trials, n, d, tol=DEFAULT_TOL) -> tuple[int, float]:
@@ -144,17 +172,70 @@ def oracle_necessity(phi, seed, trials, n, d, tol=DEFAULT_TOL) -> tuple[int, flo
             x = np.array([[a1h @ a1, a1h @ a2], [a2h @ a1, a2h @ a2]])
         else:
             x = oracle_block(rng, n, d)
-        first = oracle_apply(phi, x[0, 0])
-        out = np.zeros((n, n, *first.shape), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = oracle_apply(phi, x[i, j])
-        m = out.transpose(0, 2, 1, 3).reshape(n * first.shape[0], -1)
-        w = np.linalg.eigvalsh(hermitize(m))
+        w = oracle_image_spectrum(phi, x)
         if w[0] < -tol.threshold(max(abs(w[0]), abs(w[-1]))):
             violations += 1
         worst = min(worst, float(w[0]))
     return violations, worst
+
+
+# One-step reference for the windowed witness search: the hill climb as it ran
+# one step, one matrix and one block at a time.  witness_search must return
+# the same result for every input.
+
+
+def oracle_image_margin(phi, m, n, tol) -> tuple[float, float]:
+    """(minimum eigenvalue, PSD threshold) of an assembled block matrix's
+    entrywise image."""
+    d = m.shape[0] // n
+    w = oracle_image_spectrum(phi, m.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+    return float(w[0]), float(tol.threshold(max(abs(w[0]), abs(w[-1]))))
+
+
+def oracle_witness_search(phi, seed=0, budget=10**6, n=3, d=None, tol=DEFAULT_TOL):
+    """witness_search evaluating one hill-climbing step at a time."""
+    d = d if d is not None else phi.input_dim
+    nd = n * d
+    evaluations = 0
+    floor_start, floor_end = 1e-2, 1e-7
+    restart = 0
+    while evaluations < budget:
+        rng = np.random.default_rng([seed, restart])
+        g = ginibre(rng, nd)
+        w = g @ adjoint(g)
+        w *= nd / np.trace(w).real
+        floor = floor_start
+        x = oracle_boundary(w, n, floor)
+        current, thr = oracle_image_margin(phi, x, n, tol)
+        evaluations += 1
+        sigma = 0.3
+        for _ in range(600):
+            if evaluations >= budget:
+                break
+            floor = max(floor_end, floor * 0.985)
+            i = rng.integers(0, nd)
+            j = rng.integers(0, nd)
+            g_new = g.copy()
+            g_new[i, j] += sigma * (rng.standard_normal() + 1j * rng.standard_normal())
+            w_new = g_new @ adjoint(g_new)
+            w_new *= nd / np.trace(w_new).real
+            x_new = oracle_boundary(w_new, n, floor)
+            val, val_thr = oracle_image_margin(phi, x_new, n, tol)
+            evaluations += 1
+            if val < current:
+                g, current, thr, x = g_new, val, val_thr, x_new
+                sigma = min(sigma * 1.2, 1.0)
+            else:
+                sigma = max(sigma * 0.97, 1e-3)
+        if current < -10.0 * thr:
+            return WitnessResult(
+                block=OperatorBlockMatrix.from_assembled(x, n),
+                min_eig=current,
+                evaluations=evaluations,
+                restart=restart,
+            )
+        restart += 1
+    return None
 
 
 # SVD-only references for the linear-algebra predicates: each norm is compared

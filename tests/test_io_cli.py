@@ -63,6 +63,8 @@ MALFORMED = [
     ["stormer-check", "--block", "block_row_object.json"],
     # JSON booleans are not numbers
     ["check-psd", "bool_entries.json"],
+    # matrix dimensions that are a boolean and a float
+    ["check-psd", "nonint_dims.json"],
     # state dims of no size whose product still matches the matrix
     ["ppt-check", "--state", "bell4.json", "--n", "-2", "--d", "-2"],
 ]
@@ -93,6 +95,11 @@ def test_block_payload_roundtrip_exact():
         {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
         [1, 2, 3],
         {"rows": 1, "cols": 1, "data": [[True, False]]},
+        # dimensions must be JSON integers, not booleans, floats or strings
+        {"rows": True, "cols": 1.9, "data": [[1.0, 0.0]]},
+        {"rows": 1.0, "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": 1, "cols": True, "data": [[1.0, 0.0]]},
+        {"rows": "1", "cols": 1, "data": [[1.0, 0.0]]},
     ],
 )
 def test_matrix_payload_rejects_malformed(payload):
@@ -110,6 +117,10 @@ def test_block_payload_rejects_malformed():
     for rows in ([5], [{"0": matrix_to_payload(np.eye(1))}], ["x"]):
         with pytest.raises(InputError):
             block_from_payload({"n": 1, "d": 1, "blocks": rows})
+    one = [[matrix_to_payload(np.eye(1))]]
+    for n, d in ((1.5, True), (True, 1), (1, 1.0), (1.0, 1), (1, None)):
+        with pytest.raises(InputError):
+            block_from_payload({"n": n, "d": d, "blocks": one})
 
 
 def test_load_map_spec_named_and_files():
@@ -140,6 +151,11 @@ def test_named_map_spec_resolves_in_the_table(tmp_path, name):
         ),
         {"kind": "kraus", "cp": 5},
         {"kind": "kraus", "cp": [], "cocp": []},
+        # input_dim must be a JSON integer
+        *(
+            {"kind": "choi", "choi": matrix_to_payload(np.eye(4)), "input_dim": dim}
+            for dim in [True, 2.0, 2.5, "2", None]
+        ),
     ],
 )
 def test_map_spec_rejects_malformed(tmp_path, spec):

@@ -1,0 +1,151 @@
+"""The windowed witness search against the one-step climb.
+
+``witness_search`` evaluates several hill-climbing steps as one stack; it
+must return what the one-step climb in ``helpers.oracle_witness_search``
+returns, for every map kind, block count and budget.  Its LAPACK calls are
+counted (a gate independent of machine speed), and decomposable maps must
+never yield a witness.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stormer_kit import (
+    WitnessResult,
+    choi_fixture,
+    choi_matrix,
+    identity_map,
+    make_decomposable,
+    map_from_choi,
+    transpose_map,
+    witness_search,
+)
+from stormer_kit.io import block_from_payload
+from stormer_kit.sampling import ginibre
+
+from helpers import lapack_calls, load_script, oracle_witness_search
+
+FIXTURE = Path(__file__).parent / "fixtures" / "choi3_witness.json"
+
+
+def _maps():
+    """label -> (map, d, seed).  Seeds are chosen so that some searches find
+    a witness at a restart edge (choi3 at n = 3: the end of restart 0) and
+    the non-positive map finds one from the first evaluation on."""
+    rng = np.random.default_rng(2026)
+    kraus = make_decomposable([ginibre(rng, 3, 2)], [ginibre(rng, 3, 2), ginibre(rng, 3, 2)])
+    h = ginibre(rng, 6)
+    return {
+        "identity": (identity_map(), 2, 1),
+        "transpose": (transpose_map(), 3, 2),
+        "choi3": (choi_fixture(), None, 5),
+        "sum": (kraus, None, 3),
+        "choi_raw": (map_from_choi(choi_matrix(kraus), 2), None, 4),
+        # a Hermitian, indefinite Choi matrix: a map that is not positive
+        "not_positive": (map_from_choi(h + h.conj().T, 2), None, 6),
+    }
+
+
+MAPS = _maps()
+# budgets that end inside a window, and at the edges of the first two restarts
+BUDGETS = [1, 2, 3, 6, 600, 601, 602, 1300]
+
+
+def _same(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (
+        (got.evaluations, got.restart, got.min_eig)
+        == (want.evaluations, want.restart, want.min_eig)
+        and np.array_equal(got.block.blocks, want.block.blocks)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", list(MAPS))
+def test_window_matches_the_one_step_climb(label, n):
+    phi, d, seed = MAPS[label]
+    for budget in BUDGETS:
+        got = witness_search(phi, seed=seed, budget=budget, n=n, d=d)
+        want = oracle_witness_search(phi, seed=seed, budget=budget, n=n, d=d)
+        assert _same(got, want), (label, n, budget)
+
+
+def test_the_comparison_covers_found_witnesses():
+    # guards the test above against comparing nothing but None
+    phi, d, seed = MAPS["choi3"]
+    for budget in (600, 601, 602):
+        res = witness_search(phi, seed=seed, budget=budget, n=3, d=d)
+        assert (res.evaluations, res.restart) == (min(budget, 601), 0)
+    phi, d, seed = MAPS["not_positive"]
+    for n in (2, 3):
+        assert witness_search(phi, seed=seed, budget=1, n=n, d=d).evaluations == 1
+
+
+def test_seed_42_replay_eigvalsh_calls():
+    payload = json.loads(FIXTURE.read_text())
+    with lapack_calls() as calls:
+        res = witness_search(choi_fixture(), seed=42, budget=10**6, n=3, d=3)
+    assert (res.evaluations, res.restart) == (payload["evaluations"], payload["restart"])
+    assert res.min_eig == payload["min_eig"]
+    assert np.array_equal(res.block.blocks, block_from_payload(payload["block"]).blocks)
+    # two stacked eigvalsh calls per window and per restart's first
+    # evaluation; the one-step climb made two per evaluation (33,656)
+    assert calls == {"eigvalsh": 9348, "eigh": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("field", [None, "evaluations", "restart", "min_eig", "block"])
+def test_find_witness_check_compares_every_field(tmp_path, monkeypatch, capsys, field):
+    # the comparison of `find_witness.py --check`, fed the frozen result
+    # itself instead of a fresh 1.5 s search
+    script = load_script("find_witness")
+    payload = json.loads(FIXTURE.read_text())
+    frozen = WitnessResult(
+        block=block_from_payload(payload["block"]),
+        min_eig=payload["min_eig"],
+        evaluations=payload["evaluations"],
+        restart=payload["restart"],
+    )
+    if field == "block":
+        payload["block"]["blocks"][0][0]["data"][0][0] += 1e-12
+    elif field is not None:
+        payload[field] += 1
+    out = tmp_path / "witness.json"
+    out.write_text(json.dumps(payload))
+    monkeypatch.setattr(script, "OUT", out)
+    monkeypatch.setattr(script, "search", lambda: (frozen, 1.0))
+    assert script.check() == (0 if field is None else 1)
+    if field is not None:
+        assert f"MISMATCH against {out}: {field}" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == payload
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_restart_makes_fewer_eigvalsh_calls_than_evaluations(seed):
+    with lapack_calls() as calls:
+        res = witness_search(choi_fixture(), seed=seed, budget=601, n=3, d=3)
+    evaluations = 601 if res is None else res.evaluations
+    assert calls["eigvalsh"] < evaluations
+
+
+def _decomposable_maps():
+    rng = np.random.default_rng(1976)
+    out = [(transpose_map(), 2)]
+    for k, l in [(2, 2), (2, 3), (3, 2)]:
+        cp = [ginibre(rng, l, k) for _ in range(2)]
+        cocp = [ginibre(rng, l, k) for _ in range(2)]
+        out += [(make_decomposable(cp, []), None), (make_decomposable(cp, cocp), None)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decomposable_maps_yield_no_witness(n):
+    # Woronowicz (1976): every positive map on M2, and from M2 to M3, is
+    # decomposable; and a decomposable map sends every two-sided-positive
+    # block matrix to a PSD one, so the search must come back empty
+    for phi, d in _decomposable_maps():
+        for seed in (0, 1):
+            assert witness_search(phi, seed=seed, budget=700, n=n, d=d) is None
