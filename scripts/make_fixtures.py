@@ -90,6 +90,9 @@ def main() -> None:
     dump("bool_entries.json", {"rows": 1, "cols": 1, "data": [[True, False]]})
     dump("nonint_dims.json", {"rows": True, "cols": 1.9, "data": [[1.0, 0.0]]})
 
+    # a 1 x 1 operator whose Gram block overflows double precision
+    dump("huge1.json", matrix_to_payload(np.array([[1e200]])))
+
     # nontriviality instance: two-sided-positive block with a failing summand
     x, rows, k = find_nontrivial_block(seed=0, d=2)
     dump(

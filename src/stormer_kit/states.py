@@ -48,22 +48,29 @@ class DensityState:
             raise DimensionError(
                 f"state of dims {self.dims} needs n, d >= 1 and a {n * d} x {n * d} matrix"
             )
+        mh = adjoint(m)
         scale = 1.0 + float(np.abs(m).max())
-        if np.abs(m - adjoint(m)).max() > _HERM_EPS * scale:
+        if np.abs(m - mh).max() > _HERM_EPS * scale:
             raise DomainError("state matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > _TRACE_EPS * scale:
+        if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
-        if np.linalg.eigvalsh(0.5 * (m + adjoint(m)))[0] < _EIG_FLOOR * scale:
+        if np.linalg.eigvalsh(0.5 * (m + mh))[0] < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 
 
 def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DensityState:
-    """Normalize a PSD block matrix to a density state on (n) x (d)."""
+    """Normalize a PSD block matrix to a density state on (n) x (d).
+
+    The PSD check of the assembled matrix is skipped when ``x`` already
+    holds a true :func:`stormer_test` verdict for ``tol``: that verdict
+    includes the same check on the same matrix.  The state's own validation
+    (fixed bands, independent of ``tol``) always runs.
+    """
     m = x.assembled()
-    if not _is_psd(m, tol):
+    if not (x._verdicts.get(tol) or _is_psd(m, tol)):
         raise DomainError("block matrix is not PSD; cannot form a state")
-    tr = float(np.trace(m).real)
+    tr = float(m.trace().real)
     # ||m||_2 <= ||m||_F: a trace above the threshold at twice the Frobenius
     # norm clears the threshold at the operator norm, whatever the rounding;
     # only a trace below that pays for the SVD.

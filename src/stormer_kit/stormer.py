@@ -67,25 +67,45 @@ _CLUSTER_REL = 1e-8
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """A pair of d x d operators acting on the same space."""
+    """A pair of d x d operators acting on the same space.
+
+    The pair owns read-only copies of its operators: it never aliases the
+    caller's arrays, and writing into ``a1`` or ``a2`` raises ``ValueError``.
+    So what is computed from a pair can be kept on it: :func:`gram_block`
+    builds the pair's Gram block once.
+    """
 
     a1: np.ndarray
     a2: np.ndarray
 
+    _gram = None  # not a field: the Gram block, once gram_block has built it
+
     def __post_init__(self) -> None:
-        a1 = require_square(self.a1, "a1")
-        a2 = require_square(self.a2, "a2")
+        a1 = require_square(np.array(self.a1, dtype=complex), "a1")
+        a2 = require_square(np.array(self.a2, dtype=complex), "a2")
         if a1.shape != a2.shape:
             raise DimensionError(f"operator shapes differ: {a1.shape} vs {a2.shape}")
+        self._hold(a1, a2)
+
+    def _hold(self, a1: np.ndarray, a2: np.ndarray) -> None:
+        a1.flags.writeable = False
+        a2.flags.writeable = False
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so copies and unpickled pairs own
+        # fresh read-only arrays and start with no kept results.
+        return type(self), (self.a1, self.a2)
 
     @property
     def dim(self) -> int:
         return self.a1.shape[0]
 
     def swapped(self) -> "OperatorPair":
-        return OperatorPair(self.a2, self.a1)
+        p = object.__new__(OperatorPair)
+        p._hold(self.a2, self.a1)
+        return p
 
 
 @dataclass(frozen=True)
@@ -94,17 +114,26 @@ class OperatorBlockMatrix:
 
     The assembled matrix lives on the tensor product (block index) x (space),
     i.e. entry (i*d + r, j*d + c) of the assembled matrix is blocks[i, j, r, c].
+
+    The block matrix owns a read-only copy of ``blocks`` (writing into it
+    raises ``ValueError``) and keeps the verdicts :func:`stormer_test` has
+    given it, one per tolerance.
     """
 
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.blocks, dtype=complex)
+        b = np.array(self.blocks, dtype=complex)
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
             raise DimensionError(f"blocks must have shape (n, n, d, d), got {b.shape}")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise DomainError("block entries must be finite")
+        b.flags.writeable = False
         object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "_verdicts", {})
+
+    def __reduce__(self):
+        return type(self), (self.blocks,)
 
     @property
     def n(self) -> int:
@@ -195,12 +224,25 @@ class CanonicalDecomposition:
 def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
     """The 2 x 2 block matrix [[a1*a1, a1*a2], [a2*a1, a2*a2]].
 
-    As the Gram matrix of the row (a1, a2) it is always PSD.
+    As the Gram matrix of the row (a1, a2) it is always PSD.  It is built
+    once per pair and kept on it: later calls return the same object, with
+    the verdicts :func:`stormer_test` has kept on it.  Raises DomainError
+    when the products overflow double precision.
     """
-    a1h, a2h = adjoint(p.a1), adjoint(p.a2)
-    return OperatorBlockMatrix(
-        np.array([[a1h @ p.a1, a1h @ p.a2], [a2h @ p.a1, a2h @ p.a2]])
-    )
+    x = p._gram
+    if x is None:
+        a1h, a2h = adjoint(p.a1), adjoint(p.a2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.array([[a1h @ p.a1, a1h @ p.a2], [a2h @ p.a1, a2h @ p.a2]])
+        if not np.isfinite(b).all():
+            scale = max(np.abs(p.a1).max(), np.abs(p.a2).max())
+            raise DomainError(
+                f"Gram block overflows: operator entries reach {scale:.3e}; "
+                "rescale the pair"
+            )
+        x = OperatorBlockMatrix(b)
+        object.__setattr__(p, "_gram", x)
+    return x
 
 
 def swap_block(x: OperatorBlockMatrix) -> OperatorBlockMatrix:
@@ -213,11 +255,20 @@ def swap_block(x: OperatorBlockMatrix) -> OperatorBlockMatrix:
 
 
 def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff both the assembled block matrix and its index swap are PSD."""
-    m = x.assembled()
-    if not _is_hermitian(m, tol):
-        raise DomainError("assembled block matrix is not Hermitian within tolerance")
-    return _is_psd(m, tol) and _is_psd(_swap(m, x.n), tol)
+    """True iff both the assembled block matrix and its index swap are PSD.
+
+    The verdict is kept on ``x``, keyed by ``tol``: a later call with an
+    equal tolerance returns it without recomputing, and another tolerance
+    gets its own verdict.  A block that is not Hermitian within tolerance
+    raises DomainError on every call.
+    """
+    verdict = x._verdicts.get(tol)
+    if verdict is None:
+        m = x.assembled()
+        if not _is_hermitian(m, tol):
+            raise DomainError("assembled block matrix is not Hermitian within tolerance")
+        verdict = x._verdicts[tol] = _is_psd(m, tol) and _is_psd(_swap(m, x.n), tol)
+    return verdict
 
 
 def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -259,7 +310,7 @@ def _ratio_operator(p: OperatorPair, rcond: float) -> tuple[RatioOperator, float
     """The ratio operator and ``||a1||``, read off the same singular values."""
     sv = np.linalg.svd(p.a1, compute_uv=False)
     degenerate = bool(sv[-1] <= rcond * sv[0])
-    return RatioOperator(p.a2 @ pinv(p.a1, rcond), degenerate), float(sv[0])
+    return RatioOperator(p.a2 @ np.linalg.pinv(p.a1, rcond=rcond), degenerate), float(sv[0])
 
 
 def ratio_operator(p: OperatorPair, rcond: float = DEFAULT_RCOND) -> RatioOperator:
@@ -312,7 +363,7 @@ def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
     scale = _op_norm(a)
     if not _is_normal(a, tol, scale):
         raise DomainError("operator is not normal within tolerance")
-    s, z = scipy.linalg.schur(a, output="complex")
+    s, z = scipy.linalg.schur(a, output="complex", check_finite=False)
     lam = np.diag(s).copy()
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
@@ -355,10 +406,21 @@ def canonical_decomposition(
     Raises DomainError when the condition fails, or when a1 is singular and
     the ratio operator is not normal (no decomposition exists then).  A
     singular a1 with normal ratio operator yields a best-effort result with
-    the ``degenerate`` flag set.
+    the ``degenerate`` flag set.  The condition is checked by
+    :func:`stormer_test` on the pair's Gram block, so a verdict kept there
+    is reused.
     """
+    _require_two_sided(p, tol)
+    return _canonical(p, tol, rcond)
+
+
+def _require_two_sided(p: OperatorPair, tol: Tolerance) -> None:
     if not stormer_test(gram_block(p), tol):
         raise DomainError("two-sided positivity condition not satisfied")
+
+
+def _canonical(p: OperatorPair, tol: Tolerance, rcond: float) -> CanonicalDecomposition:
+    """The decomposition of a pair already known to satisfy the condition."""
     (t, degenerate), a1_norm = _ratio_operator(p, rcond)
     if degenerate and not _is_normal(t, tol):
         raise DomainError(
@@ -368,11 +430,9 @@ def canonical_decomposition(
     lam, es = _spectral_resolution(t, tol)
     g = adjoint(p.a1) @ es
     alphas = np.linalg.norm(g, axis=0).real
-    cutoff = tol.threshold(a1_norm)
+    keep = alphas > tol.threshold(a1_norm)
     phis = np.zeros_like(g)
-    for i, alpha in enumerate(alphas):
-        if alpha > cutoff:
-            phis[:, i] = g[:, i] / alpha
+    phis[:, keep] = g[:, keep] / alphas[keep]
     return CanonicalDecomposition(
         alphas=alphas, lambdas=lam, phis=phis, es=es, degenerate=degenerate
     )
@@ -381,14 +441,23 @@ def canonical_decomposition(
 def reconstruct_block(dec: CanonicalDecomposition) -> OperatorBlockMatrix:
     """Reassemble sum_i alphas[i]^2 * Lambda_i (x) |phi_i><phi_i| with
     Lambda_i = [[1, lam_i], [conj(lam_i), |lam_i|^2]]."""
+    keep = dec.phis.any(axis=0)
+    phis = np.ascontiguousarray(dec.phis.T[keep])
+    lams = dec.lambdas[keep]
+    coeff = np.empty((len(lams), 2, 2), dtype=complex)
+    coeff[:, 0, 0] = 1.0
+    coeff[:, 0, 1] = lams
+    coeff[:, 1, 0] = np.conj(lams)
+    # Scalar abs() and ** of each eigenvalue: the array forms round
+    # differently in the last bit.
+    coeff[:, 1, 1] = [abs(lam) ** 2 for lam in lams]
+    terms = np.einsum("kpq,krc->kpqrc", coeff, phis[:, :, None] * np.conj(phis)[:, None, :])
     d = dec.dim
     out = np.zeros((2, 2, d, d), dtype=complex)
-    for alpha, lam, phi in zip(dec.alphas, dec.lambdas, dec.phis.T):
-        if not np.any(phi):
-            continue
-        proj = np.outer(phi, np.conj(phi))
-        coeff = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]])
-        out += (alpha**2) * np.einsum("pq,rc->pqrc", coeff, proj)
+    # Summed term by term: scaling the whole stack by alphas**2 at once also
+    # changes the last bit.
+    for alpha, term in zip(dec.alphas[keep], terms):
+        out += (alpha**2) * term
     return OperatorBlockMatrix(out)
 
 
@@ -400,6 +469,11 @@ def dual_decomposition(
     """Canonical decomposition with the roles of a1 and a2 exchanged.
 
     Decomposes the Gram block of (a2, a1); the reconstruction identity then
-    holds for the role-swapped block.
+    holds for the role-swapped block.  The two-sided condition is a property
+    of the pair, not of the role order: the Gram block of (a2, a1) and its
+    index swap are permutation-similar to those of (a1, a2).  So the check
+    is :func:`stormer_test` on the pair's own Gram block, and a pair that
+    :func:`canonical_decomposition` has checked is not tested again.
     """
-    return canonical_decomposition(p.swapped(), tol, rcond)
+    _require_two_sided(p, tol)
+    return _canonical(p.swapped(), tol, rcond)

@@ -14,6 +14,8 @@ from stormer_kit import (
     OperatorBlockMatrix,
     WitnessResult,
     adjoint,
+    gram_block,
+    stormer_test,
 )
 from stormer_kit.sampling import ginibre, uniform_disk
 
@@ -35,14 +37,24 @@ CASES, FIXTURES, GOLDEN = regen_golden.CASES, regen_golden.FIXTURES, regen_golde
 
 @contextlib.contextmanager
 def lapack_calls(names=("eigvalsh", "eigh", "svd")):
-    """Count calls to the named ``numpy.linalg`` functions made in the block.
+    """Count calls to the named LAPACK entry points made in the block.
 
-    Yields a Counter keyed by name.  The library calls these through the
-    ``np.linalg`` attribute, so patching it sees every call; numpy's own
-    internal uses (such as the SVD inside ``pinv``) are not counted.
+    ``schur`` is ``scipy.linalg.schur``; every other name is a
+    ``numpy.linalg`` function.  Yields a Counter keyed by name.  The library
+    calls these through the module attribute, so patching it sees every
+    call; numpy's own internal uses (such as the SVD inside ``pinv``) are
+    not counted.
     """
+    owners = {}
+    for name in names:
+        if name == "schur":
+            import scipy.linalg
+
+            owners[name] = scipy.linalg
+        else:
+            owners[name] = np.linalg
     calls = Counter({name: 0 for name in names})
-    originals = {name: getattr(np.linalg, name) for name in names}
+    originals = {name: getattr(owner, name) for name, owner in owners.items()}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -52,12 +64,12 @@ def lapack_calls(names=("eigvalsh", "eigh", "svd")):
         return wrapper
 
     for name, fn in originals.items():
-        setattr(np.linalg, name, counting(name, fn))
+        setattr(owners[name], name, counting(name, fn))
     try:
         yield calls
     finally:
         for name, fn in originals.items():
-            setattr(np.linalg, name, fn)
+            setattr(owners[name], name, fn)
 
 
 def rel_fro(delta, ref) -> float:
@@ -236,6 +248,29 @@ def oracle_witness_search(phi, seed=0, budget=10**6, n=3, d=None, tol=DEFAULT_TO
             )
         restart += 1
     return None
+
+
+# References for the decompose chain: reconstruct_block one term at a time,
+# compared with np.array_equal, and the two-sided verdict of the role-swapped
+# pair's own Gram block, which dual_decomposition no longer computes.
+
+
+def oracle_reconstruct_block(dec) -> np.ndarray:
+    """(2, 2, d, d) blocks of reconstruct_block, summed term by term."""
+    d = dec.dim
+    out = np.zeros((2, 2, d, d), dtype=complex)
+    for alpha, lam, phi in zip(dec.alphas, dec.lambdas, dec.phis.T):
+        if not np.any(phi):
+            continue
+        proj = np.outer(phi, np.conj(phi))
+        coeff = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]])
+        out += (alpha**2) * np.einsum("pq,rc->pqrc", coeff, proj)
+    return out
+
+
+def oracle_dual_verdict(p, tol=DEFAULT_TOL) -> bool:
+    """stormer_test on a freshly built Gram block of ``p.swapped()``."""
+    return stormer_test(gram_block(p.swapped()), tol)
 
 
 # SVD-only references for the linear-algebra predicates: each norm is compared

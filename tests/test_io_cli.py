@@ -67,6 +67,10 @@ MALFORMED = [
     ["check-psd", "nonint_dims.json"],
     # state dims of no size whose product still matches the matrix
     ["ppt-check", "--state", "bell4.json", "--n", "-2", "--d", "-2"],
+    # operators whose Gram block overflows double precision
+    ["decompose", "--a1", "huge1.json", "--a2", "huge1.json"],
+    ["stormer-check", "--a1", "huge1.json", "--a2", "huge1.json"],
+    ["make-state", "--a1", "huge1.json", "--a2", "huge1.json"],
 ]
 
 
@@ -214,6 +218,16 @@ def test_exit_code_2_on_malformed_inputs():
         # an input error, not a numpy failure or an internal error
         assert proc.stdout == "" and proc.stderr.startswith("error:"), (argv, proc.stderr)
         assert "Warning" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_gram_block_overflow_names_the_operators_scale():
+    for command in ("decompose", "stormer-check", "make-state"):
+        code, out, err = run_cli_inprocess(
+            expand([command, "--a1", "huge1.json", "--a2", "huge1.json"])
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: Gram block overflows"), err
+        assert "1.000e+200" in err
 
 
 def test_golden_cases_reach_no_internal_error():

@@ -32,6 +32,8 @@ from stormer_kit import (
     psd_margin,
     psd_via_contraction,
     ratio_operator,
+    reconstruct_block,
+    separable_decomposition,
     state_from_block,
     stormer_test,
 )
@@ -305,9 +307,47 @@ def test_canonical_decomposition_lapack_calls():
     # two PSD checks; the ratio operator's singular values and the spectral
     # scale (pinv and schur are separate entry points)
     assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+    # the pair's verdict is kept on its Gram block, so the dual reuses it
+    with lapack_calls() as calls:
+        dual_decomposition(p)
+    assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 2}
+    p = random_stormer_pair(np.random.default_rng(41), 4)
     with lapack_calls() as calls:
         dual_decomposition(p)
     assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+
+
+CHAIN_CALLS = ("eigvalsh", "eigh", "svd", "pinv", "schur")
+
+
+def test_decompose_chain_lapack_calls():
+    rng = np.random.default_rng(44)
+    a1 = random_stormer_pair(rng, 4).a1
+    a2 = random_normal_operator(rng, 4) @ a1
+    with lapack_calls(CHAIN_CALLS) as calls:
+        # the decompose benchmark's pass chain
+        pair = OperatorPair(a1, a2)
+        x = gram_block(pair)
+        assert stormer_test(x)
+        dec = canonical_decomposition(pair)
+        dual = dual_decomposition(pair)
+        reconstruct_block(dec), reconstruct_block(dual)
+        rho = state_from_block(x)
+        assert is_ppt(rho)
+        separable_decomposition(dec)
+    # stormer_test 2, the state's own validation 1, is_ppt 1; per
+    # decomposition the ratio operator's singular values and spectral scale,
+    # one pinv and one schur
+    assert calls == {"eigvalsh": 4, "eigh": 0, "svd": 4, "pinv": 2, "schur": 2}
+
+    t = ginibre(rng, 4) + np.triu(np.ones((4, 4)), 1)  # far from normal
+    with lapack_calls(CHAIN_CALLS) as calls:
+        # the fail chain
+        pair = OperatorPair(a1, t @ a1)
+        assert not stormer_test(gram_block(pair))
+        with pytest.raises(DomainError):
+            canonical_decomposition(pair)
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0, "pinv": 0, "schur": 0}
 
 
 def test_state_and_ppt_lapack_calls():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormer_kit import (
     DEFAULT_TOL,
@@ -402,3 +404,28 @@ def test_random_normal_operator_is_normal():
     rng = np.random.default_rng(17)
     for _ in range(10):
         assert is_normal(random_normal_operator(rng, 5))
+
+
+@settings(max_examples=75, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    normal=st.booleans(),
+    log_s=st.floats(-3.0, 3.0),
+)
+def test_scaling_covariance(seed, d, normal, log_s):
+    """Scaling (a1, a2) by s keeps the verdict, scales alphas by s and leaves
+    lambdas unchanged."""
+    rng = np.random.default_rng(seed)
+    a1 = random_stormer_pair(rng, d).a1
+    t = random_normal_operator(rng, d) if normal else ginibre(rng, d) + np.triu(np.ones((d, d)), 1)
+    s = 10.0**log_s
+    pair, scaled = OperatorPair(a1, t @ a1), OperatorPair(s * a1, s * (t @ a1))
+    verdict = stormer_test(gram_block(pair))
+    assert stormer_test(gram_block(scaled)) == verdict
+    assert verdict == (normal or d == 1)
+    if not verdict:
+        return
+    dec, dec_s = canonical_decomposition(pair), canonical_decomposition(scaled)
+    assert rel_fro(dec_s.alphas - s * dec.alphas, s * dec.alphas) <= 1e-9
+    assert rel_fro(dec_s.lambdas - dec.lambdas, dec.lambdas) <= 1e-9

@@ -1,0 +1,253 @@
+"""Value objects of the decompose chain and the results they keep.
+
+``OperatorPair`` and ``OperatorBlockMatrix`` own read-only copies of their
+arrays, so the Gram block a pair keeps and the verdicts a block keeps (one
+per tolerance) cannot go stale.  ``dual_decomposition`` takes the pair's own
+verdict instead of testing the role-swapped block; the references in
+``helpers`` check that this and the stacked ``reconstruct_block`` give
+exactly what the separate computations give.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from stormer_kit import (
+    DEFAULT_TOL,
+    DomainError,
+    OperatorBlockMatrix,
+    OperatorPair,
+    Tolerance,
+    canonical_decomposition,
+    dual_decomposition,
+    gram_block,
+    reconstruct_block,
+    state_from_block,
+    stormer_test,
+    swap_block,
+)
+from stormer_kit.sampling import (
+    ginibre,
+    haar_unitary,
+    random_normal_operator,
+    random_stormer_pair,
+)
+
+from helpers import lapack_calls, oracle_dual_verdict, oracle_reconstruct_block
+
+ZERO_TOL = Tolerance(abs_eps=0.0, rel_eps=0.0)
+
+
+def operator(rng, d, cond=None, rank=None):
+    """u diag(s) v with singular values spread to ``cond``, or with the last
+    d - ``rank`` of them zero."""
+    u, v = haar_unitary(rng, d), haar_unitary(rng, d)
+    s = np.logspace(0.0, -np.log10(cond), d) if cond else rng.uniform(0.5, 2.0, d)
+    if rank is not None:
+        s[rank:] = 0.0
+    return (u * s) @ v
+
+
+def chain_pairs():
+    """Passing and failing pairs (a2 = T a1, T normal or far from it), with
+    well-conditioned, singular and ill-conditioned a1, for d = 1..7."""
+    rng = np.random.default_rng(60)
+    out = []
+    for d in range(1, 8):
+        far = np.triu(np.ones((d, d)), 1)
+        for _ in range(10):
+            out.append(random_stormer_pair(rng, d))
+            a1 = random_stormer_pair(rng, d).a1
+            out.append(OperatorPair(a1, (ginibre(rng, d) + far) @ a1))
+        for rank in (d - 1, d // 2):
+            a1 = operator(rng, d, rank=rank)
+            out.append(OperatorPair(a1, random_normal_operator(rng, d) @ a1))
+            out.append(OperatorPair(a1, (ginibre(rng, d) + far) @ a1))
+        for cond in (1e2, 1e4, 1e6, 1e8):
+            a1 = operator(rng, d, cond=cond)
+            out.append(OperatorPair(a1, random_normal_operator(rng, d) @ a1))
+            out.append(OperatorPair(a1, (ginibre(rng, d) + far) @ a1))
+    return out
+
+
+# -- the dual's verdict and the stacked reconstruction, against references ----
+
+
+def test_dual_verdict_and_reconstruction_match_references():
+    pairs = chain_pairs()
+    assert len(pairs) >= 200
+    differing, decompositions = [], 0
+    for k, p in enumerate(pairs):
+        verdict = stormer_test(gram_block(p))
+        if verdict != oracle_dual_verdict(p):
+            differing.append(k)
+        for decompose in (canonical_decomposition, dual_decomposition):
+            try:
+                dec = decompose(p)
+            except DomainError:
+                # the condition fails, or the first operator of the role
+                # order is singular and its ratio operator is not normal
+                continue
+            assert verdict
+            decompositions += 1
+            got = reconstruct_block(dec).blocks
+            assert np.array_equal(got, oracle_reconstruct_block(dec)), (k, decompose)
+    assert differing == []
+    assert decompositions >= 200
+
+
+def test_reconstruct_block_skips_zero_columns_like_the_reference():
+    p = random_stormer_pair(np.random.default_rng(61), 5)
+    dec = canonical_decomposition(p)
+    phis = dec.phis.copy()
+    phis[:, [0, 3]] = 0.0
+    dec = type(dec)(dec.alphas, dec.lambdas, phis, dec.es)
+    assert np.array_equal(reconstruct_block(dec).blocks, oracle_reconstruct_block(dec))
+
+
+# -- read-only arrays ----------------------------------------------------------
+
+
+def test_arrays_are_read_only():
+    rng = np.random.default_rng(62)
+    p = random_stormer_pair(rng, 3)
+    x = gram_block(p)
+    for a in (p.a1, p.a2, p.swapped().a1, x.blocks, swap_block(x).blocks):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        x.blocks[0, 1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        reconstruct_block(canonical_decomposition(p)).blocks[0, 0, 0, 0] = 1.0
+
+
+def _inputs(rng, d, real):
+    """A passing pair's operators as writable arrays: a1 and N a1 with N
+    normal (symmetric, for a real pair)."""
+    if real:
+        a1 = ginibre(rng, d).real
+        q = np.linalg.qr(ginibre(rng, d).real)[0]
+        return a1, (q * rng.uniform(-2.0, 2.0, d)) @ q.T @ a1
+    p = random_stormer_pair(rng, d)
+    return np.array(p.a1), np.array(p.a2)
+
+
+@pytest.mark.parametrize("form", ["complex", "real", "read-only view"])
+def test_mutating_the_input_leaves_the_pair_unchanged(form):
+    rng = np.random.default_rng(63)
+    a1, a2 = _inputs(rng, 3, real=form == "real")
+    want = canonical_decomposition(OperatorPair(a1.copy(), a2.copy()))
+    if form == "read-only view":
+        view1, view2 = a1[:], a2[:]
+        view1.flags.writeable = view2.flags.writeable = False
+        p = OperatorPair(view1, view2)
+    else:
+        p = OperatorPair(a1, a2)
+    # the pair fails once a2 is no longer a normal operator times a1
+    a2 += (ginibre(rng, 3).real + np.triu(np.ones((3, 3)), 1)) @ a1
+    assert not stormer_test(gram_block(OperatorPair(a1, a2)))
+    assert stormer_test(gram_block(p))
+    got = canonical_decomposition(p)
+    for field in ("alphas", "lambdas", "phis", "es"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_mutating_the_input_leaves_the_block_unchanged():
+    rng = np.random.default_rng(64)
+    m = np.array(gram_block(random_stormer_pair(rng, 2)).assembled())
+    blocks = np.array(OperatorBlockMatrix.from_assembled(m, 2).blocks)
+    for x, source in (
+        (OperatorBlockMatrix(blocks), blocks),
+        (OperatorBlockMatrix.from_assembled(m, 2), m),
+    ):
+        kept = x.blocks.copy()
+        verdict = stormer_test(x)
+        source[...] = 0.0
+        source[0, 0] = 5.0
+        assert np.array_equal(x.blocks, kept)
+        assert stormer_test(x) == verdict
+        fresh = Tolerance(abs_eps=1e-10, rel_eps=1e-8)  # a verdict computed now
+        assert stormer_test(x, fresh) == stormer_test(OperatorBlockMatrix(kept), fresh)
+
+
+def test_copies_own_fresh_arrays_and_keep_nothing():
+    p = random_stormer_pair(np.random.default_rng(65), 3)
+    x = gram_block(p)
+    assert stormer_test(x)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert not q.a1.flags.writeable and np.array_equal(q.a1, p.a1)
+        assert not np.shares_memory(q.a1, p.a1)
+        assert gram_block(q) is not x
+    for y in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+        assert not y.blocks.flags.writeable and np.array_equal(y.blocks, x.blocks)
+        with lapack_calls() as calls:
+            assert stormer_test(y)
+        assert calls["eigvalsh"] == 2
+
+
+# -- what a pair and a block keep ----------------------------------------------
+
+
+def test_gram_block_is_built_once_per_pair():
+    p = random_stormer_pair(np.random.default_rng(66), 3)
+    x = gram_block(p)
+    assert gram_block(p) is x
+    assert gram_block(p.swapped()) is not gram_block(p.swapped())
+
+
+def test_verdict_is_kept_per_equal_tolerance():
+    x = gram_block(random_stormer_pair(np.random.default_rng(67), 3))
+    with lapack_calls() as calls:
+        assert stormer_test(x)
+        assert stormer_test(x, Tolerance())  # equal to DEFAULT_TOL, not the same object
+    assert calls["eigvalsh"] == 2
+
+
+def _boundary_block():
+    """diag(1, -1e-12): PSD within the default tolerance, not within zero."""
+    return OperatorBlockMatrix(np.diag([1.0, -1e-12]).reshape(2, 1, 2, 1).swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("order", [(DEFAULT_TOL, ZERO_TOL), (ZERO_TOL, DEFAULT_TOL)])
+def test_verdict_memo_is_keyed_by_tolerance(order):
+    expected = {DEFAULT_TOL: True, ZERO_TOL: False}
+    x = _boundary_block()
+    for tol in order + order:
+        assert stormer_test(x, tol) is expected[tol]
+    # the state check reuses only a true verdict for its own tolerance
+    y = _boundary_block()
+    assert stormer_test(y, DEFAULT_TOL)
+    with pytest.raises(DomainError, match="not PSD"):
+        state_from_block(y, ZERO_TOL)
+    assert state_from_block(y, DEFAULT_TOL).dims == (2, 1)
+
+
+def test_non_hermitian_block_raises_on_every_call():
+    blocks = np.zeros((2, 2, 1, 1), dtype=complex)
+    blocks[0, 1] = 1.0
+    x = OperatorBlockMatrix(blocks)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            stormer_test(x)
+
+
+def test_state_from_block_reuses_a_true_verdict():
+    x = gram_block(random_stormer_pair(np.random.default_rng(68), 3))
+    assert stormer_test(x)
+    with lapack_calls() as calls:
+        state_from_block(x)
+    assert calls["eigvalsh"] == 1  # the state's own validation only
+
+
+def test_dual_reuses_the_pairs_verdict_and_still_refuses_failing_pairs():
+    rng = np.random.default_rng(69)
+    a1 = random_stormer_pair(rng, 3).a1
+    p = OperatorPair(a1, (ginibre(rng, 3) + np.triu(np.ones((3, 3)), 1)) @ a1)
+    with pytest.raises(DomainError, match="condition not satisfied"):
+        canonical_decomposition(p)
+    with lapack_calls() as calls:
+        with pytest.raises(DomainError, match="condition not satisfied"):
+            dual_decomposition(p)
+    assert calls["eigvalsh"] == 0
