@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition2:
     """Blocks of ``[[A, B], [B*, C]]``; A is n x n, C is k x k, B is n x k."""
 
@@ -66,7 +66,7 @@ class Partition2:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionCertificate:
     """Outcome of the contraction factorization test.
 

@@ -258,15 +258,13 @@ def _self_commutator(a: np.ndarray) -> np.ndarray:
     return ah @ a - a @ ah
 
 
-def _is_normal(a: np.ndarray, tol: Tolerance, scale: float | None = None) -> bool:
-    """Normality of a validated square array; ``scale`` is ``||a||`` when
-    the caller has it, else it is computed only if the bound is undecided."""
+def _is_normal(a: np.ndarray, tol: Tolerance) -> bool:
+    """Normality of a validated square array; ``||a||`` is computed only if
+    the bound is undecided."""
     c = _self_commutator(a)
     if _negligible(c, tol.quadratic_threshold(0.0)):
         return True
-    if scale is None:
-        scale = _op_norm(a)
-    return _op_norm(c) <= tol.quadratic_threshold(scale)
+    return _op_norm(c) <= tol.quadratic_threshold(_op_norm(a))
 
 
 def is_normal(t, tol: Tolerance = DEFAULT_TOL) -> bool:

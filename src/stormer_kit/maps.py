@@ -41,7 +41,7 @@ __all__ = [
 NAMED_MAPS = {"identity": None, "transpose": None, "choi3": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveMap:
     """A positive map given by Kraus families, a Choi matrix, or by name.
 
@@ -258,7 +258,7 @@ def theorem1_necessity_trial(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessResult:
     """A two-sided-positive block matrix whose entrywise image is not PSD."""
 

@@ -34,7 +34,7 @@ _TRACE_EPS = 1e-10
 _EIG_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """Normalized positive matrix on a bipartite space with dims (n, d)."""
 
@@ -102,7 +102,7 @@ def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _is_psd(_swap(rho.matrix, rho.dims[0]), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableDecomposition:
     """Convex mixture of product projectors reproducing a state.
 

@@ -31,7 +31,6 @@ from .linalg import (
     _is_hermitian,
     _is_normal,
     _is_psd,
-    _op_norm,
     adjoint,
     as_matrix,
     fix_phases,
@@ -60,19 +59,15 @@ __all__ = [
     "swap_block",
 ]
 
-# Eigenvalues of the ratio operator closer than this (times 1 + scale) are
-# treated as one spectral cluster.
-_CLUSTER_REL = 1e-8
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """A pair of d x d operators acting on the same space.
 
     The pair owns read-only copies of its operators: it never aliases the
     caller's arrays, and writing into ``a1`` or ``a2`` raises ``ValueError``.
     So what is computed from a pair can be kept on it: :func:`gram_block`
-    builds the pair's Gram block once.
+    builds the pair's Gram block once.  Like the package's other value
+    objects with array fields, pairs compare and hash by identity.
     """
 
     a1: np.ndarray
@@ -108,7 +103,7 @@ class OperatorPair:
         return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBlockMatrix:
     """An n x n array of d x d operator blocks.
 
@@ -199,7 +194,7 @@ class SpectralResolution(NamedTuple):
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalDecomposition:
     """Rank-one data of a Gram block satisfying the two-sided condition.
 
@@ -347,37 +342,28 @@ def contraction_condition(
 def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
     """Eigenvalues and an orthonormal eigenbasis of a normal operator.
 
-    Computed from the complex Schur form, which is diagonal for normal input;
-    eigenvalues are sorted ascending by (real, imag) and near-coincident ones
-    are clustered, with each cluster's basis re-orthonormalized.  Raises for
-    input that is not normal within tolerance.
+    The basis is the QR factor of the eigenvectors ``np.linalg.eig`` returns,
+    in the order it returns them.  LAPACK computes those as Z X, where
+    T = Z S Z* is a complex Schur form (balancing only permutes a normal
+    operator, so Z stays unitary) and X holds the upper triangular
+    eigenvectors of S.  The QR factor is therefore the Schur basis Z up to
+    phases, which is an eigenbasis for normal input; the eigenvectors of
+    near-coincident eigenvalues are orthonormalized in the same
+    factorization.  Eigenvalues and basis columns are then sorted ascending
+    by (real, imag).  Raises for input that is not normal within tolerance.
     """
     return _spectral_resolution(require_square(t), tol)
 
 
 def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
-    # Imported here, its only use: scipy.linalg costs most of the package's
-    # import time, and commands that never decompose should not pay it.
-    import scipy.linalg
-
-    scale = _op_norm(a)
-    if not _is_normal(a, tol, scale):
+    if not _is_normal(a, tol):
         raise DomainError("operator is not normal within tolerance")
-    s, z = scipy.linalg.schur(a, output="complex", check_finite=False)
-    lam = np.diag(s).copy()
+    lam, v = np.linalg.eig(a)
     order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    z = np.array(z[:, order])
-
-    gap = _CLUSTER_REL * (1.0 + scale)
-    start = 0
-    for stop in range(1, len(lam) + 1):
-        if stop == len(lam) or abs(lam[stop] - lam[stop - 1]) > gap:
-            if stop - start > 1:
-                q, _ = np.linalg.qr(z[:, start:stop])
-                z[:, start:stop] = q
-            start = stop
-    return SpectralResolution(lam, fix_phases(z))
+    z, _ = np.linalg.qr(v)
+    # + 0.0 turns the negative zeros that the reflections and the phase
+    # rotation leave into zeros, so reports never print -0.0.
+    return SpectralResolution(lam[order], fix_phases(z[:, order]) + 0.0)
 
 
 def reconstruct_a2(a1, lambdas, vectors) -> np.ndarray:

@@ -12,11 +12,15 @@ from stormer_kit import (
     DomainError,
     HermitianEig,
     OperatorBlockMatrix,
+    SpectralResolution,
     WitnessResult,
     adjoint,
     gram_block,
+    is_normal,
     stormer_test,
 )
+from stormer_kit import stormer
+from stormer_kit.linalg import fix_phases
 from stormer_kit.sampling import ginibre, uniform_disk
 
 
@@ -37,24 +41,14 @@ CASES, FIXTURES, GOLDEN = regen_golden.CASES, regen_golden.FIXTURES, regen_golde
 
 @contextlib.contextmanager
 def lapack_calls(names=("eigvalsh", "eigh", "svd")):
-    """Count calls to the named LAPACK entry points made in the block.
+    """Count calls to the named ``numpy.linalg`` functions made in the block.
 
-    ``schur`` is ``scipy.linalg.schur``; every other name is a
-    ``numpy.linalg`` function.  Yields a Counter keyed by name.  The library
-    calls these through the module attribute, so patching it sees every
-    call; numpy's own internal uses (such as the SVD inside ``pinv``) are
-    not counted.
+    Yields a Counter keyed by name.  The library calls these through the
+    module attribute, so patching it sees every call; numpy's own internal
+    uses (such as the SVD inside ``pinv``) are not counted.
     """
-    owners = {}
-    for name in names:
-        if name == "schur":
-            import scipy.linalg
-
-            owners[name] = scipy.linalg
-        else:
-            owners[name] = np.linalg
     calls = Counter({name: 0 for name in names})
-    originals = {name: getattr(owner, name) for name, owner in owners.items()}
+    originals = {name: getattr(np.linalg, name) for name in names}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -64,12 +58,12 @@ def lapack_calls(names=("eigvalsh", "eigh", "svd")):
         return wrapper
 
     for name, fn in originals.items():
-        setattr(owners[name], name, counting(name, fn))
+        setattr(np.linalg, name, counting(name, fn))
     try:
         yield calls
     finally:
         for name, fn in originals.items():
-            setattr(owners[name], name, fn)
+            setattr(np.linalg, name, fn)
 
 
 def rel_fro(delta, ref) -> float:
@@ -339,3 +333,45 @@ def oracle_eig_hermitian(m) -> HermitianEig:
         )
     w, v = np.linalg.eigh(h)
     return HermitianEig(w, oracle_fix_phases(v))
+
+
+# Schur-form reference for the spectral resolution: scipy's complex Schur
+# basis, re-orthonormalized per cluster of near-coincident eigenvalues.  The
+# two bases round differently, so tests compare residual envelopes against
+# it, not single values.  scipy is imported only here.
+
+_CLUSTER_REL = 1e-8
+
+
+def oracle_spectral_resolution(a, tol=DEFAULT_TOL) -> SpectralResolution:
+    import scipy.linalg
+
+    a = np.asarray(a, dtype=complex)
+    scale = svd_norm(a)
+    if not is_normal(a, tol):
+        raise DomainError("operator is not normal within tolerance")
+    s, z = scipy.linalg.schur(a, output="complex", check_finite=False)
+    lam = np.diag(s).copy()
+    order = np.lexsort((lam.imag, lam.real))
+    lam = lam[order]
+    z = np.array(z[:, order])
+    gap = _CLUSTER_REL * (1.0 + scale)
+    start = 0
+    for stop in range(1, len(lam) + 1):
+        if stop == len(lam) or abs(lam[stop] - lam[stop - 1]) > gap:
+            if stop - start > 1:
+                q, _ = np.linalg.qr(z[:, start:stop])
+                z[:, start:stop] = q
+            start = stop
+    return SpectralResolution(lam, fix_phases(z))
+
+
+@contextlib.contextmanager
+def oracle_spectra():
+    """Run the decompositions in the block on the Schur-form reference."""
+    original = stormer._spectral_resolution
+    stormer._spectral_resolution = oracle_spectral_resolution
+    try:
+        yield
+    finally:
+        stormer._spectral_resolution = original

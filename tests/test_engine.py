@@ -31,7 +31,14 @@ from stormer_kit.sampling import (
     random_stormer_pairs,
 )
 
-from helpers import lapack_calls, oracle_apply, oracle_block, oracle_necessity, oracle_pair
+from helpers import (
+    FIXTURES,
+    lapack_calls,
+    oracle_apply,
+    oracle_block,
+    oracle_necessity,
+    oracle_pair,
+)
 
 
 def _kraus(rng, k, l, count):
@@ -149,8 +156,29 @@ def test_necessity_eigvalsh_calls_do_not_grow_with_trials():
     assert counts == [2, 2]
 
 
+# Commands run in one process after the import check: each must leave scipy
+# unimported, since the package does not use it.
+_NO_SCIPY_RUNS = [
+    ["decompose", "--a1", "id2.json", "--a2", "diag_1i.json"],
+    ["decompose", "--a1", "singular2.json", "--a2", "singular2.json"],
+    ["make-state", "--a1", "id2.json", "--a2", "id2.json"],
+    ["selftest"],
+]
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    code = "import sys, stormer_kit.cli; print('scipy.linalg' in sys.modules)"
+    runs = [
+        [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        for argv in _NO_SCIPY_RUNS
+    ]
+    code = (
+        "import contextlib, io, sys, stormer_kit.cli\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stormer_kit.cli.main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

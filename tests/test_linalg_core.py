@@ -304,20 +304,20 @@ def test_canonical_decomposition_lapack_calls():
     p = random_stormer_pair(np.random.default_rng(41), 4)
     with lapack_calls() as calls:
         canonical_decomposition(p)
-    # two PSD checks; the ratio operator's singular values and the spectral
-    # scale (pinv and schur are separate entry points)
-    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+    # two PSD checks; the ratio operator's singular values (pinv, eig and
+    # qr are separate entry points)
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 1}
     # the pair's verdict is kept on its Gram block, so the dual reuses it
     with lapack_calls() as calls:
         dual_decomposition(p)
-    assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 2}
+    assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 1}
     p = random_stormer_pair(np.random.default_rng(41), 4)
     with lapack_calls() as calls:
         dual_decomposition(p)
-    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 2}
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 1}
 
 
-CHAIN_CALLS = ("eigvalsh", "eigh", "svd", "pinv", "schur")
+CHAIN_CALLS = ("eigvalsh", "eigh", "svd", "pinv", "eig", "qr")
 
 
 def test_decompose_chain_lapack_calls():
@@ -336,9 +336,9 @@ def test_decompose_chain_lapack_calls():
         assert is_ppt(rho)
         separable_decomposition(dec)
     # stormer_test 2, the state's own validation 1, is_ppt 1; per
-    # decomposition the ratio operator's singular values and spectral scale,
-    # one pinv and one schur
-    assert calls == {"eigvalsh": 4, "eigh": 0, "svd": 4, "pinv": 2, "schur": 2}
+    # decomposition the ratio operator's singular values, one pinv, and one
+    # eig and one qr for the spectral resolution
+    assert calls == {"eigvalsh": 4, "eigh": 0, "svd": 2, "pinv": 2, "eig": 2, "qr": 2}
 
     t = ginibre(rng, 4) + np.triu(np.ones((4, 4)), 1)  # far from normal
     with lapack_calls(CHAIN_CALLS) as calls:
@@ -347,7 +347,7 @@ def test_decompose_chain_lapack_calls():
         assert not stormer_test(gram_block(pair))
         with pytest.raises(DomainError):
             canonical_decomposition(pair)
-    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0, "pinv": 0, "schur": 0}
+    assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0, "pinv": 0, "eig": 0, "qr": 0}
 
 
 def test_state_and_ppt_lapack_calls():

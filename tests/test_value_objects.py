@@ -19,14 +19,21 @@ from stormer_kit import (
     DomainError,
     OperatorBlockMatrix,
     OperatorPair,
+    Partition2,
     Tolerance,
+    WitnessResult,
     canonical_decomposition,
+    choi_matrix,
     dual_decomposition,
     gram_block,
+    map_from_choi,
+    psd_via_contraction,
     reconstruct_block,
+    separable_decomposition,
     state_from_block,
     stormer_test,
     swap_block,
+    transpose_map,
 )
 from stormer_kit.sampling import (
     ginibre,
@@ -251,3 +258,41 @@ def test_dual_reuses_the_pairs_verdict_and_still_refuses_failing_pairs():
         with pytest.raises(DomainError, match="condition not satisfied"):
             dual_decomposition(p)
     assert calls["eigvalsh"] == 0
+
+
+# -- equality and hashing ------------------------------------------------------
+
+
+def _twins():
+    """Two separately built, equal-valued instances of each value object
+    with array fields."""
+
+    def build():
+        p = random_stormer_pair(np.random.default_rng(70), 3)
+        x = gram_block(p)
+        dec = canonical_decomposition(p)
+        partition = Partition2(np.eye(2), 0.5 * np.eye(2), np.eye(2))
+        return [
+            p,
+            x,
+            dec,
+            state_from_block(x),
+            separable_decomposition(dec),
+            partition,
+            psd_via_contraction(partition),
+            map_from_choi(choi_matrix(transpose_map(), 2), 2),
+            WitnessResult(block=x, min_eig=-0.1, evaluations=3, restart=0),
+        ]
+
+    return list(zip(build(), build()))
+
+
+def test_value_objects_compare_and_hash_by_identity():
+    twins = _twins()
+    assert len({type(a) for a, _ in twins}) == 9
+    for a, b in twins:
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert a in [a] and a not in [b]
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2 and a in {a} and b not in {a}
