@@ -19,8 +19,8 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
-    _is_psd,
     _op_norm,
+    _psd_check,
     adjoint,
     as_matrix,
     is_contraction,
@@ -113,7 +113,7 @@ def psd_via_contraction(
     iff A and C are PSD, the recomposition ``sqrt(A) W0 sqrt(C)`` reproduces B
     within tolerance, and W0 is a contraction.
     """
-    if not (_is_psd(p.a, tol) and _is_psd(p.c, tol)):
+    if not (_psd_check(p.a, tol)[0] and _psd_check(p.c, tol)[0]):
         return ContractionCertificate(psd=False, w=None, residual=float("inf"))
     sa, sa_inv = _sqrt_and_pinv_sqrt(p.a, rcond)
     sc, sc_inv = _sqrt_and_pinv_sqrt(p.c, rcond)
@@ -128,4 +128,4 @@ def psd_via_contraction(
 
 def psd_oracle(p: Partition2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full-eigenvalue positivity check of the assembled partition."""
-    return _is_psd(assemble(p), tol)
+    return _psd_check(assemble(p), tol)[0]

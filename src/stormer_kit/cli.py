@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .blocks import Partition2, assemble, psd_oracle, psd_via_contraction
+from .blocks import Partition2, assemble, psd_via_contraction
 from .errors import InputError, StormerKitError
 from .io import (
     block_to_payload,
@@ -29,12 +29,11 @@ from .io import (
     matrix_to_payload,
     render_report,
 )
-from .linalg import Tolerance, adjoint, is_psd, op_norm
+from .linalg import Tolerance, _psd_check, op_norm, require_square
 from .maps import NAMED_MAPS, theorem1_necessity_trial, witness_search
 from .selftest import run_selftest
 from .states import (
     DensityState,
-    is_ppt,
     partial_transpose,
     separable_decomposition,
     separable_state,
@@ -42,11 +41,11 @@ from .states import (
 )
 from .stormer import (
     OperatorPair,
+    _two_sided,
     canonical_decomposition,
     gram_block,
     reconstruct_block,
     stormer_test,
-    swap_block,
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
@@ -74,10 +73,6 @@ def _report(args, command, verdict, metrics=None, artifacts=None, message=None):
     return report
 
 
-def _min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (m + adjoint(m)))[0])
-
-
 def _verdict(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -87,10 +82,9 @@ def _load_pair(args) -> OperatorPair:
 
 
 def cmd_check_psd(args):
-    m = load_matrix(args.file)
-    tol = _tol(args)
-    ok = is_psd(m, tol)
-    metrics = {"min_eig": _min_eig(m), "op_norm": op_norm(m)}
+    m = require_square(load_matrix(args.file))
+    ok, lowest, _ = _psd_check(m, _tol(args))
+    metrics = {"min_eig": float(lowest), "op_norm": op_norm(m)}
     return _report(args, "check-psd", _verdict(ok), metrics), EXIT_OK if ok else EXIT_FAIL
 
 
@@ -99,9 +93,9 @@ def cmd_block_check(args):
     p = Partition2(a, b, c)
     tol = _tol(args)
     cert = psd_via_contraction(p, tol, args.rcond)
-    oracle = psd_oracle(p, tol)
+    oracle, lowest, _ = _psd_check(assemble(p), tol)
     metrics = {
-        "min_eig": _min_eig(assemble(p)),
+        "min_eig": float(lowest),
         "oracle_psd": int(oracle),
         "factorization_psd": int(cert.psd),
     }
@@ -114,6 +108,12 @@ def cmd_block_check(args):
     )
 
 
+def _two_sided_metrics(x, tol):
+    direct, swapped = _two_sided(x, tol)
+    metrics = {"min_eig_direct": float(direct[1]), "min_eig_swapped": float(swapped[1])}
+    return direct[0] and swapped[0], metrics
+
+
 def cmd_stormer_check(args):
     if args.block is not None:
         x = load_block(args.block)
@@ -121,12 +121,7 @@ def cmd_stormer_check(args):
         x = gram_block(_load_pair(args))
     else:
         raise InputError("pass either --block or both --a1 and --a2")
-    tol = _tol(args)
-    ok = stormer_test(x, tol)
-    metrics = {
-        "min_eig_direct": _min_eig(x.assembled()),
-        "min_eig_swapped": _min_eig(swap_block(x).assembled()),
-    }
+    ok, metrics = _two_sided_metrics(x, _tol(args))
     return _report(args, "stormer-check", _verdict(ok), metrics), (
         EXIT_OK if ok else EXIT_FAIL
     )
@@ -136,10 +131,7 @@ def cmd_decompose(args):
     pair = _load_pair(args)
     tol = _tol(args)
     x = gram_block(pair)
-    metrics = {
-        "min_eig_direct": _min_eig(x.assembled()),
-        "min_eig_swapped": _min_eig(swap_block(x).assembled()),
-    }
+    metrics = _two_sided_metrics(x, tol)[1]
     try:
         dec = canonical_decomposition(pair, tol, args.rcond)
     except StormerKitError as exc:
@@ -162,8 +154,9 @@ def cmd_make_state(args):
     pair = _load_pair(args)
     tol = _tol(args)
     x = gram_block(pair)
+    stormer_test(x, tol)  # kept on x: the state reuses its direct side
     rho = state_from_block(x, tol)
-    metrics = {"min_eig_state": _min_eig(rho.matrix)}
+    metrics = {"min_eig_state": float(rho._lowest)}
     try:
         dec = canonical_decomposition(pair, tol, args.rcond)
     except StormerKitError as exc:
@@ -172,8 +165,8 @@ def cmd_make_state(args):
     metrics["residual"] = float(
         np.linalg.norm(separable_state(sep) - rho.matrix) / np.linalg.norm(rho.matrix)
     )
-    ppt = is_ppt(rho, tol)
-    metrics["min_eig_partial_transpose"] = _min_eig(partial_transpose(rho, 1))
+    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), tol)
+    metrics["min_eig_partial_transpose"] = float(lowest)
     metrics["ppt"] = int(ppt)
     artifacts = {
         "state": matrix_to_payload(rho.matrix),
@@ -189,9 +182,8 @@ def cmd_make_state(args):
 def cmd_ppt_check(args):
     m = load_matrix(args.state)
     rho = DensityState((args.n, args.d), m)
-    tol = _tol(args)
-    ppt = is_ppt(rho, tol)
-    metrics = {"min_eig_partial_transpose": _min_eig(partial_transpose(rho, 1))}
+    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), _tol(args))
+    metrics = {"min_eig_partial_transpose": float(lowest)}
     return _report(args, "ppt-check", _verdict(ppt), metrics), (
         EXIT_OK if ppt else EXIT_FAIL
     )

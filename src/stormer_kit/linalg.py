@@ -213,25 +213,26 @@ def eig_hermitian(m) -> HermitianEig:
     return _eig_hermitian(require_square(m))
 
 
-def _is_psd(a: np.ndarray, tol: Tolerance) -> bool:
+def _psd_check(a: np.ndarray, tol: Tolerance):
+    """(verdict, min_eig, threshold) of :func:`is_psd`: the one PSD check,
+    whose min_eig and threshold are the numbers reports print."""
     ah = adjoint(a)
     lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (a + ah)), tol)
     d = a - ah
-    if not (_negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr):
-        return False
-    return bool(lowest >= -thr)
+    hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
+    return bool(hermitian and lowest >= -thr), lowest, thr
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff M is Hermitian within tolerance and its minimum eigenvalue
     clears the scale-aware floor (see :func:`psd_margin`)."""
-    return _is_psd(require_square(m), tol)
+    return _psd_check(require_square(m), tol)[0]
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix, eigenvalues clipped at zero."""
     a = require_square(m)
-    if not _is_psd(a, tol):
+    if not _psd_check(a, tol)[0]:
         raise DomainError("matrix is not positive semidefinite within tolerance")
     w, v = _eig_hermitian(a)
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, psd_margin, require_square
-from .sampling import ginibre, random_stormer_blocks, random_stormer_pairs
-from .stormer import OperatorBlockMatrix, _assemble, _split, _swap
+from .sampling import _boundary_grams, ginibre, random_stormer_blocks, random_stormer_pairs
+from .stormer import OperatorBlockMatrix, _assemble, _split
 
 __all__ = [
     "NAMED_MAPS",
@@ -268,24 +268,6 @@ class WitnessResult:
     restart: int
 
 
-def _normalized_grams(g: np.ndarray) -> np.ndarray:
-    """G G* of each factor in a (k, nd, nd) stack, scaled to trace nd."""
-    w = g @ adjoint(g)
-    nd = w.shape[-1]
-    w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
-    return w
-
-
-def _boundary_matrix(w: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
-    """Mix each trace-(nd) PSD matrix of a (k, nd, nd) stack toward the
-    identity until its swapped matrix's minimum eigenvalue equals its floor
-    (exact, the mix is affine); matrices already at their floor are kept."""
-    m0 = np.linalg.eigvalsh(_swap(w, n))[:, :1, None]
-    floor = floor[:, None, None]
-    mu = (floor - m0) / (1.0 - m0)
-    return np.where(m0 < floor, (1.0 - mu) * w + mu * np.eye(w.shape[-1]), w)
-
-
 def _image_margin(
     phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +332,7 @@ def witness_search(
             (rng.integers(nd), rng.integers(nd), rng.standard_normal() + 1j * rng.standard_normal())
             for _ in range(steps)
         ]
-        x = _boundary_matrix(_normalized_grams(g[None]), n, _FLOORS[:1])
+        x = _boundary_grams(g[None], n, _FLOORS[:1])
         lowest, thr = _image_margin(phi, x, n, tol)
         current, thr, x = float(lowest[0]), float(thr[0]), x[0]
         sigma = 0.3
@@ -363,7 +345,7 @@ def witness_search(
                 cand[t, i, j] += sigma * z
                 sigmas.append(sigma)
                 sigma = max(sigma * 0.97, 1e-3)
-            xs = _boundary_matrix(_normalized_grams(cand), n, _FLOORS[step + 1 : step + 1 + k])
+            xs = _boundary_grams(cand, n, _FLOORS[step + 1 : step + 1 + k])
             lowest, thrs = _image_margin(phi, xs, n, tol)
             better = np.flatnonzero(lowest < current)
             if better.size == 0:

@@ -154,14 +154,22 @@ def random_stormer_blocks(
     for t in range(count):
         g[t] = ginibre(rng, nd)
         floor[t] = rng.uniform(0.0, 0.2) if boundary is None else boundary
+    return _split(_boundary_grams(g, n, floor), n)
+
+
+def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
+    """G G* of each factor in a (k, nd, nd) stack, scaled to trace nd (so
+    c = 1) and mixed toward the identity until its index swap's minimum
+    eigenvalue is its floor (exact, the mix is affine); those at their
+    floor are kept."""
     w = g @ adjoint(g)
+    nd = w.shape[-1]
     w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
-    # After normalization c = tr(w)/(nd) = 1.
     m0 = np.linalg.eigvalsh(_swap(w, n))[:, 0]
     low = m0 < floor
     mu = ((floor[low] - m0[low]) / (1.0 - m0[low]))[:, None, None]
     w[low] = (1.0 - mu) * w[low] + mu * np.eye(nd)
-    return _split(w, n)
+    return w
 
 
 def random_stormer_block(

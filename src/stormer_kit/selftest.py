@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import Partition2, assemble, psd_oracle, psd_via_contraction
+from .blocks import Partition2, assemble, psd_via_contraction
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _psd_check,
     adjoint,
     is_contraction,
     is_hyponormal,
@@ -72,10 +73,8 @@ def _suite_partition_equivalence(rng, tol):
         a, b, c = random_partition(rng, n, k, kinds[trial % 4])
         p = Partition2(a, b, c)
         cert = psd_via_contraction(p, tol)
-        oracle = psd_oracle(p, tol)
+        oracle, lowest, thr = _psd_check(assemble(p), tol)
         if cert.psd != oracle:
-            m = assemble(p)
-            lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (m + adjoint(m))), tol)
             if abs(lowest) <= 2.0 * thr:
                 boundary += 1
             else:

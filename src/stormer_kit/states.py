@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, InputError
-from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _is_psd, _op_norm, adjoint, require_square
+from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _op_norm, _psd_check, adjoint, require_square
 from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _swap
 
 __all__ = [
@@ -54,21 +54,24 @@ class DensityState:
             raise DomainError("state matrix is not Hermitian")
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
-        if np.linalg.eigvalsh(0.5 * (m + mh))[0] < _EIG_FLOOR * scale:
+        lowest = np.linalg.eigvalsh(0.5 * (m + mh))[0]
+        if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_lowest", lowest)  # not a field: kept for reports
 
 
 def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DensityState:
     """Normalize a PSD block matrix to a density state on (n) x (d).
 
-    The PSD check of the assembled matrix is skipped when ``x`` already
-    holds a true :func:`stormer_test` verdict for ``tol``: that verdict
-    includes the same check on the same matrix.  The state's own validation
-    (fixed bands, independent of ``tol``) always runs.
+    The PSD check of the assembled matrix is reused when ``x`` already
+    holds :func:`stormer_test`'s checks for ``tol``, whose direct side is
+    the same check on the same matrix, whatever the swapped side gave.  The
+    state's own validation (fixed bands, independent of ``tol``) always runs.
     """
     m = x.assembled()
-    if not (x._verdicts.get(tol) or _is_psd(m, tol)):
+    sides = x._sides.get(tol)
+    if not (sides[0] if sides else _psd_check(m, tol))[0]:
         raise DomainError("block matrix is not PSD; cannot form a state")
     tr = float(m.trace().real)
     # ||m||_2 <= ||m||_F: a trace above the threshold at twice the Frobenius
@@ -99,7 +102,7 @@ def partial_transpose(rho: DensityState, factor: int) -> np.ndarray:
 
 def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the partial transpose over the first factor is PSD."""
-    return _is_psd(_swap(rho.matrix, rho.dims[0]), tol)
+    return _psd_check(_swap(rho.matrix, rho.dims[0]), tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from .linalg import (
     _eig_hermitian,
     _is_hermitian,
     _is_normal,
-    _is_psd,
+    _psd_check,
     adjoint,
     as_matrix,
     fix_phases,
@@ -111,8 +111,8 @@ class OperatorBlockMatrix:
     i.e. entry (i*d + r, j*d + c) of the assembled matrix is blocks[i, j, r, c].
 
     The block matrix owns a read-only copy of ``blocks`` (writing into it
-    raises ``ValueError``) and keeps the verdicts :func:`stormer_test` has
-    given it, one per tolerance.
+    raises ``ValueError``) and keeps the checks :func:`stormer_test` has
+    made on it, one pair per tolerance.
     """
 
     blocks: np.ndarray
@@ -125,7 +125,7 @@ class OperatorBlockMatrix:
             raise DomainError("block entries must be finite")
         b.flags.writeable = False
         object.__setattr__(self, "blocks", b)
-        object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_sides", {})
 
     def __reduce__(self):
         return type(self), (self.blocks,)
@@ -221,7 +221,7 @@ def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
 
     As the Gram matrix of the row (a1, a2) it is always PSD.  It is built
     once per pair and kept on it: later calls return the same object, with
-    the verdicts :func:`stormer_test` has kept on it.  Raises DomainError
+    the checks :func:`stormer_test` has kept on it.  Raises DomainError
     when the products overflow double precision.
     """
     x = p._gram
@@ -252,18 +252,25 @@ def swap_block(x: OperatorBlockMatrix) -> OperatorBlockMatrix:
 def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff both the assembled block matrix and its index swap are PSD.
 
-    The verdict is kept on ``x``, keyed by ``tol``: a later call with an
-    equal tolerance returns it without recomputing, and another tolerance
-    gets its own verdict.  A block that is not Hermitian within tolerance
-    raises DomainError on every call.
+    Both sides are always checked, and both checks are kept on ``x``, keyed
+    by ``tol``: a later call with an equal tolerance returns the verdict
+    without recomputing, and another tolerance gets its own.  A block that
+    is not Hermitian within tolerance raises DomainError on every call.
     """
-    verdict = x._verdicts.get(tol)
-    if verdict is None:
+    direct, swapped = _two_sided(x, tol)
+    return direct[0] and swapped[0]
+
+
+def _two_sided(x: OperatorBlockMatrix, tol: Tolerance):
+    """The (verdict, min_eig, threshold) checks of the assembled matrix and
+    of its index swap that :func:`stormer_test` keeps on ``x``."""
+    sides = x._sides.get(tol)
+    if sides is None:
         m = x.assembled()
         if not _is_hermitian(m, tol):
             raise DomainError("assembled block matrix is not Hermitian within tolerance")
-        verdict = x._verdicts[tol] = _is_psd(m, tol) and _is_psd(_swap(m, x.n), tol)
-    return verdict
+        sides = x._sides[tol] = (_psd_check(m, tol), _psd_check(_swap(m, x.n), tol))
+    return sides
 
 
 def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -275,7 +282,7 @@ def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.nda
     within tolerance of zero are clipped.
     """
     m = x.assembled()
-    if not _is_psd(m, tol):
+    if not _psd_check(m, tol)[0]:
         raise DomainError("block matrix is not PSD; no Gram factorization")
     w, v = _eig_hermitian(m)
     w = np.clip(w, 0.0, None)
@@ -358,6 +365,11 @@ def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
 def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
     if not _is_normal(a, tol):
         raise DomainError("operator is not normal within tolerance")
+    return _eigenbasis(a)
+
+
+def _eigenbasis(a: np.ndarray) -> SpectralResolution:
+    """The resolution of an operator already known to be normal."""
     lam, v = np.linalg.eig(a)
     order = np.lexsort((lam.imag, lam.real))
     z, _ = np.linalg.qr(v)
@@ -408,12 +420,14 @@ def _require_two_sided(p: OperatorPair, tol: Tolerance) -> None:
 def _canonical(p: OperatorPair, tol: Tolerance, rcond: float) -> CanonicalDecomposition:
     """The decomposition of a pair already known to satisfy the condition."""
     (t, degenerate), a1_norm = _ratio_operator(p, rcond)
-    if degenerate and not _is_normal(t, tol):
+    if not _is_normal(t, tol):
         raise DomainError(
             "pair is degenerate and its ratio operator is not normal; "
             "canonical decomposition is undefined"
+            if degenerate
+            else "operator is not normal within tolerance"
         )
-    lam, es = _spectral_resolution(t, tol)
+    lam, es = _eigenbasis(t)
     g = adjoint(p.a1) @ es
     alphas = np.linalg.norm(g, axis=0).real
     keep = alphas > tol.threshold(a1_norm)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from stormer_kit import InputError, OperatorBlockMatrix
+from stormer_kit import InputError, OperatorBlockMatrix, swap_block
 from stormer_kit import cli
 from stormer_kit.io import (
     block_from_payload,
@@ -18,7 +18,7 @@ from stormer_kit.io import (
 )
 from stormer_kit.sampling import ginibre
 
-from helpers import CASES, FIXTURES, GOLDEN
+from helpers import CASES, FIXTURES, GOLDEN, lapack_calls, min_eig
 
 
 def run_cli(*argv):
@@ -187,6 +187,57 @@ def test_golden_reports(name):
     proc = run_cli(*expand(argv), "--json")
     assert proc.returncode == expected_code, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
+
+
+# eigvalsh calls per golden case: every spectrum a report prints is the one
+# its verdict was read off, so no command diagonalizes a matrix twice.
+GOLDEN_EIGVALSH = {
+    "check_psd_id2": 1,
+    "check_psd_indefinite": 1,
+    # the factorization's checks of A and C, and the assembled oracle
+    "block_check_psd": 3,
+    "block_check_bad": 3,
+    # the two sides of the two-sided test
+    "stormer_check_pass": 2,
+    "stormer_check_fail": 2,
+    "decompose_pass": 2,
+    "decompose_fail": 2,
+    "decompose_degenerate": 2,
+    # the two sides, the state's validation, the partial transpose
+    "make_state_identity": 4,
+    # the state's validation, the partial transpose
+    "ppt_check_bell": 2,
+    # one stacked call for the trial images
+    "map_test_transpose": 1,
+    "map_test_kraus": 1,
+}
+
+
+def test_every_golden_case_but_the_selftest_has_an_eigvalsh_count():
+    assert set(GOLDEN_EIGVALSH) == set(CASES) - {"selftest"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EIGVALSH))
+def test_golden_cases_diagonalize_each_spectrum_once(name):
+    expected_code, argv = CASES[name]
+    with lapack_calls(("eigvalsh",)) as calls:
+        code, out, err = run_cli_inprocess([*expand(argv), "--json"])
+    assert (code, out) == (expected_code, (GOLDEN / f"{name}.json").read_text()), err
+    assert calls["eigvalsh"] == GOLDEN_EIGVALSH[name]
+
+
+def test_stormer_check_reports_both_sides_when_the_direct_side_fails(tmp_path):
+    h = ginibre(np.random.default_rng(12), 4)
+    x = OperatorBlockMatrix.from_assembled(h + h.conj().T, 2)  # Hermitian, indefinite
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block_to_payload(x)))
+    with lapack_calls(("eigvalsh",)) as calls:
+        code, out, err = run_cli_inprocess(["stormer-check", "--block", str(path), "--json"])
+    assert (code, err) == (1, "")
+    direct, swapped = min_eig(x.assembled()), min_eig(swap_block(x).assembled())
+    assert direct < -1e-3
+    assert json.loads(out)["metrics"] == {"min_eig_direct": direct, "min_eig_swapped": swapped}
+    assert calls["eigvalsh"] == 2
 
 
 def test_reports_are_byte_identical_across_runs():

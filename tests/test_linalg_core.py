@@ -38,7 +38,7 @@ from stormer_kit import (
     stormer_test,
 )
 from stormer_kit.io import block_from_payload
-from stormer_kit.linalg import fix_phases
+from stormer_kit.linalg import _psd_check, fix_phases
 from stormer_kit.sampling import (
     ginibre,
     haar_unitary,
@@ -50,6 +50,7 @@ from stormer_kit.sampling import (
 from helpers import (
     hermitize,
     lapack_calls,
+    min_eig,
     oracle_eig_hermitian,
     oracle_fix_phases,
     oracle_is_hermitian,
@@ -118,6 +119,52 @@ def test_psd_margin_is_the_is_psd_rule():
         h = hermitian_sample(rng, int(rng.integers(1, 7)), psd=bool(rng.integers(2)))
         lowest, thr = psd_margin(np.linalg.eigvalsh(h))
         assert is_psd(h) == bool(lowest >= -thr)
+
+
+# -- the one PSD kernel ------------------------------------------------------
+
+
+def near_threshold(rng, d, offset, tol):
+    """Exactly Hermitian U diag(w) U* whose lowest eigenvalue sits ``offset``
+    above minus the PSD threshold at its scale."""
+    w = np.sort(rng.uniform(0.5, 3.0, d))
+    w[0] = -tol.threshold(w[-1]) + offset
+    u = haar_unitary(rng, d)
+    return hermitize((u * w) @ adjoint(u))
+
+
+def psd_check_samples(kind, tol):
+    rng = np.random.default_rng(["psd", "indefinite", "near", "nonherm"].index(kind) + 24)
+    out = []
+    for d in range(1, 7):
+        for _ in range(6):
+            if kind in ("psd", "indefinite"):
+                out.append(hermitian_sample(rng, d, psd=kind == "psd"))
+            elif kind == "near" and d > 1:
+                out += [near_threshold(rng, d, s, tol) for s in (1e-12, -1e-12)]
+            elif kind == "nonherm":
+                h = hermitian_sample(rng, d, psd=True)
+                k = unit_antihermitian(rng, d)
+                out += [ginibre(rng, d), h + 1e-9 * k, h + 1e-12 * k]
+    if kind == "nonherm":
+        payload = json.loads((FIXTURES / "block_nonherm.json").read_text())
+        out.append(block_from_payload(payload).assembled())
+    return out
+
+
+@pytest.mark.parametrize("kind", ["psd", "indefinite", "near", "nonherm"])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=1e-4)])
+def test_psd_check_is_the_is_psd_verdict_and_its_margin(kind, tol):
+    verdicts = set()
+    for a in psd_check_samples(kind, tol):
+        verdict, lowest, thr = _psd_check(a, tol)
+        assert verdict == is_psd(a, tol) == oracle_is_psd(a, tol)
+        assert lowest == min_eig(a)  # bit-equal to an independent spectrum
+        assert thr == psd_margin(np.linalg.eigvalsh(hermitize(a)), tol)[1]
+        if np.array_equal(a, adjoint(a)):
+            assert (lowest + thr >= 0) == verdict
+        verdicts.add(verdict)
+    assert verdicts == ({True} if kind == "psd" else {True, False})
 
 
 # -- fix_phases ------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stormer_kit import linalg
 from stormer_kit import (
     DEFAULT_TOL,
     DimensionError,
@@ -316,6 +317,28 @@ def test_canonical_decomposition_degenerate_non_normal_rejected():
     assert not is_normal(ratio_operator(pair).matrix)
     with pytest.raises(DomainError, match="degenerate"):
         canonical_decomposition(pair)
+
+
+def test_decompositions_check_normality_once(monkeypatch):
+    calls = []
+    original = linalg._self_commutator
+    monkeypatch.setattr(linalg, "_self_commutator", lambda a: calls.append(a) or original(a))
+    p = np.diag([1.0, 0.0])
+    # singular a1 in one role order or in both
+    for pair in (OperatorPair(p, np.eye(2)), OperatorPair(p, 2j * p)):
+        for decompose in (canonical_decomposition, dual_decomposition):
+            calls.clear()
+            decompose(pair)
+            assert len(calls) == 1
+    pair = OperatorPair(p, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    calls.clear()
+    with pytest.raises(DomainError) as exc:
+        canonical_decomposition(pair)
+    assert str(exc.value) == (
+        "pair is degenerate and its ratio operator is not normal; "
+        "canonical decomposition is undefined"
+    )
+    assert len(calls) == 1
 
 
 def test_reconstruct_block_single_terms():
