@@ -110,6 +110,12 @@ class PositiveMap:
             raise DimensionError(
                 f"map expects {self.input_dim} x {self.input_dim} input, got {a.shape}"
             )
+        return self._apply(a)
+
+    def _apply(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`apply` without its checks, for stacks the package built
+        itself: ``a`` is a finite complex array of shape (..., k, k) with k
+        the map's input dimension."""
         if self.kind == "named":
             if self.name == "identity":
                 return a.copy()
@@ -191,12 +197,17 @@ _TRIAL_CHUNK = 256
 
 def _trial_dims(phi: PositiveMap, n: int, d: int | None) -> int:
     """The block dimension of trial matrices (the map's own when d is None),
-    after checking that trials have at least one block of positive size."""
+    after checking that trials have at least one block of positive size and
+    that the map takes d x d input.  These are the checks
+    :meth:`PositiveMap.apply` would make on every stack, made once for the
+    stacks that :func:`_image_spectra` maps unchecked."""
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
     if n < 1 or d < 1:
         raise DimensionError(f"trial blocks need n >= 1 and d >= 1, got n={n}, d={d}")
+    if phi.input_dim is not None and d != phi.input_dim:
+        raise DimensionError(f"map expects {phi.input_dim} x {phi.input_dim} input, got d={d}")
     return d
 
 
@@ -214,8 +225,9 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
 
 
 def _image_spectra(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each entrywise image."""
-    m = _assemble(phi.apply(blocks))
+    """Ascending eigenvalues of the Hermitian part of each entrywise image of
+    a stack of sampled blocks, whose dimensions :func:`_trial_dims` checked."""
+    m = _assemble(phi._apply(blocks))
     return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
 
 

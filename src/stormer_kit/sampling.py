@@ -39,10 +39,18 @@ __all__ = [
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    """Complex Gaussian matrix with iid standard entries (scaled by 1/sqrt 2)."""
+    """Complex Gaussian matrix with iid standard entries (scaled by 1/sqrt 2).
+
+    Draw order: the real parts, then the imaginary parts, row-major."""
     if cols is None:
         cols = rows
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return _complex_gaussian(*rng.standard_normal((2, rows, cols)))
+
+
+def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + i im) / sqrt 2 entrywise: the one formula of every Ginibre draw,
+    on single matrices and on stacks alike."""
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -61,9 +69,19 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 def uniform_disk(
     rng: np.random.Generator, count: int, center: complex = 1.5, radius: float = 1.0
 ) -> np.ndarray:
-    """Points uniform in a complex disk."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    """Points uniform in a complex disk.
+
+    Draw order: the ``count`` radius draws, then the ``count`` angle draws."""
+    return _disk_points(rng.random((2, count)), center, radius)
+
+
+def _disk_points(u: np.ndarray, center: complex, radius: float) -> np.ndarray:
+    """center + radius sqrt(u0) exp(2 pi i u1) from uniform draws of shape
+    (..., 2, k): radius draws u0 in row 0, angle draws u1 in row 1.  The
+    arithmetic is that of ``rng.uniform(0, 1)`` and ``rng.uniform(0, 2 pi)``
+    draws, so the points equal those drawn that way."""
+    r = radius * np.sqrt(u[..., 0, :])
+    theta = 2.0 * np.pi * u[..., 1, :]
     return center + r * np.exp(1j * theta)
 
 
@@ -93,23 +111,50 @@ def random_stormer_pairs(
     the role-swapped decomposition is well conditioned too.
 
     Draw order: pair by pair, the Ginibre draws of the a1 rejection loop,
-    then the Ginibre draw of U, then the disk draws.  Only the rejection test
-    depends on drawn values, so the rest of the algebra runs once on the
-    stack, and ``count`` pairs consume the stream exactly as ``count`` calls
-    of :func:`random_stormer_pair` do.
+    then the Ginibre draw of U, then the disk draws, so ``count`` pairs
+    consume the stream exactly as ``count`` calls of
+    :func:`random_stormer_pair` do.  The draws run in windows that assume
+    every a1 candidate is accepted (rejection is rare at the default
+    ``cond_max``): per pair, one call draws the 4 d^2 normals of the
+    candidate and of U and one call the 2 d disk uniforms, and one stacked
+    ``np.linalg.cond`` then tests the window's candidates.  If the first
+    rejected candidate is the window's j-th, every draw after it came from
+    the wrong place in the stream: the bit generator is rewound to the
+    window's start, the j accepted pairs' draws are replayed (the same calls
+    give the same values), the rejected candidate's 2 d^2 normals are
+    consumed, and the next window opens at that pair.  The first window
+    spans all ``count`` pairs and each later one twice the accepted run
+    before it (at least one pair), so heavy rejection replays a bounded
+    number of draws per pair instead of redrawing the whole tail.  The
+    algebra runs once on the stack.
     """
+    normals = np.empty((count, 4, d, d))  # per pair: a1 re, a1 im, Z re, Z im
+    uniforms = np.empty((count, 2, d))  # per pair: disk radius and angle draws
     a1 = np.empty((count, d, d), dtype=complex)
-    z = np.empty((count, d, d), dtype=complex)
-    lam = np.empty((count, d), dtype=complex)
-    for t in range(count):
-        while True:
-            a1[t] = ginibre(rng, d)
-            if np.linalg.cond(a1[t]) <= cond_max:
-                break
-        z[t] = ginibre(rng, d)
-        lam[t] = uniform_disk(rng, d, center, radius)
-    u = _haar_from_ginibre(z)
-    ratio = (u * lam[:, None, :]) @ adjoint(u)
+
+    def draw(first: int, stop: int) -> None:
+        for t in range(first, stop):
+            rng.standard_normal(out=normals[t])
+            rng.random(out=uniforms[t])
+
+    bitgen = rng.bit_generator
+    done, window = 0, count
+    while done < count:
+        stop = min(count, done + window)
+        start = bitgen.state
+        draw(done, stop)
+        a1[done:stop] = _complex_gaussian(normals[done:stop, 0], normals[done:stop, 1])
+        # (<=): a NaN condition number rejects, as in a one-pair loop
+        accepted = np.linalg.cond(a1[done:stop]) <= cond_max
+        run = stop - done if accepted.all() else int(accepted.argmin())
+        if run < stop - done:
+            bitgen.state = start
+            draw(done, done + run)
+            rng.standard_normal(out=normals[done + run, :2])
+        done += run
+        window = max(1, 2 * run)
+    u = _haar_from_ginibre(_complex_gaussian(normals[:, 2], normals[:, 3]))
+    ratio = (u * _disk_points(uniforms, center, radius)[:, None, :]) @ adjoint(u)
     return a1, ratio @ a1
 
 
@@ -143,17 +188,20 @@ def random_stormer_blocks(
     (default: uniform in [0, 0.2], spreading samples from the boundary
     inward); the assembled matrix is normalized to trace n*d.
 
-    Draw order: block by block, the Ginibre factor G, then (without
-    ``boundary``) the floor.  The Gram products, traces, swapped spectra and
-    mixing run once on the stack, and ``count`` blocks consume the stream
-    exactly as ``count`` calls of :func:`random_stormer_block` do.
+    Draw order: block by block, the 2 (nd)^2 normals of the Ginibre factor G
+    (one call), then (without ``boundary``) the floor.  G is combined from
+    its normals once on the stack, by :func:`ginibre`'s formula, and the Gram
+    products, traces, swapped spectra and mixing run once on the stack too,
+    so ``count`` blocks consume the stream exactly as ``count`` calls of
+    :func:`random_stormer_block` do.
     """
     nd = n * d
-    g = np.empty((count, nd, nd), dtype=complex)
+    normals = np.empty((count, 2, nd, nd))  # per block: G re, G im
     floor = np.empty(count)
     for t in range(count):
-        g[t] = ginibre(rng, nd)
+        rng.standard_normal(out=normals[t])
         floor[t] = rng.uniform(0.0, 0.2) if boundary is None else boundary
+    g = _complex_gaussian(normals[:, 0], normals[:, 1])
     return _split(_boundary_grams(g, n, floor), n)
 
 

@@ -36,14 +36,20 @@ _EIG_FLOOR = -1e-9
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Normalized positive matrix on a bipartite space with dims (n, d)."""
+    """Normalized positive matrix on a bipartite space with dims (n, d).
+
+    The state owns a read-only copy of its matrix, as the other value
+    objects do: it never aliases the caller's array, and writing into
+    ``matrix`` raises ``ValueError``, so the validated matrix and the lowest
+    eigenvalue kept from its validation cannot go stale.
+    """
 
     dims: tuple[int, int]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         n, d = self.dims
-        m = require_square(self.matrix, "state matrix")
+        m = require_square(np.array(self.matrix, dtype=complex), "state matrix")
         if n < 1 or d < 1 or m.shape[0] != n * d:
             raise DimensionError(
                 f"state of dims {self.dims} needs n, d >= 1 and a {n * d} x {n * d} matrix"
@@ -57,8 +63,14 @@ class DensityState:
         lowest = np.linalg.eigvalsh(0.5 * (m + mh))[0]
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_lowest", lowest)  # not a field: kept for reports
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so copies and unpickled states own
+        # fresh read-only matrices.
+        return type(self), (self.dims, self.matrix)
 
 
 def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DensityState:

@@ -21,7 +21,6 @@ from stormer_kit import (
 )
 from stormer_kit import stormer
 from stormer_kit.linalg import fix_phases
-from stormer_kit.sampling import ginibre, uniform_disk
 
 
 def load_script(name):
@@ -43,9 +42,11 @@ CASES, FIXTURES, GOLDEN = regen_golden.CASES, regen_golden.FIXTURES, regen_golde
 def lapack_calls(names=("eigvalsh", "eigh", "svd")):
     """Count calls to the named ``numpy.linalg`` functions made in the block.
 
-    Yields a Counter keyed by name.  The library calls these through the
-    module attribute, so patching it sees every call; numpy's own internal
-    uses (such as the SVD inside ``pinv``) are not counted.
+    Yields a Counter keyed by name; any ``numpy.linalg`` function may be
+    named, such as ``"cond"`` for the samplers' rejection tests.  The library
+    calls these through the module attribute, so patching it sees every call;
+    numpy's own internal uses (such as the SVD inside ``pinv`` or ``cond``)
+    are not counted.
     """
     calls = Counter({name: 0 for name in names})
     originals = {name: getattr(np.linalg, name) for name in names}
@@ -117,15 +118,25 @@ def oracle_apply(phi, a) -> np.ndarray:
     return out
 
 
+def oracle_ginibre(rng, rows, cols=None) -> np.ndarray:
+    """One complex Gaussian matrix, drawn as two real matrices in turn."""
+    cols = rows if cols is None else cols
+    re = rng.standard_normal((rows, cols))
+    return (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
 def oracle_pair(rng, d, cond_max=1e3, center=1.5, radius=1.0):
-    """(a1, a2) of one random two-sided-positive pair."""
+    """(a1, a2) of one random two-sided-positive pair: a Ginibre a1 redrawn
+    until its condition number is at most cond_max, a Ginibre draw for U,
+    then the disk's radius and angle draws."""
     while True:
-        a1 = ginibre(rng, d)
+        a1 = oracle_ginibre(rng, d)
         if np.linalg.cond(a1) <= cond_max:
             break
-    q, r = np.linalg.qr(ginibre(rng, d))
+    q, r = np.linalg.qr(oracle_ginibre(rng, d))
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    lam = uniform_disk(rng, d, center, radius)
+    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, d))
+    lam = center + radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
     t = (u * lam) @ adjoint(u)
     return a1, t @ a1
 
@@ -146,7 +157,7 @@ def oracle_boundary(w, n, floor) -> np.ndarray:
 def oracle_block(rng, n, d, boundary=None) -> np.ndarray:
     """(n, n, d, d) blocks of one random two-sided-positive block matrix."""
     nd = n * d
-    g = ginibre(rng, nd)
+    g = oracle_ginibre(rng, nd)
     w = g @ adjoint(g)
     w *= nd / np.trace(w).real
     w = oracle_boundary(w, n, rng.uniform(0.0, 0.2) if boundary is None else boundary)
@@ -207,7 +218,7 @@ def oracle_witness_search(phi, seed=0, budget=10**6, n=3, d=None, tol=DEFAULT_TO
     restart = 0
     while evaluations < budget:
         rng = np.random.default_rng([seed, restart])
-        g = ginibre(rng, nd)
+        g = oracle_ginibre(rng, nd)
         w = g @ adjoint(g)
         w *= nd / np.trace(w).real
         floor = floor_start

@@ -140,6 +140,37 @@ def test_stacked_samplers_consume_the_stream_like_single_draws():
     assert stacked.random() == single.random()
 
 
+# (d, cond_max, seed): the reference rejects the first a1 candidate of the
+# stream seeded by ``seed``.
+_REJECTING = [(2, 10.0, 5), (3, 50.0, 335)]
+
+
+@pytest.mark.parametrize("count", [1, 7, 60])
+@pytest.mark.parametrize("d,cond_max,seed", _REJECTING, ids=["d2", "d3"])
+def test_rejected_candidates_leave_the_stream_as_single_draws_do(d, cond_max, seed, count):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    a1, a2 = random_stormer_pairs(rng, count, d, cond_max)
+    with lapack_calls(("cond",)) as calls:
+        want = [oracle_pair(ref, d, cond_max) for _ in range(count)]
+    assert calls["cond"] > count  # the reference redrew at least one a1
+    for t, (w1, w2) in enumerate(want):
+        assert np.array_equal(a1[t], w1) and np.array_equal(a2[t], w2)
+    assert rng.random() == ref.random()
+
+
+def test_stacked_samplers_cross_a_stack_boundary_like_the_reference():
+    count = maps_module._TRIAL_CHUNK + 9
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    a1, a2 = random_stormer_pairs(rng, count, 2)
+    blocks = random_stormer_blocks(rng, count, 3, 2)
+    for t in range(count):
+        w1, w2 = oracle_pair(ref, 2)
+        assert np.array_equal(a1[t], w1) and np.array_equal(a2[t], w2)
+    for t in range(count):
+        assert np.array_equal(blocks[t], oracle_block(ref, 3, 2))
+    assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_necessity_rejects_non_positive_trials(trials):
     with pytest.raises(DomainError):
@@ -154,6 +185,16 @@ def test_necessity_eigvalsh_calls_do_not_grow_with_trials():
         counts.append(calls["eigvalsh"])
     # one stacked call for the swap floors, one for the images
     assert counts == [2, 2]
+
+
+def test_necessity_tests_each_stack_of_pairs_with_one_cond_call():
+    counts = []
+    for trials in (20, 200):
+        with lapack_calls(("cond",)) as calls:
+            theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=2, d=3)
+        counts.append(calls["cond"])
+    # one stacked rejection test; no a1 candidate of these streams is rejected
+    assert counts == [1, 1]
 
 
 # Commands run in one process after the import check: each must leave scipy

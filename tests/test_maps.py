@@ -199,6 +199,16 @@ def test_necessity_and_witness_search_reject_empty_blocks(n, d):
         witness_search(transpose_map(), budget=10, n=n, d=d)
 
 
+def test_necessity_and_witness_search_reject_a_block_size_the_map_does_not_take():
+    rng = np.random.default_rng(16)
+    for phi, d in ((choi_fixture(), 2), (make_decomposable([ginibre(rng, 2, 2)], []), 3)):
+        for n in (2, 3):
+            with pytest.raises(DimensionError, match="map expects"):
+                theorem1_necessity_trial(phi, trials=10, n=n, d=d)
+            with pytest.raises(DimensionError, match="map expects"):
+                witness_search(phi, budget=10, n=n, d=d)
+
+
 def test_necessity_rejects_empty_blocks_of_a_sized_map():
     rng = np.random.default_rng(15)
     phi = make_decomposable([ginibre(rng, 2, 2)], [])

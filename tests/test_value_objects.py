@@ -16,6 +16,7 @@ import pytest
 
 from stormer_kit import (
     DEFAULT_TOL,
+    DensityState,
     DomainError,
     OperatorBlockMatrix,
     OperatorPair,
@@ -121,7 +122,8 @@ def test_arrays_are_read_only():
     rng = np.random.default_rng(62)
     p = random_stormer_pair(rng, 3)
     x = gram_block(p)
-    for a in (p.a1, p.a2, p.swapped().a1, x.blocks, swap_block(x).blocks):
+    rho = state_from_block(x)
+    for a in (p.a1, p.a2, p.swapped().a1, x.blocks, swap_block(x).blocks, rho.matrix):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -177,6 +179,18 @@ def test_mutating_the_input_leaves_the_block_unchanged():
         assert stormer_test(x) == verdict
         fresh = Tolerance(abs_eps=1e-10, rel_eps=1e-8)  # a verdict computed now
         assert stormer_test(x, fresh) == stormer_test(OperatorBlockMatrix(kept), fresh)
+
+
+def test_mutating_the_input_leaves_the_state_unchanged():
+    m = np.eye(4, dtype=complex) / 4
+    rho = DensityState((2, 2), m)
+    m[0, 0] = -5.0
+    assert rho.matrix[0, 0] == 0.25 and not np.shares_memory(rho.matrix, m)
+    assert rho._lowest == 0.25
+    for state in (copy.copy(rho), pickle.loads(pickle.dumps(rho))):
+        assert not state.matrix.flags.writeable and np.array_equal(state.matrix, rho.matrix)
+        assert not np.shares_memory(state.matrix, rho.matrix)
+        assert state._lowest == rho._lowest
 
 
 def test_copies_own_fresh_arrays_and_keep_nothing():
