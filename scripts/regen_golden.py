@@ -2,12 +2,8 @@
 """Regenerate the golden CLI outputs compared byte-for-byte by the tests.
 
 Run from the repository root:  python3 scripts/regen_golden.py
-With --check, every case is run in memory and nothing is written: each case
-whose exit code or stdout differs from its golden report is printed, and the
-exit status is 1 if any does.
 """
 
-import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -34,52 +30,19 @@ CASES = {
 }
 
 
-def run_case(name: str) -> subprocess.CompletedProcess:
-    """Run one golden case's command with --json; stdout and stderr as bytes."""
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in CASES[name][1]]
-    cmd = [sys.executable, "-m", "stormer_kit.cli", *argv, "--json"]
-    return subprocess.run(cmd, capture_output=True, cwd=ROOT)
-
-
-def check() -> int:
-    """Compare every case with its golden report; 1 if any differs."""
-    differing = 0
-    for name, (expected_code, _) in CASES.items():
-        proc = run_case(name)
-        golden = GOLDEN / f"{name}.json"
-        if proc.returncode != expected_code:
-            reason = f"exit {proc.returncode} != {expected_code}"
-        elif not golden.is_file() or proc.stdout != golden.read_bytes():
-            reason = f"stdout differs from {golden}"
-        else:
-            continue
-        print(f"DIFF {name}: {reason}")
-        differing += 1
-    print(f"{differing} of {len(CASES)} cases differ")
-    return 1 if differing else 0
-
-
-def regenerate() -> int:
+def main() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, (expected_code, _) in CASES.items():
-        proc = run_case(name)
+    for name, (expected_code, argv) in CASES.items():
+        argv = [a if a.endswith(".json") is False else str(FIXTURES / a) for a in argv]
+        cmd = [sys.executable, "-m", "stormer_kit.cli", *argv, "--json"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
         if proc.returncode != expected_code:
-            print(f"FAIL {name}: exit {proc.returncode} != {expected_code}\n{proc.stderr.decode()}")
-            return 1
+            print(f"FAIL {name}: exit {proc.returncode} != {expected_code}\n{proc.stderr}")
+            raise SystemExit(1)
         out = GOLDEN / f"{name}.json"
-        out.write_bytes(proc.stdout)
+        out.write_text(proc.stdout)
         print(f"wrote {out}")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="compare with the golden reports; write nothing"
-    )
-    args = parser.parse_args(argv)
-    return check() if args.check else regenerate()
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

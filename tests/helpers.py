@@ -125,20 +125,30 @@ def oracle_ginibre(rng, rows, cols=None) -> np.ndarray:
     return (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def oracle_disk(rng, count, center=1.5, radius=1.0) -> np.ndarray:
+    """``count`` points uniform in a disk: the radius draws, then the angle
+    draws, each as one ``rng.uniform`` call."""
+    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return center + radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+def oracle_normal_operator(rng, d, center=1.5, radius=1.0) -> np.ndarray:
+    """U diag(lam) U*: a Ginibre draw for the Haar unitary U, then the
+    disk's draws for lam."""
+    q, r = np.linalg.qr(oracle_ginibre(rng, d))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (u * oracle_disk(rng, d, center, radius)) @ adjoint(u)
+
+
 def oracle_pair(rng, d, cond_max=1e3, center=1.5, radius=1.0):
     """(a1, a2) of one random two-sided-positive pair: a Ginibre a1 redrawn
-    until its condition number is at most cond_max, a Ginibre draw for U,
-    then the disk's radius and angle draws."""
+    until its condition number is at most cond_max, then the draws of the
+    normal operator T, a2 = T a1."""
     while True:
         a1 = oracle_ginibre(rng, d)
         if np.linalg.cond(a1) <= cond_max:
             break
-    q, r = np.linalg.qr(oracle_ginibre(rng, d))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, d))
-    lam = center + radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
-    t = (u * lam) @ adjoint(u)
-    return a1, t @ a1
+    return a1, oracle_normal_operator(rng, d, center, radius) @ a1
 
 
 def oracle_boundary(w, n, floor) -> np.ndarray:

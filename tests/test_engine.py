@@ -25,10 +25,12 @@ from stormer_kit import (
 from stormer_kit import maps as maps_module
 from stormer_kit.sampling import (
     ginibre,
+    random_normal_operator,
     random_stormer_block,
     random_stormer_blocks,
     random_stormer_pair,
     random_stormer_pairs,
+    uniform_disk,
 )
 
 from helpers import (
@@ -36,7 +38,9 @@ from helpers import (
     lapack_calls,
     oracle_apply,
     oracle_block,
+    oracle_disk,
     oracle_necessity,
+    oracle_normal_operator,
     oracle_pair,
 )
 
@@ -126,6 +130,15 @@ def test_count_one_samplers_match_reference():
         for _ in range(20):
             x = random_stormer_block(rng, n, d, boundary)
             assert np.array_equal(x.blocks, oracle_block(ref, n, d, boundary))
+    for d in (2, 3, 5):
+        rng, ref = np.random.default_rng(10 + d), np.random.default_rng(10 + d)
+        for center, radius in [(1.5, 1.0), (0.0, 2.5)]:
+            for count in (1, d, 7):
+                got = uniform_disk(rng, count, center, radius)
+                assert np.array_equal(got, oracle_disk(ref, count, center, radius))
+            got = random_normal_operator(rng, d, center, radius)
+            assert np.array_equal(got, oracle_normal_operator(ref, d, center, radius))
+        assert rng.random() == ref.random()
 
 
 def test_stacked_samplers_consume_the_stream_like_single_draws():

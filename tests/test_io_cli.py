@@ -18,7 +18,7 @@ from stormer_kit.io import (
 )
 from stormer_kit.sampling import ginibre
 
-from helpers import CASES, FIXTURES, GOLDEN, lapack_calls, load_script, min_eig
+from helpers import CASES, FIXTURES, GOLDEN, lapack_calls, min_eig
 
 
 def run_cli(*argv):
@@ -187,29 +187,6 @@ def test_golden_reports(name):
     proc = run_cli(*expand(argv), "--json")
     assert proc.returncode == expected_code, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
-
-
-def test_regen_golden_check_reports_differences_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    regen = load_script("regen_golden")
-    names = ["check_psd_id2", "check_psd_indefinite", "block_check_bad"]
-    for name in names[:2]:
-        (tmp_path / f"{name}.json").write_bytes((GOLDEN / f"{name}.json").read_bytes())
-    (tmp_path / "check_psd_id2.json").write_bytes(b"{}\n")
-    cases = {name: CASES[name] for name in names}
-    cases["block_check_bad"] = (0, CASES["block_check_bad"][1])  # it exits 1
-    monkeypatch.setattr(regen, "CASES", cases)
-    monkeypatch.setattr(regen, "GOLDEN", tmp_path)
-    assert regen.main(["--check"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out[:-1]] == [
-        "DIFF check_psd_id2",
-        "DIFF block_check_bad",
-    ]
-    assert out[-1] == "2 of 3 cases differ"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.json" for name in names[:2]]
-    assert (tmp_path / "check_psd_id2.json").read_bytes() == b"{}\n"
-    monkeypatch.setattr(regen, "CASES", {name: CASES[name] for name in names[1:2]})
-    assert regen.main(["--check"]) == 0
 
 
 # eigvalsh calls per golden case: every spectrum a report prints is the one
