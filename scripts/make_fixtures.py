@@ -92,6 +92,8 @@ def main() -> None:
 
     # a 1 x 1 operator whose Gram block overflows double precision
     dump("huge1.json", matrix_to_payload(np.array([[1e200]])))
+    # finite entries whose spectrum (2e308) overflows double precision
+    dump("overflow2.json", matrix_to_payload(np.full((2, 2), 1e308)))
 
     # nontriviality instance: two-sided-positive block with a failing summand
     x, rows, k = find_nontrivial_block(seed=0, d=2)

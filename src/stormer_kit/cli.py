@@ -8,51 +8,39 @@ it fails (or a witness against a map was found), 2 on malformed input
 (stderr ``error: ...``) and on internal errors (stderr ``internal error: ...``).
 Reports go to stdout (JSON with --json), diagnostics to stderr; identical
 inputs, flags, and seed produce byte-identical reports.
+
+A call is mostly interpreter and numpy start-up, so this module imports only
+the standard library and ``errors``: each handler imports what it uses, and
+a call loads only its own subcommand's modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-import numpy as np
-
-from .blocks import Partition2, assemble, psd_via_contraction
-from .errors import InputError, StormerKitError
-from .io import (
-    block_to_payload,
-    load_block,
-    load_map_spec,
-    load_matrix,
-    load_partition_blocks,
-    matrix_to_payload,
-    render_report,
-)
-from .linalg import Tolerance, _psd_check, op_norm, require_square
-from .maps import NAMED_MAPS, theorem1_necessity_trial, witness_search
-from .selftest import run_selftest
-from .states import (
-    DensityState,
-    partial_transpose,
-    separable_decomposition,
-    separable_state,
-    state_from_block,
-)
-from .stormer import (
-    OperatorPair,
-    _two_sided,
-    canonical_decomposition,
-    gram_block,
-    reconstruct_block,
-    stormer_test,
-)
+from .errors import DomainError, InputError, StormerKitError
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
 
-def _tol(args) -> Tolerance:
+def _tol(args):
+    from .linalg import Tolerance
+
     return Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
+
+
+def _check_flags(args) -> None:
+    """Reject malformed numeric flags as input errors before any command
+    runs; tolerances are checked by ``Tolerance`` itself."""
+    if not 0.0 <= args.rcond < math.inf:
+        raise InputError(f"--rcond must be finite and nonnegative, got {args.rcond!r}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be nonnegative, got {args.seed}")
+    if getattr(args, "witness_budget", 0) < 0:
+        raise InputError(f"--witness-budget must be nonnegative, got {args.witness_budget}")
 
 
 def _report(args, command, verdict, metrics=None, artifacts=None, message=None):
@@ -77,18 +65,36 @@ def _verdict(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _load_pair(args) -> OperatorPair:
+def _load_pair(args):
+    from .io import load_matrix
+    from .stormer import OperatorPair
+
     return OperatorPair(load_matrix(args.a1), load_matrix(args.a2))
 
 
 def cmd_check_psd(args):
+    import numpy as np
+
+    from .io import load_matrix
+    from .linalg import _psd_check, op_norm, require_square
+
     m = require_square(load_matrix(args.file))
-    ok, lowest, _ = _psd_check(m, _tol(args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, lowest, _ = _psd_check(m, _tol(args))
+    if not math.isfinite(lowest):
+        raise DomainError(
+            f"spectrum overflows: matrix entries reach {np.abs(m).max():.3e}; "
+            "rescale the matrix"
+        )
     metrics = {"min_eig": float(lowest), "op_norm": op_norm(m)}
     return _report(args, "check-psd", _verdict(ok), metrics), EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_block_check(args):
+    from .blocks import Partition2, assemble, psd_via_contraction
+    from .io import load_partition_blocks
+    from .linalg import _psd_check, op_norm
+
     a, b, c = load_partition_blocks(args.file)
     p = Partition2(a, b, c)
     tol = _tol(args)
@@ -109,12 +115,17 @@ def cmd_block_check(args):
 
 
 def _two_sided_metrics(x, tol):
+    from .stormer import _two_sided
+
     direct, swapped = _two_sided(x, tol)
     metrics = {"min_eig_direct": float(direct[1]), "min_eig_swapped": float(swapped[1])}
     return direct[0] and swapped[0], metrics
 
 
 def cmd_stormer_check(args):
+    from .io import load_block
+    from .stormer import gram_block
+
     if args.block is not None:
         x = load_block(args.block)
     elif args.a1 is not None and args.a2 is not None:
@@ -128,6 +139,11 @@ def cmd_stormer_check(args):
 
 
 def cmd_decompose(args):
+    import numpy as np
+
+    from .io import matrix_to_payload
+    from .stormer import canonical_decomposition, gram_block, reconstruct_block
+
     pair = _load_pair(args)
     tol = _tol(args)
     x = gram_block(pair)
@@ -151,6 +167,18 @@ def cmd_decompose(args):
 
 
 def cmd_make_state(args):
+    import numpy as np
+
+    from .io import matrix_to_payload
+    from .linalg import _psd_check
+    from .states import (
+        partial_transpose,
+        separable_decomposition,
+        separable_state,
+        state_from_block,
+    )
+    from .stormer import canonical_decomposition, gram_block, stormer_test
+
     pair = _load_pair(args)
     tol = _tol(args)
     x = gram_block(pair)
@@ -180,6 +208,10 @@ def cmd_make_state(args):
 
 
 def cmd_ppt_check(args):
+    from .io import load_matrix
+    from .linalg import _psd_check
+    from .states import DensityState, partial_transpose
+
     m = load_matrix(args.state)
     rho = DensityState((args.n, args.d), m)
     ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), _tol(args))
@@ -190,6 +222,9 @@ def cmd_ppt_check(args):
 
 
 def cmd_map_test(args):
+    from .io import block_to_payload, load_map_spec
+    from .maps import theorem1_necessity_trial, witness_search
+
     phi = load_map_spec(args.map)
     tol = _tol(args)
     rep = theorem1_necessity_trial(
@@ -217,6 +252,8 @@ def cmd_map_test(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     result = run_selftest(seed=args.seed, tol=_tol(args))
     metrics = {name: int(suite["passed"]) for name, suite in result["suites"].items()}
     artifacts = {"suites": result["suites"]}
@@ -224,6 +261,18 @@ def cmd_selftest(args):
     return _report(args, "selftest", _verdict(ok), metrics, artifacts), (
         EXIT_OK if ok else EXIT_FAIL
     )
+
+
+class _MapHelpFormatter(argparse.HelpFormatter):
+    """Puts the named maps before ``--map``'s help only when help is printed,
+    so that building the parser loads no map code."""
+
+    def _get_help_string(self, action):
+        if action.dest == "map":
+            from .maps import NAMED_MAPS
+
+            return " | ".join([*NAMED_MAPS, action.help])
+        return super()._get_help_string(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         "map-test",
         parents=[common],
         help="necessity trials and optional witness search for a positive map",
+        formatter_class=_MapHelpFormatter,
     )
-    p.add_argument("--map", required=True, help=" | ".join([*NAMED_MAPS, "spec file"]))
+    p.add_argument("--map", required=True, help="spec file")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=2, help="block count of trial matrices")
     p.add_argument("--d", type=int, default=None, help="block dimension (defaults to the map's)")
@@ -303,17 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # Before numpy loads OpenBLAS: a thread pool costs start-up time and
+        # buys nothing on matrices this small.  A value the user set wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         report, code = args.handler(args)
+        from .io import render_report
+
+        out = render_report(report, args.json)
     except StormerKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a bug, not bad input; still no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(render_report(report, args.json))
+    sys.stdout.write(out)
     return code
 
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .maps import NAMED_MAPS, PositiveMap, make_decomposable, map_from_choi
-from .stormer import OperatorBlockMatrix
+
+if TYPE_CHECKING:  # imported inside their users: a matrix file needs neither
+    from .maps import PositiveMap
+    from .stormer import OperatorBlockMatrix
 
 __all__ = [
     "block_from_payload",
@@ -87,6 +90,8 @@ def block_to_payload(x: OperatorBlockMatrix) -> dict:
 
 
 def block_from_payload(obj) -> OperatorBlockMatrix:
+    from .stormer import OperatorBlockMatrix
+
     if not isinstance(obj, dict):
         raise InputError("block payload must be a JSON object")
     try:
@@ -143,6 +148,8 @@ def load_partition_blocks(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def load_map_spec(spec: str) -> PositiveMap:
     """A name from ``NAMED_MAPS`` (short for a named spec), or a path to a
     JSON map spec."""
+    from .maps import NAMED_MAPS, PositiveMap, make_decomposable, map_from_choi
+
     obj = {"kind": "named", "name": spec} if spec in NAMED_MAPS else load_json(spec)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("map spec must be a JSON object with a 'kind' field")

@@ -94,8 +94,11 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_eps < 0 or self.rel_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.abs_eps < math.inf and 0.0 <= self.rel_eps < math.inf):
+            raise DomainError(
+                "tolerances must be finite and nonnegative, got "
+                f"abs_eps={self.abs_eps!r}, rel_eps={self.rel_eps!r}"
+            )
 
     def threshold(self, scale: float) -> float:
         return self.abs_eps + self.rel_eps * (1.0 + scale)

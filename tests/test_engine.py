@@ -5,6 +5,8 @@ every trial keeps the arithmetic it had when run alone, so reports must equal
 the reference exactly, not approximately.
 """
 
+import json
+import os
 import subprocess
 import sys
 
@@ -34,6 +36,7 @@ from stormer_kit.sampling import (
 )
 
 from helpers import (
+    CASES,
     FIXTURES,
     lapack_calls,
     oracle_apply,
@@ -219,20 +222,79 @@ _NO_SCIPY_RUNS = [
     ["selftest"],
 ]
 
+# The package modules a fresh process has loaded after ``cli.main`` runs a
+# command, which counts modules, not time: cli, errors, io and linalg, plus
+# what the command itself uses.
+_CLI_BASE = {"cli", "errors", "io", "linalg"}
+_CLI_MODULES = {
+    "check-psd": _CLI_BASE,
+    "block-check": _CLI_BASE | {"blocks"},
+    "stormer-check": _CLI_BASE | {"stormer"},
+    "decompose": _CLI_BASE | {"stormer"},
+    "make-state": _CLI_BASE | {"states", "stormer"},
+    "ppt-check": _CLI_BASE | {"states", "stormer"},
+    "map-test": _CLI_BASE | {"maps", "sampling", "stormer"},
+    "selftest": _CLI_BASE
+    | {"blocks", "maps", "sampling", "selftest", "states", "stormer"},
+}
+
+# Prints, as JSON lines: after ``import stormer_kit``, after importing its
+# cli, and after running ``cli.main`` on each argv in RUNS, the loaded
+# package submodules, whether numpy and scipy are loaded, and the
+# OPENBLAS_NUM_THREADS the process sees.
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, os, sys
+def state(code=None):
+    mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("stormer_kit."))
+    print(json.dumps([code, mods, "numpy" in sys.modules, "scipy" in sys.modules,
+                      os.environ.get("OPENBLAS_NUM_THREADS")]))
+import stormer_kit
+state()
+from stormer_kit import cli
+state()
+for argv in RUNS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    state(code)
+"""
+
+
+def _footprint(runs, openblas_threads=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    runs = [[str(FIXTURES / a) if a.endswith(".json") else a for a in argv] for argv in runs]
+    code = f"RUNS = {runs!r}\n" + _FOOTPRINT_CHILD
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    runs = [
-        [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
-        for argv in _NO_SCIPY_RUNS
-    ]
-    code = (
-        "import contextlib, io, sys, stormer_kit.cli\n"
-        "print('scipy.linalg' in sys.modules)\n"
-        f"for argv in {runs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert stormer_kit.cli.main(argv) == 0, argv\n"
-        "print('scipy' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    package, imported, *runs = _footprint(_NO_SCIPY_RUNS)
+    # the package alone loads no submodule and no numpy, and its cli adds
+    # nothing but its errors
+    assert package == [None, [], False, False, None]
+    assert imported == [None, ["cli", "errors"], False, False, None]
+    assert [r[0] for r in runs] == [0] * len(_NO_SCIPY_RUNS)
+    assert not any(r[3] for r in runs)
+    # the CLI asked for one BLAS thread before numpy loaded
+    assert runs[0][4] == "1"
+
+
+def test_cli_leaves_a_preset_blas_thread_count_alone():
+    *_, run = _footprint([["check-psd", "id2.json"]], openblas_threads="2")
+    assert run == [0, sorted(_CLI_MODULES["check-psd"]), True, False, "2"]
+
+
+def test_every_golden_command_has_a_module_footprint():
+    assert {argv[0] for _, argv in CASES.values()} == set(_CLI_MODULES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_loads_only_the_modules_its_command_uses(name):
+    expected_code, argv = CASES[name]
+    *_, (code, mods, _, _, threads) = _footprint([argv])
+    assert code == expected_code
+    assert mods == sorted(_CLI_MODULES[argv[0]])
+    assert threads == "1"

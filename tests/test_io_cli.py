@@ -71,6 +71,23 @@ MALFORMED = [
     ["decompose", "--a1", "huge1.json", "--a2", "huge1.json"],
     ["stormer-check", "--a1", "huge1.json", "--a2", "huge1.json"],
     ["make-state", "--a1", "huge1.json", "--a2", "huge1.json"],
+    # finite entries whose spectrum overflows double precision
+    ["check-psd", "overflow2.json"],
+    ["check-psd", "overflow2.json", "--json"],
+    # tolerances that are not finite and nonnegative
+    ["check-psd", "id2.json", "--tol-abs", "nan"],
+    ["check-psd", "id2.json", "--tol-abs", "nan", "--json"],
+    ["check-psd", "id2.json", "--tol-abs", "inf"],
+    ["check-psd", "id2.json", "--tol-rel", "-1"],
+    ["selftest", "--tol-rel=-inf"],
+    # a pseudoinverse cutoff that is not finite and nonnegative
+    ["check-psd", "id2.json", "--rcond", "inf", "--json"],
+    ["check-psd", "id2.json", "--rcond", "nan"],
+    ["decompose", "--a1", "id2.json", "--a2", "diag_1i.json", "--rcond", "-1"],
+    # negative seeds and witness budgets
+    ["map-test", "--map", "transpose", "--d", "2", "--seed", "-1"],
+    ["check-psd", "id2.json", "--seed", "-1"],
+    ["map-test", "--map", "transpose", "--d", "2", "--witness-budget", "-1"],
 ]
 
 
@@ -279,6 +296,13 @@ def test_gram_block_overflow_names_the_operators_scale():
         assert code == 2 and out == ""
         assert err.startswith("error: Gram block overflows"), err
         assert "1.000e+200" in err
+
+
+def test_spectrum_overflow_names_the_matrix_scale():
+    code, out, err = run_cli_inprocess(expand(["check-psd", "overflow2.json", "--json"]))
+    assert code == 2 and out == ""
+    assert err.startswith("error: spectrum overflows"), err
+    assert "1.000e+308" in err
 
 
 def test_golden_cases_reach_no_internal_error():

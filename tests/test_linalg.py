@@ -221,6 +221,10 @@ def test_hyponormal_implies_normal_sampled():
 def test_tolerance_validation_and_monotonicity():
     with pytest.raises(ValueError):
         Tolerance(abs_eps=-1.0)
+    # non-finite tolerances are input errors too, not silent false verdicts
+    for abs_eps, rel_eps in ((float("nan"), 1e-9), (1e-10, float("inf")), (1e-10, -1.0)):
+        with pytest.raises(DomainError):
+            Tolerance(abs_eps=abs_eps, rel_eps=rel_eps)
     tol = Tolerance()
     assert tol.threshold(10.0) > tol.threshold(1.0)
 
