@@ -94,6 +94,17 @@ def main() -> None:
     dump("huge1.json", matrix_to_payload(np.array([[1e200]])))
     # finite entries whose spectrum (2e308) overflows double precision
     dump("overflow2.json", matrix_to_payload(np.full((2, 2), 1e308)))
+    # entries of 1e308 as a partition, a block file and a 4 x 4 state, and a
+    # Kraus map whose images overflow double precision
+    big = matrix_to_payload(np.array([[1e308]]))
+    dump("overflow_partition.json", {"A": big, "B": big, "C": big})
+    big_block = OperatorBlockMatrix(np.full((2, 2, 1, 1), 1e308))
+    dump("overflow_block.json", block_to_payload(big_block))
+    dump("overflow4.json", matrix_to_payload(np.full((4, 4), 1e308)))
+    dump(
+        "overflow_kraus.json",
+        {"kind": "kraus", "cp": [matrix_to_payload(1e200 * np.eye(2))], "cocp": []},
+    )
 
     # nontriviality instance: two-sided-positive block with a failing summand
     x, rows, k = find_nontrivial_block(seed=0, d=2)

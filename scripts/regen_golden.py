@@ -30,12 +30,22 @@ CASES = {
 }
 
 
+def expand(argv):
+    """A case's argv with each ``*.json`` fixture name resolved against FIXTURES."""
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+
+
+def run_case(argv):
+    """Run the CLI on a case's argv with ``--json`` in a fresh interpreter,
+    in which any warning is an error."""
+    cmd = [sys.executable, "-W", "error", "-m", "stormer_kit.cli", *expand(argv), "--json"]
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+
+
 def main() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, (expected_code, argv) in CASES.items():
-        argv = [a if a.endswith(".json") is False else str(FIXTURES / a) for a in argv]
-        cmd = [sys.executable, "-m", "stormer_kit.cli", *argv, "--json"]
-        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+        proc = run_case(argv)
         if proc.returncode != expected_code:
             print(f"FAIL {name}: exit {proc.returncode} != {expected_code}\n{proc.stderr}")
             raise SystemExit(1)

@@ -3,9 +3,15 @@
     stormer-kit <check-psd|block-check|stormer-check|decompose|make-state|
                  ppt-check|map-test|selftest> [flags] [files]
 
-Exit codes: 0 when the tested condition holds (or the run succeeded), 1 when
-it fails (or a witness against a map was found), 2 on malformed input
-(stderr ``error: ...``) and on internal errors (stderr ``internal error: ...``).
+Each handler ``cmd_<command>(args)`` returns only what it computed,
+``(verdict, metrics[, artifacts[, message]])``: a bool verdict reads
+``true``/``false``, a word such as ``degenerate`` reads as itself, and a
+message says why the command failed.  :func:`main` builds every report, and
+the ``Tolerance`` once, as ``args.tol``.
+
+Exit codes: 1 when the verdict is false or a message is set, 0 otherwise,
+and 2 on malformed input (stderr ``error: ...``; a spectrum that overflows
+is malformed) and on internal errors (stderr ``internal error: ...``).
 Reports go to stdout (JSON with --json), diagnostics to stderr; identical
 inputs, flags, and seed produce byte-identical reports.
 
@@ -21,15 +27,9 @@ import math
 import os
 import sys
 
-from .errors import DomainError, InputError, StormerKitError
+from .errors import InputError, StormerKitError
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
-
-
-def _tol(args):
-    from .linalg import Tolerance
-
-    return Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
 
 
 def _check_flags(args) -> None:
@@ -43,11 +43,14 @@ def _check_flags(args) -> None:
         raise InputError(f"--witness-budget must be nonnegative, got {args.witness_budget}")
 
 
-def _report(args, command, verdict, metrics=None, artifacts=None, message=None):
+def _report(args, verdict, metrics, artifacts=None, message=None):
+    """The report of a handler's result and the call's exit code."""
+    if not isinstance(verdict, str):
+        verdict = "true" if verdict else "false"
     report = {
-        "command": command,
+        "command": args.command,
         "verdict": verdict,
-        "metrics": metrics or {},
+        "metrics": metrics,
         "artifacts": artifacts or {},
         "seed": int(args.seed),
         "tolerance": {
@@ -58,11 +61,7 @@ def _report(args, command, verdict, metrics=None, artifacts=None, message=None):
     }
     if message is not None:
         report["message"] = message
-    return report
-
-
-def _verdict(flag: bool) -> str:
-    return "true" if flag else "false"
+    return report, EXIT_FAIL if verdict == "false" or message is not None else EXIT_OK
 
 
 def _load_pair(args):
@@ -73,21 +72,12 @@ def _load_pair(args):
 
 
 def cmd_check_psd(args):
-    import numpy as np
-
     from .io import load_matrix
     from .linalg import _psd_check, op_norm, require_square
 
     m = require_square(load_matrix(args.file))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok, lowest, _ = _psd_check(m, _tol(args))
-    if not math.isfinite(lowest):
-        raise DomainError(
-            f"spectrum overflows: matrix entries reach {np.abs(m).max():.3e}; "
-            "rescale the matrix"
-        )
-    metrics = {"min_eig": float(lowest), "op_norm": op_norm(m)}
-    return _report(args, "check-psd", _verdict(ok), metrics), EXIT_OK if ok else EXIT_FAIL
+    ok, lowest, _ = _psd_check(m, args.tol)
+    return ok, {"min_eig": float(lowest), "op_norm": op_norm(m)}
 
 
 def cmd_block_check(args):
@@ -97,9 +87,8 @@ def cmd_block_check(args):
 
     a, b, c = load_partition_blocks(args.file)
     p = Partition2(a, b, c)
-    tol = _tol(args)
-    cert = psd_via_contraction(p, tol, args.rcond)
-    oracle, lowest, _ = _psd_check(assemble(p), tol)
+    cert = psd_via_contraction(p, args.tol, args.rcond)
+    oracle, lowest, _ = _psd_check(assemble(p), args.tol)
     metrics = {
         "min_eig": float(lowest),
         "oracle_psd": int(oracle),
@@ -109,9 +98,7 @@ def cmd_block_check(args):
         metrics["residual"] = float(cert.residual)
     if cert.w is not None:
         metrics["contraction_norm"] = op_norm(cert.w)
-    return _report(args, "block-check", _verdict(cert.psd), metrics), (
-        EXIT_OK if cert.psd else EXIT_FAIL
-    )
+    return cert.psd, metrics
 
 
 def _two_sided_metrics(x, tol):
@@ -132,10 +119,7 @@ def cmd_stormer_check(args):
         x = gram_block(_load_pair(args))
     else:
         raise InputError("pass either --block or both --a1 and --a2")
-    ok, metrics = _two_sided_metrics(x, _tol(args))
-    return _report(args, "stormer-check", _verdict(ok), metrics), (
-        EXIT_OK if ok else EXIT_FAIL
-    )
+    return _two_sided_metrics(x, args.tol)
 
 
 def cmd_decompose(args):
@@ -145,14 +129,13 @@ def cmd_decompose(args):
     from .stormer import canonical_decomposition, gram_block, reconstruct_block
 
     pair = _load_pair(args)
-    tol = _tol(args)
     x = gram_block(pair)
-    metrics = _two_sided_metrics(x, tol)[1]
+    metrics = _two_sided_metrics(x, args.tol)[1]
     try:
-        dec = canonical_decomposition(pair, tol, args.rcond)
+        dec = canonical_decomposition(pair, args.tol, args.rcond)
     except StormerKitError as exc:
-        verdict = "degenerate" if "degenerate" in str(exc) else "false"
-        return _report(args, "decompose", verdict, metrics, message=str(exc)), EXIT_FAIL
+        verdict = "degenerate" if "degenerate" in str(exc) else False
+        return verdict, metrics, None, str(exc)
     rec = reconstruct_block(dec).assembled()
     ref = x.assembled()
     metrics["residual"] = float(np.linalg.norm(rec - ref) / max(np.linalg.norm(ref), 1e-300))
@@ -162,8 +145,7 @@ def cmd_decompose(args):
         "phis": matrix_to_payload(dec.phis),
         "es": matrix_to_payload(dec.es),
     }
-    verdict = "degenerate" if dec.degenerate else "true"
-    return _report(args, "decompose", verdict, metrics, artifacts), EXIT_OK
+    return "degenerate" if dec.degenerate else True, metrics, artifacts
 
 
 def cmd_make_state(args):
@@ -180,7 +162,7 @@ def cmd_make_state(args):
     from .stormer import canonical_decomposition, gram_block, stormer_test
 
     pair = _load_pair(args)
-    tol = _tol(args)
+    tol = args.tol
     x = gram_block(pair)
     stormer_test(x, tol)  # kept on x: the state reuses its direct side
     rho = state_from_block(x, tol)
@@ -188,7 +170,7 @@ def cmd_make_state(args):
     try:
         dec = canonical_decomposition(pair, tol, args.rcond)
     except StormerKitError as exc:
-        return _report(args, "make-state", "false", metrics, message=str(exc)), EXIT_FAIL
+        return False, metrics, None, str(exc)
     sep = separable_decomposition(dec)
     metrics["residual"] = float(
         np.linalg.norm(separable_state(sep) - rho.matrix) / np.linalg.norm(rho.matrix)
@@ -202,9 +184,7 @@ def cmd_make_state(args):
         "factor1": matrix_to_payload(sep.factor1),
         "factor2": matrix_to_payload(sep.factor2),
     }
-    return _report(args, "make-state", _verdict(ppt), metrics, artifacts), (
-        EXIT_OK if ppt else EXIT_FAIL
-    )
+    return ppt, metrics, artifacts
 
 
 def cmd_ppt_check(args):
@@ -212,13 +192,9 @@ def cmd_ppt_check(args):
     from .linalg import _psd_check
     from .states import DensityState, partial_transpose
 
-    m = load_matrix(args.state)
-    rho = DensityState((args.n, args.d), m)
-    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), _tol(args))
-    metrics = {"min_eig_partial_transpose": float(lowest)}
-    return _report(args, "ppt-check", _verdict(ppt), metrics), (
-        EXIT_OK if ppt else EXIT_FAIL
-    )
+    rho = DensityState((args.n, args.d), load_matrix(args.state))
+    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), args.tol)
+    return ppt, {"min_eig_partial_transpose": float(lowest)}
 
 
 def cmd_map_test(args):
@@ -226,9 +202,8 @@ def cmd_map_test(args):
     from .maps import theorem1_necessity_trial, witness_search
 
     phi = load_map_spec(args.map)
-    tol = _tol(args)
     rep = theorem1_necessity_trial(
-        phi, seed=args.seed, trials=args.trials, n=args.n, d=args.d, tol=tol
+        phi, seed=args.seed, trials=args.trials, n=args.n, d=args.d, tol=args.tol
     )
     metrics = {
         "trials": rep.trials,
@@ -236,31 +211,26 @@ def cmd_map_test(args):
         "worst_min_eig": float(rep.worst_min_eig),
     }
     if rep.violations > 0:
-        return _report(args, "map-test", "false", metrics), EXIT_FAIL
+        return False, metrics
     if args.witness_budget > 0:
         found = witness_search(
-            phi, seed=args.seed, budget=args.witness_budget, n=args.n, d=args.d, tol=tol
+            phi, seed=args.seed, budget=args.witness_budget, n=args.n, d=args.d, tol=args.tol
         )
         if found is not None:
             metrics["witness_min_eig"] = float(found.min_eig)
             metrics["witness_evaluations"] = found.evaluations
-            artifacts = {"witness": block_to_payload(found.block)}
-            return _report(args, "map-test", "false", metrics, artifacts), EXIT_FAIL
+            return False, metrics, {"witness": block_to_payload(found.block)}
         metrics["witness_evaluations"] = args.witness_budget
-        return _report(args, "map-test", "inconclusive", metrics), EXIT_OK
-    return _report(args, "map-test", "true", metrics), EXIT_OK
+        return "inconclusive", metrics
+    return True, metrics
 
 
 def cmd_selftest(args):
     from .selftest import run_selftest
 
-    result = run_selftest(seed=args.seed, tol=_tol(args))
+    result = run_selftest(seed=args.seed, tol=args.tol)
     metrics = {name: int(suite["passed"]) for name, suite in result["suites"].items()}
-    artifacts = {"suites": result["suites"]}
-    ok = result["passed"]
-    return _report(args, "selftest", _verdict(ok), metrics, artifacts), (
-        EXIT_OK if ok else EXIT_FAIL
-    )
+    return result["passed"], metrics, {"suites": result["suites"]}
 
 
 class _MapHelpFormatter(argparse.HelpFormatter):
@@ -361,9 +331,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        report, code = args.handler(args)
-        from .io import render_report
+        import numpy as np
 
+        from .io import render_report
+        from .linalg import Tolerance
+
+        args.tol = Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
+        # an overflow is reported as an input error, not as a numpy warning
+        with np.errstate(all="ignore"):
+            report, code = _report(args, *args.handler(args))
         out = render_report(report, args.json)
     except StormerKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

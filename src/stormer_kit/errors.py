@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DimensionError", "DomainError", "InputError", "StormerKitError"]
+
 
 class StormerKitError(ValueError):
     """Base class for all library errors."""

@@ -218,9 +218,18 @@ def eig_hermitian(m) -> HermitianEig:
 
 def _psd_check(a: np.ndarray, tol: Tolerance):
     """(verdict, min_eig, threshold) of :func:`is_psd`: the one PSD check,
-    whose min_eig and threshold are the numbers reports print."""
+    whose min_eig and threshold are the numbers reports print.  Raises
+    DomainError when finite entries give a spectrum that overflows."""
     ah = adjoint(a)
-    lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (a + ah)), tol)
+    try:
+        lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (a + ah)), tol)
+    except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
+        lowest = thr = math.nan
+    if not (math.isfinite(lowest) and math.isfinite(thr)):
+        raise DomainError(
+            f"spectrum overflows: matrix entries reach {np.abs(a).max():.3e}; "
+            "rescale the matrix"
+        )
     d = a - ah
     hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
     return bool(hermitian and lowest >= -thr), lowest, thr
@@ -228,7 +237,8 @@ def _psd_check(a: np.ndarray, tol: Tolerance):
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff M is Hermitian within tolerance and its minimum eigenvalue
-    clears the scale-aware floor (see :func:`psd_margin`)."""
+    clears the scale-aware floor (see :func:`psd_margin`).  Raises
+    DomainError when M's spectrum overflows double precision."""
     return _psd_check(require_square(m), tol)[0]
 
 

@@ -11,6 +11,7 @@ positive non-decomposable map on 3 x 3 matrices is provided as a fixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,7 +201,7 @@ def _trial_dims(phi: PositiveMap, n: int, d: int | None) -> int:
     after checking that trials have at least one block of positive size and
     that the map takes d x d input.  These are the checks
     :meth:`PositiveMap.apply` would make on every stack, made once for the
-    stacks that :func:`_image_spectra` maps unchecked."""
+    stacks that :func:`_image_margin` maps unchecked."""
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
@@ -224,11 +225,24 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
     )
 
 
-def _image_spectra(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each entrywise image of
-    a stack of sampled blocks, whose dimensions :func:`_trial_dims` checked."""
+def _image_margin(
+    phi: PositiveMap, blocks: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum eigenvalue of the Hermitian part of each entrywise image of a
+    stack of sampled blocks, whose dimensions :func:`_trial_dims` checked,
+    and each image's PSD threshold.  Raises DomainError when the images'
+    spectra overflow double precision."""
     m = _assemble(phi._apply(blocks))
-    return np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
+    try:
+        lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (m + adjoint(m))), tol)
+    except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
+        thr = np.array(math.nan)
+    # a threshold is finite iff both ends of its spectrum are
+    if not math.isfinite(thr.max()):
+        mats = [*phi.kraus_cp, *phi.kraus_cocp, *([] if phi.choi is None else [phi.choi])]
+        scale = max((np.abs(k).max() for k in mats), default=1.0)
+        raise DomainError(f"map images overflow: map entries reach {scale:.3e}; rescale the map")
+    return lowest, thr
 
 
 def theorem1_necessity_trial(
@@ -251,8 +265,8 @@ def theorem1_necessity_trial(
     :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
     at most 256; every trial's arithmetic is the same as when run alone, so
     the report depends on (phi, seed, trials, n, d, tol) only.  Raises
-    DomainError when ``trials`` is below 1 and DimensionError when n or d
-    is.
+    DomainError when ``trials`` is below 1 or the images' spectra overflow,
+    and DimensionError when n or d is below 1.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
@@ -262,7 +276,7 @@ def theorem1_necessity_trial(
     worst = np.inf
     for start in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - start)
-        lowest, thr = psd_margin(_image_spectra(phi, _trial_blocks(rng, count, n, d)), tol)
+        lowest, thr = _image_margin(phi, _trial_blocks(rng, count, n, d), tol)
         violations += int(np.count_nonzero(lowest < -thr))
         worst = min(worst, float(lowest.min()))
     return NecessityReport(
@@ -278,14 +292,6 @@ class WitnessResult:
     min_eig: float
     evaluations: int
     restart: int
-
-
-def _image_margin(
-    phi: PositiveMap, m: np.ndarray, n: int, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum eigenvalue of the entrywise image of each assembled block
-    matrix in a (k, nd, nd) stack, and each image's PSD threshold."""
-    return psd_margin(_image_spectra(phi, _split(m, n)), tol)
 
 
 # Hill-climbing steps per restart of the witness search.
@@ -330,7 +336,8 @@ def witness_search(
     from it.  The result is equal to the one-step climb for every input.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
-    (seed, r).  Raises DimensionError when n or d is below 1.
+    (seed, r).  Raises DimensionError when n or d is below 1, and
+    DomainError when the images' spectra overflow.
     """
     d = _trial_dims(phi, n, d)
     nd = n * d
@@ -345,7 +352,7 @@ def witness_search(
             for _ in range(steps)
         ]
         x = _boundary_grams(g[None], n, _FLOORS[:1])
-        lowest, thr = _image_margin(phi, x, n, tol)
+        lowest, thr = _image_margin(phi, _split(x, n), tol)
         current, thr, x = float(lowest[0]), float(thr[0]), x[0]
         sigma = 0.3
         step = 0
@@ -358,7 +365,7 @@ def witness_search(
                 sigmas.append(sigma)
                 sigma = max(sigma * 0.97, 1e-3)
             xs = _boundary_grams(cand, n, _FLOORS[step + 1 : step + 1 + k])
-            lowest, thrs = _image_margin(phi, xs, n, tol)
+            lowest, thrs = _image_margin(phi, _split(xs, n), tol)
             better = np.flatnonzero(lowest < current)
             if better.size == 0:
                 step += k

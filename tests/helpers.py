@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib.util
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from stormer_kit import (
     is_normal,
     stormer_test,
 )
-from stormer_kit import stormer
+from stormer_kit import cli, stormer
 from stormer_kit.linalg import fix_phases
 
 
@@ -33,9 +34,19 @@ def load_script(name):
 
 
 # The one table of golden CLI cases: name -> (exit code, argv), with fixture
-# file names resolved against FIXTURES and reports stored under GOLDEN.
+# file names resolved against FIXTURES by ``expand`` and reports stored under
+# GOLDEN; ``run_case`` runs one in a fresh interpreter.
 regen_golden = load_script("regen_golden")
 CASES, FIXTURES, GOLDEN = regen_golden.CASES, regen_golden.FIXTURES, regen_golden.GOLDEN
+expand, run_case = regen_golden.expand, regen_golden.run_case
+
+
+def run_cli_inprocess(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @contextlib.contextmanager

@@ -6,8 +6,6 @@ nontriviality criteria replay frozen fixtures produced by the scripts in
 ``scripts/``.
 """
 
-import contextlib
-import io as _io
 import json
 import time
 
@@ -43,7 +41,6 @@ from stormer_kit import (
     theorem1_necessity_trial,
     transpose_map,
 )
-from stormer_kit.cli import main as cli_main
 from stormer_kit.io import block_from_payload, matrix_from_payload
 from stormer_kit.sampling import (
     find_nontrivial_block,
@@ -53,7 +50,16 @@ from stormer_kit.sampling import (
     random_stormer_pair,
 )
 
-from helpers import CASES, FIXTURES, GOLDEN, hermitize, min_eig, rel_fro
+from helpers import (
+    CASES,
+    FIXTURES,
+    GOLDEN,
+    expand,
+    hermitize,
+    min_eig,
+    rel_fro,
+    run_cli_inprocess,
+)
 
 
 def report(number, name, ok, budget_s, elapsed_s, detail):
@@ -270,28 +276,20 @@ def test_c09_hyponormal_implies_normal():
     )
 
 
-def _run_cli_inprocess(argv):
-    out, err = _io.StringIO(), _io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    return code, out.getvalue()
-
-
 def test_c10_cli_determinism_and_exit_codes():
     start = time.time()
     ok = True
     detail = "all subcommands byte-identical"
     for name, (expected_code, argv) in CASES.items():
-        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
-        code1, out1 = _run_cli_inprocess([*argv, "--json"])
-        code2, out2 = _run_cli_inprocess([*argv, "--json"])
+        code1, out1, _ = run_cli_inprocess([*expand(argv), "--json"])
+        code2, out2, _ = run_cli_inprocess([*expand(argv), "--json"])
         golden = (GOLDEN / f"{name}.json").read_text()
         if not (code1 == code2 == expected_code and out1 == out2 == golden):
             ok = False
             detail = f"case {name}: exit {code1}/{code2} vs {expected_code}, golden match {out1 == golden}"
             break
     if ok:
-        code, _ = _run_cli_inprocess(["check-psd", str(FIXTURES / "truncated.json")])
+        code, _, _ = run_cli_inprocess(expand(["check-psd", "truncated.json"]))
         ok = code == 2
         if not ok:
             detail = "malformed input did not exit 2"

@@ -4,6 +4,7 @@ import pytest
 from stormer_kit import (
     DEFAULT_TOL,
     DimensionError,
+    DomainError,
     Partition2,
     adjoint,
     assemble,
@@ -134,3 +135,10 @@ def test_singular_misaligned_blocks_match_oracle():
         a, b, c = random_partition(rng, 3, 3, "singular")
         p = Partition2(a, b, c)
         assert psd_via_contraction(p).psd == psd_oracle(p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_contraction_raises_when_a_spectrum_overflows():
+    big = np.array([[1e308]])
+    with pytest.raises(DomainError, match=r"spectrum overflows: matrix entries reach 1\.000e\+308"):
+        psd_via_contraction(Partition2(big, big, big))

@@ -37,7 +37,7 @@ from stormer_kit.sampling import (
 
 from helpers import (
     CASES,
-    FIXTURES,
+    expand,
     lapack_calls,
     oracle_apply,
     oracle_block,
@@ -263,8 +263,7 @@ def _footprint(runs, openblas_threads=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    runs = [[str(FIXTURES / a) if a.endswith(".json") else a for a in argv] for argv in runs]
-    code = f"RUNS = {runs!r}\n" + _FOOTPRINT_CHILD
+    code = f"RUNS = {[expand(argv) for argv in runs]!r}\n" + _FOOTPRINT_CHILD
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]

@@ -1,5 +1,3 @@
-import contextlib
-import io as _io
 import json
 import subprocess
 import sys
@@ -18,7 +16,16 @@ from stormer_kit.io import (
 )
 from stormer_kit.sampling import ginibre
 
-from helpers import CASES, FIXTURES, GOLDEN, lapack_calls, min_eig
+from helpers import (
+    CASES,
+    FIXTURES,
+    GOLDEN,
+    expand,
+    lapack_calls,
+    min_eig,
+    run_case,
+    run_cli_inprocess,
+)
 
 
 def run_cli(*argv):
@@ -27,17 +34,6 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
     )
-
-
-def expand(argv):
-    return [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
-
-
-def run_cli_inprocess(argv):
-    out, err = _io.StringIO(), _io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 # Malformed inputs: each must exit 2 with an ``error:`` line on stderr and
@@ -74,6 +70,14 @@ MALFORMED = [
     # finite entries whose spectrum overflows double precision
     ["check-psd", "overflow2.json"],
     ["check-psd", "overflow2.json", "--json"],
+    ["block-check", "overflow_partition.json"],
+    ["block-check", "overflow_partition.json", "--json"],
+    ["stormer-check", "--block", "overflow_block.json"],
+    ["stormer-check", "--block", "overflow_block.json", "--json"],
+    # a state whose trace overflows double precision
+    ["ppt-check", "--state", "overflow4.json", "--n", "2", "--d", "2"],
+    # a Kraus map whose images overflow double precision
+    ["map-test", "--map", "overflow_kraus.json", "--trials", "5"],
     # tolerances that are not finite and nonnegative
     ["check-psd", "id2.json", "--tol-abs", "nan"],
     ["check-psd", "id2.json", "--tol-abs", "nan", "--json"],
@@ -201,7 +205,7 @@ def test_every_golden_file_has_a_case_and_every_case_a_file():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_reports(name):
     expected_code, argv = CASES[name]
-    proc = run_cli(*expand(argv), "--json")
+    proc = run_case(argv)
     assert proc.returncode == expected_code, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
 
@@ -299,10 +303,24 @@ def test_gram_block_overflow_names_the_operators_scale():
 
 
 def test_spectrum_overflow_names_the_matrix_scale():
-    code, out, err = run_cli_inprocess(expand(["check-psd", "overflow2.json", "--json"]))
+    for argv in (
+        ["check-psd", "overflow2.json"],
+        ["block-check", "overflow_partition.json"],
+        ["stormer-check", "--block", "overflow_block.json"],
+    ):
+        code, out, err = run_cli_inprocess(expand([*argv, "--json"]))
+        assert code == 2 and out == ""
+        assert err.startswith("error: spectrum overflows"), (argv, err)
+        assert "1.000e+308" in err
+
+
+def test_map_image_overflow_names_the_maps_scale():
+    code, out, err = run_cli_inprocess(
+        expand(["map-test", "--map", "overflow_kraus.json", "--trials", "5"])
+    )
     assert code == 2 and out == ""
-    assert err.startswith("error: spectrum overflows"), err
-    assert "1.000e+308" in err
+    assert err.startswith("error: map images overflow"), err
+    assert "1.000e+200" in err
 
 
 def test_golden_cases_reach_no_internal_error():

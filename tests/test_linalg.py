@@ -79,6 +79,12 @@ def test_is_psd_examples():
     assert not is_psd(np.array([[0, 1], [0, 0]]))  # not Hermitian
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_is_psd_raises_when_the_spectrum_overflows():
+    with pytest.raises(DomainError, match=r"spectrum overflows: matrix entries reach 1\.000e\+308"):
+        is_psd(np.array([[-1e308]]))
+
+
 def test_is_psd_matches_cholesky_oracle():
     rng = np.random.default_rng(23)
     for trial in range(200):

@@ -218,6 +218,25 @@ def test_necessity_rejects_empty_blocks_of_a_sized_map():
         witness_search(phi, budget=10, n=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_necessity_and_witness_search_raise_when_the_images_overflow():
+    # images of entries beyond the largest double: numpy finds a NaN spectrum
+    phi = make_decomposable([1e200 * np.eye(2)], [])
+    message = r"map images overflow: map entries reach 1\.000e\+200"
+    with pytest.raises(DomainError, match=message):
+        theorem1_necessity_trial(phi, trials=5)
+    with pytest.raises(DomainError, match=message):
+        witness_search(phi, budget=5, n=2)
+
+
+def test_necessity_raises_when_a_finite_image_has_an_infinite_eigenvalue():
+    # each image is a multiple of the 3 x 3 all-ones matrix, whose eigenvalue
+    # 3 x 8e307 overflows while its entries do not
+    phi = map_from_choi(np.full((3, 3), 8e307), 1)
+    with pytest.raises(DomainError, match=r"map images overflow: map entries reach 8\.000e\+307"):
+        theorem1_necessity_trial(phi, trials=20, n=1, d=1)
+
+
 def test_witness_search_finds_nothing_for_identity():
     assert witness_search(identity_map(), seed=0, budget=2000, n=2, d=2) is None
 

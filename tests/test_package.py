@@ -26,6 +26,18 @@ def test_every_public_name_is_its_submodules_object():
             assert getattr(stormer_kit, name) is getattr(module, name), name
 
 
+# Names a submodule exports that the package namespace does not.
+_SUBMODULE_ONLY = {"sampling": {"random_near_normal", "random_partition", "random_rank_deficient"}}
+
+
+def test_each_export_row_is_its_submodules_all():
+    for module_name, names in stormer_kit._EXPORTS.items():
+        module = importlib.import_module(f"stormer_kit.{module_name}")
+        skip = _SUBMODULE_ONLY.get(module_name, set())
+        assert skip <= set(module.__all__), module_name
+        assert list(names) == [n for n in module.__all__ if n not in skip], module_name
+
+
 def test_dir_lists_every_public_name():
     assert set(stormer_kit.__all__) <= set(dir(stormer_kit))
 

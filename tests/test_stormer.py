@@ -130,6 +130,13 @@ def test_stormer_test_rejects_non_hermitian():
         stormer_test(OperatorBlockMatrix(blocks))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stormer_test_raises_when_the_spectrum_overflows():
+    x = OperatorBlockMatrix(np.full((2, 2, 1, 1), 1e308))
+    with pytest.raises(DomainError, match=r"spectrum overflows: matrix entries reach 1\.000e\+308"):
+        stormer_test(x)
+
+
 def test_gram_vectors_rank_one():
     x = OperatorBlockMatrix(np.ones((2, 2, 1, 1), dtype=complex))
     rows = gram_vectors(x)
