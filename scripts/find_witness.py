@@ -8,7 +8,10 @@ Run from the repository root:
     python3 scripts/find_witness.py --check    # replay and compare, write nothing
 
 ``--check`` exits 1 when the replay's evaluations, restart, min_eig or block
-differ from the frozen fixture, and prints the search time either way.
+differ from the frozen fixture, and prints the search time either way.  Both
+modes then time 20 one-restart searches (seeds 0-19, budget 601, the call
+the witness benchmark repeats) and print their time per evaluation; the
+exit code depends on the replay alone.
 """
 
 import argparse
@@ -27,6 +30,8 @@ from stormer_kit.maps import choi_fixture, witness_search
 SEED = 42
 BUDGET = 10**6
 OUT = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "choi3_witness.json"
+RESTART_SEEDS = range(20)
+RESTART_BUDGET = 601  # one restart: the first evaluation and its 600 steps
 
 
 def search():
@@ -34,6 +39,17 @@ def search():
     start = time.perf_counter()
     result = witness_search(choi_fixture(), seed=SEED, budget=BUDGET, n=3, d=3)
     return result, time.perf_counter() - start
+
+
+def time_restarts() -> float:
+    """Microseconds per evaluation over the one-restart searches."""
+    phi = choi_fixture()
+    evaluations = 0
+    start = time.perf_counter()
+    for seed in RESTART_SEEDS:
+        result = witness_search(phi, seed=seed, budget=RESTART_BUDGET, n=3, d=3)
+        evaluations += RESTART_BUDGET if result is None else result.evaluations
+    return (time.perf_counter() - start) / evaluations * 1e6
 
 
 def check() -> int:
@@ -96,7 +112,12 @@ def main() -> None:
         "--check", action="store_true", help="replay the frozen search and compare; write nothing"
     )
     args = parser.parse_args()
-    raise SystemExit(check() if args.check else freeze())
+    code = check() if args.check else freeze()
+    print(
+        f"one-restart searches (seeds {RESTART_SEEDS.start}-{RESTART_SEEDS.stop - 1}, "
+        f"budget {RESTART_BUDGET}): {time_restarts():.1f} us per evaluation"
+    )
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -134,14 +134,20 @@ class PositiveMap:
         return out
 
 
+# Diagonal entry i of a choi3 image adds x_ii and the entry before it, cyclically.
+_PREVIOUS = np.array([2, 0, 1])
+
+
 def _choi3_apply(x: np.ndarray) -> np.ndarray:
     """The classical positive non-decomposable map on 3 x 3 matrices:
     diagonal entries (x11+x33, x22+x11, x33+x22), off-diagonal entries
-    negated; x may be a stack of shape (..., 3, 3)."""
-    out = -x.copy()
-    out[..., 0, 0] = x[..., 0, 0] + x[..., 2, 2]
-    out[..., 1, 1] = x[..., 1, 1] + x[..., 0, 0]
-    out[..., 2, 2] = x[..., 2, 2] + x[..., 1, 1]
+    negated; x may be a stack of shape (..., 3, 3).
+
+    The image keeps x's memory order, so the image of a :func:`_split` view
+    assembles as a view, and its diagonal is written in one addition."""
+    out = -x
+    diag = x.diagonal(0, -2, -1)
+    np.add(diag, diag.take(_PREVIOUS, axis=-1), out=np.einsum("...ii->...i", out))
     return out
 
 
@@ -233,8 +239,10 @@ def _image_margin(
     and each image's PSD threshold.  Raises DomainError when the images'
     spectra overflow double precision."""
     m = _assemble(phi._apply(blocks))
+    h = m + adjoint(m)
+    h *= 0.5
     try:
-        lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (m + adjoint(m))), tol)
+        lowest, thr = psd_margin(np.linalg.eigvalsh(h), tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         thr = np.array(math.nan)
     # a threshold is finite iff both ends of its spectrum are
@@ -333,7 +341,11 @@ def witness_search(
     next five steps as one stack, each with the sigma it has if every step
     before it in the window is rejected; the first improving step is
     accepted, the steps after it are discarded and the next window starts
-    from it.  The result is equal to the one-step climb for every input.
+    from it.  The window's candidates are kicked copies of G in one buffer
+    that every window of the search refills, so only an accepted G is
+    copied out.  The boundary mix and the image spectra run on the whole
+    window, with the arithmetic each candidate gets alone, so the result is
+    equal to the one-step climb for every input.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
     (seed, r).  Raises DimensionError when n or d is below 1, and
@@ -341,6 +353,7 @@ def witness_search(
     """
     d = _trial_dims(phi, n, d)
     nd = n * d
+    cand = np.empty((_WINDOW, nd, nd), dtype=complex)  # a window's kicked copies of G
     evaluations = 0
     restart = 0
     while evaluations < budget:
@@ -358,20 +371,20 @@ def witness_search(
         step = 0
         while step < steps:
             k = min(_WINDOW, steps - step)
-            cand = np.repeat(g[None], k, axis=0)
+            cand[:k] = g
             sigmas = []
             for t, (i, j, z) in enumerate(kicks[step : step + k]):
                 cand[t, i, j] += sigma * z
                 sigmas.append(sigma)
                 sigma = max(sigma * 0.97, 1e-3)
-            xs = _boundary_grams(cand, n, _FLOORS[step + 1 : step + 1 + k])
+            xs = _boundary_grams(cand[:k], n, _FLOORS[step + 1 : step + 1 + k])
             lowest, thrs = _image_margin(phi, _split(xs, n), tol)
-            better = np.flatnonzero(lowest < current)
-            if better.size == 0:
+            better = lowest < current
+            a = int(better.argmax())
+            if not better[a]:
                 step += k
                 continue
-            a = int(better[0])
-            g, current, thr, x = cand[a], float(lowest[a]), float(thrs[a]), xs[a]
+            g, current, thr, x = cand[a].copy(), float(lowest[a]), float(thrs[a]), xs[a]
             sigma = min(sigmas[a] * 1.2, 1.0)
             step += a + 1
         evaluations += 1 + step

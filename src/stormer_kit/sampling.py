@@ -8,6 +8,8 @@ streams from a root seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, adjoint
@@ -209,15 +211,36 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     """G G* of each factor in a (k, nd, nd) stack, scaled to trace nd (so
     c = 1) and mixed toward the identity until its index swap's minimum
     eigenvalue is its floor (exact, the mix is affine); those at their
-    floor are kept."""
+    floor are kept.
+
+    The mix runs on the whole stack, and each matrix gets the arithmetic it
+    gets alone: a stack at its floors comes back as it is, and in a stack
+    both below and at its floors the kept matrices are picked out of the
+    mix with ``np.where``.  They divide by 1 instead of 1 - m0, which is 0
+    for a flat swapped spectrum (m0 = 1), so the discarded mix never warns.
+    """
     w = g @ adjoint(g)
     nd = w.shape[-1]
-    w *= (nd / np.trace(w, axis1=-2, axis2=-1).real)[:, None, None]
+    w *= (nd / w.trace(0, -2, -1).real)[:, None, None]
     m0 = np.linalg.eigvalsh(_swap(w, n))[:, 0]
     low = m0 < floor
-    mu = ((floor[low] - m0[low]) / (1.0 - m0[low]))[:, None, None]
-    w[low] = (1.0 - mu) * w[low] + mu * np.eye(nd)
-    return w
+    below = np.count_nonzero(low)
+    if below == 0:
+        return w
+    every = below == low.size
+    mu = ((floor - m0) / (1.0 - m0 if every else np.where(low, 1.0 - m0, 1.0)))[:, None, None]
+    mixed = (1.0 - mu) * w
+    mixed += mu * _identity(nd)
+    return mixed if every else np.where(low[:, None, None], mixed, w)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(nd: int) -> np.ndarray:
+    """The read-only nd x nd identity of :func:`_boundary_grams`' mix, built
+    once per size."""
+    eye = np.eye(nd)
+    eye.flags.writeable = False
+    return eye
 
 
 def random_stormer_block(

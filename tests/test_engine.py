@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from stormer_kit import (
     transpose_map,
 )
 from stormer_kit import maps as maps_module
+from stormer_kit.linalg import adjoint
 from stormer_kit.sampling import (
+    _boundary_grams,
     ginibre,
     random_normal_operator,
     random_stormer_block,
@@ -34,6 +37,7 @@ from stormer_kit.sampling import (
     random_stormer_pairs,
     uniform_disk,
 )
+from stormer_kit.stormer import _assemble, _split, _swap
 
 from helpers import (
     CASES,
@@ -41,6 +45,7 @@ from helpers import (
     lapack_calls,
     oracle_apply,
     oracle_block,
+    oracle_boundary,
     oracle_disk,
     oracle_necessity,
     oracle_normal_operator,
@@ -185,6 +190,97 @@ def test_stacked_samplers_cross_a_stack_boundary_like_the_reference():
     for t in range(count):
         assert np.array_equal(blocks[t], oracle_block(ref, 3, 2))
     assert rng.random() == ref.random()
+
+
+# The boundary mix and the choi3 image run on whole stacks, on the witness
+# search's window and on the engine's trials; each matrix must get exactly
+# the arithmetic it gets alone.
+
+
+def _normalized_gram(g, n):
+    """(G G* scaled to trace nd, its swapped matrix's minimum eigenvalue),
+    one matrix at a time."""
+    nd = g.shape[0]
+    d = nd // n
+    w = g @ adjoint(g)
+    w *= nd / np.trace(w).real
+    swapped = w.reshape(n, d, n, d).transpose(2, 1, 0, 3).reshape(nd, nd)
+    return w, float(np.linalg.eigvalsh(swapped)[0])
+
+
+# (stack size, which matrices are below their floor); a stack of one is all
+# or none below its floor
+_MIX_STACKS = [(1, "all"), (1, "none")] + [
+    (k, below) for k in range(2, 6) for below in ("all", "some", "none")
+]
+
+
+@pytest.mark.parametrize("k,below", _MIX_STACKS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_boundary_mix_equals_the_per_matrix_reference(n, k, below):
+    rng = np.random.default_rng(100 * n + k)
+    g = ginibre(rng, k * 3 * n, 3 * n).reshape(k, 3 * n, 3 * n)
+    m0 = np.array([_normalized_gram(g[t], n)[1] for t in range(k)])
+    # "some": matrix t is below its floor for even t; a kept matrix sits at
+    # its floor when t % 4 == 1 and above it otherwise
+    is_below = {"all": np.ones(k, bool), "none": np.zeros(k, bool)}.get(
+        below, np.arange(k) % 2 == 0
+    )
+    floor = np.where(is_below, m0 + 0.01, np.where(np.arange(k) % 4 == 1, m0, m0 - 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _boundary_grams(g, n, floor)
+    for t in range(k):
+        w, _ = _normalized_gram(g[t], n)
+        want = oracle_boundary(w, n, floor[t])
+        assert np.array_equal(got[t], want)
+        assert np.array_equal(got[t], w) != is_below[t]
+
+
+def test_boundary_mix_keeps_a_flat_swapped_spectrum_without_warning():
+    # G = I: W = I, whose index swap is I, so m0 = 1 and 1 - m0 = 0; a mix
+    # computed for it and then discarded would divide by zero
+    rng = np.random.default_rng(7)
+    eye = np.eye(9, dtype=complex)
+    g = np.stack([eye, ginibre(rng, 9), eye])
+    m0 = _normalized_gram(g[1], 3)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _boundary_grams(g, 3, np.array([0.05, m0 + 0.01, 0.05]))
+        alone = _boundary_grams(g[:1], 3, np.array([0.05]))
+    assert np.array_equal(got[0], eye) and np.array_equal(got[2], eye)
+    assert np.array_equal(alone[0], eye)
+    assert np.array_equal(got[1], oracle_boundary(_normalized_gram(g[1], 3)[0], 3, m0 + 0.01))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])
+def test_stacked_blocks_at_a_zero_boundary_mix_only_those_below_it(n, d):
+    # at boundary 0, blocks whose swap is already PSD are kept and the rest
+    # mixed, so the stack takes the mixed path
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = random_stormer_blocks(rng, 40, n, d, boundary=0.0)
+    kept = 0
+    for t in range(40):
+        want = oracle_block(ref, n, d, boundary=0.0)
+        assert np.array_equal(blocks[t], want)
+        swapped_min = np.linalg.eigvalsh(_swap(_assemble(blocks[t]), n))[0]
+        kept += swapped_min > 1e-12
+    assert 0 < kept < 40
+
+
+@pytest.mark.parametrize("layout", ["split", "contiguous"])
+def test_choi3_image_equals_the_per_block_reference(layout):
+    # the witness search maps _split views of its assembled candidates
+    rng = np.random.default_rng(23)
+    m = ginibre(rng, 5 * 9, 9).reshape(5, 9, 9)
+    x = _split(m, 3) if layout == "split" else np.ascontiguousarray(_split(m, 3))
+    phi = choi_fixture()
+    image = phi._apply(x)
+    for idx in np.ndindex(x.shape[:3]):
+        assert np.array_equal(image[idx], oracle_apply(phi, x[idx]))
+    assert np.array_equal(x, _split(m, 3))  # the input is left as it was
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -85,6 +85,18 @@ def test_the_comparison_covers_found_witnesses():
         assert witness_search(phi, seed=seed, budget=1, n=n, d=d).evaluations == 1
 
 
+@pytest.mark.parametrize("seed", [17, 25, 34, 48, 63])
+def test_one_restart_matches_the_one_step_climb(seed):
+    # the witness benchmark's call: one restart of choi3 at n = 3.  These
+    # seeds end their restart on a witness, so the comparison sees where the
+    # climb ended; the climb accepts steps all along, each copied out of the
+    # window's reused buffer
+    got = witness_search(choi_fixture(), seed=seed, budget=601, n=3, d=3)
+    want = oracle_witness_search(choi_fixture(), seed=seed, budget=601, n=3, d=3)
+    assert got is not None and got.evaluations == 601
+    assert _same(got, want)
+
+
 def test_seed_42_replay_eigvalsh_calls():
     payload = json.loads(FIXTURE.read_text())
     with lapack_calls() as calls:
@@ -121,6 +133,19 @@ def test_find_witness_check_compares_every_field(tmp_path, monkeypatch, capsys, 
     if field is not None:
         assert f"MISMATCH against {out}: {field}" in capsys.readouterr().out
     assert json.loads(out.read_text()) == payload
+
+
+@pytest.mark.parametrize("replay", [0, 1])
+def test_find_witness_exit_code_is_the_replays(monkeypatch, capsys, replay):
+    # the one-restart timing runs after the replay and does not touch its code
+    script = load_script("find_witness")
+    monkeypatch.setattr(script, "check", lambda: replay)
+    monkeypatch.setattr(script, "time_restarts", lambda: 12.3)
+    monkeypatch.setattr("sys.argv", ["find_witness.py", "--check"])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == replay
+    assert "12.3 us per evaluation" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
