@@ -4,6 +4,7 @@
 Run from the repository root:  python3 scripts/regen_golden.py
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +38,12 @@ def expand(argv):
 
 def run_case(argv):
     """Run the CLI on a case's argv with ``--json`` in a fresh interpreter,
-    in which any warning is an error."""
+    in which any warning is an error.  The checkout's ``src/`` comes first on
+    the child's path, so no install is needed."""
     cmd = [sys.executable, "-W", "error", "-m", "stormer_kit.cli", *expand(argv), "--json"]
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT, env=env)
 
 
 def main() -> None:

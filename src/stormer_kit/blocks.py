@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _eigh,
     _op_norm,
     _psd_check,
     adjoint,
@@ -93,7 +94,7 @@ def _sqrt_and_pinv_sqrt(m, rcond: float) -> tuple[np.ndarray, np.ndarray]:
     them at roundoff level, whose square root would survive a cutoff applied
     to the root alone.
     """
-    w, v = np.linalg.eigh(0.5 * (m + adjoint(m)))
+    w, v = _eigh(0.5 * (m + adjoint(m)))
     w = np.clip(w, 0.0, None)
     cutoff = rcond * w[-1]
     w = np.where(w > cutoff, w, 0.0)

@@ -18,6 +18,27 @@ factor one half keeps rounding in either norm from flipping it.
 Public functions validate their arguments; the private ``_``-prefixed
 kernels they share assume a validated square complex array and are what
 the rest of the package calls on data it has validated already.
+
+Every factorization in the package goes through one LAPACK seam here:
+:func:`_eigvalsh`, :func:`_eigh`, :func:`_svdvals`, :func:`_eig`,
+:func:`_qr`, :func:`_pinv` and :func:`_cond`; no other module calls
+``numpy.linalg`` for one.  The seam has two paths.  One 2-d complex128
+matrix takes the gufunc path: it calls numpy's ``_umath_linalg`` gufuncs
+directly, with the signatures and the post-processing ``numpy.linalg``
+uses, so its results are bit-equal to the public functions' by
+construction, without their Python wrapper (a few microseconds a call,
+about as much as LAPACK takes at the 2x2 to 12x12 sizes used here).  A
+NaN as the first output element, the gufuncs' mark of a LAPACK failure,
+hands the matrix to the public function, which raises ``LinAlgError`` or
+returns what numpy returns.  The gufunc path does not silence
+floating-point errors as the public functions do, so on a matrix with
+infinite or NaN entries the gufunc call may also issue a RuntimeWarning
+(divide, invalid) before the same result or error.  Everything else takes
+the public path and calls the ``numpy.linalg`` function itself: stacks, on
+which the wrapper's cost per matrix is negligible; other dtypes; a numpy
+without ``_umath_linalg`` (private API); and a ``numpy.linalg`` attribute
+that is no longer numpy's own function, so a wrapper installed over one,
+such as a call counter, sees every call.
 """
 
 from __future__ import annotations
@@ -29,6 +50,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
+
+try:  # private numpy API, used only on the gufunc path of the LAPACK seam
+    from numpy.linalg import _linalg as _numpy_linalg
+    from numpy.linalg import _umath_linalg
+except ImportError:  # pragma: no cover - every call takes the public path
+    _numpy_linalg = _umath_linalg = None
 
 __all__ = [
     "DEFAULT_RCOND",
@@ -56,6 +83,101 @@ _HERMITICITY_REL = 1e-6
 
 # Magnitude below which a component is ignored when fixing eigenvector phases.
 _PHASE_CUTOFF = 1e-12
+
+_COMPLEX128 = np.dtype(np.complex128)
+
+
+# -- the LAPACK seam ------------------------------------------------------
+
+
+def _gufunc_path(a, name: str) -> bool:
+    """True when ``a`` is one nonempty 2-d complex128 array, the gufuncs are
+    there and ``numpy.linalg.<name>`` is still numpy's own function."""
+    return (
+        type(a) is np.ndarray
+        and a.ndim == 2
+        and a.dtype is _COMPLEX128
+        and a.size > 0
+        and _umath_linalg is not None
+        and getattr(np.linalg, name) is getattr(_numpy_linalg, name)
+    )
+
+
+def _eigvalsh(a):
+    """Ascending eigenvalues of Hermitian ``a`` (its lower triangle), as
+    ``np.linalg.eigvalsh``."""
+    if _gufunc_path(a, "eigvalsh"):
+        w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
+        if w[0] == w[0]:
+            return w
+    return np.linalg.eigvalsh(a)
+
+
+def _eigh(a):
+    """(ascending eigenvalues, eigenvectors) of Hermitian ``a``, as
+    ``np.linalg.eigh``."""
+    if _gufunc_path(a, "eigh"):
+        w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+        if w[0] == w[0]:
+            return w, v
+    return np.linalg.eigh(a)
+
+
+def _svdvals(a):
+    """Descending singular values, as ``np.linalg.svd(a, compute_uv=False)``."""
+    if _gufunc_path(a, "svd"):
+        s = _umath_linalg.svd(a, signature="D->d")
+        if s[0] == s[0]:
+            return s
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _eig(a):
+    """(eigenvalues, eigenvectors) of square ``a``, as ``np.linalg.eig``.
+    Non-finite input goes to numpy, whose check raises before LAPACK runs
+    (LAPACK would print an error of its own on it)."""
+    if _gufunc_path(a, "eig") and np.isfinite(a).all():
+        w, v = _umath_linalg.eig(a, signature="D->DD")
+        if w[0] == w[0]:
+            return w, v
+    return np.linalg.eig(a)
+
+
+def _qr(a, r: bool = True):
+    """Reduced QR of ``a``, as ``np.linalg.qr``: (Q, R), or Q alone when
+    ``r`` is false."""
+    if _gufunc_path(a, "qr"):
+        f = a.astype(_COMPLEX128, copy=True)  # overwritten with R and the reflectors
+        tau = _umath_linalg.qr_r_raw(f, signature="D->D")
+        q = _umath_linalg.qr_reduced(f, tau, signature="DD->D")
+        if q[0, 0] == q[0, 0]:
+            return (q, np.triu(f[: min(f.shape)])) if r else q
+    q, upper = np.linalg.qr(a)
+    return (q, upper) if r else q
+
+
+def _pinv(a, rcond: float):
+    """Moore-Penrose pseudoinverse, as ``np.linalg.pinv(a, rcond=rcond)``."""
+    if _gufunc_path(a, "pinv"):
+        u, s, vt = _umath_linalg.svd_s(a.conjugate(), signature="D->DdD")
+        if s[0] == s[0]:
+            large = s > rcond * s[0]  # s descends: s[0] is its maximum
+            s = np.divide(1, s, where=large, out=s)
+            s[~large] = 0
+            return vt.T @ (s[:, None] * u.T)
+    return np.linalg.pinv(a, rcond=rcond)
+
+
+def _cond(a):
+    """2-norm condition number, as ``np.linalg.cond``: infinite for a
+    singular matrix."""
+    if _gufunc_path(a, "cond"):
+        s = _umath_linalg.svd(a, signature="D->d")
+        if s[0] == s[0]:
+            with np.errstate(all="ignore"):
+                c = s[0] / s[-1]
+            return c if c == c else np.float64(np.inf)  # 0 / 0: the zero matrix
+    return np.linalg.cond(a)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -126,7 +248,7 @@ class HermitianEig(NamedTuple):
 
 
 def _op_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_svdvals(a)[0])
 
 
 def op_norm(m) -> float:
@@ -202,7 +324,7 @@ def _eig_hermitian(a: np.ndarray) -> HermitianEig:
                 f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
                 f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
             )
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     return HermitianEig(w, fix_phases(v))
 
 
@@ -222,7 +344,7 @@ def _psd_check(a: np.ndarray, tol: Tolerance):
     DomainError when finite entries give a spectrum that overflows."""
     ah = adjoint(a)
     try:
-        lowest, thr = psd_margin(np.linalg.eigvalsh(0.5 * (a + ah)), tol)
+        lowest, thr = psd_margin(_eigvalsh(0.5 * (a + ah)), tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
@@ -258,7 +380,7 @@ def pinv(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     Singular values below ``rcond`` times the largest are treated as zero.
     """
     a = as_matrix(m)
-    return np.linalg.pinv(a, rcond=rcond)
+    return _pinv(a, rcond)
 
 
 def is_contraction(t, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, as_matrix, psd_margin, require_square
+from .linalg import DEFAULT_TOL, Tolerance, _eigvalsh, adjoint, as_matrix, psd_margin, require_square
 from .sampling import _boundary_grams, ginibre, random_stormer_blocks, random_stormer_pairs
 from .stormer import OperatorBlockMatrix, _assemble, _split
 
@@ -119,9 +119,9 @@ class PositiveMap:
         the map's input dimension."""
         if self.kind == "named":
             if self.name == "identity":
-                return a.copy()
+                return a.copy(order="K")
             if self.name == "transpose":
-                return np.swapaxes(a, -1, -2).copy()
+                return np.swapaxes(a, -1, -2).copy(order="K")
             return _choi3_apply(a)
         if self.kind == "choi_raw":
             return np.einsum("...ij,ijrc->...rc", a, _split(self.choi, self.input_dim))
@@ -242,7 +242,7 @@ def _image_margin(
     h = m + adjoint(m)
     h *= 0.5
     try:
-        lowest, thr = psd_margin(np.linalg.eigvalsh(h), tol)
+        lowest, thr = psd_margin(_eigvalsh(h), tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         thr = np.array(math.nan)
     # a threshold is finite iff both ends of its spectrum are

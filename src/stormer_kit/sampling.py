@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, adjoint
+from .linalg import DEFAULT_TOL, Tolerance, _cond, _eigh, _eigvalsh, _op_norm, _qr, adjoint
 from .stormer import (
     OperatorBlockMatrix,
     OperatorPair,
@@ -63,7 +63,7 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Q of z = QR with the phases of R's diagonal moved into Q, which makes
     Q Haar distributed; z may be a stack of shape (..., d, d)."""
-    q, r = np.linalg.qr(z)
+    q, r = _qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
@@ -119,7 +119,7 @@ def random_stormer_pairs(
     every a1 candidate is accepted (rejection is rare at the default
     ``cond_max``): per pair, one call draws the 4 d^2 normals of the
     candidate and of U and one call the 2 d disk uniforms, and one stacked
-    ``np.linalg.cond`` then tests the window's candidates.  If the first
+    ``_cond`` then tests the window's candidates.  If the first
     rejected candidate is the window's j-th, every draw after it came from
     the wrong place in the stream: the bit generator is rewound to the
     window's start, the j accepted pairs' draws are replayed (the same calls
@@ -147,7 +147,7 @@ def random_stormer_pairs(
         draw(done, stop)
         a1[done:stop] = _complex_gaussian(normals[done:stop, 0], normals[done:stop, 1])
         # (<=): a NaN condition number rejects, as in a one-pair loop
-        accepted = np.linalg.cond(a1[done:stop]) <= cond_max
+        accepted = _cond(a1[done:stop]) <= cond_max
         run = stop - done if accepted.all() else int(accepted.argmin())
         if run < stop - done:
             bitgen.state = start
@@ -222,7 +222,7 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     w = g @ adjoint(g)
     nd = w.shape[-1]
     w *= (nd / w.trace(0, -2, -1).real)[:, None, None]
-    m0 = np.linalg.eigvalsh(_swap(w, n))[:, 0]
+    m0 = _eigvalsh(_swap(w, n))[:, 0]
     low = m0 < floor
     below = np.count_nonzero(low)
     if below == 0:
@@ -269,7 +269,7 @@ def random_near_normal(rng: np.random.Generator, d: int, noise: float = 0.0) -> 
     distance from the normal set.
     """
     t = random_normal_operator(rng, d)
-    t *= rng.uniform(2.0, 6.0) / np.linalg.norm(t, 2)
+    t *= rng.uniform(2.0, 6.0) / _op_norm(t)
     if noise > 0.0:
         t = t + noise * ginibre(rng, d)
     return t
@@ -293,7 +293,7 @@ def random_partition(rng: np.random.Generator, n: int, k: int, kind: str):
         if kind == "inflated":
             b *= rng.uniform(1.5, 3.0)
         elif kind == "singular":
-            w, v = np.linalg.eigh(a)
+            w, v = _eigh(a)
             w[: max(1, n // 2)] = 0.0
             a = (v * w) @ adjoint(v)
         return a, b, c

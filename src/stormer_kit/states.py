@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, InputError
-from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _op_norm, _psd_check, adjoint, require_square
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _eigvalsh,
+    _frobenius,
+    _op_norm,
+    _psd_check,
+    adjoint,
+    require_square,
+)
 from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _swap
 
 __all__ = [
@@ -60,7 +69,7 @@ class DensityState:
             raise DomainError("state matrix is not Hermitian")
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
-        lowest = np.linalg.eigvalsh(0.5 * (m + mh))[0]
+        lowest = _eigvalsh(0.5 * (m + mh))[0]
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
         m.flags.writeable = False

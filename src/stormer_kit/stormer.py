@@ -27,10 +27,14 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _eig,
     _eig_hermitian,
     _is_hermitian,
     _is_normal,
+    _pinv,
     _psd_check,
+    _qr,
+    _svdvals,
     adjoint,
     as_matrix,
     fix_phases,
@@ -310,9 +314,9 @@ def gram_row_block(row: np.ndarray) -> OperatorBlockMatrix:
 
 def _ratio_operator(p: OperatorPair, rcond: float) -> tuple[RatioOperator, float]:
     """The ratio operator and ``||a1||``, read off the same singular values."""
-    sv = np.linalg.svd(p.a1, compute_uv=False)
+    sv = _svdvals(p.a1)
     degenerate = bool(sv[-1] <= rcond * sv[0])
-    return RatioOperator(p.a2 @ np.linalg.pinv(p.a1, rcond=rcond), degenerate), float(sv[0])
+    return RatioOperator(p.a2 @ _pinv(p.a1, rcond), degenerate), float(sv[0])
 
 
 def ratio_operator(p: OperatorPair, rcond: float = DEFAULT_RCOND) -> RatioOperator:
@@ -370,9 +374,9 @@ def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
 
 def _eigenbasis(a: np.ndarray) -> SpectralResolution:
     """The resolution of an operator already known to be normal."""
-    lam, v = np.linalg.eig(a)
+    lam, v = _eig(a)
     order = np.lexsort((lam.imag, lam.real))
-    z, _ = np.linalg.qr(v)
+    z = _qr(v, r=False)
     # + 0.0 turns the negative zeros that the reflections and the phase
     # rotation leave into zeros, so reports never print -0.0.
     return SpectralResolution(lam[order], fix_phases(z[:, order]) + 0.0)

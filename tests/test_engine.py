@@ -283,6 +283,26 @@ def test_choi3_image_equals_the_per_block_reference(layout):
     assert np.array_equal(x, _split(m, 3))  # the input is left as it was
 
 
+@pytest.mark.parametrize("layout", ["split", "contiguous"])
+@pytest.mark.parametrize("phi", [identity_map(), transpose_map()], ids=["identity", "transpose"])
+def test_identity_and_transpose_images_equal_the_per_block_reference(phi, layout):
+    # the necessity engine maps _split views of its sampled blocks for n >= 3
+    rng = np.random.default_rng(24)
+    m = ginibre(rng, 4 * 9, 9).reshape(4, 9, 9)
+    x = _split(m, 3) if layout == "split" else np.ascontiguousarray(_split(m, 3))
+    image = phi._apply(x)
+    assert not np.shares_memory(image, x)
+    for idx in np.ndindex(x.shape[:3]):
+        assert np.array_equal(image[idx], oracle_apply(phi, x[idx]))
+
+
+def test_identity_image_of_a_split_view_assembles_without_a_copy():
+    m = ginibre(np.random.default_rng(25), 4 * 9, 9).reshape(4, 9, 9)
+    image = identity_map()._apply(_split(m, 3))
+    assert np.shares_memory(_assemble(image), image)
+    assert np.array_equal(_assemble(image), m)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_necessity_rejects_non_positive_trials(trials):
     with pytest.raises(DomainError):

@@ -210,6 +210,15 @@ def test_golden_reports(name):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_golden_cases_run_from_a_checkout_without_an_install(monkeypatch):
+    # run_case puts the checkout's src/ on the child's path itself
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    expected_code, argv = CASES["check_psd_id2"]
+    proc = run_case(argv)
+    assert proc.returncode == expected_code, proc.stderr
+    assert proc.stdout == (GOLDEN / "check_psd_id2.json").read_text()
+
+
 # eigvalsh calls per golden case: every spectrum a report prints is the one
 # its verdict was read off, so no command diagonalizes a matrix twice.
 GOLDEN_EIGVALSH = {
