@@ -22,7 +22,8 @@ the rest of the package calls on data it has validated already.
 Every factorization in the package goes through one LAPACK seam here:
 :func:`_eigvalsh`, :func:`_eigh`, :func:`_svdvals`, :func:`_eig`,
 :func:`_qr`, :func:`_pinv` and :func:`_cond`; no other module calls
-``numpy.linalg`` for one.  The seam has two paths.  One 2-d complex128
+``numpy.linalg`` for one.  The seam has two paths, except :func:`_cond`,
+which always calls ``np.linalg.cond``.  One 2-d complex128
 matrix takes the gufunc path: it calls numpy's ``_umath_linalg`` gufuncs
 directly, with the signatures and the post-processing ``numpy.linalg``
 uses, so its results are bit-equal to the public functions' by
@@ -31,9 +32,11 @@ about as much as LAPACK takes at the 2x2 to 12x12 sizes used here).  A
 NaN as the first output element, the gufuncs' mark of a LAPACK failure,
 hands the matrix to the public function, which raises ``LinAlgError`` or
 returns what numpy returns.  The gufunc path does not silence
-floating-point errors as the public functions do, so on a matrix with
-infinite or NaN entries the gufunc call may also issue a RuntimeWarning
-(divide, invalid) before the same result or error.  Everything else takes
+floating-point errors as the public functions do, so where LAPACK fails
+(on a matrix with infinite or NaN entries, or one whose spectrum
+overflows) the gufunc call also issues a RuntimeWarning (divide, invalid)
+before the same result or error; where warnings are errors, that warning
+is raised in its place.  Everything else takes
 the public path and calls the ``numpy.linalg`` function itself: stacks, on
 which the wrapper's cost per matrix is negligible; other dtypes; a numpy
 without ``_umath_linalg`` (private API); and a ``numpy.linalg`` attribute
@@ -169,14 +172,8 @@ def _pinv(a, rcond: float):
 
 
 def _cond(a):
-    """2-norm condition number, as ``np.linalg.cond``: infinite for a
-    singular matrix."""
-    if _gufunc_path(a, "cond"):
-        s = _umath_linalg.svd(a, signature="D->d")
-        if s[0] == s[0]:
-            with np.errstate(all="ignore"):
-                c = s[0] / s[-1]
-            return c if c == c else np.float64(np.inf)  # 0 / 0: the zero matrix
+    """2-norm condition number, ``np.linalg.cond(a)``.  Always the public
+    path: its callers pass stacks, or one matrix a few times per self-test."""
     return np.linalg.cond(a)
 
 
@@ -252,7 +249,11 @@ def _op_norm(a: np.ndarray) -> float:
 
 
 def op_norm(m) -> float:
-    """Largest singular value."""
+    """Largest singular value.
+
+    Where LAPACK fails, numpy's ``LinAlgError`` is raised after a
+    RuntimeWarning, or the warning itself where warnings are errors.
+    """
     return _op_norm(as_matrix(m))
 
 
@@ -333,7 +334,9 @@ def eig_hermitian(m) -> HermitianEig:
 
     The input is symmetrized as ``(M + M*)/2`` before solving; asymmetry
     beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
-    silently repaired.
+    silently repaired.  Where LAPACK fails (a spectrum that overflows),
+    numpy's ``LinAlgError`` is raised after RuntimeWarnings, or the first
+    warning where warnings are errors.
     """
     return _eig_hermitian(require_square(m))
 
@@ -360,7 +363,9 @@ def _psd_check(a: np.ndarray, tol: Tolerance):
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff M is Hermitian within tolerance and its minimum eigenvalue
     clears the scale-aware floor (see :func:`psd_margin`).  Raises
-    DomainError when M's spectrum overflows double precision."""
+    DomainError when M's spectrum overflows double precision, after
+    numpy's RuntimeWarnings for the overflow; where warnings are errors,
+    the first of them is raised instead."""
     return _psd_check(require_square(m), tol)[0]
 
 
@@ -378,6 +383,8 @@ def pinv(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values below ``rcond`` times the largest are treated as zero.
+    Where LAPACK fails, numpy's ``LinAlgError`` is raised after a
+    RuntimeWarning, or the warning itself where warnings are errors.
     """
     a = as_matrix(m)
     return _pinv(a, rcond)

@@ -90,7 +90,7 @@ def _inputs():
 INPUTS = _inputs()
 
 
-@pytest.mark.parametrize("name", SEAM)
+@pytest.mark.parametrize("name", [n for n in SEAM if n != "cond"])  # _cond: public only
 def test_gufunc_path_is_bit_equal_to_numpy(name):
     seam, public = SEAM[name]
     for label, a in INPUTS:
@@ -166,6 +166,65 @@ def test_svd_failure_raises_numpys_linalg_error():
     # the gufunc marks the failure with NaN; numpy's function then raises
     with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
         linalg._svdvals(NONFINITE["nan"])
+
+
+# -- the documented outcome where LAPACK fails: op_norm, pinv, is_psd ----------
+
+# The kernels behind op_norm and pinv, on a NaN entry: LAPACK fails on it, and
+# the public functions, which reject non-finite entries, never pass it one.
+KERNELS = {
+    "op_norm": linalg._op_norm,
+    "pinv": lambda a: linalg._pinv(a, DEFAULT_RCOND),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_a_lapack_failure_warns_then_raises_linalg_error(name):
+    a = NONFINITE["nan"]
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            KERNELS[name](a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            KERNELS[name](a)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_a_lapack_failure_on_the_public_path_only_raises(name, monkeypatch):
+    monkeypatch.setattr(linalg, "_umath_linalg", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            KERNELS[name](NONFINITE["nan"])
+
+
+@pytest.mark.parametrize("gufuncs", [True, False], ids=["gufunc", "public"])
+def test_op_norm_and_pinv_near_the_double_limit_do_not_warn(gufuncs, monkeypatch):
+    if not gufuncs:
+        monkeypatch.setattr(linalg, "_umath_linalg", None)
+    a = NONFINITE["huge"]  # finite: the SVD scales it and converges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.op_norm(a) == np.inf
+        assert np.isfinite(linalg.pinv(a)).all()
+
+
+@pytest.mark.parametrize("gufuncs", [True, False], ids=["gufunc", "public"])
+def test_is_psd_on_an_overflowing_spectrum_warns_then_raises(gufuncs, monkeypatch):
+    if not gufuncs:
+        monkeypatch.setattr(linalg, "_umath_linalg", None)
+    a = NONFINITE["huge"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="spectrum overflows"):
+            linalg.is_psd(a)
+    assert {w.category for w in caught} == {RuntimeWarning}
+    assert "overflow encountered in add" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the first warning is raised instead
+        with pytest.raises(RuntimeWarning, match="overflow encountered in add"):
+            linalg.is_psd(a)
 
 
 @pytest.mark.parametrize("gufuncs", [True, False], ids=["gufunc", "public"])
