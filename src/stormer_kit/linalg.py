@@ -22,24 +22,36 @@ the rest of the package calls on data it has validated already.
 Every factorization in the package goes through one LAPACK seam here:
 :func:`_eigvalsh`, :func:`_eigh`, :func:`_svdvals`, :func:`_eig`,
 :func:`_qr`, :func:`_pinv` and :func:`_cond`; no other module calls
-``numpy.linalg`` for one.  The seam has two paths, except :func:`_cond`,
-which always calls ``np.linalg.cond``.  One 2-d complex128
-matrix takes the gufunc path: it calls numpy's ``_umath_linalg`` gufuncs
-directly, with the signatures and the post-processing ``numpy.linalg``
-uses, so its results are bit-equal to the public functions' by
-construction, without their Python wrapper (a few microseconds a call,
-about as much as LAPACK takes at the 2x2 to 12x12 sizes used here).  A
-NaN as the first output element, the gufuncs' mark of a LAPACK failure,
-hands the matrix to the public function, which raises ``LinAlgError`` or
-returns what numpy returns.  The gufunc path does not silence
-floating-point errors as the public functions do, so where LAPACK fails
-(on a matrix with infinite or NaN entries, or one whose spectrum
-overflows) the gufunc call also issues a RuntimeWarning (divide, invalid)
-before the same result or error; where warnings are errors, that warning
-is raised in its place.  Everything else takes
-the public path and calls the ``numpy.linalg`` function itself: stacks, on
-which the wrapper's cost per matrix is negligible; other dtypes; a numpy
-without ``_umath_linalg`` (private API); and a ``numpy.linalg`` attribute
+``numpy.linalg`` for one.  The seam has two paths.  Complex128 input takes
+the gufunc path: it calls numpy's ``_umath_linalg`` gufuncs directly, with
+the signatures and the post-processing ``numpy.linalg`` uses, so its
+results are bit-equal to the public functions' by construction, without
+their Python wrapper.  On one matrix the wrapper costs a few microseconds
+a call, about as much as LAPACK takes at the 2x2 to 12x12 sizes used here.
+On the necessity engine's stacks of 20 matrices of 2x2 to 4x4 the stack
+path saves 4-13 us a ``cond`` call, and 7-15 us a ``qr`` call that returns
+R's diagonal (see CHANGES for the measurement); ``eigvalsh``'s wrapper is
+lighter, and there the stack path's own floating-point guard costs about
+what it saves.  A NaN output, the gufuncs' mark of a LAPACK
+failure, hands the input to the public function, which raises
+``LinAlgError`` or returns what numpy returns.
+
+- One 2-d matrix takes the gufunc path in every function except
+  :func:`_cond`.  It tests its first output element for NaN and does not
+  silence floating-point errors as the public functions do (that would
+  cost about 2 us a call), so where LAPACK fails (on a matrix with
+  infinite or NaN entries, or one whose spectrum overflows) the gufunc call
+  also issues a RuntimeWarning (divide, invalid) before the same result or
+  error; where warnings are errors, that warning is raised in its place.
+- A stack of matrices takes the gufunc path in :func:`_eigvalsh`,
+  :func:`_cond` and :func:`_qr`, the necessity engine's and the samplers'
+  calls.  It runs under ``np.errstate(all="ignore")`` and tests one output
+  element per matrix, so a stack warns or raises exactly as the public
+  function does.
+
+Everything else takes the public path and calls the ``numpy.linalg``
+function itself: stacks in the other functions, other dtypes, a numpy
+without ``_umath_linalg`` (private API), and a ``numpy.linalg`` attribute
 that is no longer numpy's own function, so a wrapper installed over one,
 such as a call counter, sees every call.
 """
@@ -93,12 +105,13 @@ _COMPLEX128 = np.dtype(np.complex128)
 # -- the LAPACK seam ------------------------------------------------------
 
 
-def _gufunc_path(a, name: str) -> bool:
-    """True when ``a`` is one nonempty 2-d complex128 array, the gufuncs are
-    there and ``numpy.linalg.<name>`` is still numpy's own function."""
+def _gufunc_path(a, name: str, stack: bool = False) -> bool:
+    """True when ``a`` is one nonempty 2-d complex128 array (with ``stack``:
+    a nonempty stack of them, ndim above 2), the gufuncs are there and
+    ``numpy.linalg.<name>`` is still numpy's own function."""
     return (
         type(a) is np.ndarray
-        and a.ndim == 2
+        and (a.ndim > 2 if stack else a.ndim == 2)
         and a.dtype is _COMPLEX128
         and a.size > 0
         and _umath_linalg is not None
@@ -106,12 +119,26 @@ def _gufunc_path(a, name: str) -> bool:
     )
 
 
+def _solved(lead) -> bool:
+    """True when ``lead``, one output element per matrix of a stack, holds
+    no NaN, the gufuncs' mark of a LAPACK failure.  One sum is the cheapest
+    test; a sum that is NaN for another reason (inf - inf) only hands the
+    stack to numpy, which returns the same result."""
+    s = np.add.reduce(lead, None)
+    return s == s
+
+
 def _eigvalsh(a):
     """Ascending eigenvalues of Hermitian ``a`` (its lower triangle), as
-    ``np.linalg.eigvalsh``."""
+    ``np.linalg.eigvalsh``; ``a`` may be a stack."""
     if _gufunc_path(a, "eigvalsh"):
         w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
         if w[0] == w[0]:
+            return w
+    elif _gufunc_path(a, "eigvalsh", stack=True):
+        with np.errstate(all="ignore"):
+            w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
+        if _solved(w[..., 0]):
             return w
     return np.linalg.eigvalsh(a)
 
@@ -146,17 +173,43 @@ def _eig(a):
     return np.linalg.eig(a)
 
 
-def _qr(a, r: bool = True):
-    """Reduced QR of ``a``, as ``np.linalg.qr``: (Q, R), or Q alone when
-    ``r`` is false."""
-    if _gufunc_path(a, "qr"):
+def _qr(a, r: bool | str = True):
+    """Reduced QR of ``a``, as ``np.linalg.qr``; ``a`` may be a stack.
+    Returns (Q, R), or Q alone when ``r`` is false, or (Q, the diagonal of
+    R) when ``r`` is ``"diag"``, which skips ``np.triu``: on the samplers'
+    (20, 3, 3) stacks of Haar factors that takes 28 us a call against 43 us
+    for ``np.linalg.qr`` and R's diagonal."""
+    one = _gufunc_path(a, "qr")
+    if one or _gufunc_path(a, "qr", stack=True):
         f = a.astype(_COMPLEX128, copy=True)  # overwritten with R and the reflectors
-        tau = _umath_linalg.qr_r_raw(f, signature="D->D")
-        q = _umath_linalg.qr_reduced(f, tau, signature="DD->D")
-        if q[0, 0] == q[0, 0]:
-            return (q, np.triu(f[: min(f.shape)])) if r else q
-    q, upper = np.linalg.qr(a)
-    return (q, upper) if r else q
+        if one:
+            q = _q_factor(f)
+            solved = q[0, 0] == q[0, 0]
+        else:
+            with np.errstate(all="ignore"):
+                q = _q_factor(f)
+            solved = _solved(q[..., 0, 0])
+        if solved:
+            return _qr_result(q, f[..., : min(f.shape[-2:]), :], r, triu=True)
+    return _qr_result(*np.linalg.qr(a), r)
+
+
+def _q_factor(f):
+    """Q of the reduced QR of ``f`` by numpy's two gufuncs, which overwrite
+    ``f`` with R and the reflectors."""
+    tau = _umath_linalg.qr_r_raw(f, signature="D->D")
+    return _umath_linalg.qr_reduced(f, tau, signature="DD->D")
+
+
+def _qr_result(q, upper, r, triu: bool = False):
+    """What :func:`_qr` returns, from Q and R's rows; ``triu`` when R's
+    lower part still holds the reflectors and is zeroed only if R is
+    returned."""
+    if not r:
+        return q
+    if r == "diag":
+        return q, np.diagonal(upper, 0, -2, -1)
+    return q, (np.triu(upper) if triu else upper)
 
 
 def _pinv(a, rcond: float):
@@ -172,8 +225,20 @@ def _pinv(a, rcond: float):
 
 
 def _cond(a):
-    """2-norm condition number, ``np.linalg.cond(a)``.  Always the public
-    path: its callers pass stacks, or one matrix a few times per self-test."""
+    """2-norm condition number, as ``np.linalg.cond(a)``: the ratio
+    ``s[..., 0] / s[..., -1]`` of the extreme singular values.  A stack takes
+    the gufunc path; a NaN ratio, from a LAPACK failure or from 0 / 0 on a
+    zero matrix, hands the stack to numpy, which raises or applies its rule
+    that such a NaN reads inf.  On the samplers' stacks of 20 candidates
+    (d = 2..4) this takes 4-13 us a call less than ``np.linalg.cond``.  One
+    matrix takes the public path: the package asks for it only a few times
+    per self-test."""
+    if _gufunc_path(a, "cond", stack=True):
+        with np.errstate(all="ignore"):
+            s = _umath_linalg.svd(a, signature="D->d")
+            c = s[..., 0] / s[..., -1]
+        if _solved(c):
+            return c
     return np.linalg.cond(a)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import DEFAULT_TOL, Tolerance, _eigvalsh, adjoint, as_matrix, psd_margin, require_square
-from .sampling import _boundary_grams, ginibre, random_stormer_blocks, random_stormer_pairs
+from .sampling import _boundary_grams, _pair_stack, ginibre, random_stormer_blocks
 from .stormer import OperatorBlockMatrix, _assemble, _split
 
 __all__ = [
@@ -54,7 +54,10 @@ class PositiveMap:
       - ``named``:    one of :data:`NAMED_MAPS`
 
     Named identity/transpose apply to any square input; all other maps fix
-    the input dimension.
+    the input dimension.  The map owns read-only copies of its Kraus
+    operators and Choi matrix, as the package's other value objects own
+    theirs: writing into an array the caller passed in leaves the map as it
+    was, and a Kraus map keeps each operator's adjoint for its images.
     """
 
     kind: str
@@ -66,8 +69,8 @@ class PositiveMap:
 
     def __post_init__(self) -> None:
         if self.kind == "sum":
-            cp = tuple(as_matrix(k) for k in self.kraus_cp)
-            cocp = tuple(as_matrix(k) for k in self.kraus_cocp)
+            cp = tuple(_held(as_matrix(k)) for k in self.kraus_cp)
+            cocp = tuple(_held(as_matrix(k)) for k in self.kraus_cocp)
             ops = cp + cocp
             if not ops:
                 raise DimensionError("Kraus representation needs at least one operator")
@@ -77,8 +80,11 @@ class PositiveMap:
             object.__setattr__(self, "kraus_cp", cp)
             object.__setattr__(self, "kraus_cocp", cocp)
             object.__setattr__(self, "input_dim", shape[1])
+            # (K, K*, whether K acts on x^T), in the order the images are summed
+            terms = [(k, False) for k in cp] + [(k, True) for k in cocp]
+            object.__setattr__(self, "_terms", tuple((k, adjoint(k), t) for k, t in terms))
         elif self.kind == "choi_raw":
-            c = require_square(self.choi, "Choi matrix")
+            c = _held(require_square(self.choi, "Choi matrix"))
             k = self.input_dim
             if k is None or k < 1 or c.shape[0] % k != 0:
                 raise DimensionError("choi_raw needs input_dim dividing the Choi size")
@@ -90,6 +96,12 @@ class PositiveMap:
                 object.__setattr__(self, "input_dim", NAMED_MAPS[self.name])
         else:
             raise DomainError(f"unknown map kind {self.kind!r}")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so copies and unpickled maps own
+        # fresh read-only arrays and their own adjoints.
+        args = (self.kind, self.kraus_cp, self.kraus_cocp, self.choi, self.name, self.input_dim)
+        return type(self), args
 
     @property
     def output_dim(self) -> int | None:
@@ -125,13 +137,19 @@ class PositiveMap:
             return _choi3_apply(a)
         if self.kind == "choi_raw":
             return np.einsum("...ij,ijrc->...rc", a, _split(self.choi, self.input_dim))
-        out = 0.0
-        for kr in self.kraus_cp:
-            out = out + kr @ a @ adjoint(kr)
         at = np.swapaxes(a, -1, -2)
-        for kr in self.kraus_cocp:
-            out = out + kr @ at @ adjoint(kr)
+        images = (kr @ (at if transposed else a) @ kh for kr, kh, transposed in self._terms)
+        out = next(images)
+        for image in images:  # summed in place, in the order of the terms
+            out += image
         return out
+
+
+def _held(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, in its memory order."""
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
 
 
 # Diagonal entry i of a choi3 image adds x_ii and the entry before it, cyclically.
@@ -223,12 +241,10 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
     Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
     if n != 2:
         return random_stormer_blocks(rng, count, n, d)
-    a1, a2 = random_stormer_pairs(rng, count, d)
-    a1h, a2h = adjoint(a1), adjoint(a2)
-    return np.stack(
-        [np.stack([a1h @ a1, a1h @ a2], axis=1), np.stack([a2h @ a1, a2h @ a2], axis=1)],
-        axis=1,
-    )
+    # block (i, j) of pair t is a_i* a_j: one broadcast product over the
+    # (count, 2, d, d) stack, each block the gemm of its operands alone
+    a = _pair_stack(rng, count, d)
+    return adjoint(a)[:, :, None] @ a[:, None]
 
 
 def _image_margin(
@@ -238,9 +254,11 @@ def _image_margin(
     stack of sampled blocks, whose dimensions :func:`_trial_dims` checked,
     and each image's PSD threshold.  Raises DomainError when the images'
     spectra overflow double precision."""
-    m = _assemble(phi._apply(blocks))
-    h = m + adjoint(m)
-    h *= 0.5
+    # an overflow is reported by the DomainError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _assemble(phi._apply(blocks))
+        h = m + adjoint(m)
+        h *= 0.5
     try:
         lowest, thr = psd_margin(_eigvalsh(h), tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum

@@ -43,6 +43,7 @@ from helpers import (
     CASES,
     expand,
     lapack_calls,
+    load_script,
     oracle_apply,
     oracle_block,
     oracle_boundary,
@@ -327,6 +328,26 @@ def test_necessity_tests_each_stack_of_pairs_with_one_cond_call():
         counts.append(calls["cond"])
     # one stacked rejection test; no a1 candidate of these streams is rejected
     assert counts == [1, 1]
+
+
+def test_necessity_factorizes_each_stack_once_per_stage():
+    # per stack of pairs: one stacked cond for the rejection test, one qr for
+    # the Haar factors and one eigvalsh for the images; per stack of blocks:
+    # two eigvalsh, the swap floors and the images.  300 trials are 2 stacks.
+    names = ("cond", "qr", "eigvalsh")
+    for n, want in ((2, {"cond": 1, "qr": 1, "eigvalsh": 1}), (3, {"eigvalsh": 2})):
+        for trials, stacks in ((20, 1), (300, 2)):
+            with lapack_calls(names) as calls:
+                theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=n, d=3)
+            assert dict(calls) == {name: stacks * want.get(name, 0) for name in names}
+
+
+def test_necessity_rate_script_prints_a_rate_per_map_kind(capsys):
+    script = load_script("necessity_rate")
+    assert script.main(trials=2, calls=1, repeats=1) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["named", "kraus", "choi"]
+    assert all(len(row) == 3 and min(map(float, row[1:])) > 0 for row in rows)
 
 
 # Commands run in one process after the import check: each must leave scipy

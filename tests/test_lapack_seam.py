@@ -1,10 +1,12 @@
 """The LAPACK seam in ``linalg`` against numpy's public functions.
 
-One 2-d complex128 matrix takes the gufunc path, which calls numpy's
-``_umath_linalg`` gufuncs without the ``numpy.linalg`` wrapper; everything
-else takes the public path.  Both must give bit-equal results and raise the
-same errors, a wrapper installed over a ``numpy.linalg`` function must see
-every call, and no module but ``linalg`` may call a factorization itself.
+One 2-d complex128 matrix, and a stack of them in ``_eigvalsh``, ``_cond``
+and ``_qr``, takes the gufunc path, which calls numpy's ``_umath_linalg``
+gufuncs without the ``numpy.linalg`` wrapper; everything else takes the
+public path.  Both must give bit-equal results and raise the same errors (a
+stack also the same warnings), a wrapper installed over a ``numpy.linalg``
+function must see every call, and no module but ``linalg`` may call a
+factorization itself.
 """
 
 import ast
@@ -106,9 +108,60 @@ def test_qr_without_r_is_the_q_factor():
         assert np.array_equal(linalg._qr(a, r=False), np.linalg.qr(a).Q), label
 
 
+# -- stacks: _eigvalsh, _cond and _qr take the gufunc path ------------------
+
+STACKED = ("eigvalsh", "cond", "qr")
+# (count, d): the stacks the library factorizes.  The necessity engine's
+# 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its samplers'
+# candidates and Haar factors (d = 2..4), the witness search's 5-step window
+# and the engine's 256-trial chunk.
+STACK_SHAPES = [(20, 6), (20, 12), (5, 9), (256, 9)] + [(20, d) for d in (2, 3, 4)]
+
+
 def _stack(rng):
     z = ginibre(rng, 4 * 5, 5).reshape(4, 5, 5)
     return z @ np.conj(np.swapaxes(z, -1, -2))
+
+
+def _stacks():
+    """(label, stack) for every stack shape: Ginibre, Hermitian and
+    per-matrix transposed (a view) stacks, plus a stack of one matrix and
+    one of four dimensions."""
+    rng = np.random.default_rng(134)
+    out = []
+    for count, d in STACK_SHAPES:
+        z = ginibre(rng, count * d, d).reshape(count, d, d)
+        out += [
+            (f"ginibre{count}x{d}", z),
+            (f"hermitian{count}x{d}", hermitize(z @ np.conj(np.swapaxes(z, -1, -2)))),
+            (f"transposed{count}x{d}", np.swapaxes(z, -1, -2)),
+        ]
+    h = hermitize(ginibre(rng, 4))
+    return out + [("one4", h[None]), ("four-d", _stack(rng).reshape(2, 2, 5, 5))]
+
+
+STACKS = _stacks()
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacks_on_the_gufunc_path_are_bit_equal_to_numpy(name):
+    seam, public = SEAM[name]
+    for label, a in STACKS:
+        assert linalg._gufunc_path(a, name, stack=True), label
+        assert not linalg._gufunc_path(a, name), label
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no floating-point warning on finite input
+            got = seam(a)
+        assert_bit_equal(got, public(a), label)
+
+
+def test_qr_diag_is_the_diagonal_of_r():
+    for label, a in INPUTS + STACKS:
+        want = np.linalg.qr(a)
+        q, diag = linalg._qr(a, r="diag")
+        assert np.array_equal(q, want.Q), label
+        assert np.array_equal(diag, np.diagonal(want.R, 0, -2, -1)), label
+        assert np.array_equal(linalg._qr(a, r=False), want.Q), label
 
 
 @pytest.mark.parametrize("name", SEAM)
@@ -116,7 +169,10 @@ def test_other_inputs_take_the_public_path(name):
     seam, public = SEAM[name]
     rng = np.random.default_rng(132)
     h = hermitize(ginibre(rng, 4))
-    for a in [_stack(rng), h[None], h.real.copy(), h.astype(">c16"), h.astype(np.complex64)]:
+    others = [h.real.copy(), h.astype(">c16"), h.astype(np.complex64)]
+    if name not in STACKED:  # their stacks are in the bit-equality test above
+        others += [_stack(rng), h[None]]
+    for a in others:
         assert not linalg._gufunc_path(a, name)
         assert_bit_equal(seam(a), public(a))
 
@@ -158,6 +214,40 @@ def test_nonfinite_and_overflowing_input_get_numpys_answer(name, kind, capfd):
     else:
         assert len(got[1]) == len(want[1])
         for g, w in zip(got[1], want[1]):
+            assert np.array_equal(g, w, equal_nan=True)
+    assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+
+
+def _observed(fn, a):
+    """(outcome, warnings) of fn(a): ('raises', exception type and message)
+    or ('returns', result parts), and the (category, message) of every
+    warning issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = "returns", _parts(fn(a))
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            outcome = "raises", (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
+@pytest.mark.parametrize("name", STACKED)
+def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
+    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0
+    seam, public = SEAM[name]
+    a = ginibre(np.random.default_rng(135), 5 * 3, 3).reshape(5, 3, 3)
+    a[2] = NONFINITE[kind] if kind in NONFINITE else 0.0
+    assert linalg._gufunc_path(a, name, stack=True)
+    (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
+    assert got_warnings == want_warnings
+    assert got[0] == want[0]
+    if got[0] == "raises":
+        assert got[1] == want[1]
+    else:
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            assert np.asarray(g).dtype == np.asarray(w).dtype
             assert np.array_equal(g, w, equal_nan=True)
     assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
 
@@ -251,11 +341,13 @@ def _chain(rng):
 
 def test_results_are_unchanged_without_the_gufuncs(monkeypatch):
     want_chain = _chain(np.random.default_rng(133))
-    want = {name: [SEAM[name][0](a) for _, a in INPUTS] for name in SEAM}
+    inputs = {name: INPUTS + (STACKS if name in STACKED else []) for name in SEAM}
+    want = {name: [SEAM[name][0](a) for _, a in inputs[name]] for name in SEAM}
     monkeypatch.setattr(linalg, "_umath_linalg", None)
     assert not linalg._gufunc_path(INPUTS[0][1], "eigvalsh")
+    assert not linalg._gufunc_path(STACKS[0][1], "eigvalsh", stack=True)
     for name in SEAM:
-        for (label, a), w in zip(INPUTS, want[name]):
+        for (label, a), w in zip(inputs[name], want[name]):
             assert_bit_equal(SEAM[name][0](a), w, label)
     got_chain = _chain(np.random.default_rng(133))
     assert len(got_chain) == len(want_chain)
@@ -266,8 +358,9 @@ def test_results_are_unchanged_without_the_gufuncs(monkeypatch):
 @pytest.mark.parametrize("name", SEAM)
 def test_a_wrapper_over_numpy_sees_every_call(name, monkeypatch):
     seam, _ = SEAM[name]
-    a = dict(INPUTS)["hermitian6"]
-    want = seam(a)
+    labels = ["hermitian6"] + (["hermitian20x6"] if name in STACKED else [])
+    inputs = [dict(INPUTS + STACKS)[label] for label in labels]
+    want = [seam(a) for a in inputs]
     original = getattr(np.linalg, name)
     calls = []
 
@@ -276,10 +369,12 @@ def test_a_wrapper_over_numpy_sees_every_call(name, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)
-    assert not linalg._gufunc_path(a, name)
-    for _ in range(3):
-        assert_bit_equal(seam(a), want)
-    assert calls == [name] * 3
+    for a, w in zip(inputs, want):
+        assert not linalg._gufunc_path(a, name)
+        assert not linalg._gufunc_path(a, name, stack=True)
+        for _ in range(3):
+            assert_bit_equal(seam(a), w)
+    assert calls == [name] * 3 * len(inputs)
 
 
 # -- one seam: no module but linalg calls a numpy.linalg factorization ------

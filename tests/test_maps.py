@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,22 @@ def test_necessity_and_witness_search_raise_when_the_images_overflow():
         theorem1_necessity_trial(phi, trials=5)
     with pytest.raises(DomainError, match=message):
         witness_search(phi, budget=5, n=2)
+
+
+def test_overflowing_images_raise_domain_error_where_warnings_are_errors():
+    # the engine reports an overflow itself: neither the images nor their
+    # stacked spectra issue a RuntimeWarning first
+    kraus = make_decomposable([1e200 * np.eye(2)], [])
+    choi = map_from_choi(np.full((3, 3), 8e307), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: theorem1_necessity_trial(kraus, trials=5),
+            lambda: witness_search(kraus, budget=5, n=2),
+            lambda: theorem1_necessity_trial(choi, trials=20, n=1, d=1),
+        ):
+            with pytest.raises(DomainError, match="map images overflow"):
+                call()
 
 
 def test_necessity_raises_when_a_finite_image_has_an_infinite_eigenvalue():

@@ -1,8 +1,9 @@
 """Value objects of the decompose chain and the results they keep.
 
-``OperatorPair`` and ``OperatorBlockMatrix`` own read-only copies of their
-arrays, so the Gram block a pair keeps and the verdicts a block keeps (one
-per tolerance) cannot go stale.  ``dual_decomposition`` takes the pair's own
+``OperatorPair``, ``OperatorBlockMatrix`` and ``PositiveMap`` own read-only
+copies of their arrays, so the Gram block a pair keeps, the verdicts a block
+keeps (one per tolerance) and the adjoints a Kraus map keeps cannot go
+stale.  ``dual_decomposition`` takes the pair's own
 verdict instead of testing the role-swapped block; the references in
 ``helpers`` check that this and the stacked ``reconstruct_block`` give
 exactly what the separate computations give.
@@ -24,9 +25,11 @@ from stormer_kit import (
     Tolerance,
     WitnessResult,
     canonical_decomposition,
+    choi_fixture,
     choi_matrix,
     dual_decomposition,
     gram_block,
+    make_decomposable,
     map_from_choi,
     psd_via_contraction,
     reconstruct_block,
@@ -191,6 +194,54 @@ def test_mutating_the_input_leaves_the_state_unchanged():
         assert not state.matrix.flags.writeable and np.array_equal(state.matrix, rho.matrix)
         assert not np.shares_memory(state.matrix, rho.matrix)
         assert state._lowest == rho._lowest
+
+
+def _maps(kraus, choi):
+    """A CP + co-CP map with ``kraus`` in both parts, and the map read off
+    ``choi`` (input dimension 2)."""
+    return make_decomposable([kraus], [kraus]), map_from_choi(choi, 2)
+
+
+def test_mutating_the_input_leaves_the_map_unchanged():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    for dtype in (complex, float):  # a complex input could be aliased
+        k = np.eye(2, dtype=dtype)
+        c = choi_matrix(transpose_map(), 2).real.astype(dtype)  # a real permutation
+        kraus_map, choi_map = _maps(k, c)
+        want = [kraus_map.apply(x), choi_map.apply(x)]
+        k[0, 0] = 5.0
+        c[...] = 0.0
+        assert np.array_equal(kraus_map.apply(x), want[0]) and np.array_equal(want[0], x + x.T)
+        assert np.array_equal(choi_map.apply(x), want[1]) and np.array_equal(want[1], x.T)
+        assert not np.shares_memory(kraus_map.kraus_cp[0], k)
+        assert not np.shares_memory(choi_map.choi, c)
+
+
+def test_map_arrays_are_read_only():
+    kraus_map, choi_map = _maps(np.eye(2), choi_matrix(transpose_map(), 2))
+    for a in (kraus_map.kraus_cp[0], kraus_map.kraus_cocp[0], choi_map.choi):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def _arrays(phi) -> list:
+    return [*phi.kraus_cp, *phi.kraus_cocp] + ([] if phi.choi is None else [phi.choi])
+
+
+def test_map_copies_are_rebuilt_through_the_constructor():
+    rng = np.random.default_rng(67)
+    kraus = ginibre(rng, 3, 2)  # 3 x 2: input dimension 2, output 3
+    x = ginibre(rng, 2)
+    maps = [*_maps(kraus[:2], choi_matrix(transpose_map(), 2)), make_decomposable([], [kraus])]
+    for phi in maps + [choi_fixture()]:
+        for q in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert (q.kind, q.name, q.input_dim) == (phi.kind, phi.name, phi.input_dim)
+            assert len(_arrays(q)) == len(_arrays(phi))
+            for got, kept in zip(_arrays(q), _arrays(phi)):
+                assert not got.flags.writeable and np.array_equal(got, kept)
+                assert not np.shares_memory(got, kept)
+            if phi in maps:
+                assert np.array_equal(q.apply(x), phi.apply(x))
 
 
 def test_copies_own_fresh_arrays_and_keep_nothing():
