@@ -103,9 +103,6 @@ def test_gufunc_path_is_bit_equal_to_numpy(name):
         assert_bit_equal(got, public(a), label)
 
 
-def test_qr_without_r_is_the_q_factor():
-    for label, a in INPUTS:
-        assert np.array_equal(linalg._qr(a, r=False), np.linalg.qr(a).Q), label
 
 
 # -- stacks: _eigvalsh, _cond and _qr take the gufunc path ------------------
@@ -155,13 +152,17 @@ def test_stacks_on_the_gufunc_path_are_bit_equal_to_numpy(name):
         assert_bit_equal(got, public(a), label)
 
 
+def test_qr_without_r_is_the_q_factor():
+    for label, a in INPUTS + STACKS:
+        assert np.array_equal(linalg._qr(a, r=False), np.linalg.qr(a).Q), label
+
+
 def test_qr_diag_is_the_diagonal_of_r():
     for label, a in INPUTS + STACKS:
         want = np.linalg.qr(a)
         q, diag = linalg._qr(a, r="diag")
         assert np.array_equal(q, want.Q), label
         assert np.array_equal(diag, np.diagonal(want.R, 0, -2, -1)), label
-        assert np.array_equal(linalg._qr(a, r=False), want.Q), label
 
 
 @pytest.mark.parametrize("name", SEAM)
