@@ -30,11 +30,9 @@ their Python wrapper.  On one matrix the wrapper costs a few microseconds
 a call, about as much as LAPACK takes at the 2x2 to 12x12 sizes used here.
 On the necessity engine's stacks of 20 matrices of 2x2 to 4x4 the stack
 path saves 4-13 us a ``cond`` call, and 7-15 us a ``qr`` call that returns
-R's diagonal (see CHANGES for the measurement); ``eigvalsh``'s wrapper is
-lighter, and there the stack path's own floating-point guard costs about
-what it saves.  A NaN output, the gufuncs' mark of a LAPACK
-failure, hands the input to the public function, which raises
-``LinAlgError`` or returns what numpy returns.
+R's diagonal (see CHANGES for the measurement).  A NaN output, the gufuncs'
+mark of a LAPACK failure, hands the input to the public function, which
+raises ``LinAlgError`` or returns what numpy returns.
 
 - One 2-d matrix takes the gufunc path in every function except
   :func:`_cond`.  It tests its first output element for NaN and does not
@@ -43,11 +41,12 @@ failure, hands the input to the public function, which raises
   infinite or NaN entries, or one whose spectrum overflows) the gufunc call
   also issues a RuntimeWarning (divide, invalid) before the same result or
   error; where warnings are errors, that warning is raised in its place.
-- A stack of matrices takes the gufunc path in :func:`_eigvalsh`,
-  :func:`_cond` and :func:`_qr`, the necessity engine's and the samplers'
-  calls.  It runs under ``np.errstate(all="ignore")`` and tests one output
-  element per matrix, so a stack warns or raises exactly as the public
-  function does.
+- A stack of matrices takes the gufunc path in :func:`_cond` and
+  :func:`_qr`, the samplers' calls.  It runs under
+  ``np.errstate(all="ignore")`` and tests one output element per matrix, so
+  a stack warns or raises exactly as the public function does.  Stacks in
+  :func:`_eigvalsh` stay on the public path: on the engine's stacks that
+  errstate and test cost about as much as ``eigvalsh``'s light wrapper.
 
 Everything else takes the public path and calls the ``numpy.linalg``
 function itself: stacks in the other functions, other dtypes, a numpy
@@ -135,11 +134,6 @@ def _eigvalsh(a):
         w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
         if w[0] == w[0]:
             return w
-    elif _gufunc_path(a, "eigvalsh", stack=True):
-        with np.errstate(all="ignore"):
-            w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
-        if _solved(w[..., 0]):
-            return w
     return np.linalg.eigvalsh(a)
 
 
@@ -173,12 +167,12 @@ def _eig(a):
     return np.linalg.eig(a)
 
 
-def _qr(a, r: bool | str = True):
-    """Reduced QR of ``a``, as ``np.linalg.qr``; ``a`` may be a stack.
-    Returns (Q, R), or Q alone when ``r`` is false, or (Q, the diagonal of
-    R) when ``r`` is ``"diag"``, which skips ``np.triu``: on the samplers'
-    (20, 3, 3) stacks of Haar factors that takes 28 us a call against 43 us
-    for ``np.linalg.qr`` and R's diagonal."""
+def _qr(a, diag: bool = False):
+    """Q of the reduced QR of ``a``, as ``np.linalg.qr(a).Q``; ``a`` may be
+    a stack.  With ``diag``, (Q, the diagonal of R), read off the factored
+    array without forming R: on the samplers' (20, 3, 3) stacks of Haar
+    factors that takes 28 us a call against 43 us for ``np.linalg.qr`` and
+    R's diagonal."""
     one = _gufunc_path(a, "qr")
     if one or _gufunc_path(a, "qr", stack=True):
         f = a.astype(_COMPLEX128, copy=True)  # overwritten with R and the reflectors
@@ -190,8 +184,9 @@ def _qr(a, r: bool | str = True):
                 q = _q_factor(f)
             solved = _solved(q[..., 0, 0])
         if solved:
-            return _qr_result(q, f[..., : min(f.shape[-2:]), :], r, triu=True)
-    return _qr_result(*np.linalg.qr(a), r)
+            return (q, np.diagonal(f, 0, -2, -1)) if diag else q
+    q, r = np.linalg.qr(a)
+    return (q, np.diagonal(r, 0, -2, -1)) if diag else q
 
 
 def _q_factor(f):
@@ -199,17 +194,6 @@ def _q_factor(f):
     ``f`` with R and the reflectors."""
     tau = _umath_linalg.qr_r_raw(f, signature="D->D")
     return _umath_linalg.qr_reduced(f, tau, signature="DD->D")
-
-
-def _qr_result(q, upper, r, triu: bool = False):
-    """What :func:`_qr` returns, from Q and R's rows; ``triu`` when R's
-    lower part still holds the reflectors and is zeroed only if R is
-    returned."""
-    if not r:
-        return q
-    if r == "diag":
-        return q, np.diagonal(upper, 0, -2, -1)
-    return q, (np.triu(upper) if triu else upper)
 
 
 def _pinv(a, rcond: float):

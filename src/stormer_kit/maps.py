@@ -140,6 +140,7 @@ class PositiveMap:
         at = np.swapaxes(a, -1, -2)
         images = (kr @ (at if transposed else a) @ kh for kr, kh, transposed in self._terms)
         out = next(images)
+        out += 0.0  # a sum from 0.0: an entry of -0.0 reads +0.0
         for image in images:  # summed in place, in the order of the terms
             out += image
         return out

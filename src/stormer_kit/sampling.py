@@ -67,7 +67,7 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Q of z = QR with the phases of R's diagonal moved into Q, which makes
     Q Haar distributed; z may be a stack of shape (..., d, d)."""
-    q, diag = _qr(z, r="diag")
+    q, diag = _qr(z, diag=True)
     return q * (diag / np.abs(diag))[..., None, :]
 
 

@@ -376,7 +376,7 @@ def _eigenbasis(a: np.ndarray) -> SpectralResolution:
     """The resolution of an operator already known to be normal."""
     lam, v = _eig(a)
     order = np.lexsort((lam.imag, lam.real))
-    z = _qr(v, r=False)
+    z = _qr(v)
     # + 0.0 turns the negative zeros that the reflections and the phase
     # rotation leave into zeros, so reports never print -0.0.
     return SpectralResolution(lam[order], fix_phases(z[:, order]) + 0.0)

@@ -116,6 +116,21 @@ def test_stacked_apply_equals_per_matrix_apply(label, phi, d):
         assert np.array_equal(stacked[idx], oracle_apply(phi, x[idx]))
 
 
+@pytest.mark.parametrize("parts", [(1, 0), (0, 1), (2, 1)], ids=["cp", "cocp", "sum"])
+def test_kraus_images_keep_the_oracles_sign_of_zero(parts):
+    # == does not tell -0.0 from +0.0.  Images of 1e-400 underflow to -0.0
+    # where x is negative; the per-matrix sum, which starts at 0.0, reads +0.0.
+    tiny = 1e-200 * np.eye(2)
+    phi = make_decomposable([tiny] * parts[0], [tiny] * parts[1])
+    x = np.array([[[-1.0, -1.0 - 1j], [-1.0 + 1j, 2.0]], [[-3.0, 1j], [-1j, -1.0]]])
+    assert np.signbit((tiny @ x @ tiny).view(float)).any()
+    image = phi.apply(x)
+    for k in range(len(x)):
+        want = oracle_apply(phi, x[k])
+        assert np.array_equal(image[k], want)
+        assert np.array_equal(np.signbit(image[k].view(float)), np.signbit(want.view(float)))
+
+
 def test_apply_rejects_bad_stacks():
     with pytest.raises(DimensionError):
         transpose_map().apply(np.zeros((2, 3, 4)))

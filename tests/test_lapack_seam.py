@@ -1,7 +1,7 @@
 """The LAPACK seam in ``linalg`` against numpy's public functions.
 
-One 2-d complex128 matrix, and a stack of them in ``_eigvalsh``, ``_cond``
-and ``_qr``, takes the gufunc path, which calls numpy's ``_umath_linalg``
+One 2-d complex128 matrix, and a stack of them in ``_cond`` and ``_qr``,
+takes the gufunc path, which calls numpy's ``_umath_linalg``
 gufuncs without the ``numpy.linalg`` wrapper; everything else takes the
 public path.  Both must give bit-equal results and raise the same errors (a
 stack also the same warnings), a wrapper installed over a ``numpy.linalg``
@@ -44,13 +44,18 @@ SEAM = {
     "eigh": (linalg._eigh, lambda a: np.linalg.eigh(a)),
     "svd": (linalg._svdvals, lambda a: np.linalg.svd(a, compute_uv=False)),
     "eig": (linalg._eig, lambda a: np.linalg.eig(a)),
-    "qr": (linalg._qr, lambda a: np.linalg.qr(a)),
+    "qr": (lambda a: linalg._qr(a, diag=True), lambda a: _q_and_diagonal(np.linalg.qr(a))),
     "pinv": (
         lambda a: linalg._pinv(a, DEFAULT_RCOND),
         lambda a: np.linalg.pinv(a, rcond=DEFAULT_RCOND),
     ),
     "cond": (linalg._cond, lambda a: np.linalg.cond(a)),
 }
+
+
+def _q_and_diagonal(qr) -> tuple:
+    """(Q, the diagonal of R) of ``np.linalg.qr``'s result."""
+    return qr.Q, np.diagonal(qr.R, 0, -2, -1)
 
 
 def _parts(result) -> tuple:
@@ -103,15 +108,13 @@ def test_gufunc_path_is_bit_equal_to_numpy(name):
         assert_bit_equal(got, public(a), label)
 
 
+# -- stacks: _cond and _qr take the gufunc path -----------------------------
 
-
-# -- stacks: _eigvalsh, _cond and _qr take the gufunc path ------------------
-
-STACKED = ("eigvalsh", "cond", "qr")
-# (count, d): the stacks the library factorizes.  The necessity engine's
-# 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its samplers'
-# candidates and Haar factors (d = 2..4), the witness search's 5-step window
-# and the engine's 256-trial chunk.
+STACKED = ("cond", "qr")
+# (count, d): the stack shapes the library factorizes.  The necessity
+# engine's 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its
+# samplers' candidates and Haar factors (d = 2..4), the witness search's
+# 5-step window and the engine's 256-trial chunk.
 STACK_SHAPES = [(20, 6), (20, 12), (5, 9), (256, 9)] + [(20, d) for d in (2, 3, 4)]
 
 
@@ -154,15 +157,7 @@ def test_stacks_on_the_gufunc_path_are_bit_equal_to_numpy(name):
 
 def test_qr_without_r_is_the_q_factor():
     for label, a in INPUTS + STACKS:
-        assert np.array_equal(linalg._qr(a, r=False), np.linalg.qr(a).Q), label
-
-
-def test_qr_diag_is_the_diagonal_of_r():
-    for label, a in INPUTS + STACKS:
-        want = np.linalg.qr(a)
-        q, diag = linalg._qr(a, r="diag")
-        assert np.array_equal(q, want.Q), label
-        assert np.array_equal(diag, np.diagonal(want.R, 0, -2, -1)), label
+        assert np.array_equal(linalg._qr(a), np.linalg.qr(a).Q), label
 
 
 @pytest.mark.parametrize("name", SEAM)
@@ -346,7 +341,7 @@ def test_results_are_unchanged_without_the_gufuncs(monkeypatch):
     want = {name: [SEAM[name][0](a) for _, a in inputs[name]] for name in SEAM}
     monkeypatch.setattr(linalg, "_umath_linalg", None)
     assert not linalg._gufunc_path(INPUTS[0][1], "eigvalsh")
-    assert not linalg._gufunc_path(STACKS[0][1], "eigvalsh", stack=True)
+    assert not linalg._gufunc_path(STACKS[0][1], "cond", stack=True)
     for name in SEAM:
         for (label, a), w in zip(inputs[name], want[name]):
             assert_bit_equal(SEAM[name][0](a), w, label)
