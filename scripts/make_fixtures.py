@@ -89,6 +89,8 @@ def main() -> None:
     dump("block_row_object.json", {"n": 1, "d": 1, "blocks": [{"0": one}]})
     dump("bool_entries.json", {"rows": 1, "cols": 1, "data": [[True, False]]})
     dump("nonint_dims.json", {"rows": True, "cols": 1.9, "data": [[1.0, 0.0]]})
+    # a JSON integer of 401 digits, too large for a double
+    dump("huge_int_entry.json", {"rows": 1, "cols": 1, "data": [[10**400, 0]]})
 
     # a 1 x 1 operator whose Gram block overflows double precision
     dump("huge1.json", matrix_to_payload(np.array([[1e200]])))
@@ -105,6 +107,16 @@ def main() -> None:
         "overflow_kraus.json",
         {"kind": "kraus", "cp": [matrix_to_payload(1e200 * np.eye(2))], "cocp": []},
     )
+
+    # I + eps i F, with F the flip on C^2 (x) C^2: Hermitian within tolerance
+    # at the default thresholds, PSD with both spectra at 1, while the partial
+    # transpose doubles the residual (F's swap has norm 2).  As a block file
+    # (eps = 0.75e-9), and as a state I/4 + eps i F (eps = 0.25e-10) for
+    # ppt-check at tighter tolerances.
+    flip = np.eye(4)[[0, 2, 1, 3]]
+    flip_block = OperatorBlockMatrix.from_assembled(np.eye(4) + 0.75e-9j * flip, 2)
+    dump("flip_block.json", block_to_payload(flip_block))
+    dump("flip_state.json", matrix_to_payload(np.eye(4) / 4 + 0.25e-10j * flip))
 
     # nontriviality instance: two-sided-positive block with a failing summand
     x, rows, k = find_nontrivial_block(seed=0, d=2)

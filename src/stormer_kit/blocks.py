@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _eigh,
+    _held,
     _op_norm,
     _psd_check,
     adjoint,
@@ -40,16 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Partition2:
-    """Blocks of ``[[A, B], [B*, C]]``; A is n x n, C is k x k, B is n x k."""
+    """Blocks of ``[[A, B], [B*, C]]``; A is n x n, C is k x k, B is n x k.
+
+    The partition owns read-only copies of its blocks, as the package's
+    other value objects own their arrays: it never aliases the caller's
+    arrays, and writing into ``a``, ``b`` or ``c`` raises ``ValueError``.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        a = require_square(self.a, "block A")
-        c = require_square(self.c, "block C")
-        b = as_matrix(self.b)
+        a = _held(require_square(self.a, "block A"))
+        c = _held(require_square(self.c, "block C"))
+        b = _held(as_matrix(self.b))
         if b.shape != (a.shape[0], c.shape[0]):
             raise DimensionError(
                 f"block B must be {a.shape[0]} x {c.shape[0]}, got {b.shape}"
@@ -57,6 +63,11 @@ class Partition2:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so copies and unpickled partitions
+        # own fresh read-only arrays.
+        return type(self), (self.a, self.b, self.c)
 
     @property
     def n(self) -> int:

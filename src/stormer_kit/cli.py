@@ -152,13 +152,7 @@ def cmd_make_state(args):
     import numpy as np
 
     from .io import matrix_to_payload
-    from .linalg import _psd_check
-    from .states import (
-        partial_transpose,
-        separable_decomposition,
-        separable_state,
-        state_from_block,
-    )
+    from .states import _ppt_check, separable_decomposition, separable_state, state_from_block
     from .stormer import canonical_decomposition, gram_block, stormer_test
 
     pair = _load_pair(args)
@@ -175,7 +169,7 @@ def cmd_make_state(args):
     metrics["residual"] = float(
         np.linalg.norm(separable_state(sep) - rho.matrix) / np.linalg.norm(rho.matrix)
     )
-    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), tol)
+    ppt, lowest, _ = _ppt_check(rho, tol)
     metrics["min_eig_partial_transpose"] = float(lowest)
     metrics["ppt"] = int(ppt)
     artifacts = {
@@ -189,11 +183,10 @@ def cmd_make_state(args):
 
 def cmd_ppt_check(args):
     from .io import load_matrix
-    from .linalg import _psd_check
-    from .states import DensityState, partial_transpose
+    from .states import DensityState, _ppt_check
 
     rho = DensityState((args.n, args.d), load_matrix(args.state))
-    ppt, lowest, _ = _psd_check(partial_transpose(rho, 1), args.tol)
+    ppt, lowest, _ = _ppt_check(rho, args.tol)
     return ppt, {"min_eig_partial_transpose": float(lowest)}
 
 

@@ -73,7 +73,11 @@ def matrix_from_payload(obj) -> np.ndarray:
         re, im = entry
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
             raise InputError(f"entry {i} must hold numbers")
-        if not (math.isfinite(re) and math.isfinite(im)):
+        try:
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer too large for a double
+            finite = False
+        if not finite:
             raise InputError(f"entry {i} is not finite")
         out[i] = complex(re, im)
     return out.reshape(rows, cols)

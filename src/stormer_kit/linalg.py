@@ -243,6 +243,14 @@ def require_square(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def _held(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, in its memory order: the array a value
+    object owns, which never aliases its caller's."""
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
@@ -337,14 +345,17 @@ def psd_margin(w, tol: Tolerance = DEFAULT_TOL):
     return lowest, tol.threshold(np.maximum(np.abs(lowest), np.abs(w[..., -1])))
 
 
-def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
-    d = a - adjoint(a)
+def _is_hermitian(a: np.ndarray, ah: np.ndarray, tol: Tolerance) -> bool:
+    """:func:`is_hermitian` of ``a`` given its adjoint ``ah``, which a caller
+    that goes on to form the Hermitian part has at hand."""
+    d = a - ah
     return _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= tol.threshold(_op_norm(a))
 
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``||M - M*||`` is below the threshold for M's scale."""
-    return _is_hermitian(require_square(m), tol)
+    a = require_square(m)
+    return _is_hermitian(a, adjoint(a), tol)
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
@@ -390,13 +401,14 @@ def eig_hermitian(m) -> HermitianEig:
     return _eig_hermitian(require_square(m))
 
 
-def _psd_check(a: np.ndarray, tol: Tolerance):
-    """(verdict, min_eig, threshold) of :func:`is_psd`: the one PSD check,
-    whose min_eig and threshold are the numbers reports print.  Raises
-    DomainError when finite entries give a spectrum that overflows."""
-    ah = adjoint(a)
+def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray):
+    """(verdict, min_eig, threshold) of Hermitian ``h`` by its spectrum
+    alone: ``min_eig >= -threshold`` (see :func:`psd_margin`).  ``h`` is
+    formed from ``a`` (its Hermitian part, perhaps index-swapped), whose
+    largest entry the DomainError names when finite entries give a
+    spectrum that overflows: ``h`` may have overflowed already."""
     try:
-        lowest, thr = psd_margin(_eigvalsh(0.5 * (a + ah)), tol)
+        lowest, thr = psd_margin(_eigvalsh(h), tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
@@ -404,9 +416,20 @@ def _psd_check(a: np.ndarray, tol: Tolerance):
             f"spectrum overflows: matrix entries reach {np.abs(a).max():.3e}; "
             "rescale the matrix"
         )
+    return bool(lowest >= -thr), lowest, thr
+
+
+def _psd_check(a: np.ndarray, tol: Tolerance):
+    """(verdict, min_eig, threshold) of :func:`is_psd`, the PSD check of a
+    matrix whose Hermiticity nobody has settled: :func:`_psd_spectrum` on
+    its Hermitian part, with a false verdict where the residual ``a - a*``
+    exceeds the threshold.  Its min_eig and threshold are the numbers
+    reports print."""
+    ah = adjoint(a)
+    verdict, lowest, thr = _psd_spectrum(0.5 * (a + ah), tol, a)
     d = a - ah
     hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
-    return bool(hermitian and lowest >= -thr), lowest, thr
+    return bool(hermitian and verdict), lowest, thr
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_TOL, Tolerance, _eigvalsh, adjoint, as_matrix, psd_margin, require_square
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _eigvalsh,
+    _held,
+    adjoint,
+    as_matrix,
+    psd_margin,
+    require_square,
+)
 from .sampling import _boundary_grams, _pair_stack, ginibre, random_stormer_blocks
 from .stormer import OperatorBlockMatrix, _assemble, _split
 
@@ -144,13 +153,6 @@ class PositiveMap:
         for image in images:  # summed in place, in the order of the terms
             out += image
         return out
-
-
-def _held(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``a``, in its memory order."""
-    a = a.copy(order="K")
-    a.flags.writeable = False
-    return a
 
 
 # Diagonal entry i of a choi3 image adds x_ii and the entry before it, cyclically.

@@ -19,8 +19,10 @@ from .linalg import (
     Tolerance,
     _eigvalsh,
     _frobenius,
+    _held,
     _op_norm,
     _psd_check,
+    _psd_spectrum,
     adjoint,
     require_square,
 )
@@ -58,7 +60,7 @@ class DensityState:
 
     def __post_init__(self) -> None:
         n, d = self.dims
-        m = require_square(np.array(self.matrix, dtype=complex), "state matrix")
+        m = _held(require_square(self.matrix, "state matrix"))
         if n < 1 or d < 1 or m.shape[0] != n * d:
             raise DimensionError(
                 f"state of dims {self.dims} needs n, d >= 1 and a {n * d} x {n * d} matrix"
@@ -72,7 +74,6 @@ class DensityState:
         lowest = _eigvalsh(0.5 * (m + mh))[0]
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_lowest", lowest)  # not a field: kept for reports
 
@@ -86,9 +87,11 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     """Normalize a PSD block matrix to a density state on (n) x (d).
 
     The PSD check of the assembled matrix is reused when ``x`` already
-    holds :func:`stormer_test`'s checks for ``tol``, whose direct side is
-    the same check on the same matrix, whatever the swapped side gave.  The
-    state's own validation (fixed bands, independent of ``tol``) always runs.
+    holds :func:`stormer_test`'s checks for ``tol``, whatever the swapped
+    side gave: its direct side judged the same matrix, whose Hermiticity it
+    had decided.  Otherwise the matrix gets the boundary check of
+    :func:`is_psd`.  The state's own validation (fixed bands, independent of
+    ``tol``) always runs.
     """
     m = x.assembled()
     sides = x._sides.get(tol)
@@ -122,8 +125,20 @@ def partial_transpose(rho: DensityState, factor: int) -> np.ndarray:
 
 
 def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the partial transpose over the first factor is PSD."""
-    return _psd_check(_swap(rho.matrix, rho.dims[0]), tol)[0]
+    """True iff the partial transpose over the first factor is PSD.
+
+    The state's constructor has settled that its matrix is Hermitian, within
+    fixed bands, so the verdict reads only the spectrum of the partial
+    transpose's Hermitian part, against ``tol``'s PSD threshold.
+    """
+    return _ppt_check(rho, tol)[0]
+
+
+def _ppt_check(rho: DensityState, tol: Tolerance):
+    """(verdict, min_eig, threshold) of :func:`is_ppt`: the one PT check,
+    whose min_eig the reports print."""
+    m = rho.matrix
+    return _psd_spectrum(_swap(0.5 * (m + adjoint(m)), rho.dims[0]), tol, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,10 +29,12 @@ from .linalg import (
     Tolerance,
     _eig,
     _eig_hermitian,
+    _held,
     _is_hermitian,
     _is_normal,
     _pinv,
     _psd_check,
+    _psd_spectrum,
     _qr,
     _svdvals,
     adjoint,
@@ -80,15 +82,13 @@ class OperatorPair:
     _gram = None  # not a field: the Gram block, once gram_block has built it
 
     def __post_init__(self) -> None:
-        a1 = require_square(np.array(self.a1, dtype=complex), "a1")
-        a2 = require_square(np.array(self.a2, dtype=complex), "a2")
+        a1 = _held(require_square(self.a1, "a1"))
+        a2 = _held(require_square(self.a2, "a2"))
         if a1.shape != a2.shape:
             raise DimensionError(f"operator shapes differ: {a1.shape} vs {a2.shape}")
         self._hold(a1, a2)
 
     def _hold(self, a1: np.ndarray, a2: np.ndarray) -> None:
-        a1.flags.writeable = False
-        a2.flags.writeable = False
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
@@ -122,12 +122,11 @@ class OperatorBlockMatrix:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.blocks, dtype=complex)
+        b = _held(np.asarray(self.blocks, dtype=complex))
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
             raise DimensionError(f"blocks must have shape (n, n, d, d), got {b.shape}")
         if not np.isfinite(b).all():
             raise DomainError("block entries must be finite")
-        b.flags.writeable = False
         object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "_sides", {})
 
@@ -256,10 +255,13 @@ def swap_block(x: OperatorBlockMatrix) -> OperatorBlockMatrix:
 def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff both the assembled block matrix and its index swap are PSD.
 
-    Both sides are always checked, and both checks are kept on ``x``, keyed
-    by ``tol``: a later call with an equal tolerance returns the verdict
-    without recomputing, and another tolerance gets its own.  A block that
-    is not Hermitian within tolerance raises DomainError on every call.
+    Hermiticity is decided once, on the assembled matrix: a block that is not
+    Hermitian within tolerance raises DomainError on every call.  Each side
+    is then judged by the spectrum of its Hermitian part alone, so its
+    verdict is ``min_eig >= -threshold``, the rule of ``psd_margin``.  Both
+    sides are always checked, and both checks are kept on ``x``, keyed by
+    ``tol``: a later call with an equal tolerance returns the verdict
+    without recomputing, and another tolerance gets its own.
     """
     direct, swapped = _two_sided(x, tol)
     return direct[0] and swapped[0]
@@ -267,13 +269,19 @@ def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _two_sided(x: OperatorBlockMatrix, tol: Tolerance):
     """The (verdict, min_eig, threshold) checks of the assembled matrix and
-    of its index swap that :func:`stormer_test` keeps on ``x``."""
+    of its index swap that :func:`stormer_test` keeps on ``x``: one
+    Hermiticity decision, then the spectra of one Hermitian part and its
+    swap."""
     sides = x._sides.get(tol)
     if sides is None:
         m = x.assembled()
-        if not _is_hermitian(m, tol):
+        mh = adjoint(m)
+        if not _is_hermitian(m, mh, tol):
             raise DomainError("assembled block matrix is not Hermitian within tolerance")
-        sides = x._sides[tol] = (_psd_check(m, tol), _psd_check(_swap(m, x.n), tol))
+        # the swap of the Hermitian part is, entry for entry, the Hermitian
+        # part of the swap
+        h = 0.5 * (m + mh)
+        sides = x._sides[tol] = (_psd_spectrum(h, tol, m), _psd_spectrum(_swap(h, x.n), tol, m))
     return sides
 
 

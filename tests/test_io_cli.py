@@ -22,6 +22,7 @@ from helpers import (
     GOLDEN,
     expand,
     lapack_calls,
+    load_script,
     min_eig,
     run_case,
     run_cli_inprocess,
@@ -59,6 +60,8 @@ MALFORMED = [
     ["stormer-check", "--block", "block_row_object.json"],
     # JSON booleans are not numbers
     ["check-psd", "bool_entries.json"],
+    # an integer entry too large for a double
+    ["check-psd", "huge_int_entry.json"],
     # matrix dimensions that are a boolean and a float
     ["check-psd", "nonint_dims.json"],
     # state dims of no size whose product still matches the matrix
@@ -118,6 +121,7 @@ def test_block_payload_roundtrip_exact():
         {"rows": 1, "cols": 1, "data": [[1.0]]},
         {"rows": 1, "cols": 1, "data": [["x", 0.0]]},
         {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[0.0, -(10**400)]]},
         [1, 2, 3],
         {"rows": 1, "cols": 1, "data": [[True, False]]},
         # dimensions must be JSON integers, not booleans, floats or strings
@@ -268,6 +272,33 @@ def test_stormer_check_reports_both_sides_when_the_direct_side_fails(tmp_path):
     assert direct < -1e-3
     assert json.loads(out)["metrics"] == {"min_eig_direct": direct, "min_eig_swapped": swapped}
     assert calls["eigvalsh"] == 2
+
+
+def test_verdicts_agree_with_their_margins_where_a_swap_doubles_the_residual():
+    # I + eps i F passes the boundary Hermiticity check; its swap's residual
+    # is twice the block's, above the swapped side's threshold, but each side
+    # is judged by its Hermitian part's spectrum alone: both read 1.0
+    code, out, err = run_cli_inprocess(expand(["stormer-check", "--block", "flip_block.json"]))
+    assert (code, err) == (0, "")
+    assert "verdict: true" in out
+    assert "min_eig_direct = 1.0\n" in out and "min_eig_swapped = 1.0\n" in out
+    # the state I/4 + eps i F passes DensityState's fixed bands; at tighter
+    # tolerances its partial transpose is not Hermitian within them, and the
+    # PPT verdict still reads only the spectrum
+    argv = ["ppt-check", "--state", "flip_state.json", "--n", "2", "--d", "2"]
+    code, out, err = run_cli_inprocess(expand([*argv, "--tol-abs", "1e-11", "--tol-rel", "1e-12"]))
+    assert (code, err) == (0, "")
+    assert "verdict: true" in out and "min_eig_partial_transpose = 0.25\n" in out
+
+
+def test_fixtures_come_from_the_fixture_script(tmp_path, monkeypatch, capsys):
+    make_fixtures = load_script("make_fixtures")
+    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
+    make_fixtures.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert "flip_block.json" in written and "huge_int_entry.json" in written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -37,8 +37,10 @@ from stormer_kit import (
     state_from_block,
     stormer_test,
 )
+from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
 from stormer_kit.linalg import _psd_check, fix_phases
+from stormer_kit.stormer import _swap, _two_sided
 from stormer_kit.sampling import (
     ginibre,
     haar_unitary,
@@ -242,6 +244,7 @@ def test_eig_hermitian_in_the_svd_band(d, factor):
 @pytest.mark.parametrize("factor", [0.9, 1.1])
 def test_stormer_test_boundary_check_in_the_svd_band(d, factor):
     rng = np.random.default_rng([33, d, int(10 * factor)])
+    swapped_over = 0  # blocks whose swap is less Hermitian than its side allows
     for _ in range(10):
         p = random_stormer_pair(rng, d)
         m = gram_block(p).assembled()
@@ -256,6 +259,17 @@ def test_stormer_test_boundary_check_in_the_svd_band(d, factor):
                 stormer_test(x)
         else:
             assert stormer_test(x) == oracle_stormer_test(x.blocks)
+            # Hermiticity is decided once, at the boundary: each side's
+            # verdict is the sign test of its margin
+            sides = _two_sided(x, DEFAULT_TOL)
+            for verdict, lowest, thr in sides:
+                assert verdict == (lowest >= -thr)
+            assert stormer_test(x) == (sides[0][0] and sides[1][0])
+            swapped = _swap(x.assembled(), x.n)
+            swapped_over += asymmetry(swapped) > sides[1][2]
+    if factor < 1.0 and d > 1:
+        # at d = 1 the swap is the transpose, with the block's own residual
+        assert swapped_over > 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -345,6 +359,20 @@ def test_stormer_test_makes_no_svd():
     with lapack_calls() as calls:
         assert stormer_test(x)
     assert calls == {"eigvalsh": 2, "eigh": 0, "svd": 0}
+
+
+def test_stormer_test_decides_hermiticity_once(monkeypatch):
+    calls = []
+
+    def counting(d, floor):
+        calls.append(floor)
+        return negligible(d, floor)
+
+    negligible = linalg._negligible
+    monkeypatch.setattr(linalg, "_negligible", counting)
+    x = gram_block(random_stormer_pair(np.random.default_rng(40), 3))
+    assert stormer_test(x)
+    assert len(calls) == 1  # the boundary check; neither side checks again
 
 
 def test_canonical_decomposition_lapack_calls():

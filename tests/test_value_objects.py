@@ -1,10 +1,10 @@
 """Value objects of the decompose chain and the results they keep.
 
-``OperatorPair``, ``OperatorBlockMatrix`` and ``PositiveMap`` own read-only
-copies of their arrays, so the Gram block a pair keeps, the verdicts a block
-keeps (one per tolerance) and the adjoints a Kraus map keeps cannot go
-stale.  ``dual_decomposition`` takes the pair's own
-verdict instead of testing the role-swapped block; the references in
+``OperatorPair``, ``OperatorBlockMatrix``, ``DensityState``, ``Partition2``
+and ``PositiveMap`` own read-only copies of their arrays, so the Gram block
+a pair keeps, the verdicts a block keeps (one per tolerance) and the
+adjoints a Kraus map keeps cannot go stale.  ``dual_decomposition`` takes
+the pair's own verdict instead of testing the role-swapped block; the references in
 ``helpers`` check that this and the stacked ``reconstruct_block`` give
 exactly what the separate computations give.
 """
@@ -194,6 +194,24 @@ def test_mutating_the_input_leaves_the_state_unchanged():
         assert not state.matrix.flags.writeable and np.array_equal(state.matrix, rho.matrix)
         assert not np.shares_memory(state.matrix, rho.matrix)
         assert state._lowest == rho._lowest
+
+
+def test_mutating_the_input_leaves_the_partition_unchanged():
+    a, b, c = np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    p = Partition2(a, b, c)
+    assert psd_via_contraction(p).psd
+    a[0, 0] = -5.0
+    b[...] = 2.0
+    c[...] = 0.0
+    for got, source, want in ((p.a, a, 1.0), (p.b, b, 0.5), (p.c, c, 1.0)):
+        assert got[0, 0] == want and not np.shares_memory(got, source)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+    assert psd_via_contraction(p).psd
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        for got, kept in ((q.a, p.a), (q.b, p.b), (q.c, p.c)):
+            assert not got.flags.writeable and np.array_equal(got, kept)
+            assert not np.shares_memory(got, kept)
 
 
 def _maps(kraus, choi):
