@@ -108,6 +108,12 @@ def main() -> None:
         {"kind": "kraus", "cp": [matrix_to_payload(1e200 * np.eye(2))], "cocp": []},
     )
 
+    # a pair whose Gram block and both spectra are finite (it passes
+    # stormer-check) but whose ratio operator 1e300 diag(1, i) has a
+    # self-commutator that overflows double precision
+    dump("tiny2.json", matrix_to_payload(1e-150 * np.eye(2)))
+    dump("huge_ratio2.json", matrix_to_payload(1e150 * np.diag([1.0, 1j])))
+
     # I + eps i F, with F the flip on C^2 (x) C^2: Hermitian within tolerance
     # at the default thresholds, PSD with both spectra at 1, while the partial
     # transpose doubles the residual (F's swap has norm 2).  As a block file

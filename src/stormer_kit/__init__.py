@@ -25,7 +25,7 @@ _EXPORTS = {
         "psd_oracle",
         "psd_via_contraction",
     ),
-    "errors": ("DimensionError", "DomainError", "InputError", "StormerKitError"),
+    "errors": ("DimensionError", "DomainError", "InputError", "ScaleError", "StormerKitError"),
     "linalg": (
         "DEFAULT_RCOND",
         "DEFAULT_TOL",

@@ -4,8 +4,11 @@ A partition ``[[A, B], [B*, C]]`` with A of size n and C of size k is PSD
 exactly when A and C are PSD and ``B = sqrt(A) W sqrt(C)`` for some
 contraction W.  On singular A or C the contraction is recovered with
 pseudoinverse square roots and the recomposition must still reproduce B
-(the range condition).  :func:`psd_oracle` gives the independent
-full-eigenvalue verdict the factorization test is checked against.
+(the range condition).  A and C are each diagonalized once: the ``eigh``
+that decides whether a block is PSD also gives its square roots, and C is
+checked only when A passes.  :func:`psd_oracle` gives the independent
+full-eigenvalue verdict of the assembled matrix, from its own ``eigvalsh``,
+that the factorization test is checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
-    _eigh,
     _held,
     _op_norm,
     _psd_check,
@@ -96,16 +98,16 @@ def assemble(p: Partition2) -> np.ndarray:
     return np.block([[p.a, p.b], [adjoint(p.b), p.c]])
 
 
-def _sqrt_and_pinv_sqrt(m, rcond: float) -> tuple[np.ndarray, np.ndarray]:
-    """Square root of a PSD matrix and the pseudoinverse of that root, with
-    one shared rank cutoff at rcond times the top eigenvalue of m.
+def _sqrt_and_pinv_sqrt(w, v, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """Square root of a PSD matrix m with eigenpairs ``w``, ``v`` and the
+    pseudoinverse of that root, with one shared rank cutoff at rcond times
+    the top eigenvalue of m.
 
     Cutting on m's spectrum (not the root's) keeps numerically-zero
     eigenvalues of an exactly singular m out of the inversion: eigh reports
     them at roundoff level, whose square root would survive a cutoff applied
     to the root alone.
     """
-    w, v = _eigh(0.5 * (m + adjoint(m)))
     w = np.clip(w, 0.0, None)
     cutoff = rcond * w[-1]
     w = np.where(w > cutoff, w, 0.0)
@@ -125,10 +127,12 @@ def psd_via_contraction(
     iff A and C are PSD, the recomposition ``sqrt(A) W0 sqrt(C)`` reproduces B
     within tolerance, and W0 is a contraction.
     """
-    if not (_psd_check(p.a, tol)[0] and _psd_check(p.c, tol)[0]):
+    psd, wa, va = _psd_check(p.a, tol, vectors=True)
+    psd, wc, vc = _psd_check(p.c, tol, vectors=True) if psd else (False, None, None)
+    if not psd:
         return ContractionCertificate(psd=False, w=None, residual=float("inf"))
-    sa, sa_inv = _sqrt_and_pinv_sqrt(p.a, rcond)
-    sc, sc_inv = _sqrt_and_pinv_sqrt(p.c, rcond)
+    sa, sa_inv = _sqrt_and_pinv_sqrt(wa, va, rcond)
+    sc, sc_inv = _sqrt_and_pinv_sqrt(wc, vc, rcond)
     w0 = sa_inv @ p.b @ sc_inv
     residual = op_norm(sa @ w0 @ sc - p.b)
     # threshold(0) is the least threshold_for(p.b) can be, so a residual

@@ -10,8 +10,9 @@ message says why the command failed.  :func:`main` builds every report, and
 the ``Tolerance`` once, as ``args.tol``.
 
 Exit codes: 1 when the verdict is false or a message is set, 0 otherwise,
-and 2 on malformed input (stderr ``error: ...``; a spectrum that overflows
-is malformed) and on internal errors (stderr ``internal error: ...``).
+and 2 on malformed input (stderr ``error: ...``; finite input whose
+arithmetic overflows, a ``ScaleError``, is malformed, never a false
+verdict) and on internal errors (stderr ``internal error: ...``).
 Reports go to stdout (JSON with --json), diagnostics to stderr; identical
 inputs, flags, and seed produce byte-identical reports.
 
@@ -27,7 +28,7 @@ import math
 import os
 import sys
 
-from .errors import InputError, StormerKitError
+from .errors import InputError, ScaleError, StormerKitError
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
@@ -133,6 +134,8 @@ def cmd_decompose(args):
     metrics = _two_sided_metrics(x, args.tol)[1]
     try:
         dec = canonical_decomposition(pair, args.tol, args.rcond)
+    except ScaleError:
+        raise  # an overflow is malformed input, not a verdict
     except StormerKitError as exc:
         verdict = "degenerate" if "degenerate" in str(exc) else False
         return verdict, metrics, None, str(exc)
@@ -163,6 +166,8 @@ def cmd_make_state(args):
     metrics = {"min_eig_state": float(rho._lowest)}
     try:
         dec = canonical_decomposition(pair, tol, args.rcond)
+    except ScaleError:
+        raise  # an overflow is malformed input, not a verdict
     except StormerKitError as exc:
         return False, metrics, None, str(exc)
     sep = separable_decomposition(dec)

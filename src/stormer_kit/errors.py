@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["DimensionError", "DomainError", "InputError", "StormerKitError"]
+__all__ = ["DimensionError", "DomainError", "InputError", "ScaleError", "StormerKitError"]
 
 
 class StormerKitError(ValueError):
@@ -13,6 +13,11 @@ class DimensionError(StormerKitError):
 
 class DomainError(StormerKitError):
     """Input is outside the mathematical domain of the operation."""
+
+
+class ScaleError(DomainError):
+    """Finite input whose arithmetic overflows double precision: malformed
+    input that must be rescaled, never a verdict."""
 
 
 class InputError(StormerKitError):

@@ -5,7 +5,10 @@ All routines act on 2-d complex numpy arrays.  Predicates such as
 :func:`is_psd` compare eigenvalues against a scale-aware threshold
 ``abs_eps + rel_eps * (1 + scale)`` so that verdicts are stable across
 conditioning and across rescaled inputs; :func:`psd_margin` is the one place
-that rule is computed from a spectrum.
+that rule is computed from a spectrum.  A PSD check reads one spectrum of
+one Hermitian part: an ``eigvalsh`` where only the verdict is needed, and
+where the matrix is factored next (:func:`sqrt_psd`, the Gram vectors, the
+partition test), the one ``eigh`` that factors it.
 
 Checks of a norm against a threshold (hermiticity, normality, the asymmetry
 guard of :func:`eig_hermitian`) settle with a cheap bound first: the
@@ -63,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ScaleError
 
 try:  # private numpy API, used only on the gufunc path of the LAPACK seam
     from numpy.linalg import _linalg as _numpy_linalg
@@ -373,7 +376,16 @@ def fix_phases(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eig_hermitian(a: np.ndarray) -> HermitianEig:
+def eig_hermitian(m) -> HermitianEig:
+    """Eigendecomposition of a Hermitian matrix with deterministic phases.
+
+    The input is symmetrized as ``(M + M*)/2`` before solving; asymmetry
+    beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
+    silently repaired.  Where LAPACK fails (a spectrum that overflows),
+    numpy's ``LinAlgError`` is raised after RuntimeWarnings, or the first
+    warning where warnings are errors.
+    """
+    a = require_square(m)
     ah = adjoint(a)
     h = 0.5 * (a + ah)
     d = a - ah
@@ -389,64 +401,61 @@ def _eig_hermitian(a: np.ndarray) -> HermitianEig:
     return HermitianEig(w, fix_phases(v))
 
 
-def eig_hermitian(m) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases.
-
-    The input is symmetrized as ``(M + M*)/2`` before solving; asymmetry
-    beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
-    silently repaired.  Where LAPACK fails (a spectrum that overflows),
-    numpy's ``LinAlgError`` is raised after RuntimeWarnings, or the first
-    warning where warnings are errors.
-    """
-    return _eig_hermitian(require_square(m))
-
-
-def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray):
+def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False):
     """(verdict, min_eig, threshold) of Hermitian ``h`` by its spectrum
     alone: ``min_eig >= -threshold`` (see :func:`psd_margin`).  ``h`` is
     formed from ``a`` (its Hermitian part, perhaps index-swapped), whose
-    largest entry the DomainError names when finite entries give a
-    spectrum that overflows: ``h`` may have overflowed already."""
+    largest entry the ScaleError names when finite entries give a
+    spectrum that overflows: ``h`` may have overflowed already.  With
+    ``vectors``, the spectrum is that of one ``eigh``, whose eigenvalues and
+    eigenvectors follow: (verdict, min_eig, threshold, w, v), for a caller
+    that goes on to factor ``h``."""
     try:
-        lowest, thr = psd_margin(_eigvalsh(h), tol)
+        w, v = _eigh(h) if vectors else (_eigvalsh(h), None)
+        lowest, thr = psd_margin(w, tol)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
-        raise DomainError(
+        raise ScaleError(
             f"spectrum overflows: matrix entries reach {np.abs(a).max():.3e}; "
             "rescale the matrix"
         )
-    return bool(lowest >= -thr), lowest, thr
+    verdict = bool(lowest >= -thr)
+    return (verdict, lowest, thr, w, v) if vectors else (verdict, lowest, thr)
 
 
-def _psd_check(a: np.ndarray, tol: Tolerance):
+def _psd_check(a: np.ndarray, tol: Tolerance, vectors: bool = False):
     """(verdict, min_eig, threshold) of :func:`is_psd`, the PSD check of a
     matrix whose Hermiticity nobody has settled: :func:`_psd_spectrum` on
     its Hermitian part, with a false verdict where the residual ``a - a*``
     exceeds the threshold.  Its min_eig and threshold are the numbers
-    reports print."""
+    reports print.  With ``vectors``, (verdict, w, v): the same rules read
+    off one ``eigh`` of the Hermitian part, whose eigenpairs ``w``, ``v``
+    factor it."""
     ah = adjoint(a)
-    verdict, lowest, thr = _psd_spectrum(0.5 * (a + ah), tol, a)
+    verdict, lowest, thr, *wv = _psd_spectrum(0.5 * (a + ah), tol, a, vectors)
     d = a - ah
     hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
-    return bool(hermitian and verdict), lowest, thr
+    return (bool(hermitian and verdict), *(wv if vectors else (lowest, thr)))
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff M is Hermitian within tolerance and its minimum eigenvalue
     clears the scale-aware floor (see :func:`psd_margin`).  Raises
-    DomainError when M's spectrum overflows double precision, after
-    numpy's RuntimeWarnings for the overflow; where warnings are errors,
-    the first of them is raised instead."""
+    ScaleError (a DomainError) when M's spectrum overflows double
+    precision, after numpy's RuntimeWarnings for the overflow; where
+    warnings are errors, the first of them is raised instead."""
     return _psd_check(require_square(m), tol)[0]
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, eigenvalues clipped at zero."""
-    a = require_square(m)
-    if not _psd_check(a, tol)[0]:
+    """Hermitian square root of a PSD matrix, eigenvalues clipped at zero:
+    the root of the Hermitian part of any matrix :func:`is_psd` accepts at
+    ``tol``, from the eigendecomposition its check was read off."""
+    psd, w, v = _psd_check(require_square(m), tol, vectors=True)
+    if not psd:
         raise DomainError("matrix is not positive semidefinite within tolerance")
-    w, v = _eig_hermitian(a)
+    v = fix_phases(v)
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
     return 0.5 * (s + adjoint(s))
 
@@ -473,12 +482,23 @@ def _self_commutator(a: np.ndarray) -> np.ndarray:
     return ah @ a - a @ ah
 
 
+def _require_finite_commutator(a: np.ndarray, c: np.ndarray) -> None:
+    """Raise ScaleError, naming ``a``'s largest entry, where ``a``'s
+    self-commutator ``c`` has overflowed (inf - inf leaves NaN)."""
+    if not np.isfinite(c).all():
+        raise ScaleError(
+            f"self-commutator overflows: operator entries reach {np.abs(a).max():.3e}; "
+            "rescale the operator"
+        )
+
+
 def _is_normal(a: np.ndarray, tol: Tolerance) -> bool:
     """Normality of a validated square array; ``||a||`` is computed only if
-    the bound is undecided."""
+    the bound is undecided, and so is the overflow check."""
     c = _self_commutator(a)
     if _negligible(c, tol.quadratic_threshold(0.0)):
         return True
+    _require_finite_commutator(a, c)
     return _op_norm(c) <= tol.quadratic_threshold(_op_norm(a))
 
 
@@ -486,11 +506,18 @@ def is_normal(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff T commutes with its adjoint.
 
     The self-commutator ``T*T - TT*`` is degree two in T, so it is compared
-    against the quadratic threshold for T's scale.
+    against the quadratic threshold for T's scale.  Raises ScaleError (a
+    DomainError) where finite T's self-commutator overflows double
+    precision.
     """
     return _is_normal(require_square(t), tol)
 
 
 def is_hyponormal(t, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``T*T - TT*`` is PSD, i.e. ``||T* g|| <= ||T g||`` for all g."""
-    return is_psd(_self_commutator(require_square(t)), tol)
+    """True iff ``T*T - TT*`` is PSD, i.e. ``||T* g|| <= ||T g||`` for all g.
+    Raises ScaleError (a DomainError) where finite T's self-commutator, or
+    its spectrum, overflows double precision."""
+    a = require_square(t)
+    c = _self_commutator(a)
+    _require_finite_commutator(a, c)
+    return _psd_check(c, tol)[0]

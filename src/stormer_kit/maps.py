@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ScaleError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -255,9 +255,9 @@ def _image_margin(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum eigenvalue of the Hermitian part of each entrywise image of a
     stack of sampled blocks, whose dimensions :func:`_trial_dims` checked,
-    and each image's PSD threshold.  Raises DomainError when the images'
-    spectra overflow double precision."""
-    # an overflow is reported by the DomainError below, not as a numpy warning
+    and each image's PSD threshold.  Raises ScaleError (a DomainError) when
+    the images' spectra overflow double precision."""
+    # an overflow is reported by the ScaleError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         m = _assemble(phi._apply(blocks))
         h = m + adjoint(m)
@@ -270,7 +270,7 @@ def _image_margin(
     if not math.isfinite(thr.max()):
         mats = [*phi.kraus_cp, *phi.kraus_cocp, *([] if phi.choi is None else [phi.choi])]
         scale = max((np.abs(k).max() for k in mats), default=1.0)
-        raise DomainError(f"map images overflow: map entries reach {scale:.3e}; rescale the map")
+        raise ScaleError(f"map images overflow: map entries reach {scale:.3e}; rescale the map")
     return lowest, thr
 
 

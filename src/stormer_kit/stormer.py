@@ -22,13 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ScaleError
 from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
     _eig,
-    _eig_hermitian,
     _held,
     _is_hermitian,
     _is_normal,
@@ -224,8 +223,8 @@ def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
 
     As the Gram matrix of the row (a1, a2) it is always PSD.  It is built
     once per pair and kept on it: later calls return the same object, with
-    the checks :func:`stormer_test` has kept on it.  Raises DomainError
-    when the products overflow double precision.
+    the checks :func:`stormer_test` has kept on it.  Raises ScaleError (a
+    DomainError) when the products overflow double precision.
     """
     x = p._gram
     if x is None:
@@ -234,7 +233,7 @@ def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
             b = np.array([[a1h @ p.a1, a1h @ p.a2], [a2h @ p.a1, a2h @ p.a2]])
         if not np.isfinite(b).all():
             scale = max(np.abs(p.a1).max(), np.abs(p.a2).max())
-            raise DomainError(
+            raise ScaleError(
                 f"Gram block overflows: operator entries reach {scale:.3e}; "
                 "rescale the pair"
             )
@@ -290,13 +289,14 @@ def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.nda
 
     Returns an array of shape (r, n, d): row k holds the n operators
     v_1^(k), ..., v_n^(k), each a 1 x d functional stored as a d-vector.
-    Obtained from the eigendecomposition of the assembled matrix; eigenvalues
-    within tolerance of zero are clipped.
+    Obtained from the eigendecomposition of the assembled matrix's Hermitian
+    part that its PSD check was read off; eigenvalues within tolerance of
+    zero are clipped.
     """
-    m = x.assembled()
-    if not _psd_check(m, tol)[0]:
+    psd, w, v = _psd_check(x.assembled(), tol, vectors=True)
+    if not psd:
         raise DomainError("block matrix is not PSD; no Gram factorization")
-    w, v = _eig_hermitian(m)
+    v = fix_phases(v)
     w = np.clip(w, 0.0, None)
     keep = np.flatnonzero(w > 0.0)
     rows = []
@@ -416,9 +416,11 @@ def canonical_decomposition(
     Raises DomainError when the condition fails, or when a1 is singular and
     the ratio operator is not normal (no decomposition exists then).  A
     singular a1 with normal ratio operator yields a best-effort result with
-    the ``degenerate`` flag set.  The condition is checked by
-    :func:`stormer_test` on the pair's Gram block, so a verdict kept there
-    is reused.
+    the ``degenerate`` flag set.  Raises ScaleError, a DomainError that is
+    malformed input rather than a failed condition, when the ratio
+    operator's self-commutator overflows double precision.  The condition
+    is checked by :func:`stormer_test` on the pair's Gram block, so a
+    verdict kept there is reused.
     """
     _require_two_sided(p, tol)
     return _canonical(p, tol, rcond)

@@ -16,8 +16,12 @@ from stormer_kit import (
     SpectralResolution,
     WitnessResult,
     adjoint,
+    eig_hermitian,
     gram_block,
+    is_contraction,
     is_normal,
+    is_psd,
+    op_norm,
     stormer_test,
 )
 from stormer_kit import cli, stormer
@@ -371,6 +375,60 @@ def oracle_eig_hermitian(m) -> HermitianEig:
         )
     w, v = np.linalg.eigh(h)
     return HermitianEig(w, oracle_fix_phases(v))
+
+
+# Two-spectrum references for the PSD factorizations: each checks its input
+# with an eigvalsh (``is_psd``) and then factors it with a second, separate
+# eigendecomposition: ``eig_hermitian``, with its 1e-6 asymmetry guard, or a
+# bare eigh of the Hermitian part.  The library reads its check off the one
+# eigh that factors the input; it must return the same arrays bit for bit
+# wherever the two checks agree.
+
+
+def two_spectrum_sqrt_psd(m, tol=DEFAULT_TOL) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if not is_psd(a, tol):
+        raise DomainError("matrix is not positive semidefinite within tolerance")
+    w, v = eig_hermitian(a)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
+    return 0.5 * (s + adjoint(s))
+
+
+def two_spectrum_gram_vectors(x, tol=DEFAULT_TOL) -> np.ndarray:
+    m = x.assembled()
+    if not is_psd(m, tol):
+        raise DomainError("block matrix is not PSD; no Gram factorization")
+    w, v = eig_hermitian(m)
+    w = np.clip(w, 0.0, None)
+    rows = []
+    for k in np.flatnonzero(w > 0.0):
+        chunk = np.sqrt(w[k]) * np.conj(v[:, k])
+        rows.append(chunk.reshape(x.n, x.d))
+    if not rows:
+        return np.zeros((0, x.n, x.d), dtype=complex)
+    return np.array(rows)
+
+
+def _two_spectrum_roots(m, rcond):
+    w, v = np.linalg.eigh(hermitize(m))
+    w = np.clip(w, 0.0, None)
+    w = np.where(w > rcond * w[-1], w, 0.0)
+    root = np.sqrt(w)
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    return (v * root) @ adjoint(v), (v * inv_root) @ adjoint(v)
+
+
+def two_spectrum_psd_via_contraction(p, tol=DEFAULT_TOL, rcond=1e-12):
+    """(psd, w, residual) of the contraction test of a partition."""
+    if not (is_psd(p.a, tol) and is_psd(p.c, tol)):
+        return False, None, float("inf")
+    sa, sa_inv = _two_spectrum_roots(p.a, rcond)
+    sc, sc_inv = _two_spectrum_roots(p.c, rcond)
+    w0 = sa_inv @ p.b @ sc_inv
+    residual = op_norm(sa @ w0 @ sc - p.b)
+    within = residual <= tol.threshold(0.0) or residual <= tol.threshold(op_norm(p.b))
+    ok = within and is_contraction(w0, tol)
+    return ok, w0 if ok else None, residual
 
 
 # Schur-form reference for the spectral resolution: scipy's complex Schur

@@ -77,6 +77,10 @@ MALFORMED = [
     ["block-check", "overflow_partition.json", "--json"],
     ["stormer-check", "--block", "overflow_block.json"],
     ["stormer-check", "--block", "overflow_block.json", "--json"],
+    # a pair that passes stormer-check, but whose ratio operator's
+    # self-commutator overflows double precision
+    ["decompose", "--a1", "tiny2.json", "--a2", "huge_ratio2.json"],
+    ["make-state", "--a1", "tiny2.json", "--a2", "huge_ratio2.json"],
     # a state whose trace overflows double precision
     ["ppt-check", "--state", "overflow4.json", "--n", "2", "--d", "2"],
     # a Kraus map whose images overflow double precision
@@ -228,9 +232,10 @@ def test_golden_cases_run_from_a_checkout_without_an_install(monkeypatch):
 GOLDEN_EIGVALSH = {
     "check_psd_id2": 1,
     "check_psd_indefinite": 1,
-    # the factorization's checks of A and C, and the assembled oracle
-    "block_check_psd": 3,
-    "block_check_bad": 3,
+    # the assembled oracle: the factorization reads A's and C's checks off
+    # the eigendecompositions that factor them
+    "block_check_psd": 1,
+    "block_check_bad": 1,
     # the two sides of the two-sided test
     "stormer_check_pass": 2,
     "stormer_check_fail": 2,
@@ -352,6 +357,18 @@ def test_spectrum_overflow_names_the_matrix_scale():
         assert code == 2 and out == ""
         assert err.startswith("error: spectrum overflows"), (argv, err)
         assert "1.000e+308" in err
+
+
+def test_commutator_overflow_is_an_input_error_not_a_verdict():
+    pair = ["--a1", "tiny2.json", "--a2", "huge_ratio2.json"]
+    code, out, err = run_cli_inprocess(expand(["stormer-check", *pair, "--json"]))
+    assert (code, err) == (0, "") and json.loads(out)["verdict"] == "true"
+    for command in ("decompose", "make-state"):
+        code, out, err = run_cli_inprocess(expand([command, *pair]))
+        assert code == 2 and out == ""
+        # the ratio operator 1e300 diag(1, i)
+        assert err.startswith("error: self-commutator overflows"), (command, err)
+        assert "1.000e+300" in err
 
 
 def test_map_image_overflow_names_the_maps_scale():

@@ -19,13 +19,16 @@ from stormer_kit import (
     OperatorBlockMatrix,
     OperatorPair,
     Partition2,
+    ScaleError,
     Tolerance,
     adjoint,
     canonical_decomposition,
     dual_decomposition,
     eig_hermitian,
     gram_block,
+    gram_vectors,
     is_hermitian,
+    is_hyponormal,
     is_normal,
     is_ppt,
     is_psd,
@@ -34,6 +37,8 @@ from stormer_kit import (
     ratio_operator,
     reconstruct_block,
     separable_decomposition,
+    spectral_resolution,
+    sqrt_psd,
     state_from_block,
     stormer_test,
 )
@@ -60,6 +65,9 @@ from helpers import (
     oracle_is_psd,
     oracle_stormer_test,
     svd_norm,
+    two_spectrum_gram_vectors,
+    two_spectrum_psd_via_contraction,
+    two_spectrum_sqrt_psd,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -442,6 +450,167 @@ def test_psd_via_contraction_lapack_calls():
     with lapack_calls() as calls:
         cert = psd_via_contraction(p)
     assert cert.psd
-    # PSD checks of A and C, their square roots, and two genuine norms: the
-    # reported residual and the contraction's
-    assert calls == {"eigvalsh": 2, "eigh": 2, "svd": 2}
+    # one eigendecomposition each of A and C, read for the PSD check and the
+    # square roots, and two genuine norms: the reported residual and the
+    # contraction's
+    assert calls == {"eigvalsh": 0, "eigh": 2, "svd": 2}
+
+
+# -- one eigendecomposition per PSD factorization ---------------------------
+
+SEAM = ("eigvalsh", "eigh", "svd", "eig", "qr", "pinv", "cond")
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def psd_samples(rng, d):
+    """Full-rank, rank-deficient and singular PSD matrices of size d, a
+    slightly indefinite and an indefinite one, and a PSD one whose
+    asymmetry (2e-8) fails the default tolerance's residual rule."""
+    g = ginibre(rng, d)
+    r = ginibre(rng, d, max(1, d // 2))
+    full, deficient = hermitize(g @ adjoint(g)), hermitize(r @ adjoint(r))
+    singular = np.zeros((d, d), dtype=complex)
+    singular[0, 0] = 1.0
+    tilted = full + 1e-8 * unit_antihermitian(rng, d)
+    return [full, deficient, singular, deficient - 1e-6 * np.eye(d), hermitize(g + adjoint(g)), tilted]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=1e-4)])
+def test_sqrt_psd_is_the_two_spectrum_root_bit_for_bit(tol):
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for d in range(1, 9):
+        for m in psd_samples(rng, d):
+            got, want = outcome(sqrt_psd, m, tol), outcome(two_spectrum_sqrt_psd, m, tol)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert same_bits(got, want)
+            kinds.add(type(want))
+    assert kinds == {str, np.ndarray}
+
+
+def test_gram_vectors_rows_are_the_two_spectrum_rows_bit_for_bit():
+    rng = np.random.default_rng(62)
+    rows = 0
+    for d in range(1, 5):
+        for _ in range(3):
+            blocks = [gram_block(random_stormer_pair(rng, d))]
+            for n in (1, 2, 3):
+                blocks += [OperatorBlockMatrix.from_assembled(m, n) for m in psd_samples(rng, n * d)]
+            for x in blocks:
+                got, want = outcome(gram_vectors, x), outcome(two_spectrum_gram_vectors, x)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert same_bits(got, want)
+                    rows += len(want)
+    assert rows > 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 5), (4, 2), (3, 3), (6, 1)])
+def test_psd_via_contraction_matches_the_two_spectrum_test_bit_for_bit(shape):
+    n, k = shape
+    rng = np.random.default_rng(63 + 10 * n + k)
+    verdicts = set()
+    for kind in ["psd", "inflated", "indefinite", "singular"] * 5:
+        a, b, c = random_partition(rng, n, k, kind)
+        # C rank-deficient as well, with B in and out of its range
+        w, v = np.linalg.eigh(hermitize(c))
+        w[: max(1, k // 2)] = 0.0
+        c_low = (v * w) @ adjoint(v)
+        for p in (Partition2(a, b, c), Partition2(a, b, c_low), Partition2(a, 0.0 * b, c_low)):
+            cert = psd_via_contraction(p)
+            psd, w0, residual = two_spectrum_psd_via_contraction(p)
+            assert cert.psd == psd
+            assert (cert.w is None) if w0 is None else same_bits(cert.w, w0)
+            assert cert.residual == residual
+            verdicts.add(psd)
+    assert verdicts == {True, False}
+
+
+def test_psd_factorizations_make_one_eigh():
+    rng = np.random.default_rng(64)
+    g = ginibre(rng, 6)
+    with lapack_calls(SEAM) as calls:
+        sqrt_psd(g @ adjoint(g))
+    assert calls == {**dict.fromkeys(SEAM, 0), "eigh": 1}
+    x = gram_block(random_stormer_pair(rng, 3))
+    with lapack_calls(SEAM) as calls:
+        gram_vectors(x)
+    assert calls == {**dict.fromkeys(SEAM, 0), "eigh": 1}
+    # C is checked only when A passes
+    a, b, c = random_partition(rng, 3, 2, "indefinite")
+    with lapack_calls(SEAM) as calls:
+        assert not psd_via_contraction(Partition2(a, b, c)).psd
+    assert calls == {**dict.fromkeys(SEAM, 0), "eigh": 1}
+
+
+def test_loose_tolerances_factor_what_is_psd_accepts():
+    # Intended change: a matrix is_psd accepts is factored through its
+    # Hermitian part, even where its asymmetry exceeds eig_hermitian's 1e-6
+    # guard, which the two-spectrum path applied on top of the check.
+    loose = Tolerance(abs_eps=0.0, rel_eps=1e-3)
+    rng = np.random.default_rng(65)
+    g = ginibre(rng, 4)
+    h = hermitize(g @ adjoint(g)) + np.eye(4)
+    m = h + 1e-5 * unit_antihermitian(rng, 4)
+    assert 1.5e-5 < asymmetry(m) < 2.5e-5
+    assert is_psd(m, loose)
+    with pytest.raises(DomainError, match="matrix is not Hermitian"):
+        eig_hermitian(m)
+    with pytest.raises(DomainError, match="matrix is not Hermitian"):
+        two_spectrum_sqrt_psd(m, loose)
+    assert same_bits(sqrt_psd(m, loose), sqrt_psd(hermitize(m), loose))
+    assert same_bits(sqrt_psd(hermitize(m), loose), two_spectrum_sqrt_psd(hermitize(m), loose))
+    rows = gram_vectors(OperatorBlockMatrix.from_assembled(m, 2), loose)
+    assert same_bits(rows, gram_vectors(OperatorBlockMatrix.from_assembled(hermitize(m), 2), loose))
+    # at the default tolerances the same matrix is not PSD at all
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        sqrt_psd(m)
+
+
+# -- overflow of the self-commutator -------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_self_commutator_overflow_names_the_operators_scale():
+    t = np.diag([1e200, 1e200j])  # normal, but T*T overflows
+    scale = r"self-commutator overflows: operator entries reach 1\.000e\+200"
+    for predicate in (is_normal, spectral_resolution, is_hyponormal):
+        with pytest.raises(ScaleError, match=scale):
+            predicate(t)
+    assert issubclass(ScaleError, DomainError)
+
+
+def test_the_normality_fast_path_skips_the_overflow_check(monkeypatch):
+    def never(a, c):
+        raise AssertionError("overflow check on a settled commutator")
+
+    monkeypatch.setattr(linalg, "_require_finite_commutator", never)
+    rng = np.random.default_rng(66)
+    for d in (1, 3, 6):
+        assert is_normal(random_normal_operator(rng, d))
+        assert is_normal(np.diag(np.exp(2j * np.pi * rng.random(d))))
+
+
+def test_is_hyponormal_is_the_psd_check_of_the_self_commutator():
+    rng = np.random.default_rng(67)
+    verdicts = set()
+    for d in range(1, 6):
+        for t in (ginibre(rng, d), random_normal_operator(rng, d), np.triu(ginibre(rng, d))):
+            c = adjoint(t) @ t - t @ adjoint(t)
+            for tol in (DEFAULT_TOL, Tolerance(abs_eps=1e-3, rel_eps=1e-2)):
+                verdicts.add(is_hyponormal(t, tol))
+                assert is_hyponormal(t, tol) == is_psd(c, tol)
+    assert verdicts == {True, False}
