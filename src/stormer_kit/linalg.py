@@ -401,6 +401,24 @@ def eig_hermitian(m) -> HermitianEig:
     return HermitianEig(w, fix_phases(v))
 
 
+def _overflow(what: str, a: np.ndarray, noun: str) -> ScaleError:
+    """The ScaleError for finite ``a`` whose ``what`` overflows double
+    precision, naming ``a``'s largest entry."""
+    return ScaleError(
+        f"{what} overflows: {noun} entries reach {np.abs(a).max():.3e}; rescale the {noun}"
+    )
+
+
+def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
+    """``(a + a*) / 2`` given ``a``'s adjoint.  Where warnings are errors,
+    numpy's overflow warning becomes the ScaleError that
+    :func:`_psd_spectrum` raises for the overflowed part otherwise."""
+    try:
+        return 0.5 * (a + ah)
+    except RuntimeWarning as e:
+        raise _overflow("spectrum", a, "matrix") from e
+
+
 def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False):
     """(verdict, min_eig, threshold) of Hermitian ``h`` by its spectrum
     alone: ``min_eig >= -threshold`` (see :func:`psd_margin`).  ``h`` is
@@ -416,10 +434,7 @@ def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = 
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
-        raise ScaleError(
-            f"spectrum overflows: matrix entries reach {np.abs(a).max():.3e}; "
-            "rescale the matrix"
-        )
+        raise _overflow("spectrum", a, "matrix")
     verdict = bool(lowest >= -thr)
     return (verdict, lowest, thr, w, v) if vectors else (verdict, lowest, thr)
 
@@ -433,7 +448,7 @@ def _psd_check(a: np.ndarray, tol: Tolerance, vectors: bool = False):
     off one ``eigh`` of the Hermitian part, whose eigenpairs ``w``, ``v``
     factor it."""
     ah = adjoint(a)
-    verdict, lowest, thr, *wv = _psd_spectrum(0.5 * (a + ah), tol, a, vectors)
+    verdict, lowest, thr, *wv = _psd_spectrum(_hermitian_part(a, ah), tol, a, vectors)
     d = a - ah
     hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
     return (bool(hermitian and verdict), *(wv if vectors else (lowest, thr)))
@@ -444,7 +459,7 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     clears the scale-aware floor (see :func:`psd_margin`).  Raises
     ScaleError (a DomainError) when M's spectrum overflows double
     precision, after numpy's RuntimeWarnings for the overflow; where
-    warnings are errors, the first of them is raised instead."""
+    warnings are errors, without them."""
     return _psd_check(require_square(m), tol)[0]
 
 
@@ -478,18 +493,20 @@ def is_contraction(t, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _self_commutator(a: np.ndarray) -> np.ndarray:
+    """``a* a - a a*``.  Where warnings are errors, numpy's overflow
+    warning raises the ScaleError of :func:`_require_finite_commutator`."""
     ah = adjoint(a)
-    return ah @ a - a @ ah
+    try:
+        return ah @ a - a @ ah
+    except RuntimeWarning as e:
+        raise _overflow("self-commutator", a, "operator") from e
 
 
 def _require_finite_commutator(a: np.ndarray, c: np.ndarray) -> None:
     """Raise ScaleError, naming ``a``'s largest entry, where ``a``'s
     self-commutator ``c`` has overflowed (inf - inf leaves NaN)."""
     if not np.isfinite(c).all():
-        raise ScaleError(
-            f"self-commutator overflows: operator entries reach {np.abs(a).max():.3e}; "
-            "rescale the operator"
-        )
+        raise _overflow("self-commutator", a, "operator")
 
 
 def _is_normal(a: np.ndarray, tol: Tolerance) -> bool:

@@ -12,11 +12,12 @@ positive non-decomposable map on 3 x 3 matrices is provided as a fixture.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ScaleError
+from .errors import DimensionError, DomainError, ScaleError, StormerKitError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -94,10 +95,16 @@ class PositiveMap:
             object.__setattr__(self, "_terms", tuple((k, adjoint(k), t) for k, t in terms))
         elif self.kind == "choi_raw":
             c = _held(require_square(self.choi, "Choi matrix"))
-            k = self.input_dim
-            if k is None or k < 1 or c.shape[0] % k != 0:
+            k = _integer(self.input_dim, "choi_raw input_dim", DimensionError)
+            if k < 1 or c.shape[0] % k != 0:
                 raise DimensionError("choi_raw needs input_dim dividing the Choi size")
+            # (i, j, r, c): entry (r, c) of the image of the matrix unit e_ij,
+            # laid out contiguously for the einsum of every image
+            tensor = np.ascontiguousarray(_split(c, k))
+            tensor.flags.writeable = False
             object.__setattr__(self, "choi", c)
+            object.__setattr__(self, "input_dim", k)
+            object.__setattr__(self, "_tensor", tensor)
         elif self.kind == "named":
             if self.name not in NAMED_MAPS:
                 raise DomainError(f"unknown named map {self.name!r}")
@@ -137,7 +144,11 @@ class PositiveMap:
     def _apply(self, a: np.ndarray) -> np.ndarray:
         """:meth:`apply` without its checks, for stacks the package built
         itself: ``a`` is a finite complex array of shape (..., k, k) with k
-        the map's input dimension."""
+        the map's input dimension.  Each image gets the arithmetic it gets
+        alone: a Kraus term's left product K x runs block by block and its
+        right product as one gemm over the stack's rows (see
+        :func:`_right_product`); a Choi-matrix map contracts with its
+        contiguous Choi tensor."""
         if self.kind == "named":
             if self.name == "identity":
                 return a.copy(order="K")
@@ -145,14 +156,28 @@ class PositiveMap:
                 return np.swapaxes(a, -1, -2).copy(order="K")
             return _choi3_apply(a)
         if self.kind == "choi_raw":
-            return np.einsum("...ij,ijrc->...rc", a, _split(self.choi, self.input_dim))
+            return np.einsum("...ij,ijrc->...rc", a, self._tensor)
         at = np.swapaxes(a, -1, -2)
-        images = (kr @ (at if transposed else a) @ kh for kr, kh, transposed in self._terms)
+        images = (
+            _right_product(kr @ (at if transposed else a), kh) for kr, kh, transposed in self._terms
+        )
         out = next(images)
         out += 0.0  # a sum from 0.0: an entry of -0.0 reads +0.0
         for image in images:  # summed in place, in the order of the terms
             out += image
         return out
+
+
+def _right_product(y: np.ndarray, kh: np.ndarray) -> np.ndarray:
+    """``y @ kh`` for a stack ``y`` of l x k left products: one gemm over
+    all rows of the stack, each row rounded as in its block's own gemm.  At
+    l = 1 numpy takes a block's 1 x k by k x 1 product with ``dot`` but the
+    row-stacked one with ``gemv``, which round differently, so that stack
+    keeps its per-block products."""
+    l, k = y.shape[-2:]
+    if l == 1:
+        return y @ kh
+    return (y.reshape(-1, k) @ kh).reshape(y.shape[:-1] + (l,))
 
 
 # Diagonal entry i of a choi3 image adds x_ii and the entry before it, cyclically.
@@ -223,31 +248,45 @@ class NecessityReport:
 _TRIAL_CHUNK = 256
 
 
-def _trial_dims(phi: PositiveMap, n: int, d: int | None) -> int:
-    """The block dimension of trial matrices (the map's own when d is None),
-    after checking that trials have at least one block of positive size and
-    that the map takes d x d input.  These are the checks
-    :meth:`PositiveMap.apply` would make on every stack, made once for the
-    stacks that :func:`_image_margin` maps unchecked."""
+def _integer(value, what: str, error: type[StormerKitError]) -> int:
+    """``value`` read through ``operator.index``: an int or a numpy integer.
+    Raises ``error`` for anything else, bools and floats included."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
+    """(n, d) as ints, d the block dimension of trial matrices (the map's
+    own when d is None), after checking that trials have at least one block
+    of positive size and that the map takes d x d input.  These are the
+    checks :meth:`PositiveMap.apply` would make on every stack, made once
+    for the stacks that :func:`_image_margin` maps unchecked."""
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
+    n, d = _integer(n, "n", DimensionError), _integer(d, "d", DimensionError)
     if n < 1 or d < 1:
         raise DimensionError(f"trial blocks need n >= 1 and d >= 1, got n={n}, d={d}")
     if phi.input_dim is not None and d != phi.input_dim:
         raise DimensionError(f"map expects {phi.input_dim} x {phi.input_dim} input, got d={d}")
-    return d
+    return n, d
 
 
 def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
     """``count`` two-sided-positive trial blocks, shape (count, n, n, d, d):
-    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
+    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise.
+    Block (i, j) of pair t is a_i* a_j, read out of the row-stacked
+    [a_1*; a_2*] times a_j: one gemm per pair and column block, whose rows
+    round as in a_i* a_j alone."""
     if n != 2:
         return random_stormer_blocks(rng, count, n, d)
-    # block (i, j) of pair t is a_i* a_j: one broadcast product over the
-    # (count, 2, d, d) stack, each block the gemm of its operands alone
     a = _pair_stack(rng, count, d)
-    return adjoint(a)[:, :, None] @ a[:, None]
+    rows = adjoint(a).reshape(count, 1, 2 * d, d)
+    return (rows @ a).reshape(count, 2, 2, d, d).swapaxes(1, 2)
 
 
 def _image_margin(
@@ -294,12 +333,14 @@ def theorem1_necessity_trial(
     :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
     at most 256; every trial's arithmetic is the same as when run alone, so
     the report depends on (phi, seed, trials, n, d, tol) only.  Raises
-    DomainError when ``trials`` is below 1 or the images' spectra overflow,
-    and DimensionError when n or d is below 1.
+    DomainError when ``trials`` is not an integer of at least 1 or the
+    images' spectra overflow, and DimensionError when n or d is not an
+    integer of at least 1.
     """
+    trials = _integer(trials, "trials", DomainError)
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    d = _trial_dims(phi, n, d)
+    n, d = _trial_dims(phi, n, d)
     rng = np.random.default_rng(seed)
     violations = 0
     worst = np.inf
@@ -369,10 +410,12 @@ def witness_search(
     equal to the one-step climb for every input.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
-    (seed, r).  Raises DimensionError when n or d is below 1, and
-    DomainError when the images' spectra overflow.
+    (seed, r).  Raises DimensionError when n or d is not an integer of at
+    least 1, and DomainError when ``budget`` is not an integer or the
+    images' spectra overflow.
     """
-    d = _trial_dims(phi, n, d)
+    budget = _integer(budget, "budget", DomainError)
+    n, d = _trial_dims(phi, n, d)
     nd = n * d
     cand = np.empty((_WINDOW, nd, nd), dtype=complex)  # a window's kicked copies of G
     evaluations = 0

@@ -29,6 +29,7 @@ from .linalg import (
     Tolerance,
     _eig,
     _held,
+    _hermitian_part,
     _is_hermitian,
     _is_normal,
     _pinv,
@@ -279,7 +280,7 @@ def _two_sided(x: OperatorBlockMatrix, tol: Tolerance):
             raise DomainError("assembled block matrix is not Hermitian within tolerance")
         # the swap of the Hermitian part is, entry for entry, the Hermitian
         # part of the swap
-        h = 0.5 * (m + mh)
+        h = _hermitian_part(m, mh)
         sides = x._sides[tol] = (_psd_spectrum(h, tol, m), _psd_spectrum(_swap(h, x.n), tol, m))
     return sides
 

@@ -5,6 +5,7 @@ every trial keeps the arithmetic it had when run alone, so reports must equal
 the reference exactly, not approximately.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -29,6 +30,7 @@ from stormer_kit import maps as maps_module
 from stormer_kit.linalg import adjoint
 from stormer_kit.sampling import (
     _boundary_grams,
+    _pair_stack,
     ginibre,
     random_normal_operator,
     random_stormer_block,
@@ -59,9 +61,12 @@ def _kraus(rng, k, l, count):
 
 
 def engine_maps():
-    """(label, map, d): every map kind, Kraus maps with l != k."""
+    """(label, map, d): every map kind, Kraus maps with l != k, and Kraus
+    and Choi maps with output dimension 1 and with input dimension 1."""
     rng = np.random.default_rng(20)
     dec = make_decomposable(_kraus(rng, 3, 2, 2), _kraus(rng, 3, 2, 1))
+    to_one = make_decomposable(_kraus(rng, 3, 1, 2), _kraus(rng, 3, 1, 1))
+    from_one = make_decomposable(_kraus(rng, 1, 3, 1), _kraus(rng, 1, 3, 2))
     return [
         ("identity", identity_map(), 3),
         ("transpose", transpose_map(), 2),
@@ -72,15 +77,21 @@ def engine_maps():
         ("kraus_cp", make_decomposable(_kraus(rng, 2, 3, 2), []), 2),
         ("kraus_cocp", make_decomposable([], _kraus(rng, 2, 2, 2)), 2),
         ("choi3", choi_fixture(), 3),
+        ("kraus_l1", to_one, 3),
+        ("choi_l1", map_from_choi(choi_matrix(to_one), 3), 3),
+        ("kraus_k1", from_one, 1),
+        ("choi_k1", map_from_choi(choi_matrix(from_one), 1), 1),
     ]
 
 
 ENGINE_MAPS = engine_maps()
+# the first six maps and those of dimension 1
+NECESSITY_MAPS = ENGINE_MAPS[:6] + ENGINE_MAPS[9:]
 
 
 @pytest.mark.parametrize("trials", [1, 7, 300])
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("label,phi,d", ENGINE_MAPS[:6], ids=[m[0] for m in ENGINE_MAPS[:6]])
+@pytest.mark.parametrize("label,phi,d", NECESSITY_MAPS, ids=[m[0] for m in NECESSITY_MAPS])
 def test_engine_equals_per_trial_reference(label, phi, d, n, trials):
     rep = theorem1_necessity_trial(phi, seed=31 + n, trials=trials, n=n, d=d)
     violations, worst = oracle_necessity(phi, seed=31 + n, trials=trials, n=n, d=d)
@@ -129,6 +140,61 @@ def test_kraus_images_keep_the_oracles_sign_of_zero(parts):
         want = oracle_apply(phi, x[k])
         assert np.array_equal(image[k], want)
         assert np.array_equal(np.signbit(image[k].view(float)), np.signbit(want.view(float)))
+
+
+# A Kraus image's right products run as one gemm over every row of the stack,
+# and the n = 2 Gram blocks as one gemm per pair and column block: each row
+# must round as in its own block's product.  tobytes() compares the signs of
+# zeros, which == does not.
+
+
+def _per_block_images(phi, x):
+    """phi on a stack by numpy's broadcast matmul and einsum, which multiply
+    block by block: the arithmetic of each block alone."""
+    if phi.kind == "choi_raw":
+        return np.einsum("...ij,ijrc->...rc", x, _split(phi.choi, phi.input_dim))
+    out = 0.0
+    for kr in phi.kraus_cp:
+        out = out + kr @ x @ adjoint(kr)
+    for kr in phi.kraus_cocp:
+        out = out + kr @ np.swapaxes(x, -1, -2) @ adjoint(kr)
+    return out
+
+
+_SCALES = (1.0, 1e150, 1e-150)
+
+
+@pytest.mark.parametrize("l", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_batched_images_equal_per_block_products_byte_for_byte(k, l):
+    rng = np.random.default_rng([k, l])
+    kraus = make_decomposable(_kraus(rng, k, l, 1), _kraus(rng, k, l, 1))
+    for phi in (kraus, map_from_choi(choi_matrix(kraus), k)):
+        for n, count in itertools.product(range(1, 5), (1, 7, 20, 256)):
+            g = ginibre(rng, count * n * k, n * k).reshape(count, n * k, n * k)
+            for layout in range(3):
+                # as n runs over 1..3, each layout meets each scale at every
+                # stack size
+                split = _split(_SCALES[(layout + n) % 3] * g, n)
+                plain = np.ascontiguousarray(split)
+                x = (plain, plain.swapaxes(-1, -2), split)[layout]
+                image = phi._apply(x)
+                assert image.tobytes() == _per_block_images(phi, x).tobytes()
+                for idx in ((0, 0, 0), (-1, -1, -1)):
+                    assert image[idx].tobytes() == oracle_apply(phi, x[idx]).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_pair_gram_blocks_equal_per_block_products_byte_for_byte(d):
+    # at d = 1 numpy multiplies a 1 x 1 block with dot, but the row-stacked
+    # 2 x 1 product with its own loop
+    for count in (1, 7, 20, 256):
+        rng, ref = np.random.default_rng([d, count]), np.random.default_rng([d, count])
+        blocks = maps_module._trial_blocks(rng, count, 2, d)
+        a = _pair_stack(ref, count, d)
+        for t, i, j in np.ndindex(count, 2, 2):
+            assert blocks[t, i, j].tobytes() == (adjoint(a[t, i]) @ a[t, j]).tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_apply_rejects_bad_stacks():

@@ -21,6 +21,7 @@ from stormer_kit import (
     DEFAULT_TOL,
     DomainError,
     Partition2,
+    ScaleError,
     canonical_decomposition,
     dual_decomposition,
     gram_block,
@@ -308,9 +309,11 @@ def test_is_psd_on_an_overflowing_spectrum_warns_then_raises(gufuncs, monkeypatc
     assert {w.category for w in caught} == {RuntimeWarning}
     assert "overflow encountered in add" in str(caught[0].message)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the first warning is raised instead
-        with pytest.raises(RuntimeWarning, match="overflow encountered in add"):
+        warnings.simplefilter("error")  # the first warning is the error's cause
+        with pytest.raises(ScaleError, match="spectrum overflows") as raised:
             linalg.is_psd(a)
+    assert isinstance(raised.value.__cause__, RuntimeWarning)
+    assert "overflow encountered in add" in str(raised.value.__cause__)
 
 
 @pytest.mark.parametrize("gufuncs", [True, False], ids=["gufunc", "public"])

@@ -8,6 +8,7 @@ are built on purpose, since there only the SVD can decide.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,35 @@ def test_self_commutator_overflow_names_the_operators_scale():
         with pytest.raises(ScaleError, match=scale):
             predicate(t)
     assert issubclass(ScaleError, DomainError)
+
+
+# Finite entries whose arithmetic overflows, for each entry point that
+# raises ScaleError for them.
+_HUGE = np.full((3, 3), 1e308 + 0j)
+_OVERFLOWING = {
+    "is_psd": lambda: is_psd(_HUGE),
+    "sqrt_psd": lambda: sqrt_psd(_HUGE),
+    "stormer_test": lambda: stormer_test(OperatorBlockMatrix(np.full((2, 2, 3, 3), 1e308 + 0j))),
+    "psd_via_contraction": lambda: psd_via_contraction(Partition2(_HUGE, _HUGE, _HUGE)),
+    "is_hyponormal": lambda: is_hyponormal(_HUGE),
+    "is_normal": lambda: is_normal(_HUGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_overflow_raises_scale_error_after_numpys_warnings(name):
+    with pytest.warns(RuntimeWarning) as caught:
+        with pytest.raises(ScaleError, match=r"overflows: \w+ entries reach 1\.000e\+308"):
+            _OVERFLOWING[name]()
+    assert "overflow encountered" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_overflow_raises_scale_error_where_warnings_are_errors(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleError, match=r"overflows: \w+ entries reach 1\.000e\+308"):
+            _OVERFLOWING[name]()
 
 
 def test_the_normality_fast_path_skips_the_overflow_check(monkeypatch):

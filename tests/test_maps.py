@@ -219,6 +219,36 @@ def test_necessity_rejects_empty_blocks_of_a_sized_map():
         witness_search(phi, budget=10, n=0)
 
 
+# Sizes raise DimensionError and counts DomainError; io rejects the same
+# values in input files.
+_NOT_INTEGERS = [2.0, 2.5, True, False, np.float64(2.0), np.True_, "2"]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=repr)
+def test_maps_layer_rejects_sizes_and_counts_that_are_not_integers(bad):
+    with pytest.raises(DimensionError, match="input_dim must be an integer"):
+        map_from_choi(np.eye(4), bad)
+    for n, d in ((bad, 2), (2, bad)):
+        with pytest.raises(DimensionError, match="must be an integer"):
+            theorem1_necessity_trial(transpose_map(), trials=3, n=n, d=d)
+        with pytest.raises(DimensionError, match="must be an integer"):
+            witness_search(transpose_map(), budget=3, n=n, d=d)
+    with pytest.raises(DomainError, match="trials must be an integer"):
+        theorem1_necessity_trial(transpose_map(), trials=bad, n=2, d=2)
+    with pytest.raises(DomainError, match="budget must be an integer"):
+        witness_search(transpose_map(), budget=bad, n=2, d=2)
+
+
+def test_maps_layer_reads_numpy_integers_as_ints():
+    rep = theorem1_necessity_trial(
+        transpose_map(), seed=3, trials=np.int16(3), n=np.int64(2), d=np.int32(2)
+    )
+    assert rep == theorem1_necessity_trial(transpose_map(), seed=3, trials=3, n=2, d=2)
+    assert all(type(v) is int for v in (rep.trials, rep.n, rep.d))
+    assert type(map_from_choi(np.eye(4), np.int64(2)).input_dim) is int
+    assert witness_search(identity_map(), budget=np.int64(3), n=2, d=2) is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_necessity_and_witness_search_raise_when_the_images_overflow():
     # images of entries beyond the largest double: numpy finds a NaN spectrum
