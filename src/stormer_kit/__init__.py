@@ -11,12 +11,17 @@ Submodules load on first use: ``import stormer_kit`` imports none of them,
 and so not numpy.  A public name is looked up in its submodule on every
 access (PEP 562 ``__getattr__``), never cached here, so the package always
 returns what the submodule currently binds.
+
+``_EXPORTS`` is the one list of public names: each exported submodule reads
+its ``__all__`` from its own row (``sampling`` adds three samplers that only
+the self-test draws from), so the package and its submodules cannot
+disagree on a name.
 """
 
 import importlib
 import sys
 
-# Each public name, by the submodule that defines it.
+# Each public name, by the submodule that defines it and lists it in __all__.
 _EXPORTS = {
     "blocks": (
         "ContractionCertificate",

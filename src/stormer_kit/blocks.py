@@ -17,32 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionError
 from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _ValueObject,
     _held,
     _op_norm,
     _psd_check,
     adjoint,
     as_matrix,
     is_contraction,
-    op_norm,
     require_square,
 )
 
-__all__ = [
-    "ContractionCertificate",
-    "Partition2",
-    "assemble",
-    "psd_oracle",
-    "psd_via_contraction",
-]
+__all__ = list(_EXPORTS["blocks"])
 
 
 @dataclass(frozen=True, eq=False)
-class Partition2:
+class Partition2(_ValueObject):
     """Blocks of ``[[A, B], [B*, C]]``; A is n x n, C is k x k, B is n x k.
 
     The partition owns read-only copies of its blocks, as the package's
@@ -66,11 +61,6 @@ class Partition2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so copies and unpickled partitions
-        # own fresh read-only arrays.
-        return type(self), (self.a, self.b, self.c)
-
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -92,6 +82,10 @@ class ContractionCertificate:
     w: np.ndarray | None
     residual: float
 
+
+# The certificate of a partition that is not PSD for want of a contraction
+# candidate: A or C fails, or W0 overflows.
+_NO_CANDIDATE = ContractionCertificate(psd=False, w=None, residual=float("inf"))
 
 def assemble(p: Partition2) -> np.ndarray:
     """The (n+k) x (n+k) matrix ``[[A, B], [B*, C]]``."""
@@ -125,16 +119,25 @@ def psd_via_contraction(
 
     The candidate ``W0 = pinv(sqrt(A)) B pinv(sqrt(C))`` certifies positivity
     iff A and C are PSD, the recomposition ``sqrt(A) W0 sqrt(C)`` reproduces B
-    within tolerance, and W0 is a contraction.
+    within tolerance, and W0 is a contraction.  A W0 or recomposition that
+    overflows is no contraction: the partition is not PSD, as where A or C
+    fails, after numpy's overflow warnings or, where warnings are errors,
+    without them.
     """
     psd, wa, va = _psd_check(p.a, tol, vectors=True)
     psd, wc, vc = _psd_check(p.c, tol, vectors=True) if psd else (False, None, None)
     if not psd:
-        return ContractionCertificate(psd=False, w=None, residual=float("inf"))
+        return _NO_CANDIDATE
     sa, sa_inv = _sqrt_and_pinv_sqrt(wa, va, rcond)
     sc, sc_inv = _sqrt_and_pinv_sqrt(wc, vc, rcond)
-    w0 = sa_inv @ p.b @ sc_inv
-    residual = op_norm(sa @ w0 @ sc - p.b)
+    try:
+        w0 = sa_inv @ p.b @ sc_inv
+        r = sa @ w0 @ sc - p.b
+    except RuntimeWarning:
+        return _NO_CANDIDATE
+    if not np.isfinite(r).all():
+        return _NO_CANDIDATE
+    residual = _op_norm(r)
     # threshold(0) is the least threshold_for(p.b) can be, so a residual
     # below it needs no SVD of B
     within = residual <= tol.threshold(0.0) or residual <= tol.threshold(_op_norm(p.b))

@@ -124,9 +124,8 @@ def cmd_stormer_check(args):
 
 
 def cmd_decompose(args):
-    import numpy as np
-
     from .io import matrix_to_payload
+    from .linalg import _rel_fro
     from .stormer import canonical_decomposition, gram_block, reconstruct_block
 
     pair = _load_pair(args)
@@ -141,7 +140,7 @@ def cmd_decompose(args):
         return verdict, metrics, None, str(exc)
     rec = reconstruct_block(dec).assembled()
     ref = x.assembled()
-    metrics["residual"] = float(np.linalg.norm(rec - ref) / max(np.linalg.norm(ref), 1e-300))
+    metrics["residual"] = _rel_fro(rec - ref, ref)
     artifacts = {
         "alphas": [float(a) for a in dec.alphas],
         "lambdas": [[float(l.real), float(l.imag)] for l in dec.lambdas],
@@ -152,9 +151,8 @@ def cmd_decompose(args):
 
 
 def cmd_make_state(args):
-    import numpy as np
-
     from .io import matrix_to_payload
+    from .linalg import _rel_fro
     from .states import _ppt_check, separable_decomposition, separable_state, state_from_block
     from .stormer import canonical_decomposition, gram_block, stormer_test
 
@@ -171,9 +169,7 @@ def cmd_make_state(args):
     except StormerKitError as exc:
         return False, metrics, None, str(exc)
     sep = separable_decomposition(dec)
-    metrics["residual"] = float(
-        np.linalg.norm(separable_state(sep) - rho.matrix) / np.linalg.norm(rho.matrix)
-    )
+    metrics["residual"] = _rel_fro(separable_state(sep) - rho.matrix, rho.matrix)
     ppt, lowest, _ = _ppt_check(rho, tol)
     metrics["min_eig_partial_transpose"] = float(lowest)
     metrics["ppt"] = int(ppt)

@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = ["DimensionError", "DomainError", "InputError", "ScaleError", "StormerKitError"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class StormerKitError(ValueError):

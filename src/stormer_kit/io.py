@@ -181,38 +181,19 @@ def load_map_spec(spec: str) -> PositiveMap:
     raise InputError(f"unknown map spec kind {kind!r}")
 
 
-def _render_value(value, indent: str) -> str:
-    if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            inner = _render_value(value[key], indent + "  ")
-            lines.append(f"{indent}{key}: {inner}" if "\n" not in inner else f"{indent}{key}:\n{inner}")
-        return "\n".join(lines)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return json.dumps(value)
-    return str(value)
-
-
 def render_report(report: dict, as_json: bool) -> str:
-    """Deterministic rendering; JSON mode emits sorted keys."""
+    """Deterministic rendering; JSON mode emits sorted keys.  A report, as
+    the command line builds it, has at least one metric, all flat numbers (a
+    float prints as its ``repr``), and a tolerance."""
     if as_json:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    lines = [f"command: {report['command']}", f"verdict: {report['verdict']}"]
-    metrics = report.get("metrics") or {}
-    if metrics:
-        lines.append("metrics:")
-        for key in sorted(metrics):
-            lines.append(f"  {key} = {_render_value(metrics[key], '')}")
-    artifacts = report.get("artifacts") or {}
+    lines = [f"command: {report['command']}", f"verdict: {report['verdict']}", "metrics:"]
+    metrics = report["metrics"]
+    lines.extend(f"  {key} = {metrics[key]!r}" for key in sorted(metrics))
+    artifacts = report["artifacts"]
     if artifacts:
         lines.append(f"artifacts: {', '.join(sorted(artifacts))} (use --json for values)")
-    lines.append(f"seed: {report.get('seed')}")
-    tol = report.get("tolerance") or {}
-    lines.append(
-        "tolerance: abs={abs_eps} rel={rel_eps} rcond={rcond}".format(**tol)
-        if tol
-        else "tolerance: default"
-    )
+    lines.append(f"seed: {report['seed']}")
+    tol = report["tolerance"]
+    lines.append("tolerance: abs={abs_eps} rel={rel_eps} rcond={rcond}".format(**tol))
     return "\n".join(lines) + "\n"

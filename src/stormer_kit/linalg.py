@@ -18,9 +18,18 @@ without an SVD.  Only when that bound cannot decide does the SVD-based
 comparison run, so every verdict is the one the SVD alone would give; the
 factor one half keeps rounding in either norm from flipping it.
 
+A residual ``a - a*`` that overflows double precision is within no
+threshold: :func:`_is_hermitian`, the one Hermiticity test of
+:func:`is_hermitian` and :func:`is_psd`, reads it as not Hermitian.  Finite
+input whose verdict cannot be decided because its arithmetic overflows
+raises the ScaleError of :func:`_overflow`, the one place such a message is
+written, for this module and the others.
+
 Public functions validate their arguments; the private ``_``-prefixed
 kernels they share assume a validated square complex array and are what
-the rest of the package calls on data it has validated already.
+the rest of the package calls on data it has validated already.  The
+package's value objects own read-only copies of their arrays made by
+:func:`_held`, and share one pickling rule, :class:`_ValueObject`.
 
 Every factorization in the package goes through one LAPACK seam here:
 :func:`_eigvalsh`, :func:`_eigh`, :func:`_svdvals`, :func:`_eig`,
@@ -61,11 +70,12 @@ such as a call counter, sees every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionError, DomainError, ScaleError
 
 try:  # private numpy API, used only on the gufunc path of the LAPACK seam
@@ -74,23 +84,7 @@ try:  # private numpy API, used only on the gufunc path of the LAPACK seam
 except ImportError:  # pragma: no cover - every call takes the public path
     _numpy_linalg = _umath_linalg = None
 
-__all__ = [
-    "DEFAULT_RCOND",
-    "DEFAULT_TOL",
-    "HermitianEig",
-    "Tolerance",
-    "adjoint",
-    "eig_hermitian",
-    "is_contraction",
-    "is_hermitian",
-    "is_hyponormal",
-    "is_normal",
-    "is_psd",
-    "op_norm",
-    "pinv",
-    "psd_margin",
-    "sqrt_psd",
-]
+__all__ = list(_EXPORTS["linalg"])
 
 # Default SVD truncation for pseudoinverses (double precision).
 DEFAULT_RCOND = 1e-12
@@ -254,6 +248,18 @@ def _held(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _ValueObject:
+    """Base of the frozen dataclasses that own :func:`_held` copies of their
+    arrays.  A copy or an unpickled object is rebuilt through the
+    constructor from its fields, so it owns fresh read-only arrays and
+    starts with nothing kept."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
@@ -322,6 +328,12 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _rel_fro(delta: np.ndarray, ref: np.ndarray) -> float:
+    """``||delta||_F / ||ref||_F``, the relative residual of a
+    reconstruction of ``ref``; a zero ``ref`` counts as 1e-300."""
+    return float(np.linalg.norm(delta) / max(np.linalg.norm(ref), 1e-300))
+
+
 def _negligible(d: np.ndarray, floor: float) -> bool:
     """True when ``||d||_F <= floor / 2``, which settles ``||d||_2 <= t`` for
     every threshold ``t >= floor`` because the operator norm is at most the
@@ -348,11 +360,21 @@ def psd_margin(w, tol: Tolerance = DEFAULT_TOL):
     return lowest, tol.threshold(np.maximum(np.abs(lowest), np.abs(w[..., -1])))
 
 
-def _is_hermitian(a: np.ndarray, ah: np.ndarray, tol: Tolerance) -> bool:
+def _is_hermitian(a: np.ndarray, ah: np.ndarray, tol: Tolerance, thr: float | None = None) -> bool:
     """:func:`is_hermitian` of ``a`` given its adjoint ``ah``, which a caller
-    that goes on to form the Hermitian part has at hand."""
-    d = a - ah
-    return _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= tol.threshold(_op_norm(a))
+    that goes on to form the Hermitian part has at hand: ``||a - a*||``
+    within ``thr``, by default the threshold at ``a``'s scale.  A residual
+    that overflows is within no threshold, so ``a`` is not Hermitian: after
+    numpy's overflow warning, or where warnings are errors, in its place."""
+    try:
+        d = a - ah
+    except RuntimeWarning:
+        return False
+    if _negligible(d, tol.threshold(0.0)):
+        return True
+    if not np.isfinite(d).all():
+        return False
+    return _op_norm(d) <= (tol.threshold(_op_norm(a)) if thr is None else thr)
 
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -401,12 +423,12 @@ def eig_hermitian(m) -> HermitianEig:
     return HermitianEig(w, fix_phases(v))
 
 
-def _overflow(what: str, a: np.ndarray, noun: str) -> ScaleError:
-    """The ScaleError for finite ``a`` whose ``what`` overflows double
-    precision, naming ``a``'s largest entry."""
-    return ScaleError(
-        f"{what} overflows: {noun} entries reach {np.abs(a).max():.3e}; rescale the {noun}"
-    )
+def _overflow(what: str, noun: str, *arrays: np.ndarray) -> ScaleError:
+    """The ScaleError for finite ``arrays`` whose arithmetic overflows double
+    precision: ``what`` says what overflowed, and the message names the
+    largest entry of the arrays, 1 when there are none (a named map)."""
+    scale = max((np.abs(a).max() for a in arrays), default=1.0)
+    return ScaleError(f"{what}: {noun} entries reach {scale:.3e}; rescale the {noun}")
 
 
 def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
@@ -416,7 +438,7 @@ def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
     try:
         return 0.5 * (a + ah)
     except RuntimeWarning as e:
-        raise _overflow("spectrum", a, "matrix") from e
+        raise _overflow("spectrum overflows", "matrix", a) from e
 
 
 def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False):
@@ -434,7 +456,7 @@ def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = 
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
-        raise _overflow("spectrum", a, "matrix")
+        raise _overflow("spectrum overflows", "matrix", a)
     verdict = bool(lowest >= -thr)
     return (verdict, lowest, thr, w, v) if vectors else (verdict, lowest, thr)
 
@@ -449,8 +471,7 @@ def _psd_check(a: np.ndarray, tol: Tolerance, vectors: bool = False):
     factor it."""
     ah = adjoint(a)
     verdict, lowest, thr, *wv = _psd_spectrum(_hermitian_part(a, ah), tol, a, vectors)
-    d = a - ah
-    hermitian = _negligible(d, tol.threshold(0.0)) or _op_norm(d) <= thr
+    hermitian = _is_hermitian(a, ah, tol, thr)
     return (bool(hermitian and verdict), *(wv if vectors else (lowest, thr)))
 
 
@@ -499,14 +520,14 @@ def _self_commutator(a: np.ndarray) -> np.ndarray:
     try:
         return ah @ a - a @ ah
     except RuntimeWarning as e:
-        raise _overflow("self-commutator", a, "operator") from e
+        raise _overflow("self-commutator overflows", "operator", a) from e
 
 
 def _require_finite_commutator(a: np.ndarray, c: np.ndarray) -> None:
     """Raise ScaleError, naming ``a``'s largest entry, where ``a``'s
     self-commutator ``c`` has overflowed (inf - inf leaves NaN)."""
     if not np.isfinite(c).all():
-        raise _overflow("self-commutator", a, "operator")
+        raise _overflow("self-commutator overflows", "operator", a)
 
 
 def _is_normal(a: np.ndarray, tol: Tolerance) -> bool:

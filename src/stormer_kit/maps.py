@@ -17,35 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ScaleError, StormerKitError
+from . import _EXPORTS
+from .errors import DimensionError, DomainError, StormerKitError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _ValueObject,
     _eigvalsh,
     _held,
+    _overflow,
     adjoint,
     as_matrix,
     psd_margin,
     require_square,
 )
 from .sampling import _boundary_grams, _pair_stack, ginibre, random_stormer_blocks
-from .stormer import OperatorBlockMatrix, _assemble, _split
+from .stormer import OperatorBlockMatrix, _assemble, _gram_blocks, _split
 
-__all__ = [
-    "NAMED_MAPS",
-    "NecessityReport",
-    "PositiveMap",
-    "WitnessResult",
-    "apply_map_entrywise",
-    "choi_fixture",
-    "choi_matrix",
-    "identity_map",
-    "make_decomposable",
-    "map_from_choi",
-    "theorem1_necessity_trial",
-    "transpose_map",
-    "witness_search",
-]
+__all__ = list(_EXPORTS["maps"])
 
 
 # The named maps: name -> the input dimension it fixes (None: any square input).
@@ -53,7 +42,7 @@ NAMED_MAPS = {"identity": None, "transpose": None, "choi3": 3}
 
 
 @dataclass(frozen=True, eq=False)
-class PositiveMap:
+class PositiveMap(_ValueObject):
     """A positive map given by Kraus families, a Choi matrix, or by name.
 
     kinds:
@@ -112,12 +101,6 @@ class PositiveMap:
                 object.__setattr__(self, "input_dim", NAMED_MAPS[self.name])
         else:
             raise DomainError(f"unknown map kind {self.kind!r}")
-
-    def __reduce__(self):
-        # Rebuilt through the constructor, so copies and unpickled maps own
-        # fresh read-only arrays and their own adjoints.
-        args = (self.kind, self.kraus_cp, self.kraus_cocp, self.choi, self.name, self.input_dim)
-        return type(self), args
 
     @property
     def output_dim(self) -> int | None:
@@ -278,15 +261,10 @@ def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
 
 def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
     """``count`` two-sided-positive trial blocks, shape (count, n, n, d, d):
-    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise.
-    Block (i, j) of pair t is a_i* a_j, read out of the row-stacked
-    [a_1*; a_2*] times a_j: one gemm per pair and column block, whose rows
-    round as in a_i* a_j alone."""
+    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
     if n != 2:
         return random_stormer_blocks(rng, count, n, d)
-    a = _pair_stack(rng, count, d)
-    rows = adjoint(a).reshape(count, 1, 2 * d, d)
-    return (rows @ a).reshape(count, 2, 2, d, d).swapaxes(1, 2)
+    return _gram_blocks(_pair_stack(rng, count, d))
 
 
 def _image_margin(
@@ -307,9 +285,8 @@ def _image_margin(
         thr = np.array(math.nan)
     # a threshold is finite iff both ends of its spectrum are
     if not math.isfinite(thr.max()):
-        mats = [*phi.kraus_cp, *phi.kraus_cocp, *([] if phi.choi is None else [phi.choi])]
-        scale = max((np.abs(k).max() for k in mats), default=1.0)
-        raise ScaleError(f"map images overflow: map entries reach {scale:.3e}; rescale the map")
+        choi = () if phi.choi is None else (phi.choi,)
+        raise _overflow("map images overflow", "map", *phi.kraus_cp, *phi.kraus_cocp, *choi)
     return lowest, thr
 
 

@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 
+from . import _EXPORTS
 from .linalg import DEFAULT_TOL, Tolerance, _cond, _eigh, _eigvalsh, _op_norm, _qr, adjoint
 from .stormer import (
     OperatorBlockMatrix,
@@ -24,20 +25,10 @@ from .stormer import (
     stormer_test,
 )
 
-__all__ = [
-    "find_nontrivial_block",
-    "ginibre",
-    "haar_unitary",
-    "random_near_normal",
-    "random_normal_operator",
-    "random_partition",
-    "random_rank_deficient",
-    "random_stormer_block",
-    "random_stormer_blocks",
-    "random_stormer_pair",
-    "random_stormer_pairs",
-    "uniform_disk",
-]
+# Every name but the self-test's three samplers is in the package namespace.
+__all__ = sorted(
+    [*_EXPORTS["sampling"], "random_near_normal", "random_partition", "random_rank_deficient"]
+)
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ from .linalg import (
     _cond,
     _eigvalsh,
     _psd_check,
+    _rel_fro,
     adjoint,
     is_contraction,
     is_hyponormal,
@@ -49,10 +50,6 @@ from .stormer import (
 )
 
 __all__ = ["run_selftest"]
-
-
-def _rel_fro(delta: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(delta) / max(np.linalg.norm(ref), 1e-300))
 
 
 def _suite_gram_positivity(rng, tol):

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionError, DomainError, InputError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _ValueObject,
     _eigvalsh,
     _frobenius,
     _held,
@@ -28,16 +30,7 @@ from .linalg import (
 )
 from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _swap
 
-__all__ = [
-    "DensityState",
-    "SeparableDecomposition",
-    "is_ppt",
-    "partial_transpose",
-    "partial_transpose_matrix",
-    "separable_decomposition",
-    "separable_state",
-    "state_from_block",
-]
+__all__ = list(_EXPORTS["states"])
 
 # Fixed validity bands for density matrices (independent of per-call tolerance).
 _HERM_EPS = 1e-10
@@ -46,7 +39,7 @@ _EIG_FLOOR = -1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class DensityState:
+class DensityState(_ValueObject):
     """Normalized positive matrix on a bipartite space with dims (n, d).
 
     The state owns a read-only copy of its matrix, as the other value
@@ -76,11 +69,6 @@ class DensityState:
             raise DomainError("state matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_lowest", lowest)  # not a field: kept for reports
-
-    def __reduce__(self):
-        # Rebuilt through the constructor, so copies and unpickled states own
-        # fresh read-only matrices.
-        return type(self), (self.dims, self.matrix)
 
 
 def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> DensityState:

@@ -22,16 +22,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ScaleError
+from . import _EXPORTS
+from .errors import DimensionError, DomainError
 from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _ValueObject,
     _eig,
     _held,
     _hermitian_part,
     _is_hermitian,
     _is_normal,
+    _overflow,
     _pinv,
     _psd_check,
     _psd_spectrum,
@@ -45,28 +48,11 @@ from .linalg import (
     require_square,
 )
 
-__all__ = [
-    "CanonicalDecomposition",
-    "OperatorBlockMatrix",
-    "OperatorPair",
-    "RatioOperator",
-    "SpectralResolution",
-    "canonical_decomposition",
-    "contraction_condition",
-    "dual_decomposition",
-    "gram_block",
-    "gram_row_block",
-    "gram_vectors",
-    "ratio_operator",
-    "reconstruct_a2",
-    "reconstruct_block",
-    "spectral_resolution",
-    "stormer_test",
-    "swap_block",
-]
+__all__ = list(_EXPORTS["stormer"])
+
 
 @dataclass(frozen=True, eq=False)
-class OperatorPair:
+class OperatorPair(_ValueObject):
     """A pair of d x d operators acting on the same space.
 
     The pair owns read-only copies of its operators: it never aliases the
@@ -92,11 +78,6 @@ class OperatorPair:
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so copies and unpickled pairs own
-        # fresh read-only arrays and start with no kept results.
-        return type(self), (self.a1, self.a2)
-
     @property
     def dim(self) -> int:
         return self.a1.shape[0]
@@ -108,7 +89,7 @@ class OperatorPair:
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorBlockMatrix:
+class OperatorBlockMatrix(_ValueObject):
     """An n x n array of d x d operator blocks.
 
     The assembled matrix lives on the tensor product (block index) x (space),
@@ -129,9 +110,6 @@ class OperatorBlockMatrix:
             raise DomainError("block entries must be finite")
         object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "_sides", {})
-
-    def __reduce__(self):
-        return type(self), (self.blocks,)
 
     @property
     def n(self) -> int:
@@ -178,6 +156,16 @@ def _swap(m: np.ndarray, n: int) -> np.ndarray:
     s = m.shape
     d = s[-1] // n
     return m.reshape(s[:-2] + (n, d, n, d)).swapaxes(-4, -2).reshape(s)
+
+
+def _gram_blocks(a: np.ndarray) -> np.ndarray:
+    """(..., 2, d, d) pairs (a_1, a_2) -> (..., 2, 2, d, d) Gram blocks
+    a_i* a_j, a view.  The row-stacked [a_1*; a_2*] times each a_j: one gemm
+    per pair and column block, whose rows round as in a_i* a_j alone."""
+    s = a.shape
+    d = s[-1]
+    rows = adjoint(a).reshape(s[:-3] + (1, 2 * d, d))
+    return (rows @ a).reshape(s[:-3] + (2, 2, d, d)).swapaxes(-4, -3)
 
 
 class RatioOperator(NamedTuple):
@@ -229,16 +217,13 @@ def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
     """
     x = p._gram
     if x is None:
-        a1h, a2h = adjoint(p.a1), adjoint(p.a2)
+        d = p.dim
         with np.errstate(over="ignore", invalid="ignore"):
-            b = np.array([[a1h @ p.a1, a1h @ p.a2], [a2h @ p.a1, a2h @ p.a2]])
-        if not np.isfinite(b).all():
-            scale = max(np.abs(p.a1).max(), np.abs(p.a2).max())
-            raise ScaleError(
-                f"Gram block overflows: operator entries reach {scale:.3e}; "
-                "rescale the pair"
-            )
-        x = OperatorBlockMatrix(b)
+            b = _gram_blocks(np.concatenate((p.a1, p.a2)).reshape(2, d, d))
+        try:
+            x = OperatorBlockMatrix(b)
+        except DomainError:  # its check of finite entries: a product overflowed
+            raise _overflow("Gram block overflows", "pair", p.a1, p.a2) from None
         object.__setattr__(p, "_gram", x)
     return x
 

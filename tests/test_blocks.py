@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,15 @@ def test_contraction_raises_when_a_spectrum_overflows():
     big = np.array([[1e308]])
     with pytest.raises(DomainError, match=r"spectrum overflows: matrix entries reach 1\.000e\+308"):
         psd_via_contraction(Partition2(big, big, big))
+
+
+@pytest.mark.parametrize("warnings_are_errors", [False, True])
+def test_an_overflowing_contraction_candidate_is_not_psd(warnings_are_errors):
+    # every entry is finite, but W0 = pinv(sqrt(A)) B pinv(sqrt(C)) overflows:
+    # no contraction, so the certificate fails as the oracle does
+    p = Partition2(1e-300 * np.eye(2), np.full((2, 2), 1e300), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if warnings_are_errors else "ignore")
+        cert = psd_via_contraction(p)
+        assert (cert.psd, cert.w, cert.residual) == (False, None, math.inf)
+        assert psd_oracle(p) is False

@@ -328,6 +328,45 @@ def test_human_readable_output():
     assert "min_eig" in proc.stdout
 
 
+def test_readme_decompose_example_prints_the_lines_it_shows():
+    readme = (FIXTURES.parents[1] / "README.md").read_text().splitlines()
+    start = readme.index(
+        "$ stormer-kit decompose --a1 tests/fixtures/id2.json --a2 tests/fixtures/diag_1i.json"
+    )
+    stop = next(i for i in range(start + 1, len(readme)) if readme[i].startswith("$ "))
+    argv = ["decompose", "--a1", "id2.json", "--a2", "diag_1i.json"]
+    code, out, err = run_cli_inprocess(expand(argv))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == readme[start + 1 : stop]
+    assert "artifacts: alphas, es, lambdas, phis (use --json for values)" in out.splitlines()
+
+
+def _choi3_witness_search(budget):
+    """README's witness search on choi3, seed 42, at ``budget``."""
+    argv = ["map-test", "--map", "choi3", "--n", "3", "--witness-budget", budget]
+    return run_cli_inprocess([*argv, "--seed", "42", "--json"])
+
+
+def test_readme_witness_example_finds_the_frozen_witness():
+    code, out, err = _choi3_witness_search("100000")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdict"] == "false"
+    assert report["metrics"]["witness_evaluations"] == 16828
+    assert report["metrics"]["witness_min_eig"] == -0.11011249464791724
+    frozen = json.loads((FIXTURES / "choi3_witness.json").read_text())
+    assert report["artifacts"]["witness"] == frozen["block"]
+
+
+def test_witness_search_that_exhausts_its_budget_is_inconclusive():
+    code, out, err = _choi3_witness_search("300")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["metrics"]["witness_evaluations"] == 300
+    assert report["artifacts"] == {}
+
+
 def test_exit_code_2_on_malformed_inputs():
     for argv in MALFORMED:
         proc = run_cli(*expand(argv))

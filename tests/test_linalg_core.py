@@ -623,6 +623,28 @@ def test_overflow_raises_scale_error_where_warnings_are_errors(name):
             _OVERFLOWING[name]()
 
 
+# Anti-Hermitian: its Hermitian part is 0, but its residual a - a* overflows.
+_ANTI_HERMITIAN = np.array([[0, 1e308], [-1e308, 0]], dtype=complex)
+
+
+def _overflowed_residual_verdicts():
+    block = OperatorBlockMatrix(_ANTI_HERMITIAN.reshape(2, 2, 1, 1))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        stormer_test(block)
+    return is_psd(_ANTI_HERMITIAN), is_hermitian(_ANTI_HERMITIAN)
+
+
+def test_an_overflowing_residual_reads_as_not_hermitian_after_numpys_warning():
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        assert _overflowed_residual_verdicts() == (False, False)
+
+
+def test_an_overflowing_residual_reads_as_not_hermitian_where_warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _overflowed_residual_verdicts() == (False, False)
+
+
 def test_the_normality_fast_path_skips_the_overflow_check(monkeypatch):
     def never(a, c):
         raise AssertionError("overflow check on a settled commutator")
