@@ -107,6 +107,14 @@ def main() -> None:
         "overflow_kraus.json",
         {"kind": "kraus", "cp": [matrix_to_payload(1e200 * np.eye(2))], "cocp": []},
     )
+    # unit-trace 4 x 4 states with 1e308 in the corners: Hermitian, whose
+    # Hermitian part overflows, and with opposite corners, whose residual
+    # m - m* overflows
+    corners = np.diag([0.25] * 4)
+    corners[0, 3] = corners[3, 0] = 1e308
+    dump("overflow_state4.json", matrix_to_payload(corners))
+    corners[3, 0] = -1e308
+    dump("overflow_residual4.json", matrix_to_payload(corners))
 
     # a pair whose Gram block and both spectra are finite (it passes
     # stormer-check) but whose ratio operator 1e300 diag(1, i) has a

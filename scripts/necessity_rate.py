@@ -9,7 +9,9 @@ For each map kind (named, Kraus, Choi) at n = 2 and n = 3, on 3 x 3 blocks,
 times ``theorem1_necessity_trial`` with 20 trials per call, the call the
 necessity benchmark repeats, and prints the microseconds per trial: the
 fastest of a few repeats, each the mean over calls with fresh seeds.
-Exits 0.
+The Kraus and Choi rows run one kernel, the contraction with the Choi
+tensor, on the same tensor: a Kraus map is compiled to its Choi twin's, so
+the two rows differ by noise alone.  Exits 0.
 """
 
 import sys

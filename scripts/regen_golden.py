@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs compared byte-for-byte by the tests.
+Only the files whose bytes change are written, and their names printed.
 
 Run from the repository root:  python3 scripts/regen_golden.py
 """
@@ -47,6 +48,9 @@ def run_case(argv):
 
 
 def main() -> None:
+    """Run every case, then write the golden files whose bytes change and
+    print their names; a file that already holds its report is left as it
+    is, so an intended change shows as exactly the files it changes."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, (expected_code, argv) in CASES.items():
         proc = run_case(argv)
@@ -54,8 +58,9 @@ def main() -> None:
             print(f"FAIL {name}: exit {proc.returncode} != {expected_code}\n{proc.stderr}")
             raise SystemExit(1)
         out = GOLDEN / f"{name}.json"
-        out.write_text(proc.stdout)
-        print(f"wrote {out}")
+        if not out.exists() or out.read_text() != proc.stdout:
+            out.write_text(proc.stdout)
+            print(f"wrote {out.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -403,17 +403,22 @@ def eig_hermitian(m) -> HermitianEig:
 
     The input is symmetrized as ``(M + M*)/2`` before solving; asymmetry
     beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
-    silently repaired.  Where LAPACK fails (a spectrum that overflows),
-    numpy's ``LinAlgError`` is raised after RuntimeWarnings, or the first
-    warning where warnings are errors.
+    silently repaired, and so is a residual ``M - M*`` that overflows (by
+    default after numpy's overflow warning).  Where LAPACK fails (a
+    spectrum that overflows), numpy's ``LinAlgError`` is raised after
+    RuntimeWarnings, or the first warning where warnings are errors.
     """
     a = require_square(m)
     ah = adjoint(a)
     h = 0.5 * (a + ah)
-    d = a - ah
+    try:
+        d = a - ah
+    except RuntimeWarning:  # where warnings are errors: read as infinite
+        d = np.full((1, 1), math.inf)
     if not _negligible(d, _HERMITICITY_REL):
         scale = _op_norm(h)
-        asym = _op_norm(d)
+        # an overflowed residual exceeds every bound; its SVD would be NaN
+        asym = _op_norm(d) if np.isfinite(d).all() else math.inf
         if asym > _HERMITICITY_REL * (1.0 + scale):
             raise DomainError(
                 f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "

@@ -7,6 +7,10 @@ test to a PSD block matrix; :func:`theorem1_necessity_trial` exercises that
 necessity on random instances, and :func:`witness_search` hunts for a
 violating instance, which certifies non-decomposability.  The classical
 positive non-decomposable map on 3 x 3 matrices is provided as a fixture.
+
+A map given by data, Kraus families or a Choi matrix, is one object under
+the Choi correspondence, and is applied by one kernel: its Choi tensor,
+compiled at construction, contracted with every block of a stack.
 """
 
 from __future__ import annotations
@@ -56,7 +60,10 @@ class PositiveMap(_ValueObject):
     the input dimension.  The map owns read-only copies of its Kraus
     operators and Choi matrix, as the package's other value objects own
     theirs: writing into an array the caller passed in leaves the map as it
-    was, and a Kraus map keeps each operator's adjoint for its images.
+    was.  A ``sum`` or ``choi_raw`` map also keeps its read-only Choi tensor,
+    the images of the matrix units, for its images; a ``sum`` map's is the
+    tensor of its Choi twin ``map_from_choi(choi_matrix(phi), k)``, whose
+    images it equals bit for bit, while ``choi`` stays None.
     """
 
     kind: str
@@ -67,48 +74,49 @@ class PositiveMap(_ValueObject):
     input_dim: int | None = field(default=None)
 
     def __post_init__(self) -> None:
+        if self.kind == "named":
+            if self.name not in NAMED_MAPS:
+                raise DomainError(f"unknown named map {self.name!r}")
+            if NAMED_MAPS[self.name] is not None:
+                object.__setattr__(self, "input_dim", NAMED_MAPS[self.name])
+            return
+        # (i, j, r, c): entry (r, c) of the image of the matrix unit e_ij,
+        # laid out contiguously for the einsum of every image
         if self.kind == "sum":
             cp = tuple(_held(as_matrix(k)) for k in self.kraus_cp)
             cocp = tuple(_held(as_matrix(k)) for k in self.kraus_cocp)
             ops = cp + cocp
             if not ops:
                 raise DimensionError("Kraus representation needs at least one operator")
-            shape = ops[0].shape
-            if any(o.shape != shape for o in ops):
+            l, k = ops[0].shape
+            if any(o.shape != (l, k) for o in ops):
                 raise DimensionError("all Kraus operators must share one l x k shape")
             object.__setattr__(self, "kraus_cp", cp)
             object.__setattr__(self, "kraus_cocp", cocp)
-            object.__setattr__(self, "input_dim", shape[1])
-            # (K, K*, whether K acts on x^T), in the order the images are summed
-            terms = [(k, False) for k in cp] + [(k, True) for k in cocp]
-            object.__setattr__(self, "_terms", tuple((k, adjoint(k), t) for k, t in terms))
+            object.__setattr__(self, "input_dim", k)
+            kp, kq = (np.array(part).reshape(-1, l, k) for part in (cp, cocp))
+            # sum K[r, i] conj(K[c, j]) + sum L[r, j] conj(L[c, i]); an entry
+            # that overflows is reported by _image_margin's ScaleError
+            with np.errstate(over="ignore", invalid="ignore"):
+                tensor = np.einsum("mri,mcj->ijrc", kp, kp.conj())
+                tensor = tensor + np.einsum("mrj,mci->ijrc", kq, kq.conj())
         elif self.kind == "choi_raw":
             c = _held(require_square(self.choi, "Choi matrix"))
             k = _integer(self.input_dim, "choi_raw input_dim", DimensionError)
             if k < 1 or c.shape[0] % k != 0:
                 raise DimensionError("choi_raw needs input_dim dividing the Choi size")
-            # (i, j, r, c): entry (r, c) of the image of the matrix unit e_ij,
-            # laid out contiguously for the einsum of every image
-            tensor = np.ascontiguousarray(_split(c, k))
-            tensor.flags.writeable = False
+            tensor = _split(c, k)
             object.__setattr__(self, "choi", c)
             object.__setattr__(self, "input_dim", k)
-            object.__setattr__(self, "_tensor", tensor)
-        elif self.kind == "named":
-            if self.name not in NAMED_MAPS:
-                raise DomainError(f"unknown named map {self.name!r}")
-            if NAMED_MAPS[self.name] is not None:
-                object.__setattr__(self, "input_dim", NAMED_MAPS[self.name])
         else:
             raise DomainError(f"unknown map kind {self.kind!r}")
+        tensor = np.ascontiguousarray(tensor)
+        tensor.flags.writeable = False
+        object.__setattr__(self, "_tensor", tensor)
 
     @property
     def output_dim(self) -> int | None:
-        if self.kind == "sum":
-            return (self.kraus_cp or self.kraus_cocp)[0].shape[0]
-        if self.kind == "choi_raw":
-            return self.choi.shape[0] // self.input_dim
-        return self.input_dim
+        return self.input_dim if self.kind == "named" else self._tensor.shape[-1]
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on a square matrix, or on each matrix of a stack
@@ -128,39 +136,15 @@ class PositiveMap(_ValueObject):
         """:meth:`apply` without its checks, for stacks the package built
         itself: ``a`` is a finite complex array of shape (..., k, k) with k
         the map's input dimension.  Each image gets the arithmetic it gets
-        alone: a Kraus term's left product K x runs block by block and its
-        right product as one gemm over the stack's rows (see
-        :func:`_right_product`); a Choi-matrix map contracts with its
-        contiguous Choi tensor."""
-        if self.kind == "named":
-            if self.name == "identity":
-                return a.copy(order="K")
-            if self.name == "transpose":
-                return np.swapaxes(a, -1, -2).copy(order="K")
-            return _choi3_apply(a)
-        if self.kind == "choi_raw":
+        alone: a map given by data contracts with its contiguous Choi
+        tensor, one einsum for the whole stack."""
+        if self.kind != "named":
             return np.einsum("...ij,ijrc->...rc", a, self._tensor)
-        at = np.swapaxes(a, -1, -2)
-        images = (
-            _right_product(kr @ (at if transposed else a), kh) for kr, kh, transposed in self._terms
-        )
-        out = next(images)
-        out += 0.0  # a sum from 0.0: an entry of -0.0 reads +0.0
-        for image in images:  # summed in place, in the order of the terms
-            out += image
-        return out
-
-
-def _right_product(y: np.ndarray, kh: np.ndarray) -> np.ndarray:
-    """``y @ kh`` for a stack ``y`` of l x k left products: one gemm over
-    all rows of the stack, each row rounded as in its block's own gemm.  At
-    l = 1 numpy takes a block's 1 x k by k x 1 product with ``dot`` but the
-    row-stacked one with ``gemv``, which round differently, so that stack
-    keeps its per-block products."""
-    l, k = y.shape[-2:]
-    if l == 1:
-        return y @ kh
-    return (y.reshape(-1, k) @ kh).reshape(y.shape[:-1] + (l,))
+        if self.name == "identity":
+            return a.copy(order="K")
+        if self.name == "transpose":
+            return np.swapaxes(a, -1, -2).copy(order="K")
+        return _choi3_apply(a)
 
 
 # Diagonal entry i of a choi3 image adds x_ii and the entry before it, cyclically.

@@ -167,9 +167,23 @@ def _pair_stack(
         done += run
         window = max(1, 2 * run)
     u = _haar_from_ginibre(_complex_gaussian(normals[:, 2], normals[:, 3]))
-    ratio = (u * _disk_points(uniforms, center, radius)[:, None, :]) @ adjoint(u)
+    lam = _disk_points(uniforms, center, radius)[:, None, :]
+    ratio = (_unfused_product(u, lam) if d == 1 else u * lam) @ adjoint(u)
     np.matmul(ratio, a1, out=pairs[:, 1])
     return pairs
+
+
+def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` with each real product rounded before the sum.  numpy's
+    complex multiply fuses them in some of its loops, which it picks by the
+    operands' lengths and strides: at d = 1 a stack of 1 x 1 factors can
+    take another loop than a lone pair's, or a lone 1 x 1 product's, and
+    round differently.  From d = 2 on every pair runs a loop of length d,
+    alone or in a stack, so the sampler keeps numpy's product there."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def random_stormer_pair(

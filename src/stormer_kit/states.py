@@ -19,9 +19,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _ValueObject,
-    _eigvalsh,
     _frobenius,
     _held,
+    _hermitian_part,
     _op_norm,
     _psd_check,
     _psd_spectrum,
@@ -45,7 +45,9 @@ class DensityState(_ValueObject):
     The state owns a read-only copy of its matrix, as the other value
     objects do: it never aliases the caller's array, and writing into
     ``matrix`` raises ``ValueError``, so the validated matrix and the lowest
-    eigenvalue kept from its validation cannot go stale.
+    eigenvalue kept from its validation cannot go stale.  A residual
+    ``m - m*`` that overflows is not Hermitian; finite entries whose
+    Hermitian part or spectrum overflows raise ScaleError (a DomainError).
     """
 
     dims: tuple[int, int]
@@ -60,11 +62,15 @@ class DensityState(_ValueObject):
             )
         mh = adjoint(m)
         scale = 1.0 + float(np.abs(m).max())
-        if np.abs(m - mh).max() > _HERM_EPS * scale:
+        try:
+            hermitian = np.abs(m - mh).max() <= _HERM_EPS * scale
+        except RuntimeWarning:  # where warnings are errors: the residual overflows
+            hermitian = False
+        if not hermitian:
             raise DomainError("state matrix is not Hermitian")
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
-        lowest = _eigvalsh(0.5 * (m + mh))[0]
+        lowest = _psd_spectrum(_hermitian_part(m, mh), DEFAULT_TOL, m)[1]
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)

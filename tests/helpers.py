@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import contextlib
+import functools
 import importlib.util
 import io
 from collections import Counter
@@ -13,14 +14,17 @@ from stormer_kit import (
     DomainError,
     HermitianEig,
     OperatorBlockMatrix,
+    PositiveMap,
     SpectralResolution,
     WitnessResult,
     adjoint,
+    choi_matrix,
     eig_hermitian,
     gram_block,
     is_contraction,
     is_normal,
     is_psd,
+    map_from_choi,
     op_norm,
     stormer_test,
 )
@@ -109,8 +113,16 @@ def cholesky_psd(m, shift: float) -> bool:
 # block) at a time.  Equivalence tests compare the engine against it with ==.
 
 
+@functools.lru_cache(maxsize=None)
+def choi_twin(phi) -> PositiveMap:
+    """The map given by ``phi``'s Choi matrix: a Kraus map's twin, whose
+    images it must equal bit for bit."""
+    return map_from_choi(choi_matrix(phi), phi.input_dim)
+
+
 def oracle_apply(phi, a) -> np.ndarray:
-    """phi on one square matrix, by the map's own per-matrix arithmetic."""
+    """phi on one square matrix, by the map's own per-matrix arithmetic; a
+    Kraus map's is its Choi twin's."""
     a = np.asarray(a, dtype=complex)
     if phi.kind == "named":
         if phi.name == "identity":
@@ -122,14 +134,22 @@ def oracle_apply(phi, a) -> np.ndarray:
         out[1, 1] = a[1, 1] + a[0, 0]
         out[2, 2] = a[2, 2] + a[1, 1]
         return out
-    if phi.kind == "choi_raw":
-        k, l = phi.input_dim, phi.output_dim
-        return np.einsum("ij,irjc->rc", a, phi.choi.reshape(k, l, k, l))
+    if phi.kind == "sum":
+        phi = choi_twin(phi)
+    k, l = phi.input_dim, phi.output_dim
+    return np.einsum("ij,irjc->rc", a, phi.choi.reshape(k, l, k, l))
+
+
+def kraus_products(phi, a) -> np.ndarray:
+    """sum K a K* + sum L a^T L* of a Kraus map, term by term: the images
+    that Kraus maps gave before they were compiled to their Choi tensor.
+    ``a`` may be a stack; numpy's broadcast matmul multiplies block by
+    block."""
     out = 0.0
     for kr in phi.kraus_cp:
         out = out + kr @ a @ adjoint(kr)
     for kr in phi.kraus_cocp:
-        out = out + kr @ a.T @ adjoint(kr)
+        out = out + kr @ np.swapaxes(a, -1, -2) @ adjoint(kr)
     return out
 
 

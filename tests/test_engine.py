@@ -44,6 +44,7 @@ from stormer_kit.stormer import _assemble, _split, _swap
 from helpers import (
     CASES,
     expand,
+    kraus_products,
     lapack_calls,
     load_script,
     oracle_apply,
@@ -129,8 +130,9 @@ def test_stacked_apply_equals_per_matrix_apply(label, phi, d):
 
 @pytest.mark.parametrize("parts", [(1, 0), (0, 1), (2, 1)], ids=["cp", "cocp", "sum"])
 def test_kraus_images_keep_the_oracles_sign_of_zero(parts):
-    # == does not tell -0.0 from +0.0.  Images of 1e-400 underflow to -0.0
-    # where x is negative; the per-matrix sum, which starts at 0.0, reads +0.0.
+    # == does not tell -0.0 from +0.0.  Products of 1e-400 underflow to -0.0
+    # where x is negative; the image, contracted with a Choi tensor that
+    # underflowed to +0.0, must carry the reference's signs of zero.
     tiny = 1e-200 * np.eye(2)
     phi = make_decomposable([tiny] * parts[0], [tiny] * parts[1])
     x = np.array([[[-1.0, -1.0 - 1j], [-1.0 + 1j, 2.0]], [[-3.0, 1j], [-1j, -1.0]]])
@@ -142,26 +144,33 @@ def test_kraus_images_keep_the_oracles_sign_of_zero(parts):
         assert np.array_equal(np.signbit(image[k].view(float)), np.signbit(want.view(float)))
 
 
-# A Kraus image's right products run as one gemm over every row of the stack,
-# and the n = 2 Gram blocks as one gemm per pair and column block: each row
-# must round as in its own block's product.  tobytes() compares the signs of
-# zeros, which == does not.
+# A map given by data contracts every block of a stack with its Choi tensor
+# in one einsum, and a Kraus map's tensor is its Choi twin's; the n = 2 Gram
+# blocks run as one gemm per pair and column block.  Each image must round
+# as in its own block's product.  tobytes() compares the signs of zeros,
+# which == does not.
 
 
 def _per_block_images(phi, x):
-    """phi on a stack by numpy's broadcast matmul and einsum, which multiply
-    block by block: the arithmetic of each block alone."""
-    if phi.kind == "choi_raw":
-        return np.einsum("...ij,ijrc->...rc", x, _split(phi.choi, phi.input_dim))
-    out = 0.0
-    for kr in phi.kraus_cp:
-        out = out + kr @ x @ adjoint(kr)
-    for kr in phi.kraus_cocp:
-        out = out + kr @ np.swapaxes(x, -1, -2) @ adjoint(kr)
-    return out
+    """A Choi-matrix map on a stack by numpy's broadcast einsum over a view
+    of its Choi matrix, which contracts block by block: the arithmetic of
+    each block alone."""
+    return np.einsum("...ij,ijrc->...rc", x, _split(phi.choi, phi.input_dim))
 
 
 _SCALES = (1.0, 1e150, 1e-150)
+
+
+def _stacks(rng, k):
+    """(n, stack) over n = 1..4, stack sizes 1, 7, 20 and 256, and the three
+    layouts: C order, a transposed view and a ``_split`` view.  As n runs
+    over 1..3, each layout meets each of ``_SCALES`` at every stack size."""
+    for n, count in itertools.product(range(1, 5), (1, 7, 20, 256)):
+        g = ginibre(rng, count * n * k, n * k).reshape(count, n * k, n * k)
+        for layout in range(3):
+            split = _split(_SCALES[(layout + n) % 3] * g, n)
+            plain = np.ascontiguousarray(split)
+            yield n, (plain, plain.swapaxes(-1, -2), split)[layout]
 
 
 @pytest.mark.parametrize("l", range(1, 6))
@@ -169,19 +178,42 @@ _SCALES = (1.0, 1e150, 1e-150)
 def test_batched_images_equal_per_block_products_byte_for_byte(k, l):
     rng = np.random.default_rng([k, l])
     kraus = make_decomposable(_kraus(rng, k, l, 1), _kraus(rng, k, l, 1))
-    for phi in (kraus, map_from_choi(choi_matrix(kraus), k)):
-        for n, count in itertools.product(range(1, 5), (1, 7, 20, 256)):
-            g = ginibre(rng, count * n * k, n * k).reshape(count, n * k, n * k)
-            for layout in range(3):
-                # as n runs over 1..3, each layout meets each scale at every
-                # stack size
-                split = _split(_SCALES[(layout + n) % 3] * g, n)
-                plain = np.ascontiguousarray(split)
-                x = (plain, plain.swapaxes(-1, -2), split)[layout]
-                image = phi._apply(x)
-                assert image.tobytes() == _per_block_images(phi, x).tobytes()
-                for idx in ((0, 0, 0), (-1, -1, -1)):
-                    assert image[idx].tobytes() == oracle_apply(phi, x[idx]).tobytes()
+    twin = map_from_choi(choi_matrix(kraus), k)
+    for _, x in _stacks(rng, k):
+        image = kraus._apply(x)
+        assert image.tobytes() == twin._apply(x).tobytes()
+        assert image.tobytes() == _per_block_images(twin, x).tobytes()
+        for idx in ((0, 0, 0), (-1, -1, -1)):
+            assert image[idx].tobytes() == oracle_apply(kraus, x[idx]).tobytes()
+
+
+# A Kraus map's images against the term-by-term products sum K x K* +
+# sum L x^T L*, which round differently.  Both are within
+# (k^2 + 2k + 2m + 5) u |phi|(|x|) of the exact image, entry by entry, to
+# first order in the unit roundoff u = eps / 2: the tensor sums m operator
+# products, then k^2 terms; the products sum k terms twice, then m.  The
+# Frobenius norm of |phi|(|x|) = sum |K| |x| |K|^T + ... is at most
+# ||x||_F sum ||K||_F^2, so each block's image is within
+# (k^2 + 2k + 2m + 5) eps ||x||_F sum ||K||_F^2 of its products.
+
+
+def kraus_deviation_bound(phi, x) -> np.ndarray:
+    """The bound above for each block of a stack ``x``, for a map of m
+    operators of input dimension k."""
+    k, ops = phi.input_dim, phi.kraus_cp + phi.kraus_cocp
+    weight = sum(np.vdot(o, o).real for o in ops)
+    factor = (k * k + 2 * k + 2 * len(ops) + 5) * np.finfo(float).eps
+    return factor * weight * np.linalg.norm(x, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("l", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_kraus_images_are_within_rounding_of_the_per_term_products(k, l):
+    rng = np.random.default_rng([k, l, 2])
+    phi = make_decomposable(_kraus(rng, k, l, 2), _kraus(rng, k, l, 1))
+    for _, x in _stacks(rng, k):
+        deviation = np.linalg.norm(phi._apply(x) - kraus_products(phi, x), axis=(-2, -1))
+        assert (deviation <= kraus_deviation_bound(phi, x)).all()
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -207,9 +239,7 @@ def test_apply_rejects_bad_stacks():
 
 
 def test_count_one_samplers_match_reference():
-    # From d = 2 on: numpy multiplies length-1 complex operands in a loop
-    # whose rounding depends on the operands' layout.
-    for d in (2, 3, 5):
+    for d in (1, 2, 3, 5):
         rng, ref = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(20):
             pair = random_stormer_pair(rng, d)
@@ -241,6 +271,30 @@ def test_stacked_samplers_consume_the_stream_like_single_draws():
     for t in range(30):
         assert np.array_equal(blocks[t], random_stormer_block(single, 3, 2).blocks)
     assert stacked.random() == single.random()
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_stacked_pairs_equal_single_draws_and_the_reference(d, seed):
+    # at d = 1 numpy's complex multiply can round a stack of 1 x 1 factors
+    # unlike a lone one; the sampler spells the product out there
+    for count in (1, 7, 256):
+        stacked, single, ref = (np.random.default_rng([seed, count]) for _ in range(3))
+        a1, a2 = random_stormer_pairs(stacked, count, d)
+        for t in range(count):
+            pair = random_stormer_pair(single, d)
+            w1, w2 = oracle_pair(ref, d)
+            assert np.array_equal(a1[t], pair.a1) and np.array_equal(a2[t], pair.a2)
+            assert np.array_equal(a1[t], w1) and np.array_equal(a2[t], w2)
+        assert stacked.random() == single.random() == ref.random()
+
+
+def test_necessity_at_d1_equals_the_reference_for_random_maps():
+    rng = np.random.default_rng(23)
+    for seed in range(12):
+        phi = make_decomposable(_kraus(rng, 1, 3, 1), _kraus(rng, 1, 3, 1))
+        rep = theorem1_necessity_trial(phi, seed=seed, trials=50, n=2, d=1)
+        assert (rep.violations, rep.worst_min_eig) == oracle_necessity(phi, seed, 50, 2, 1)
 
 
 # (d, cond_max, seed): the reference rejects the first a1 candidate of the

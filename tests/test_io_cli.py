@@ -1,16 +1,18 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stormer_kit import InputError, OperatorBlockMatrix, swap_block
+from stormer_kit import InputError, OperatorBlockMatrix, choi_matrix, swap_block
 from stormer_kit import cli
 from stormer_kit.io import (
     block_from_payload,
     block_to_payload,
     load_map_spec,
+    load_partition_blocks,
     matrix_from_payload,
     matrix_to_payload,
 )
@@ -83,6 +85,9 @@ MALFORMED = [
     ["make-state", "--a1", "tiny2.json", "--a2", "huge_ratio2.json"],
     # a state whose trace overflows double precision
     ["ppt-check", "--state", "overflow4.json", "--n", "2", "--d", "2"],
+    # unit-trace states whose Hermitian part, or whose residual, overflows
+    ["ppt-check", "--state", "overflow_state4.json", "--n", "2", "--d", "2"],
+    ["ppt-check", "--state", "overflow_residual4.json", "--n", "2", "--d", "2"],
     # a Kraus map whose images overflow double precision
     ["map-test", "--map", "overflow_kraus.json", "--trials", "5"],
     # tolerances that are not finite and nonnegative
@@ -154,6 +159,19 @@ def test_block_payload_rejects_malformed():
     for n, d in ((1.5, True), (True, 1), (1, 1.0), (1.0, 1), (1, None)):
         with pytest.raises(InputError):
             block_from_payload({"n": n, "d": d, "blocks": one})
+    with pytest.raises(InputError, match="block payload must be a JSON object"):
+        block_from_payload(one)
+    for n, d in ((0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(InputError, match="block counts must be positive"):
+            block_from_payload({"n": n, "d": d, "blocks": []})
+
+
+@pytest.mark.parametrize("payload", [{"A": 1, "B": 2}, [1, 2, 3], {"a": 1, "b": 2, "c": 3}])
+def test_partition_file_needs_a_b_and_c(tmp_path, payload):
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError, match="partition file must hold matrix payloads under A, B, C"):
+        load_partition_blocks(str(path))
 
 
 def test_load_map_spec_named_and_files():
@@ -184,6 +202,9 @@ def test_named_map_spec_resolves_in_the_table(tmp_path, name):
         ),
         {"kind": "kraus", "cp": 5},
         {"kind": "kraus", "cp": [], "cocp": []},
+        # a spec needs a kind from the table
+        {"cp": [matrix_to_payload(np.eye(2))]},
+        {"kind": "lindblad", "cp": [matrix_to_payload(np.eye(2))]},
         # input_dim must be a JSON integer
         *(
             {"kind": "choi", "choi": matrix_to_payload(np.eye(4)), "input_dim": dim}
@@ -306,6 +327,30 @@ def test_fixtures_come_from_the_fixture_script(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
+def test_golden_regeneration_writes_only_the_files_whose_bytes_change(
+    tmp_path, monkeypatch, capsys
+):
+    regen = load_script("regen_golden")
+    reports = {}
+    for name, (code, argv) in CASES.items():
+        text = (GOLDEN / f"{name}.json").read_text()
+        reports[tuple(argv)] = SimpleNamespace(returncode=code, stdout=text, stderr="")
+        (tmp_path / f"{name}.json").write_text(text)
+    (tmp_path / "selftest.json").write_text("stale\n")
+    (tmp_path / "check_psd_id2.json").unlink()
+    stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    monkeypatch.setattr(regen, "ROOT", tmp_path)
+    monkeypatch.setattr(regen, "GOLDEN", tmp_path)
+    monkeypatch.setattr(regen, "run_case", lambda argv: reports[tuple(argv)])
+    regen.main()
+    written = capsys.readouterr().out.splitlines()
+    assert written == ["wrote check_psd_id2.json", "wrote selftest.json"]
+    for name in CASES:
+        assert (tmp_path / f"{name}.json").read_text() == (GOLDEN / f"{name}.json").read_text()
+        if name not in ("check_psd_id2", "selftest"):
+            assert (tmp_path / f"{name}.json").stat().st_mtime_ns == stamps[f"{name}.json"]
+
+
 def test_reports_are_byte_identical_across_runs():
     argv = expand(["decompose", "--a1", "id2.json", "--a2", "diag_1i.json", "--json"])
     first = run_cli(*argv)
@@ -358,6 +403,39 @@ def test_readme_witness_example_finds_the_frozen_witness():
     assert report["artifacts"]["witness"] == frozen["block"]
 
 
+def test_make_state_of_a_pair_that_fails_the_two_sided_test_is_false():
+    code, out, err = run_cli_inprocess(
+        expand(["make-state", "--a1", "id2.json", "--a2", "nilpotent2.json", "--json"])
+    )
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdict"] == "false" and report["artifacts"] == {}
+    assert report["message"] == "two-sided positivity condition not satisfied"
+
+
+def test_map_test_of_a_map_that_is_not_positive_is_false(tmp_path):
+    # the Choi matrix -I maps x to -tr(x) I: every trial violates
+    spec = tmp_path / "negative.json"
+    choi = matrix_to_payload(-np.eye(4))
+    spec.write_text(json.dumps({"kind": "choi", "choi": choi, "input_dim": 2}))
+    code, out, err = run_cli_inprocess(["map-test", "--map", str(spec), "--trials", "5", "--json"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdict"] == "false" and report["metrics"]["violations"] == 5
+
+
+def test_a_kraus_spec_reports_as_the_choi_spec_of_its_choi_matrix(tmp_path):
+    phi = load_map_spec(str(FIXTURES / "kraus_map.json"))
+    spec = tmp_path / "kraus_choi.json"
+    choi = matrix_to_payload(choi_matrix(phi))
+    spec.write_text(json.dumps({"kind": "choi", "choi": choi, "input_dim": 2}))
+    for n in ("2", "3"):
+        argv = ["map-test", "--trials", "300", "--n", n, "--seed", "5", "--json"]
+        kraus = run_cli_inprocess([*argv, "--map", str(FIXTURES / "kraus_map.json")])
+        assert kraus == run_cli_inprocess([*argv, "--map", str(spec)])
+        assert kraus[0] == 0
+
+
 def test_witness_search_that_exhausts_its_budget_is_inconclusive():
     code, out, err = _choi3_witness_search("300")
     assert (code, err) == (0, "")
@@ -391,6 +469,7 @@ def test_spectrum_overflow_names_the_matrix_scale():
         ["check-psd", "overflow2.json"],
         ["block-check", "overflow_partition.json"],
         ["stormer-check", "--block", "overflow_block.json"],
+        ["ppt-check", "--state", "overflow_state4.json", "--n", "2", "--d", "2"],
     ):
         code, out, err = run_cli_inprocess(expand([*argv, "--json"]))
         assert code == 2 and out == ""

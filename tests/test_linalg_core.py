@@ -631,6 +631,8 @@ def _overflowed_residual_verdicts():
     block = OperatorBlockMatrix(_ANTI_HERMITIAN.reshape(2, 2, 1, 1))
     with pytest.raises(DomainError, match="not Hermitian"):
         stormer_test(block)
+    with pytest.raises(DomainError, match="matrix is not Hermitian: asymmetry inf"):
+        eig_hermitian(_ANTI_HERMITIAN)
     return is_psd(_ANTI_HERMITIAN), is_hermitian(_ANTI_HERMITIAN)
 
 

@@ -89,6 +89,30 @@ def test_named_maps_table_sets_dimensions():
         PositiveMap(kind="named", name="nope")
 
 
+@pytest.mark.parametrize("parts", [(1, 0), (0, 2), (2, 1)], ids=["cp", "cocp", "sum"])
+def test_kraus_and_choi_maps_read_their_dimensions(parts):
+    rng = np.random.default_rng(7)
+    phi = make_decomposable(
+        [ginibre(rng, 4, 2) for _ in range(parts[0])], [ginibre(rng, 4, 2) for _ in range(parts[1])]
+    )
+    assert (phi.input_dim, phi.output_dim) == (2, 4)
+    twin = map_from_choi(choi_matrix(phi), 2)
+    assert (twin.input_dim, twin.output_dim) == (2, 4)
+
+
+def test_choi_maps_need_an_input_dimension_dividing_the_choi_size():
+    for k in (0, 4, 5, -2):
+        with pytest.raises(DimensionError, match="choi_raw needs input_dim dividing the Choi size"):
+            map_from_choi(np.eye(6), k)
+
+
+def test_choi_matrix_of_a_dimension_agnostic_map_needs_its_input_dimension():
+    for phi in (identity_map(), transpose_map()):
+        with pytest.raises(DimensionError, match="pass input_dim explicitly"):
+            choi_matrix(phi)
+    assert np.array_equal(choi_matrix(transpose_map(), 2), np.eye(4)[[0, 2, 1, 3]])
+
+
 def test_make_decomposable_identity_and_transpose():
     rng = np.random.default_rng(4)
     x = ginibre(rng, 3)

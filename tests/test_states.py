@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from stormer_kit import (
     InputError,
     OperatorBlockMatrix,
     OperatorPair,
+    ScaleError,
     canonical_decomposition,
     gram_block,
     is_ppt,
@@ -77,6 +80,42 @@ def test_density_state_validation():
         DensityState((2, 1), np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
     with pytest.raises(DomainError):
         DensityState((2, 1), np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+# Unit-trace states with 1e308 in two corners: Hermitian, whose Hermitian
+# part overflows, and with opposite corners, whose residual m - m* overflows.
+_CORNERS = np.diag([0.25] * 4).astype(complex)
+_CORNERS[0, 3] = 1e308
+_HERMITIAN_CORNERS, _ANTI_CORNERS = _CORNERS.copy(), _CORNERS.copy()
+_HERMITIAN_CORNERS[3, 0], _ANTI_CORNERS[3, 0] = 1e308, -1e308
+_SPECTRUM_OVERFLOWS = r"spectrum overflows: matrix entries reach 1\.000e\+308"
+
+
+def test_density_state_spectrum_overflow_is_a_scale_error_after_numpys_warning():
+    with pytest.warns(RuntimeWarning) as caught:
+        with pytest.raises(ScaleError, match=_SPECTRUM_OVERFLOWS):
+            DensityState((2, 2), _HERMITIAN_CORNERS)
+    assert "overflow encountered in add" in str(caught[0].message)
+
+
+def test_density_state_spectrum_overflow_is_a_scale_error_where_warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleError, match=_SPECTRUM_OVERFLOWS):
+            DensityState((2, 2), _HERMITIAN_CORNERS)
+
+
+def test_density_state_overflowing_residual_is_not_hermitian_after_numpys_warning():
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        with pytest.raises(DomainError, match="state matrix is not Hermitian"):
+            DensityState((2, 2), _ANTI_CORNERS)
+
+
+def test_density_state_overflowing_residual_is_not_hermitian_where_warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="state matrix is not Hermitian"):
+            DensityState((2, 2), _ANTI_CORNERS)
 
 
 def test_partial_transpose_product_state():
