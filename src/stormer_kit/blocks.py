@@ -25,11 +25,11 @@ from .linalg import (
     Tolerance,
     _ValueObject,
     _held,
+    _is_contraction,
     _op_norm,
     _psd_check,
     adjoint,
     as_matrix,
-    is_contraction,
     require_square,
 )
 
@@ -88,8 +88,14 @@ class ContractionCertificate:
 _NO_CANDIDATE = ContractionCertificate(psd=False, w=None, residual=float("inf"))
 
 def assemble(p: Partition2) -> np.ndarray:
-    """The (n+k) x (n+k) matrix ``[[A, B], [B*, C]]``."""
-    return np.block([[p.a, p.b], [adjoint(p.b), p.c]])
+    """The (n+k) x (n+k) matrix ``[[A, B], [B*, C]]``, filled in place."""
+    n = p.n
+    m = np.empty((n + p.k,) * 2, dtype=complex)
+    m[:n, :n] = p.a
+    m[:n, n:] = p.b
+    m[n:, :n] = adjoint(p.b)
+    m[n:, n:] = p.c
+    return m
 
 
 def _sqrt_and_pinv_sqrt(w, v, rcond: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +147,9 @@ def psd_via_contraction(
     # threshold(0) is the least threshold_for(p.b) can be, so a residual
     # below it needs no SVD of B
     within = residual <= tol.threshold(0.0) or residual <= tol.threshold(_op_norm(p.b))
-    ok = within and is_contraction(w0, tol)
+    # W0 needs no check of finite entries: an infinite or NaN entry would
+    # have spread through both products into every entry of r
+    ok = within and _is_contraction(w0, tol)
     return ContractionCertificate(psd=ok, w=w0 if ok else None, residual=residual)
 
 

@@ -262,7 +262,7 @@ class _ValueObject:
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
+    return np.conjugate(np.asarray(m).swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -384,15 +384,27 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonnegligible entry is real positive."""
-    out = np.array(v, dtype=complex)
-    big = np.abs(out) > _PHASE_CUTOFF
+    """Rotate each column so its first nonnegligible entry is real positive.
+
+    The arithmetic is that of rotating one column at a time: hypot is what
+    abs() of a complex scalar computes (np.abs of an array can differ in the
+    last bit), and each column is scaled as a row of the transpose against a
+    broadcast scalar, the loop numpy uses for array * scalar.  Scaling in
+    place, ``out *= phases``, is not that loop: numpy's broadcast complex
+    multiply fuses its products and changes last bits.  When every column
+    has a pivot, as eigenvector matrices always do, all columns are scaled
+    at once, without selecting them.
+    """
+    a = np.asarray(v, dtype=complex)
+    big = np.abs(a) > _PHASE_CUTOFF
+    first = big.argmax(axis=0)
+    every = np.arange(a.shape[1])
+    if big[first, every].all():
+        pivots = a[first, every]
+        return (a.T * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))[:, None]).T
+    out = np.array(a)
     cols = np.flatnonzero(big.any(axis=0))
-    pivots = out[big.argmax(axis=0)[cols], cols]
-    # Same arithmetic as rotating one column at a time: hypot is what abs()
-    # of a complex scalar computes (np.abs of an array can differ in the last
-    # bit), and each column is scaled as a row against a broadcast scalar,
-    # the loop numpy uses for array * scalar.
+    pivots = out[first[cols], cols]
     phases = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
     out[:, cols] = (out.T[cols] * phases[:, None]).T
     return out
@@ -404,13 +416,14 @@ def eig_hermitian(m) -> HermitianEig:
     The input is symmetrized as ``(M + M*)/2`` before solving; asymmetry
     beyond ``1e-6 * (1 + ||M||)`` is rejected as malformed rather than
     silently repaired, and so is a residual ``M - M*`` that overflows (by
-    default after numpy's overflow warning).  Where LAPACK fails (a
-    spectrum that overflows), numpy's ``LinAlgError`` is raised after
-    RuntimeWarnings, or the first warning where warnings are errors.
+    default after numpy's overflow warning).  Finite entries whose
+    Hermitian part or spectrum overflows raise ScaleError (a DomainError),
+    as :func:`is_psd` does: by default after numpy's RuntimeWarnings, and
+    where warnings are errors, without them.
     """
     a = require_square(m)
     ah = adjoint(a)
-    h = 0.5 * (a + ah)
+    h = _hermitian_part(a, ah)
     try:
         d = a - ah
     except RuntimeWarning:  # where warnings are errors: read as infinite
@@ -424,7 +437,8 @@ def eig_hermitian(m) -> HermitianEig:
                 f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
                 f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
             )
-    w, v = _eigh(h)
+    # the eigh of is_psd's kernel, which raises ScaleError on an overflow
+    w, v = _psd_spectrum(h, DEFAULT_TOL, a, vectors=True)[3:]
     return HermitianEig(w, fix_phases(v))
 
 
@@ -512,10 +526,14 @@ def pinv(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     return _pinv(a, rcond)
 
 
+def _is_contraction(a: np.ndarray, tol: Tolerance) -> bool:
+    n = _op_norm(a)
+    return n <= 1.0 + tol.threshold(n)
+
+
 def is_contraction(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the operator norm is at most 1, within tolerance."""
-    n = op_norm(t)
-    return n <= 1.0 + tol.threshold(n)
+    return _is_contraction(as_matrix(t), tol)
 
 
 def _self_commutator(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionError, DomainError, StormerKitError
+from .errors import DimensionError, DomainError, ScaleError, StormerKitError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -188,11 +188,18 @@ def map_from_choi(choi, input_dim: int) -> PositiveMap:
 
 def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
     """Choi matrix on (input) x (output): the assembled block matrix of the
-    entrywise image of the matrix-unit block matrix."""
+    entrywise image of the matrix-unit block matrix.  Raises the ScaleError
+    of :func:`_image_margin` (a DomainError) when the images overflow
+    double precision."""
     k = input_dim or phi.input_dim
     if k is None:
         raise DimensionError("dimension-agnostic map: pass input_dim explicitly")
-    return _assemble(phi.apply(np.eye(k * k).reshape(k, k, k, k)))
+    # an overflow is reported by the ScaleError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _assemble(phi.apply(np.eye(k * k).reshape(k, k, k, k)))
+    if not np.isfinite(c).all():
+        raise _images_overflow(phi)
+    return c
 
 
 def apply_map_entrywise(phi: PositiveMap, x: OperatorBlockMatrix) -> OperatorBlockMatrix:
@@ -269,9 +276,15 @@ def _image_margin(
         thr = np.array(math.nan)
     # a threshold is finite iff both ends of its spectrum are
     if not math.isfinite(thr.max()):
-        choi = () if phi.choi is None else (phi.choi,)
-        raise _overflow("map images overflow", "map", *phi.kraus_cp, *phi.kraus_cocp, *choi)
+        raise _images_overflow(phi)
     return lowest, thr
+
+
+def _images_overflow(phi: PositiveMap) -> ScaleError:
+    """The ScaleError for a map whose images overflow, naming the largest
+    entry of its Kraus operators or Choi matrix."""
+    choi = () if phi.choi is None else (phi.choi,)
+    return _overflow("map images overflow", "map", *phi.kraus_cp, *phi.kraus_cocp, *choi)
 
 
 def theorem1_necessity_trial(

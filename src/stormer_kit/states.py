@@ -28,7 +28,7 @@ from .linalg import (
     adjoint,
     require_square,
 )
-from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _swap
+from .stormer import CanonicalDecomposition, OperatorBlockMatrix, _kept, _squares, _swap
 
 __all__ = list(_EXPORTS["states"])
 
@@ -68,6 +68,31 @@ class DensityState(_ValueObject):
             hermitian = False
         if not hermitian:
             raise DomainError("state matrix is not Hermitian")
+        self._settle(m, mh, scale)
+
+    @classmethod
+    def _of_fresh(cls, dims: tuple[int, int], m: np.ndarray) -> "DensityState":
+        """The state of ``m``, a fresh n*d x n*d matrix whose Hermitian
+        residual is zero, such as ``(x + x*) / 2 / t``: the state takes
+        ``m`` over, read-only, without a copy, and skips the residual check
+        it would pass.  The finiteness check and both bands still run on
+        the same Hermitian part, so the state, its errors and ``_lowest``
+        are those of ``cls(dims, m)``.  (``m`` is Hermitian in value but
+        not always in the signs of its zeros, which can move the last bits
+        of its spectrum: the spectrum is still read off its Hermitian
+        part.)"""
+        if not np.isfinite(m).all():
+            raise DomainError("matrix entries must be finite")
+        m.flags.writeable = False
+        s = object.__new__(cls)
+        object.__setattr__(s, "dims", dims)
+        s._settle(m, adjoint(m), 1.0 + float(np.abs(m).max()))
+        return s
+
+    def _settle(self, m: np.ndarray, mh: np.ndarray, scale: float) -> None:
+        """The unit-trace and eigenvalue bands of a Hermitian ``m`` with
+        adjoint ``mh`` and largest entry ``scale - 1``; then ``m`` and its
+        lowest eigenvalue kept."""
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
         lowest = _psd_spectrum(_hermitian_part(m, mh), DEFAULT_TOL, m)[1]
@@ -85,7 +110,9 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     side gave: its direct side judged the same matrix, whose Hermiticity it
     had decided.  Otherwise the matrix gets the boundary check of
     :func:`is_psd`.  The state's own validation (fixed bands, independent of
-    ``tol``) always runs.
+    ``tol``) always runs, through :meth:`DensityState._of_fresh`: the
+    normalized matrix is fresh, so the state takes it over without a copy,
+    and its Hermitian residual is zero, so it is not checked.
     """
     m = x.assembled()
     sides = x._sides.get(tol)
@@ -97,8 +124,7 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     # only a trace below that pays for the SVD.
     if tr <= tol.threshold(2.0 * _frobenius(m)) and tr <= tol.threshold(_op_norm(m)):
         raise DomainError("block matrix has (numerically) zero trace")
-    rho = 0.5 * (m + adjoint(m)) / tr
-    return DensityState((x.n, x.d), rho)
+    return DensityState._of_fresh((x.n, x.d), 0.5 * (m + adjoint(m)) / tr)
 
 
 def partial_transpose_matrix(m, n: int, d: int, factor: int) -> np.ndarray:
@@ -156,24 +182,25 @@ def separable_decomposition(dec: CanonicalDecomposition) -> SeparableDecompositi
     disguise: Lambda = (1 + |lam|^2) |w><w| for the unit vector
     w = (1, conj(lam)) / sqrt(1 + |lam|^2).  Weights are the normalized masses
     alpha_i^2 (1 + |lam_i|^2).
+
+    The terms are computed as one stack, with the scalar squares of
+    ``reconstruct_block`` (``stormer._squares``), so each weight and factor
+    is the one a term-by-term loop gives, byte for byte.
     """
-    masses = []
-    f1 = []
-    f2 = []
-    for alpha, lam, phi in zip(dec.alphas, dec.lambdas, dec.phis.T):
-        if not np.any(phi):
-            continue
-        scale = 1.0 + abs(lam) ** 2
-        masses.append(alpha**2 * scale)
-        f1.append(np.array([1.0, np.conj(lam)]) / np.sqrt(scale))
-        f2.append(phi)
+    keep = _kept(dec)
+    lams = dec.lambdas[keep]
+    scale = 1.0 + _squares(lams)
+    masses = _squares(dec.alphas[keep]) * scale
     total = float(np.sum(masses))
     if total <= 0.0:
         raise DomainError("decomposition has no mass; cannot normalize")
+    f1 = np.empty((len(lams), 2), dtype=complex)
+    f1[:, 0] = 1.0
+    f1[:, 1] = np.conj(lams)
     return SeparableDecomposition(
-        weights=np.array(masses) / total,
-        factor1=np.array(f1),
-        factor2=np.array(f2),
+        weights=masses / total,
+        factor1=f1 / np.sqrt(scale)[:, None],
+        factor2=dec.phis.T[keep].copy(),
     )
 
 

@@ -370,10 +370,11 @@ def _eigenbasis(a: np.ndarray) -> SpectralResolution:
     """The resolution of an operator already known to be normal."""
     lam, v = _eig(a)
     order = np.lexsort((lam.imag, lam.real))
-    z = _qr(v)
+    es = fix_phases(_qr(v)[:, order])
     # + 0.0 turns the negative zeros that the reflections and the phase
     # rotation leave into zeros, so reports never print -0.0.
-    return SpectralResolution(lam[order], fix_phases(z[:, order]) + 0.0)
+    es += 0.0
+    return SpectralResolution(lam[order], es)
 
 
 def reconstruct_a2(a1, lambdas, vectors) -> np.ndarray:
@@ -429,36 +430,56 @@ def _canonical(p: OperatorPair, tol: Tolerance, rcond: float) -> CanonicalDecomp
         )
     lam, es = _eigenbasis(t)
     g = adjoint(p.a1) @ es
-    alphas = np.linalg.norm(g, axis=0).real
+    # np.linalg.norm(g, axis=0), written out as numpy's own body
+    alphas = np.sqrt(np.add.reduce((g.conj() * g).real, axis=0))
     keep = alphas > tol.threshold(a1_norm)
-    phis = np.zeros_like(g)
-    phis[:, keep] = g[:, keep] / alphas[keep]
+    if keep.all():
+        phis = g / alphas
+    else:
+        phis = np.zeros_like(g)
+        phis[:, keep] = g[:, keep] / alphas[keep]
     return CanonicalDecomposition(
         alphas=alphas, lambdas=lam, phis=phis, es=es, degenerate=degenerate
     )
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``|x| ** 2`` entry by entry, each from a scalar abs() and square.  A
+    float64 scalar squares through libm's ``pow``, an array through
+    ``x * x``, and abs() of a complex scalar is hypot, which np.abs of an
+    array is not always; the array forms differ in the last bit on some
+    entries, so the reconstructions and the separable forms keep the
+    scalar ones."""
+    return np.array([abs(v) ** 2 for v in x])
+
+
+def _kept(dec: CanonicalDecomposition) -> np.ndarray | slice:
+    """The index of the terms whose phi is nonzero: a slice, read as views,
+    when every term is kept, as for an invertible a1; a boolean mask when
+    some alpha fell below threshold."""
+    keep = dec.phis.any(axis=0)
+    return slice(None) if keep.all() else keep
+
+
 def reconstruct_block(dec: CanonicalDecomposition) -> OperatorBlockMatrix:
     """Reassemble sum_i alphas[i]^2 * Lambda_i (x) |phi_i><phi_i| with
-    Lambda_i = [[1, lam_i], [conj(lam_i), |lam_i|^2]]."""
-    keep = dec.phis.any(axis=0)
+    Lambda_i = [[1, lam_i], [conj(lam_i), |lam_i|^2]].
+
+    The terms are one stack, with the scalar squares of :func:`_squares`,
+    scaled by alphas[i]^2 and summed in order from zero, so each entry
+    rounds as in adding one term at a time.
+    """
+    keep = _kept(dec)
     phis = np.ascontiguousarray(dec.phis.T[keep])
     lams = dec.lambdas[keep]
     coeff = np.empty((len(lams), 2, 2), dtype=complex)
     coeff[:, 0, 0] = 1.0
     coeff[:, 0, 1] = lams
     coeff[:, 1, 0] = np.conj(lams)
-    # Scalar abs() and ** of each eigenvalue: the array forms round
-    # differently in the last bit.
-    coeff[:, 1, 1] = [abs(lam) ** 2 for lam in lams]
+    coeff[:, 1, 1] = _squares(lams)
     terms = np.einsum("kpq,krc->kpqrc", coeff, phis[:, :, None] * np.conj(phis)[:, None, :])
-    d = dec.dim
-    out = np.zeros((2, 2, d, d), dtype=complex)
-    # Summed term by term: scaling the whole stack by alphas**2 at once also
-    # changes the last bit.
-    for alpha, term in zip(dec.alphas[keep], terms):
-        out += (alpha**2) * term
-    return OperatorBlockMatrix(out)
+    terms = _squares(dec.alphas[keep])[:, None, None, None, None] * terms
+    return OperatorBlockMatrix(np.add.reduce(terms, axis=0, initial=0.0))
 
 
 def dual_decomposition(

@@ -15,6 +15,7 @@ from stormer_kit import (
     HermitianEig,
     OperatorBlockMatrix,
     PositiveMap,
+    SeparableDecomposition,
     SpectralResolution,
     WitnessResult,
     adjoint,
@@ -316,6 +317,22 @@ def oracle_reconstruct_block(dec) -> np.ndarray:
         coeff = np.array([[1.0, lam], [np.conj(lam), abs(lam) ** 2]])
         out += (alpha**2) * np.einsum("pq,rc->pqrc", coeff, proj)
     return out
+
+
+def oracle_separable_decomposition(dec) -> SeparableDecomposition:
+    """separable_decomposition one term at a time."""
+    masses, f1, f2 = [], [], []
+    for alpha, lam, phi in zip(dec.alphas, dec.lambdas, dec.phis.T):
+        if not np.any(phi):
+            continue
+        scale = 1.0 + abs(lam) ** 2
+        masses.append(alpha**2 * scale)
+        f1.append(np.array([1.0, np.conj(lam)]) / np.sqrt(scale))
+        f2.append(phi)
+    total = float(np.sum(masses))
+    if total <= 0.0:
+        raise DomainError("decomposition has no mass; cannot normalize")
+    return SeparableDecomposition(np.array(masses) / total, np.array(f1), np.array(f2))
 
 
 def oracle_dual_verdict(p, tol=DEFAULT_TOL) -> bool:

@@ -8,6 +8,7 @@ are built on purpose, since there only the SVD can decide.
 """
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -195,6 +196,28 @@ def test_fix_phases_matches_column_loop_bit_for_bit(d):
             v = np.linalg.eigh(hermitize(ginibre(rng, d)))[1]
         got, want = fix_phases(v), oracle_fix_phases(v)
         assert np.array_equal(got.view(float), want.view(float))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "real"])
+def test_fix_phases_keeps_the_loops_bytes_and_the_input_layout(layout):
+    # tobytes(), so the sign of a zero counts; eigenvector matrices take the
+    # all-pivots path, matrices with a zero column the column-selecting one
+    rng = np.random.default_rng(77)
+    for d in range(1, 9):
+        for trial in range(12):
+            v = ginibre(rng, d, d + 2)
+            if trial % 2:
+                v = np.linalg.eigh(hermitize(ginibre(rng, d)))[1]
+            if trial % 3 == 0:
+                v[:, -1] = 0.0
+            v = {"C": v, "F": np.asfortranarray(v), "strided": v[:, ::2], "real": v.real}[layout]
+            got, want = fix_phases(v), oracle_fix_phases(v)
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+                want.flags.c_contiguous,
+                want.flags.f_contiguous,
+            )
+            assert not np.shares_memory(got, v)
 
 
 # -- the band only the SVD can decide ----------------------------------------
@@ -621,6 +644,46 @@ def test_overflow_raises_scale_error_where_warnings_are_errors(name):
         warnings.simplefilter("error")
         with pytest.raises(ScaleError, match=r"overflows: \w+ entries reach 1\.000e\+308"):
             _OVERFLOWING[name]()
+
+
+# Hermitian matrices whose Hermitian part overflows (the corners add to
+# 2e308), or whose spectrum does (3 x 8e307 in the all-ones direction).
+_SPECTRUM_OVERFLOWS = {
+    "corners": (np.array([[0, 1e308], [1e308, 0]], dtype=complex), "1.000e+308"),
+    "ones": (np.full((3, 3), 8e307 + 0j), "8.000e+307"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPECTRUM_OVERFLOWS))
+def test_eig_hermitian_spectrum_overflow_is_a_scale_error_after_numpys_warnings(name):
+    a, scale = _SPECTRUM_OVERFLOWS[name]
+    message = rf"^spectrum overflows: matrix entries reach {re.escape(scale)}; rescale the matrix$"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScaleError, match=message):
+            eig_hermitian(a)
+    if name == "corners":
+        assert "overflow encountered in add" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("name", sorted(_SPECTRUM_OVERFLOWS))
+def test_eig_hermitian_spectrum_overflow_is_a_scale_error_where_warnings_are_errors(name):
+    a, scale = _SPECTRUM_OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^spectrum overflows: matrix entries reach {re.escape(scale)}"
+        with pytest.raises(ScaleError, match=message):
+            eig_hermitian(a)
+
+
+def test_eig_hermitian_below_overflow_is_the_reference():
+    for a in (np.array([[0, 1e307], [1e307, 0]]), np.full((3, 3), 1e307)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eig_hermitian(a)
+        want = oracle_eig_hermitian(a)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
 
 
 # Anti-Hermitian: its Hermitian part is 0, but its residual a - a* overflows.

@@ -12,6 +12,7 @@ from stormer_kit import (
     OperatorBlockMatrix,
     OperatorPair,
     PositiveMap,
+    ScaleError,
     adjoint,
     apply_map_entrywise,
     choi_fixture,
@@ -298,6 +299,20 @@ def test_overflowing_images_raise_domain_error_where_warnings_are_errors():
         ):
             with pytest.raises(DomainError, match="map images overflow"):
                 call()
+
+
+@pytest.mark.parametrize("mode", ["default", "error"])
+def test_choi_matrix_raises_when_the_images_overflow(mode):
+    # K = 1e200 I: the image of a matrix unit is 1e400 e_ij, beyond the
+    # largest double; no RuntimeWarning comes first, in either mode
+    phi = make_decomposable([1e200 * np.eye(2)], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        message = r"^map images overflow: map entries reach 1\.000e\+200; rescale the map$"
+        with pytest.raises(ScaleError, match=message):
+            choi_matrix(phi)
+        warnings.simplefilter("error")
+        assert np.isfinite(choi_matrix(make_decomposable([1e100 * np.eye(2)], []))).all()
 
 
 def test_necessity_raises_when_a_finite_image_has_an_infinite_eigenvalue():

@@ -11,6 +11,7 @@ exactly what the separate computations give.
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from stormer_kit import (
     OperatorBlockMatrix,
     OperatorPair,
     Partition2,
+    ScaleError,
     Tolerance,
     WitnessResult,
+    adjoint,
     canonical_decomposition,
     choi_fixture,
     choi_matrix,
@@ -46,7 +49,13 @@ from stormer_kit.sampling import (
     random_stormer_pair,
 )
 
-from helpers import lapack_calls, oracle_dual_verdict, oracle_reconstruct_block
+from helpers import (
+    lapack_calls,
+    load_script,
+    oracle_dual_verdict,
+    oracle_reconstruct_block,
+    oracle_separable_decomposition,
+)
 
 ZERO_TOL = Tolerance(abs_eps=0.0, rel_eps=0.0)
 
@@ -379,3 +388,135 @@ def test_value_objects_compare_and_hash_by_identity():
         assert a in [a] and a not in [b]
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2 and a in {a} and b not in {a}
+
+
+# -- the loop-free kernels, byte for byte --------------------------------------
+# tobytes() comparisons, so that the sign of a zero counts too.
+
+
+def _exact_pairs():
+    """chain_pairs, plus real, integer and diagonal pairs, whose Gram blocks
+    hold exact zeros and repeated eigenvalues."""
+    rng = np.random.default_rng(71)
+    out = chain_pairs()
+    for d in range(1, 6):
+        for _ in range(4):
+            out.append(OperatorPair(*_inputs(rng, d, real=True)))
+            a1 = rng.integers(-2, 3, (d, d)) + 3.0 * np.eye(d)
+            out.append(OperatorPair(a1, np.diag(rng.integers(-2, 3, d)) @ a1))
+            diagonal = np.diag(rng.integers(1, 3, d))
+            out.append(OperatorPair(diagonal, np.diag(rng.choice([1, 1j, -1], d)) @ diagonal))
+    out.append(OperatorPair(np.eye(2), np.eye(2)))
+    out.append(OperatorPair(np.eye(2), np.diag([1, 1j])))
+    return out
+
+
+def _decompositions():
+    """Both decompositions of every decomposable pair of _exact_pairs, and
+    copies of some with zero phi columns, as a degenerate pair gives."""
+    out = []
+    for p in _exact_pairs():
+        for decompose in (canonical_decomposition, dual_decomposition):
+            try:
+                out.append(decompose(p))
+            except DomainError:
+                continue
+    for k, dec in enumerate(out[::7]):
+        if dec.dim > 1:
+            phis = dec.phis.copy()
+            phis[:, k % dec.dim] = 0.0
+            out.append(type(dec)(dec.alphas, dec.lambdas, phis, dec.es, True))
+    return out
+
+
+def _same_bytes(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_stacked_kernels_equal_the_term_loops_byte_for_byte():
+    decs = _decompositions()
+    every = [bool(dec.phis.any(axis=0).all()) for dec in decs]
+    assert len(decs) >= 300 and sum(every) >= 200 and every.count(False) >= 30
+    for k, dec in enumerate(decs):
+        assert _same_bytes(reconstruct_block(dec).blocks, oracle_reconstruct_block(dec)), k
+        try:
+            want = oracle_separable_decomposition(dec)
+        except DomainError:  # every phi is zero: a zero pair
+            with pytest.raises(DomainError, match="decomposition has no mass"):
+                separable_decomposition(dec)
+            continue
+        got = separable_decomposition(dec)
+        for field in ("weights", "factor1", "factor2"):
+            assert _same_bytes(getattr(got, field), getattr(want, field)), (k, field)
+            assert getattr(got, field).flags.c_contiguous
+        assert not np.shares_memory(got.factor2, dec.phis)
+
+
+def test_canonical_alphas_and_phis_are_the_norm_and_the_masked_quotient():
+    tol = DEFAULT_TOL
+    for p in _exact_pairs():
+        try:
+            dec = canonical_decomposition(p, tol)
+        except DomainError:
+            continue
+        g = adjoint(p.a1) @ dec.es
+        alphas = np.linalg.norm(g, axis=0).real
+        keep = alphas > tol.threshold(float(np.linalg.svd(p.a1, compute_uv=False)[0]))
+        phis = np.zeros_like(g)
+        phis[:, keep] = g[:, keep] / alphas[keep]
+        assert _same_bytes(dec.alphas, alphas) and _same_bytes(dec.phis, phis)
+
+
+def test_state_from_block_equals_the_publicly_built_state():
+    states = 0
+    for p in _exact_pairs():
+        x = gram_block(p)
+        if not stormer_test(x):
+            continue
+        m = x.assembled()
+        tr = float(m.trace().real)
+        if tr == 0.0:  # a zero pair
+            with pytest.raises(DomainError, match="zero trace"):
+                state_from_block(x)
+            continue
+        want = DensityState((2, p.dim), 0.5 * (m + adjoint(m)) / tr)
+        got = state_from_block(x)
+        for state in (got, pickle.loads(pickle.dumps(got)), copy.copy(got)):
+            assert state.dims == want.dims
+            assert _same_bytes(state.matrix, want.matrix)
+            assert state.matrix.flags.c_contiguous == want.matrix.flags.c_contiguous
+            assert not state.matrix.flags.writeable
+            assert np.float64(state._lowest).tobytes() == np.float64(want._lowest).tobytes()
+        states += 1
+    assert states >= 150
+
+
+def test_overflowing_gram_and_state_inputs_raise_as_before():
+    huge = OperatorPair(1e200 * np.eye(2), 1e200 * np.eye(2))
+    gram_overflows = r"^Gram block overflows: pair entries reach 1\.000e\+200; rescale the pair$"
+    with pytest.raises(ScaleError, match=gram_overflows):
+        gram_block(huge)
+    corners = np.full((2, 2, 2, 2), 0.0, dtype=complex)
+    corners[0, 0] = corners[1, 1] = np.eye(2)
+    corners[0, 1, 0, 0] = corners[1, 0, 0, 0] = 1e308
+    message = r"^spectrum overflows: matrix entries reach 1\.000e\+308; rescale the matrix$"
+    for mode in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode)
+            for build in (state_from_block, lambda x: DensityState((2, 2), x.assembled())):
+                with pytest.raises(ScaleError, match=message):
+                    build(OperatorBlockMatrix(corners))
+
+
+def test_decompose_rate_script_prints_a_rate_per_stage(capsys):
+    script = load_script("decompose_rate")
+    assert script.main(batches=1, repeats=1) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    stages = {
+        "pass": ["pair", "gram", "stormer_test", "canonical", "dual", "reconstruct",
+                 "state", "ppt", "separable", "total"],
+        "fail": ["pair", "gram", "stormer_test", "canonical", "total"],
+        "partition": ["partition", "contraction", "oracle", "total"],
+    }
+    assert [row[:2] for row in rows] == [[c, s] for c, names in stages.items() for s in names]
+    assert all(len(row) == 3 and float(row[2]) > 0 for row in rows)
