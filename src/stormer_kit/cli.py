@@ -18,12 +18,15 @@ inputs, flags, and seed produce byte-identical reports.
 
 A call is mostly interpreter and numpy start-up, so this module imports only
 the standard library and ``errors``: each handler imports what it uses, and
-a call loads only its own subcommand's modules.
+a call loads only its own subcommand's modules.  The process entry,
+:func:`run`, also keeps the cyclic garbage collector out of the call: a
+one-shot process frees everything when it exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -345,5 +348,22 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry of ``python -m stormer_kit.cli`` and of the
+    ``stormer-kit`` script: :func:`main` on ``sys.argv``, then exit with its
+    code.
+
+    A one-shot process needs no cyclic garbage collection: the collector is
+    off while the call runs, and the heap is frozen before exit, so
+    interpreter shutdown does not walk every object ``import numpy`` made.
+    Atexit handlers and the flush of stdout and stderr still run.  :func:`main`
+    never touches the collector, so a program calling it keeps its own.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,10 @@
+import ast
+import gc
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -519,3 +523,67 @@ def test_diagnostics_go_to_stderr_not_stdout():
     proc = run_cli(*expand(["check-psd", "truncated.json"]))
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+# One case per exit code: a true verdict, a false one, malformed input.
+EXIT_CASES = [
+    [*CASES["check_psd_id2"][1], "--json"],
+    [*CASES["check_psd_indefinite"][1], "--json"],
+    MALFORMED[0],
+]
+
+
+def test_script_target_and_main_block_call_the_same_function():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, name = pyproject["project"]["scripts"]["stormer-kit"].split(":")
+    target = getattr(importlib.import_module(module), name)
+    (main_block,) = [
+        node for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(node) for node in main_block.body] == [f"{target.__name__}()"]
+    assert target is cli.run
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", EXIT_CASES)
+def test_inprocess_main_leaves_the_collector_as_it_found_it(argv, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        code, _, _ = run_cli_inprocess(expand(argv))
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == EXIT_CASES.index(argv)
+
+
+@pytest.mark.parametrize("argv", EXIT_CASES)
+def test_module_entry_reports_as_inprocess_main(argv):
+    proc = run_cli(*expand(argv))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli_inprocess(expand(argv))
+    assert proc.returncode == EXIT_CASES.index(argv)
+    assert proc.stderr.startswith("error:") if proc.returncode == 2 else proc.stderr == ""
+
+
+def test_module_entry_runs_without_the_collector_and_still_runs_atexit():
+    child = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['stormer-kit', *{expand(EXIT_CASES[0])!r}]\n"
+        "runpy.run_module('stormer_kit.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "check_psd_id2.json").read_text()
+    assert proc.stderr == "False True\n"
+
+
+def test_cli_rate_script_prints_a_time_per_golden_case(capsys):
+    script = load_script("cli_rate")
+    assert script.main(runs=1) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [*CASES, "bare"]
+    assert all(len(row) == 3 and float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
