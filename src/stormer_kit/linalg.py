@@ -56,9 +56,16 @@ raises ``LinAlgError`` or returns what numpy returns.
 - A stack of matrices takes the gufunc path in :func:`_cond` and
   :func:`_qr`, the samplers' calls.  It runs under
   ``np.errstate(all="ignore")`` and tests one output element per matrix, so
-  a stack warns or raises exactly as the public function does.  Stacks in
-  :func:`_eigvalsh` stay on the public path: on the engine's stacks that
-  errstate and test cost about as much as ``eigvalsh``'s light wrapper.
+  a stack warns or raises exactly as the public function does.
+- A stack in :func:`_eigvalsh`, the necessity engine's and the witness
+  search's call, takes the gufunc path too, with one NaN test per stack,
+  and enters no floating-point state: an errstate on every call would cost
+  what the wrapper does.  Its callers hold the state instead, with the
+  flags numpy's wrapper silences (over, divide, invalid): the witness
+  search one for the whole search, the necessity engine one per stack of
+  trials.  In it a stack warns and raises exactly as the public function
+  does.  Outside it, where LAPACK fails, the gufunc's
+  RuntimeWarnings come first, as for one matrix.
 
 Everything else takes the public path and calls the ``numpy.linalg``
 function itself: stacks in the other functions, other dtypes, a numpy
@@ -126,10 +133,12 @@ def _solved(lead) -> bool:
 
 def _eigvalsh(a):
     """Ascending eigenvalues of Hermitian ``a`` (its lower triangle), as
-    ``np.linalg.eigvalsh``; ``a`` may be a stack."""
-    if _gufunc_path(a, "eigvalsh"):
+    ``np.linalg.eigvalsh``; ``a`` may be a stack, which is tested for NaN
+    once, in its matrices' lowest eigenvalues."""
+    stack = a.ndim > 2
+    if _gufunc_path(a, "eigvalsh", stack):
         w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
-        if w[0] == w[0]:
+        if _solved(w[..., 0]) if stack else w[0] == w[0]:
             return w
     return np.linalg.eigvalsh(a)
 

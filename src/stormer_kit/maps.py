@@ -96,7 +96,7 @@ class PositiveMap(_ValueObject):
             object.__setattr__(self, "input_dim", k)
             kp, kq = (np.array(part).reshape(-1, l, k) for part in (cp, cocp))
             # sum K[r, i] conj(K[c, j]) + sum L[r, j] conj(L[c, i]); an entry
-            # that overflows is reported by _image_margin's ScaleError
+            # that overflows is reported by _image_spectra's ScaleError
             with np.errstate(over="ignore", invalid="ignore"):
                 tensor = np.einsum("mri,mcj->ijrc", kp, kp.conj())
                 tensor = tensor + np.einsum("mrj,mci->ijrc", kq, kq.conj())
@@ -189,7 +189,7 @@ def map_from_choi(choi, input_dim: int) -> PositiveMap:
 def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
     """Choi matrix on (input) x (output): the assembled block matrix of the
     entrywise image of the matrix-unit block matrix.  Raises the ScaleError
-    of :func:`_image_margin` (a DomainError) when the images overflow
+    of :func:`_images_overflow` (a DomainError) when the images overflow
     double precision."""
     k = input_dim or phi.input_dim
     if k is None:
@@ -238,7 +238,7 @@ def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
     own when d is None), after checking that trials have at least one block
     of positive size and that the map takes d x d input.  These are the
     checks :meth:`PositiveMap.apply` would make on every stack, made once
-    for the stacks that :func:`_image_margin` maps unchecked."""
+    for the stacks that :func:`_image_spectra` maps unchecked."""
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
@@ -258,26 +258,44 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
     return _gram_blocks(_pair_stack(rng, count, d))
 
 
+# The floating-point state of the image kernel: the flags numpy's
+# ``eigvalsh`` wrapper silences.  An overflow of the images, or of their
+# spectra, is reported by the kernel's ScaleError instead of a warning.
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+def _image_spectra(phi: PositiveMap, blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Ascending spectra, shape (k, nd), of the Hermitian parts of the
+    entrywise images of a stack of k sampled blocks, whose dimensions
+    :func:`_trial_dims` checked: the kernel of the necessity engine and of
+    every witness window.  Runs in the caller's ``np.errstate(**_QUIET)``,
+    which its stacked ``eigvalsh`` does not enter again.  Raises ScaleError
+    (a DomainError) where an image's spectrum overflows double precision:
+    where LAPACK fails on it, or where an end of it, and with it the PSD
+    threshold :func:`psd_margin` gives it, is not finite."""
+    m = _assemble(phi._apply(blocks))
+    h = m + adjoint(m)
+    h *= 0.5
+    try:
+        w = _eigvalsh(h)
+    except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
+        raise _images_overflow(phi) from None
+    ends = w[:, :: max(1, w.shape[1] - 1)]  # each spectrum's lowest and highest, a view
+    # a threshold grows with its scale max(|w_min|, |w_max|): the one at
+    # the stack's largest scale is finite iff every image's is
+    if not math.isfinite(tol.threshold(np.abs(ends).max())):
+        raise _images_overflow(phi)
+    return w
+
+
 def _image_margin(
     phi: PositiveMap, blocks: np.ndarray, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum eigenvalue of the Hermitian part of each entrywise image of a
-    stack of sampled blocks, whose dimensions :func:`_trial_dims` checked,
-    and each image's PSD threshold.  Raises ScaleError (a DomainError) when
-    the images' spectra overflow double precision."""
-    # an overflow is reported by the ScaleError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _assemble(phi._apply(blocks))
-        h = m + adjoint(m)
-        h *= 0.5
-    try:
-        lowest, thr = psd_margin(_eigvalsh(h), tol)
-    except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
-        thr = np.array(math.nan)
-    # a threshold is finite iff both ends of its spectrum are
-    if not math.isfinite(thr.max()):
-        raise _images_overflow(phi)
-    return lowest, thr
+    """(minimum eigenvalue, PSD threshold) of each image of
+    :func:`_image_spectra`, which raises its ScaleError."""
+    with np.errstate(**_QUIET):
+        w = _image_spectra(phi, blocks, tol)
+    return psd_margin(w, tol)
 
 
 def _images_overflow(phi: PositiveMap) -> ScaleError:
@@ -383,6 +401,18 @@ def witness_search(
     window, with the arithmetic each candidate gets alone, so the result is
     equal to the one-step climb for every input.
 
+    The window reads the two ends of each image spectrum.  The climb
+    compares the lowest; only the candidate a restart ends on is judged,
+    against the PSD threshold ``tol.threshold(max(|lo|, |hi|))`` of its own
+    spectrum, the IEEE operations of :func:`psd_margin`.  No other
+    candidate's threshold is computed: the overflow test of
+    :func:`_image_spectra` reads one per window, at its largest scale.  The
+    whole search runs in one floating-point state,
+    ``np.errstate(over="ignore", divide="ignore", invalid="ignore")``, the
+    flags numpy's ``eigvalsh`` silences, which its stacked ``eigvalsh``
+    calls do not enter again; an overflow is reported by the ScaleError
+    below, in the window where it appears, and never as a numpy warning.
+
     Deterministic in (seed, budget): restart r uses the stream seeded by
     (seed, r).  Raises DimensionError when n or d is not an integer of at
     least 1, and DomainError when ``budget`` is not an integer or the
@@ -394,44 +424,52 @@ def witness_search(
     cand = np.empty((_WINDOW, nd, nd), dtype=complex)  # a window's kicked copies of G
     evaluations = 0
     restart = 0
-    while evaluations < budget:
-        rng = np.random.default_rng([seed, restart])
-        g = ginibre(rng, nd)
-        steps = min(_STEPS_PER_RESTART, budget - evaluations - 1)
-        kicks = [
-            (rng.integers(nd), rng.integers(nd), rng.standard_normal() + 1j * rng.standard_normal())
-            for _ in range(steps)
-        ]
-        x = _boundary_grams(g[None], n, _FLOORS[:1])
-        lowest, thr = _image_margin(phi, _split(x, n), tol)
-        current, thr, x = float(lowest[0]), float(thr[0]), x[0]
-        sigma = 0.3
-        step = 0
-        while step < steps:
-            k = min(_WINDOW, steps - step)
-            cand[:k] = g
-            sigmas = []
-            for t, (i, j, z) in enumerate(kicks[step : step + k]):
-                cand[t, i, j] += sigma * z
-                sigmas.append(sigma)
-                sigma = max(sigma * 0.97, 1e-3)
-            xs = _boundary_grams(cand[:k], n, _FLOORS[step + 1 : step + 1 + k])
-            lowest, thrs = _image_margin(phi, _split(xs, n), tol)
-            better = lowest < current
-            a = int(better.argmax())
-            if not better[a]:
-                step += k
-                continue
-            g, current, thr, x = cand[a].copy(), float(lowest[a]), float(thrs[a]), xs[a]
-            sigma = min(sigmas[a] * 1.2, 1.0)
-            step += a + 1
-        evaluations += 1 + step
-        if current < -10.0 * thr:
-            return WitnessResult(
-                block=OperatorBlockMatrix.from_assembled(x, n),
-                min_eig=current,
-                evaluations=evaluations,
-                restart=restart,
-            )
-        restart += 1
+    with np.errstate(**_QUIET):  # one floating-point state for the whole search
+        while evaluations < budget:
+            rng = np.random.default_rng([seed, restart])
+            g = ginibre(rng, nd)
+            steps = min(_STEPS_PER_RESTART, budget - evaluations - 1)
+            kicks = [
+                (
+                    rng.integers(nd),
+                    rng.integers(nd),
+                    rng.standard_normal() + 1j * rng.standard_normal(),
+                )
+                for _ in range(steps)
+            ]
+            x = _boundary_grams(g[None], n, _FLOORS[:1])
+            w = _image_spectra(phi, _split(x, n), tol)
+            # the ends of the current image's spectrum: its min_eig and top
+            current, top, x = float(w[0, 0]), float(w[0, -1]), x[0]
+            sigma = 0.3
+            step = 0
+            while step < steps:
+                k = min(_WINDOW, steps - step)
+                cand[:k] = g
+                sigmas = []
+                for t, (i, j, z) in enumerate(kicks[step : step + k]):
+                    cand[t, i, j] += sigma * z
+                    sigmas.append(sigma)
+                    sigma = max(sigma * 0.97, 1e-3)
+                xs = _boundary_grams(cand[:k], n, _FLOORS[step + 1 : step + 1 + k])
+                w = _image_spectra(phi, _split(xs, n), tol)
+                lowest = w[:, 0]
+                better = lowest < current
+                a = int(better.argmax())
+                if not better[a]:
+                    step += k
+                    continue
+                g, current, top, x = cand[a].copy(), float(lowest[a]), float(w[a, -1]), xs[a]
+                sigma = min(sigmas[a] * 1.2, 1.0)
+                step += a + 1
+            evaluations += 1 + step
+            # the one threshold the restart reads: psd_margin's, of its last image
+            if current < -10.0 * tol.threshold(max(abs(current), abs(top))):
+                return WitnessResult(
+                    block=OperatorBlockMatrix.from_assembled(x, n),
+                    min_eig=current,
+                    evaluations=evaluations,
+                    restart=restart,
+                )
+            restart += 1
     return None

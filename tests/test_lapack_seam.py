@@ -1,12 +1,13 @@
 """The LAPACK seam in ``linalg`` against numpy's public functions.
 
-One 2-d complex128 matrix, and a stack of them in ``_cond`` and ``_qr``,
-takes the gufunc path, which calls numpy's ``_umath_linalg``
+One 2-d complex128 matrix, and a stack of them in ``_cond``, ``_qr`` and
+``_eigvalsh``, takes the gufunc path, which calls numpy's ``_umath_linalg``
 gufuncs without the ``numpy.linalg`` wrapper; everything else takes the
 public path.  Both must give bit-equal results and raise the same errors (a
-stack also the same warnings), a wrapper installed over a ``numpy.linalg``
-function must see every call, and no module but ``linalg`` may call a
-factorization itself.
+stack in ``_cond`` and ``_qr`` also the same warnings, and one in
+``_eigvalsh`` the same warnings in the witness search's floating-point
+state), a wrapper installed over a ``numpy.linalg`` function must see every
+call, and no module but ``linalg`` may call a factorization itself.
 """
 
 import ast
@@ -28,6 +29,7 @@ from stormer_kit import (
     psd_via_contraction,
 )
 from stormer_kit import linalg
+from stormer_kit.maps import _QUIET
 from stormer_kit.sampling import (
     ginibre,
     random_normal_operator,
@@ -36,6 +38,7 @@ from stormer_kit.sampling import (
     random_stormer_block,
     random_stormer_pair,
 )
+from stormer_kit.stormer import _swap
 
 from helpers import hermitize
 
@@ -109,9 +112,11 @@ def test_gufunc_path_is_bit_equal_to_numpy(name):
         assert_bit_equal(got, public(a), label)
 
 
-# -- stacks: _cond and _qr take the gufunc path -----------------------------
+# -- stacks: _cond, _qr and _eigvalsh take the gufunc path -------------------
 
-STACKED = ("cond", "qr")
+STACKED = ("cond", "qr", "eigvalsh")
+# the stacks that run under np.errstate(all="ignore"), so warn as numpy does
+SILENCED = ("cond", "qr")
 # (count, d): the stack shapes the library factorizes.  The necessity
 # engine's 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its
 # samplers' candidates and Haar factors (d = 2..4), the witness search's
@@ -144,10 +149,33 @@ def _stacks():
 STACKS = _stacks()
 
 
+def _eigvalsh_stacks():
+    """(label, stack) for k Hermitian m x m matrices, k 1..5 and m 1..12:
+    Gram matrices as the samplers build them, their index swaps by
+    ``_swap`` for every block count n with 1 < n < m dividing m (what
+    ``_boundary_grams`` factorizes), and read-only copies."""
+    rng = np.random.default_rng(136)
+    out = []
+    for k in range(1, 6):
+        for m in range(1, 13):
+            z = ginibre(rng, k * m, m).reshape(k, m, m)
+            h = z @ np.conj(np.swapaxes(z, -1, -2))
+            held = h.copy()
+            held.flags.writeable = False
+            out += [(f"gram{k}x{m}", h), (f"read-only{k}x{m}", held)]
+            out += [(f"swap{k}x{m}/{n}", _swap(h, n)) for n in range(2, m) if m % n == 0]
+    return out
+
+
+EIGVALSH_STACKS = _eigvalsh_stacks()
+# name -> the stacks its seam call is tested on
+STACKS_OF = {name: STACKS + (EIGVALSH_STACKS if name == "eigvalsh" else []) for name in STACKED}
+
+
 @pytest.mark.parametrize("name", STACKED)
 def test_stacks_on_the_gufunc_path_are_bit_equal_to_numpy(name):
     seam, public = SEAM[name]
-    for label, a in STACKS:
+    for label, a in STACKS_OF[name]:
         assert linalg._gufunc_path(a, name, stack=True), label
         assert not linalg._gufunc_path(a, name), label
         with warnings.catch_warnings():
@@ -228,16 +256,9 @@ def _observed(fn, a):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
-@pytest.mark.parametrize("name", STACKED)
-def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
-    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0
-    seam, public = SEAM[name]
-    a = ginibre(np.random.default_rng(135), 5 * 3, 3).reshape(5, 3, 3)
-    a[2] = NONFINITE[kind] if kind in NONFINITE else 0.0
-    assert linalg._gufunc_path(a, name, stack=True)
-    (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
-    assert got_warnings == want_warnings
+def _assert_same_outcome(got, want):
+    """The outcomes of :func:`_observed` are equal: the same exception type
+    and message, or results of the same dtypes and values."""
     assert got[0] == want[0]
     if got[0] == "raises":
         assert got[1] == want[1]
@@ -246,6 +267,57 @@ def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, ca
         for g, w in zip(got[1], want[1]):
             assert np.asarray(g).dtype == np.asarray(w).dtype
             assert np.array_equal(g, w, equal_nan=True)
+
+
+def _one_failing(kind):
+    """A stack of five 3 x 3 matrices whose third is NONFINITE[kind], or 0."""
+    a = ginibre(np.random.default_rng(135), 5 * 3, 3).reshape(5, 3, 3)
+    a[2] = NONFINITE[kind] if kind in NONFINITE else 0.0
+    return a
+
+
+@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
+@pytest.mark.parametrize("name", SILENCED)
+def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
+    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0
+    seam, public = SEAM[name]
+    a = _one_failing(kind)
+    assert linalg._gufunc_path(a, name, stack=True)
+    (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
+    assert got_warnings == want_warnings
+    _assert_same_outcome(got, want)
+    assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+
+
+# -- stacks in _eigvalsh: the bare gufunc, in its caller's floating-point state
+
+
+def test_eigvalsh_stacks_call_the_gufunc_without_numpys_function(monkeypatch):
+    # numpy's function replaced in both places, so _gufunc_path still holds:
+    # a stack that called it would raise
+    def public(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh called")
+
+    want = [np.linalg.eigvalsh(a) for _, a in EIGVALSH_STACKS]
+    monkeypatch.setattr(np.linalg, "eigvalsh", public)
+    monkeypatch.setattr(linalg._numpy_linalg, "eigvalsh", public)
+    for (label, a), w in zip(EIGVALSH_STACKS, want):
+        assert_bit_equal(linalg._eigvalsh(a), w, label)
+
+
+@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
+def test_an_eigvalsh_stack_with_one_failing_matrix_gets_numpys_exact_answer(kind, capfd):
+    # the stack path enters no floating-point state: in the witness search's
+    # it warns and raises exactly as numpy does; outside it the gufunc's own
+    # warnings may come first, then numpy's answer
+    seam, public = SEAM["eigvalsh"]
+    a = _one_failing(kind)
+    assert linalg._gufunc_path(a, "eigvalsh", stack=True)
+    with np.errstate(**_QUIET):
+        (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
+    assert got_warnings == want_warnings
+    _assert_same_outcome(got, want)
+    _assert_same_outcome(_observed(seam, a)[0], _observed(public, a)[0])
     assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
 
 
@@ -340,7 +412,7 @@ def _chain(rng):
 
 def test_results_are_unchanged_without_the_gufuncs(monkeypatch):
     want_chain = _chain(np.random.default_rng(133))
-    inputs = {name: INPUTS + (STACKS if name in STACKED else []) for name in SEAM}
+    inputs = {name: INPUTS + STACKS_OF.get(name, []) for name in SEAM}
     want = {name: [SEAM[name][0](a) for _, a in inputs[name]] for name in SEAM}
     monkeypatch.setattr(linalg, "_umath_linalg", None)
     assert not linalg._gufunc_path(INPUTS[0][1], "eigvalsh")

@@ -315,6 +315,21 @@ def test_choi_matrix_raises_when_the_images_overflow(mode):
         assert np.isfinite(choi_matrix(make_decomposable([1e100 * np.eye(2)], []))).all()
 
 
+@pytest.mark.parametrize("mode", ["default", "error"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_window_raises_when_an_image_spectrum_overflows(n, mode):
+    # images are multiples of the 3 x 3 matrix of entries 8e307: finite
+    # entries whose spectra overflow.  The search's floating-point state
+    # silences what LAPACK flags on them (divide included), so where
+    # warnings are errors the ScaleError still comes first
+    phi = map_from_choi(np.full((3, 3), 8e307), 1)
+    message = r"^map images overflow: map entries reach 8\.000e\+307; rescale the map$"
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        with pytest.raises(ScaleError, match=message):
+            witness_search(phi, budget=5, n=n, d=1)
+
+
 def test_necessity_raises_when_a_finite_image_has_an_infinite_eigenvalue():
     # each image is a multiple of the 3 x 3 all-ones matrix, whose eigenvalue
     # 3 x 8e307 overflows while its entries do not

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from stormer_kit import (
+    Tolerance,
     WitnessResult,
     choi_fixture,
     choi_matrix,
@@ -97,6 +98,19 @@ def test_one_restart_matches_the_one_step_climb(seed):
     assert _same(got, want)
 
 
+@pytest.mark.parametrize("rel_eps, found", [(1e-4, True), (3e-4, False)])
+def test_the_judged_threshold_is_read_at_both_ends_of_the_spectrum(rel_eps, found):
+    # choi3's restart 0 at seed 5 ends on min_eig -8.25e-3, with the top of
+    # its spectrum at 4.19.  At rel_eps 3e-4 ten thresholds at the top's
+    # scale (1.56e-2) exceed |min_eig| while ten at its own scale (3.02e-3)
+    # do not: the verdict reads the threshold at max(|lo|, |hi|)
+    phi, d, seed = MAPS["choi3"]
+    tol = Tolerance(abs_eps=0.0, rel_eps=rel_eps)
+    got = witness_search(phi, seed=seed, budget=601, n=3, d=d, tol=tol)
+    assert _same(got, oracle_witness_search(phi, seed=seed, budget=601, n=3, d=d, tol=tol))
+    assert (got is not None) == found
+
+
 def test_seed_42_replay_eigvalsh_calls():
     payload = json.loads(FIXTURE.read_text())
     with lapack_calls() as calls:
@@ -148,12 +162,19 @@ def test_find_witness_exit_code_is_the_replays(monkeypatch, capsys, replay):
     assert "12.3 us per evaluation" in capsys.readouterr().out
 
 
+# seed -> eigvalsh calls of one restart, the witness benchmark's call: two
+# stacked calls per window and for the first evaluation, however many of a
+# window's steps the climb accepts
+ONE_RESTART_EIGVALSH = {0: 340, 1: 354}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_restart_makes_fewer_eigvalsh_calls_than_evaluations(seed):
     with lapack_calls() as calls:
         res = witness_search(choi_fixture(), seed=seed, budget=601, n=3, d=3)
     evaluations = 601 if res is None else res.evaluations
     assert calls["eigvalsh"] < evaluations
+    assert calls == {"eigvalsh": ONE_RESTART_EIGVALSH[seed], "eigh": 0, "svd": 0}
 
 
 def _decomposable_maps():
@@ -174,3 +195,15 @@ def test_decomposable_maps_yield_no_witness(n):
     for phi, d in _decomposable_maps():
         for seed in (0, 1):
             assert witness_search(phi, seed=seed, budget=700, n=n, d=d) is None
+
+
+def test_witness_digest_script_prints_one_digest_of_its_sweep(monkeypatch, capsys):
+    # a two-seed sweep: seed 1 finds no witness within 3,000 evaluations and
+    # seed 2 finds one, so both kinds of record enter the digest
+    script = load_script("witness_digest")
+    monkeypatch.setattr(script, "SEEDS", [1, 2])
+    assert script.main() == 0
+    assert capsys.readouterr().out == (
+        "13a1dd4a8e1cd4be89987d4bfe4caf2c65d0b13ae71456923d1e5a026e7a0b3b"
+        "  1 of 2 searches found a witness\n"
+    )
