@@ -33,8 +33,9 @@ package's value objects own read-only copies of their arrays made by
 
 Every factorization in the package goes through one LAPACK seam here:
 :func:`_eigvalsh`, :func:`_eigh`, :func:`_svdvals`, :func:`_eig`,
-:func:`_qr`, :func:`_pinv` and :func:`_cond`; no other module calls
-``numpy.linalg`` for one.  The seam has two paths.  Complex128 input takes
+:func:`_qr`, :func:`_pinv`, :func:`_cond` and :func:`_positive_definite`
+(Cholesky, for its verdict alone); no other module calls ``numpy.linalg``
+for one.  The seam has two paths.  Complex128 input takes
 the gufunc path: it calls numpy's ``_umath_linalg`` gufuncs directly, with
 the signatures and the post-processing ``numpy.linalg`` uses, so its
 results are bit-equal to the public functions' by construction, without
@@ -60,12 +61,21 @@ raises ``LinAlgError`` or returns what numpy returns.
 - A stack in :func:`_eigvalsh`, the necessity engine's and the witness
   search's call, takes the gufunc path too, with one NaN test per stack,
   and enters no floating-point state: an errstate on every call would cost
-  what the wrapper does.  Its callers hold the state instead, with the
-  flags numpy's wrapper silences (over, divide, invalid): the witness
-  search one for the whole search, the necessity engine one per stack of
-  trials.  In it a stack warns and raises exactly as the public function
-  does.  Outside it, where LAPACK fails, the gufunc's
-  RuntimeWarnings come first, as for one matrix.
+  what the wrapper does.  Its callers hold the state instead, with every
+  flag ignored, as numpy's wrapper ignores over, divide and under and
+  turns invalid into its error: the witness search one for the whole
+  search, the necessity engine one per stack of trials.  In it a stack
+  warns and raises exactly as the public function does.  Outside it, where
+  LAPACK fails, the gufunc's RuntimeWarnings come first, as for one
+  matrix.
+- :func:`_positive_definite`, the witness search's call, answers for each
+  matrix of a stack, or for one matrix, whether ``np.linalg.cholesky``
+  succeeds on it.  A failure is an answer, not an error, so it has no NaN
+  hand-off: one ``cholesky_lo`` call gives every verdict.  It enters no
+  floating-point state either, and takes the gufunc path only inside a
+  caller's state that silences every flag (``np.geterr()``); elsewhere it
+  factors one matrix at a time with numpy's function, so it warns as
+  numpy does, that is never.
 
 Everything else takes the public path and calls the ``numpy.linalg``
 function itself: stacks in the other functions, other dtypes, a numpy
@@ -141,6 +151,36 @@ def _eigvalsh(a):
         if _solved(w[..., 0]) if stack else w[0] == w[0]:
             return w
     return np.linalg.eigvalsh(a)
+
+
+# np.geterr() of a floating-point state in which every flag is ignored
+_SILENT = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+
+
+def _positive_definite(a):
+    """True where a matrix of ``a`` (its lower triangle) is positive
+    definite by Cholesky, that is where ``np.linalg.cholesky`` succeeds on
+    it; ``a`` may be a stack, which gives a bool array of its leading
+    shape.  A failed factorization is an answer here, and numpy's function
+    issues no warning for it, while the gufunc flags it (invalid) and keeps
+    the flags LAPACK raised on the way.  So the gufunc path is taken only
+    where the caller's floating-point state already silences every flag, as
+    the witness search's does: the kernel enters none of its own.  The
+    gufunc fills a failed matrix's factor with NaN, and gives a completed
+    one a real diagonal, even from NaN entries, so a matrix's verdict is
+    that the imaginary part of its first pivot is a number.  Elsewhere each
+    matrix goes to numpy's function."""
+    if _gufunc_path(a, "cholesky", a.ndim > 2) and np.geterr() == _SILENT:
+        pivot = _umath_linalg.cholesky_lo(a, signature="D->D")[..., 0, 0].imag
+        return pivot == pivot
+    verdict = np.empty(a.shape[:-2], dtype=bool)
+    for i in np.ndindex(verdict.shape):
+        try:
+            np.linalg.cholesky(a[i])
+            verdict[i] = True
+        except np.linalg.LinAlgError:
+            verdict[i] = False
+    return verdict[()]
 
 
 def _eigh(a):

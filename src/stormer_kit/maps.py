@@ -26,16 +26,18 @@ from .errors import DimensionError, DomainError, ScaleError, StormerKitError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _SILENT,
     _ValueObject,
     _eigvalsh,
     _held,
     _overflow,
+    _positive_definite,
     adjoint,
     as_matrix,
     psd_margin,
     require_square,
 )
-from .sampling import _boundary_grams, _pair_stack, ginibre, random_stormer_blocks
+from .sampling import _boundary_grams, _identity, _pair_stack, ginibre, random_stormer_blocks
 from .stormer import OperatorBlockMatrix, _assemble, _gram_blocks, _split
 
 __all__ = list(_EXPORTS["maps"])
@@ -258,24 +260,34 @@ def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.nd
     return _gram_blocks(_pair_stack(rng, count, d))
 
 
-# The floating-point state of the image kernel: the flags numpy's
-# ``eigvalsh`` wrapper silences.  An overflow of the images, or of their
-# spectra, is reported by the kernel's ScaleError instead of a warning.
-_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+# The floating-point state of the image kernel and of the witness search:
+# every flag ignored, over, divide and under as numpy's ``eigvalsh``
+# wrapper ignores them, and invalid, which the wrapper turns into its
+# error; :func:`_positive_definite` takes its gufunc path in it.  An
+# overflow of the images, or of their spectra, is reported by the kernel's
+# ScaleError instead of a warning.
+_QUIET = _SILENT
 
 
-def _image_spectra(phi: PositiveMap, blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Ascending spectra, shape (k, nd), of the Hermitian parts of the
-    entrywise images of a stack of k sampled blocks, whose dimensions
-    :func:`_trial_dims` checked: the kernel of the necessity engine and of
-    every witness window.  Runs in the caller's ``np.errstate(**_QUIET)``,
-    which its stacked ``eigvalsh`` does not enter again.  Raises ScaleError
-    (a DomainError) where an image's spectrum overflows double precision:
-    where LAPACK fails on it, or where an end of it, and with it the PSD
-    threshold :func:`psd_margin` gives it, is not finite."""
+def _hermitian_images(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
+    """The Hermitian parts, shape (k, nd, nd), of the entrywise images of a
+    stack of k sampled blocks, whose dimensions :func:`_trial_dims` checked.
+    Runs in the caller's ``np.errstate(**_QUIET)``: an overflow is reported
+    by :func:`_image_spectra`."""
     m = _assemble(phi._apply(blocks))
     h = m + adjoint(m)
     h *= 0.5
+    return h
+
+
+def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Ascending spectra, shape (k, nd), of a stack of k Hermitian images of
+    :func:`_hermitian_images`: the kernel of the necessity engine and of the
+    witness search.  Runs in the caller's ``np.errstate(**_QUIET)``, which
+    its stacked ``eigvalsh`` does not enter again.  Raises ScaleError (a
+    DomainError) where an image's spectrum overflows double precision: where
+    LAPACK fails on it, or where an end of it, and with it the PSD threshold
+    :func:`psd_margin` gives it, is not finite."""
     try:
         w = _eigvalsh(h)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
@@ -294,7 +306,7 @@ def _image_margin(
     """(minimum eigenvalue, PSD threshold) of each image of
     :func:`_image_spectra`, which raises its ScaleError."""
     with np.errstate(**_QUIET):
-        w = _image_spectra(phi, blocks, tol)
+        w = _image_spectra(phi, _hermitian_images(phi, blocks), tol)
     return psd_margin(w, tol)
 
 
@@ -367,6 +379,62 @@ _WINDOW = 5
 # never below 1e-7.
 _FLOORS = np.maximum(1e-7, np.cumprod(np.r_[1e-2, np.full(_STEPS_PER_RESTART, 0.985)]))
 
+_EPS = float(np.finfo(float).eps)
+# The square root of the smallest normal double: a window's sum of squares
+# at least that normal double lost at most a relative 1e-13 to underflow.
+_SMALLEST_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _margin(m: int, norm: float, current: float) -> float:
+    """The shift margin of :func:`_first_better` for m x m Hermitian images
+    of operator norm at most ``norm``: 8 m^3 eps (norm + |current|)."""
+    return 8.0 * m**3 * _EPS * (norm + abs(current))
+
+
+def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Tolerance):
+    """(t, lowest, top) for the first Hermitian image ``h[t]`` of a witness
+    window whose lowest eigenvalue, as ``eigvalsh`` computes it, is below
+    ``current``, with the highest; None when no image is.  Runs in the
+    search's ``np.errstate(**_QUIET)``.
+
+    One stacked Cholesky of H - (current + delta) I, delta of
+    :func:`_margin`, clears every image it factors; the others get their
+    spectrum, one at a time in window order, until one is below.  Let F,
+    the Frobenius norm of the whole window, bound each image's norm, m be
+    its size, u = eps / 2 and s the shift as rounded.  A Cholesky that
+    completes on H - sI as rounded (each diagonal entry off by at most
+    u (F + |s|)) has factored a PSD matrix within a backward error of norm
+    at most about m (m + 1) u (F + |s|) (Higham 2002, Theorem 10.3), so
+    lambda_min(H) >= s - (m^2 + m + 1) u (F + |s|) to first order.
+    ``eigvalsh`` returns the exact eigenvalues of H + E with
+    ||E|| <= p(m) u ||H||, p a modest function (LAPACK Users' Guide,
+    section 4.7), which the margin takes as m^3.  With s at least
+    current + delta - u |current + delta|, these errors add up to less than
+    a third of delta = 16 m^3 u (F + |current|): a cleared image's computed
+    lowest eigenvalue is above ``current``, and every decision is the one
+    ``eigvalsh`` alone makes.
+
+    A window whose sum of squares is not a finite normal number, or at
+    whose scale 2F the PSD threshold is not finite, gets every spectrum in
+    one stack through :func:`_image_spectra`, and so its ScaleError where
+    an image's spectrum overflows.  Elsewhere every image's spectrum is
+    finite and below 2F in magnitude, so its threshold is finite: the
+    overflow checks of :func:`_image_spectra` cannot fail, and an image the
+    test does not clear gets a bare ``eigvalsh``."""
+    f = math.sqrt(np.vdot(h, h).real)
+    if _SMALLEST_NORM <= f < math.inf and math.isfinite(tol.threshold(2.0 * f)):
+        m = h.shape[-1]
+        shift = current + _margin(m, f, current)
+        for t in np.flatnonzero(~_positive_definite(h - shift * _identity(m))):
+            w = _eigvalsh(h[t])
+            if w[0] < current:
+                return int(t), float(w[0]), float(w[-1])
+        return None
+    w = _image_spectra(phi, h, tol)
+    better = w[:, 0] < current
+    t = int(better.argmax())
+    return (t, float(w[t, 0]), float(w[t, -1])) if better[t] else None
+
 
 def witness_search(
     phi: PositiveMap,
@@ -397,21 +465,30 @@ def witness_search(
     accepted, the steps after it are discarded and the next window starts
     from it.  The window's candidates are kicked copies of G in one buffer
     that every window of the search refills, so only an accepted G is
-    copied out.  The boundary mix and the image spectra run on the whole
-    window, with the arithmetic each candidate gets alone, so the result is
-    equal to the one-step climb for every input.
+    copied out.  The boundary mix and the Hermitian images run on the whole
+    window, with the arithmetic each candidate gets alone.
 
-    The window reads the two ends of each image spectrum.  The climb
-    compares the lowest; only the candidate a restart ends on is judged,
-    against the PSD threshold ``tol.threshold(max(|lo|, |hi|))`` of its own
-    spectrum, the IEEE operations of :func:`psd_margin`.  No other
-    candidate's threshold is computed: the overflow test of
-    :func:`_image_spectra` reads one per window, at its largest scale.  The
-    whole search runs in one floating-point state,
-    ``np.errstate(over="ignore", divide="ignore", invalid="ignore")``, the
-    flags numpy's ``eigvalsh`` silences, which its stacked ``eigvalsh``
-    calls do not enter again; an overflow is reported by the ScaleError
-    below, in the window where it appears, and never as a numpy warning.
+    A candidate is better when the lowest eigenvalue of its image, as
+    ``eigvalsh`` computes it, is below the current one.  A window asks that
+    of its images with one stacked Cholesky of H - (current + delta) I
+    (:func:`_first_better`): a candidate it factors is proved not better,
+    since delta, 8 m^3 eps (F + |current|) for m = n d and F the window's
+    Frobenius norm, exceeds the backward errors of Cholesky and of
+    ``eigvalsh`` at the window's scale.
+    Only the others get a spectrum, one at a time in window order, until
+    one is below: the accepted step, whose two spectrum ends the climb
+    keeps.  So every decision is the one ``eigvalsh`` alone makes, and the
+    result is equal to the one-step climb for every input.  A window whose
+    scale could overflow takes every spectrum in one stack, and raises
+    :func:`_image_spectra`'s ScaleError where one of them overflows.
+
+    Only the candidate a restart ends on is judged, against the PSD
+    threshold ``tol.threshold(max(|lo|, |hi|))`` of its own spectrum, the
+    IEEE operations of :func:`psd_margin`.  The whole search runs in one
+    floating-point state, ``np.errstate(all="ignore")``, which its stacked
+    ``eigvalsh`` and Cholesky calls do not enter again; an overflow is reported by the
+    ScaleError below, in the window where it appears, and never as a numpy
+    warning.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
     (seed, r).  Raises DimensionError when n or d is not an integer of at
@@ -438,7 +515,7 @@ def witness_search(
                 for _ in range(steps)
             ]
             x = _boundary_grams(g[None], n, _FLOORS[:1])
-            w = _image_spectra(phi, _split(x, n), tol)
+            w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)
             # the ends of the current image's spectrum: its min_eig and top
             current, top, x = float(w[0, 0]), float(w[0, -1]), x[0]
             sigma = 0.3
@@ -452,14 +529,12 @@ def witness_search(
                     sigmas.append(sigma)
                     sigma = max(sigma * 0.97, 1e-3)
                 xs = _boundary_grams(cand[:k], n, _FLOORS[step + 1 : step + 1 + k])
-                w = _image_spectra(phi, _split(xs, n), tol)
-                lowest = w[:, 0]
-                better = lowest < current
-                a = int(better.argmax())
-                if not better[a]:
+                found = _first_better(phi, _hermitian_images(phi, _split(xs, n)), current, tol)
+                if found is None:
                     step += k
                     continue
-                g, current, top, x = cand[a].copy(), float(lowest[a]), float(w[a, -1]), xs[a]
+                a, current, top = found
+                g, x = cand[a].copy(), xs[a]
                 sigma = min(sigmas[a] * 1.2, 1.0)
                 step += a + 1
             evaluations += 1 + step

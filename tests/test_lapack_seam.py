@@ -8,6 +8,8 @@ stack in ``_cond`` and ``_qr`` also the same warnings, and one in
 ``_eigvalsh`` the same warnings in the witness search's floating-point
 state), a wrapper installed over a ``numpy.linalg`` function must see every
 call, and no module but ``linalg`` may call a factorization itself.
+``_positive_definite`` must give, matrix by matrix, the verdict of
+``np.linalg.cholesky`` and, like it, no warning.
 """
 
 import ast
@@ -319,6 +321,160 @@ def test_an_eigvalsh_stack_with_one_failing_matrix_gets_numpys_exact_answer(kind
     _assert_same_outcome(got, want)
     _assert_same_outcome(_observed(seam, a)[0], _observed(public, a)[0])
     assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+
+
+# -- _positive_definite: one Cholesky verdict per matrix ---------------------
+
+
+def _cholesky_succeeds(a) -> bool:
+    """Whether ``np.linalg.cholesky`` factors ``a``."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _cholesky_stacks():
+    """(label, stack) for m = 1..12: a stack of m x m matrices of every kind
+    a verdict must cover, positive definite, singular PSD (a Gram matrix of
+    lower rank, and one with an exact zero eigenvalue) and indefinite, and
+    for m = 1 and 3 also NaN, infinite and 1e308 entries.  Plus a stack of
+    four dimensions and a read-only one."""
+    rng = np.random.default_rng(137)
+    out = []
+    for m in range(1, 13):
+        z = ginibre(rng, m)
+        low = random_rank_deficient(rng, m, m, max(1, m // 2))
+        mats = [
+            z @ np.conj(z.T) + np.eye(m),
+            low @ np.conj(low.T),
+            np.diag(np.arange(m, dtype=float)).astype(complex),
+            hermitize(z),
+        ]
+        if m in (1, 3):
+            for bad in (np.nan, np.inf, 1e308, complex(0.0, np.nan)):
+                diag = np.eye(m, dtype=complex)
+                diag[m // 2, m // 2] = bad
+                mats.append(diag)
+            mats += [NONFINITE[kind] for kind in NONFINITE if m == 3]
+        out.append((f"kinds{m}", np.array(mats)))
+    a = out[2][1][:4].reshape(2, 2, 3, 3)
+    held = out[5][1].copy()
+    held.flags.writeable = False
+    return out + [("four-d", a), ("read-only", held)]
+
+
+CHOLESKY_STACKS = _cholesky_stacks()
+
+
+def _single_matrices():
+    """(label, matrix) for every matrix of the stacks, alone."""
+    return [
+        (f"{label}{list(i)}", stack[i])
+        for label, stack in CHOLESKY_STACKS
+        for i in np.ndindex(stack.shape[:-2])
+    ]
+
+
+CHOLESKY_INPUTS = CHOLESKY_STACKS + _single_matrices()
+
+
+def _verdicts(a):
+    """Numpy's verdict on each matrix of ``a``, shaped like its stack."""
+    want = np.empty(a.shape[:-2], dtype=bool)
+    for i in np.ndindex(want.shape):
+        want[i] = _cholesky_succeeds(a[i])
+    return want
+
+
+def _assert_verdicts(got, a, label):
+    want = _verdicts(a)
+    if a.ndim == 2:
+        assert type(got) is np.bool_, label
+    else:
+        assert type(got) is np.ndarray and got.dtype == bool, label
+    assert np.array_equal(got, want), label
+
+
+def test_the_stacks_cover_every_kind_of_verdict():
+    verdicts = np.concatenate([_verdicts(a).ravel() for _, a in CHOLESKY_STACKS])
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_positive_definite_is_numpys_cholesky_verdict_in_a_silent_state(monkeypatch):
+    # numpy's function replaced in both places, so _gufunc_path still holds:
+    # a call that reached it would raise
+    want = {label: _verdicts(a) for label, a in CHOLESKY_INPUTS}
+
+    def public(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", public)
+    monkeypatch.setattr(linalg._numpy_linalg, "cholesky", public)
+    for label, a in CHOLESKY_INPUTS:
+        assert linalg._gufunc_path(a, "cholesky", a.ndim > 2), label
+        with np.errstate(**_QUIET):
+            got = linalg._positive_definite(a)
+        assert np.array_equal(got, want[label]), label
+
+
+@pytest.mark.parametrize("state", ["quiet", "default"])
+def test_positive_definite_gives_numpys_verdict_and_warnings(state, capfd):
+    # numpy's function issues no warning for a matrix it cannot factor, and
+    # neither does the kernel, inside the witness search's state and outside
+    for label, a in CHOLESKY_INPUTS:
+        with np.errstate(**(_QUIET if state == "quiet" else {})):
+            outcome, got_warnings = _observed(linalg._positive_definite, a)
+            want_warnings = [
+                w for i in np.ndindex(a.shape[:-2]) for w in _observed(_cholesky_succeeds, a[i])[1]
+            ]
+        assert got_warnings == want_warnings == [], label
+        assert outcome[0] == "returns", label
+        _assert_verdicts(outcome[1][0], a, label)
+    assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+
+
+def test_positive_definite_where_warnings_are_errors():
+    for label, a in CHOLESKY_INPUTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (_QUIET, {}):
+                with np.errstate(**state):
+                    _assert_verdicts(linalg._positive_definite(a), a, label)
+
+
+@pytest.mark.parametrize("state", ["quiet", "default"])
+def test_a_wrapper_over_numpys_cholesky_sees_every_matrix(state, monkeypatch):
+    original = np.linalg.cholesky
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    want = {label: _verdicts(a) for label, a in CHOLESKY_INPUTS}
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for label, a in CHOLESKY_INPUTS:
+        assert not linalg._gufunc_path(a, "cholesky", a.ndim > 2)
+        calls.clear()
+        with np.errstate(**(_QUIET if state == "quiet" else {})):
+            got = linalg._positive_definite(a)
+        assert np.array_equal(got, want[label]), label
+        assert len(calls) == int(np.prod(a.shape[:-2])), label
+
+
+def test_positive_definite_on_other_inputs_takes_the_public_path(monkeypatch):
+    stack = CHOLESKY_STACKS[3][1]
+    others = [stack.real.copy(), stack.astype(">c16"), stack.astype(np.complex64)]
+    for a in others + [b[0] for b in others]:
+        assert not linalg._gufunc_path(a, "cholesky", a.ndim > 2)
+        with np.errstate(**_QUIET):
+            _assert_verdicts(linalg._positive_definite(a), a, a.dtype)
+    monkeypatch.setattr(linalg, "_umath_linalg", None)
+    for label, a in CHOLESKY_INPUTS:
+        with np.errstate(**_QUIET):
+            _assert_verdicts(linalg._positive_definite(a), a, label)
 
 
 def test_svd_failure_raises_numpys_linalg_error():

@@ -2,18 +2,23 @@
 
 ``witness_search`` evaluates several hill-climbing steps as one stack; it
 must return what the one-step climb in ``helpers.oracle_witness_search``
-returns, for every map kind, block count and budget.  Its LAPACK calls are
-counted (a gate independent of machine speed), and decomposable maps must
-never yield a witness.
+returns, for every map kind, block count and budget.  A window judges its
+candidates by a shifted Cholesky first; on near ties and at extreme scales
+every decision must be the one ``eigvalsh`` alone makes.  Its LAPACK calls
+are counted (a gate independent of machine speed), and decomposable maps
+must never yield a witness.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stormer_kit import (
+    DEFAULT_TOL,
+    ScaleError,
     Tolerance,
     WitnessResult,
     choi_fixture,
@@ -24,10 +29,12 @@ from stormer_kit import (
     transpose_map,
     witness_search,
 )
+from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
+from stormer_kit.maps import _QUIET, _first_better, _margin
 from stormer_kit.sampling import ginibre
 
-from helpers import lapack_calls, load_script, oracle_witness_search
+from helpers import hermitize, lapack_calls, load_script, oracle_witness_search
 
 FIXTURE = Path(__file__).parent / "fixtures" / "choi3_witness.json"
 
@@ -113,14 +120,18 @@ def test_the_judged_threshold_is_read_at_both_ends_of_the_spectrum(rel_eps, foun
 
 def test_seed_42_replay_eigvalsh_calls():
     payload = json.loads(FIXTURE.read_text())
-    with lapack_calls() as calls:
+    with lapack_calls(("eigvalsh", "eigh", "svd", "cholesky")) as calls:
         res = witness_search(choi_fixture(), seed=42, budget=10**6, n=3, d=3)
     assert (res.evaluations, res.restart) == (payload["evaluations"], payload["restart"])
     assert res.min_eig == payload["min_eig"]
     assert np.array_equal(res.block.blocks, block_from_payload(payload["block"]).blocks)
-    # two stacked eigvalsh calls per window and per restart's first
-    # evaluation; the one-step climb made two per evaluation (33,656)
-    assert calls == {"eigvalsh": 9348, "eigh": 0, "svd": 0}
+    # two stacked eigvalsh calls for each restart's first evaluation, one
+    # per window for the boundary mix, and one per image spectrum the
+    # Cholesky test leaves to compute: 2,629 of 4,646 windows take one, the
+    # step they accept.  The one-step climb made two per evaluation
+    # (33,656).  A counter over numpy's cholesky sends the seam down its
+    # public path, one call per candidate
+    assert calls == {"eigvalsh": 7331, "eigh": 0, "svd": 0, "cholesky": 23151}
 
 
 @pytest.mark.parametrize("field", [None, "evaluations", "restart", "min_eig", "block"])
@@ -163,9 +174,9 @@ def test_find_witness_exit_code_is_the_replays(monkeypatch, capsys, replay):
 
 
 # seed -> eigvalsh calls of one restart, the witness benchmark's call: two
-# stacked calls per window and for the first evaluation, however many of a
-# window's steps the climb accepts
-ONE_RESTART_EIGVALSH = {0: 340, 1: 354}
+# stacked calls for the first evaluation, one per window for the boundary
+# mix, and one per image spectrum the Cholesky test leaves to compute
+ONE_RESTART_EIGVALSH = {0: 266, 1: 283}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -207,3 +218,120 @@ def test_witness_digest_script_prints_one_digest_of_its_sweep(monkeypatch, capsy
         "13a1dd4a8e1cd4be89987d4bfe4caf2c65d0b13ae71456923d1e5a026e7a0b3b"
         "  1 of 2 searches found a witness\n"
     )
+
+
+# -- the Cholesky test of a window against eigvalsh alone ---------------------
+
+
+def _common_spectrum(rng, m, count=5):
+    """``count`` Hermitian m x m matrices Q diag(lam) Q* with one random
+    spectrum lam and unitary Q's: equal spectra in exact arithmetic, whose
+    computed lowest eigenvalues differ in their last bits."""
+    lam = np.sort(rng.standard_normal(m))
+    qs = [np.linalg.qr(ginibre(rng, m)).Q for _ in range(count)]
+    return np.array([hermitize((q * lam) @ q.conj().T) for q in qs])
+
+
+def _eigvalsh_only(h, current):
+    """(t, lowest, top) of the first matrix of ``h`` whose lowest eigenvalue,
+    by eigvalsh, is below ``current``, or None: the decision of a window
+    that computes every spectrum."""
+    w = np.linalg.eigvalsh(h)
+    better = np.flatnonzero(w[:, 0] < current)
+    if better.size == 0:
+        return None
+    t = int(better[0])
+    return t, float(w[t, 0]), float(w[t, -1])
+
+
+def _ulps(x, steps):
+    """``x`` moved ``steps`` doubles up, or down where ``steps`` < 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return float(x)
+
+
+# 1 and 1e+-100 take the Cholesky test; at 1e+-160 a window's sum of squares
+# overflows or falls below the normal doubles, and every spectrum is taken
+NEAR_TIE_SCALES = [1.0, 1e-100, 1e100, 1e-160, 1e160]
+
+
+@pytest.mark.parametrize("scale", NEAR_TIE_SCALES)
+def test_the_cholesky_margin_keeps_the_decisions_of_eigvalsh(scale):
+    # the current minimum sits a few doubles, and one or two margins, on
+    # either side of each image's computed lowest eigenvalue.  Without the
+    # margin, a Cholesky of H - current I completes on about a third of the
+    # images whose computed lowest is one double below current
+    rng = np.random.default_rng(2027)
+    phi = choi_fixture()
+    for m in (1, 2, 3, 6, 9, 12):
+        for _ in range(4):
+            h = scale * _common_spectrum(rng, m)
+            f = math.sqrt(np.vdot(h, h).real)
+            for lowest in np.linalg.eigvalsh(h)[:, 0]:
+                delta = _margin(m, f, lowest)
+                currents = [_ulps(lowest, j) for j in range(-4, 5)]
+                currents += [lowest + k * delta for k in (-2, -1, 1, 2)]
+                for current in currents:
+                    with np.errstate(**_QUIET):
+                        got = _first_better(phi, h, current, DEFAULT_TOL)
+                    assert got == _eigvalsh_only(h, current), (m, current)
+
+
+@pytest.mark.parametrize("scale, calls", [(1.0, (0, 5)), (1e160, (1, 0))])
+def test_a_window_above_the_current_minimum_takes_no_spectrum(scale, calls):
+    # five images the shifted Cholesky factors: proved not better without a
+    # spectrum.  Beyond the Cholesky test's range the window takes every
+    # spectrum in one stacked call
+    h = scale * _common_spectrum(np.random.default_rng(2028), 9)
+    current = float(np.linalg.eigvalsh(h)[:, 0].min()) - scale
+    with lapack_calls(("eigvalsh", "cholesky")) as counted, np.errstate(**_QUIET):
+        assert _first_better(choi_fixture(), h, current, DEFAULT_TOL) is None
+    assert (counted["eigvalsh"], counted["cholesky"]) == calls
+
+
+CHOI3 = choi_matrix(choi_fixture(), 3)
+
+
+def test_extreme_scales_match_the_one_step_climb():
+    # choi3 given by its Choi matrix times 1e-150 .. 1e150: seed 5 ends its
+    # first restart on a witness wherever ten PSD floors are below its
+    # minimum, and on None where the absolute floor 1e-10 dominates
+    found = []
+    for exponent in range(-150, 151, 25):
+        phi = map_from_choi(10.0**exponent * CHOI3, 3)
+        got = witness_search(phi, seed=5, budget=601, n=3)
+        assert _same(got, oracle_witness_search(phi, seed=5, budget=601, n=3)), exponent
+        found.append(got is not None)
+    assert any(found) and not all(found)
+
+
+def test_beyond_the_cholesky_range_windows_match_or_raise_as_before():
+    # a window whose sum of squares overflows takes every spectrum in one
+    # stack; where the images overflow it raises the ScaleError it raised
+    # before the Cholesky test
+    for exponent in (160, 300, 307):
+        phi = map_from_choi(10.0**exponent * CHOI3, 3)
+        with np.errstate(all="ignore"):  # the one-step climb's own overflows
+            want = oracle_witness_search(phi, seed=5, budget=601, n=3)
+        assert want is not None
+        assert _same(witness_search(phi, seed=5, budget=601, n=3), want), exponent
+    phi = map_from_choi(10.0**307.5 * CHOI3, 3)
+    message = r"^map images overflow: map entries reach 3\.162e\+307; rescale the map$"
+    with pytest.raises(ScaleError, match=message):
+        witness_search(phi, seed=5, budget=601, n=3)
+
+
+def test_a_callers_underflow_setting_keeps_the_cholesky_on_its_gufunc_path(monkeypatch):
+    # the search ignores every flag, under included, so the seam factors
+    # each window in one gufunc call, never with numpy's function (replaced
+    # in both places, so the seam still reads it as numpy's own)
+    want = witness_search(choi_fixture(), seed=5, budget=601, n=3, d=3)
+
+    def public(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", public)
+    monkeypatch.setattr(linalg._numpy_linalg, "cholesky", public)
+    with np.errstate(under="warn"):
+        assert _same(witness_search(choi_fixture(), seed=5, budget=601, n=3, d=3), want)
