@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
+from .linalg import _integer
 
 if TYPE_CHECKING:  # imported inside their users: a matrix file needs neither
     from .maps import PositiveMap
@@ -39,10 +40,7 @@ __all__ = [
 
 def _int_field(obj: dict, key: str) -> int:
     """``obj[key]`` when it is a JSON integer; booleans and floats are not."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+    return _integer(obj[key], f"field {key!r}", InputError)
 
 
 def matrix_to_payload(m) -> dict:

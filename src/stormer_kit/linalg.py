@@ -87,13 +87,14 @@ such as a call counter, sees every call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionError, DomainError, ScaleError
+from .errors import DimensionError, DomainError, ScaleError, StormerKitError
 
 try:  # private numpy API, used only on the gufunc path of the LAPACK seam
     from numpy.linalg import _linalg as _numpy_linalg
@@ -280,6 +281,17 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
+
+
+def _integer(value, what: str, error: type[StormerKitError]) -> int:
+    """``value`` read through ``operator.index``: an int or a numpy integer.
+    Raises ``error`` for anything else, bools and floats included."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def require_square(m, what: str = "matrix") -> np.ndarray:
@@ -504,9 +516,11 @@ def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
     numpy's overflow warning becomes the ScaleError that
     :func:`_psd_spectrum` raises for the overflowed part otherwise."""
     try:
-        return 0.5 * (a + ah)
+        h = a + ah
     except RuntimeWarning as e:
         raise _overflow("spectrum overflows", "matrix", a) from e
+    h *= 0.5  # in place: the products of 0.5 * (a + ah), without a second array
+    return h
 
 
 def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False):
@@ -561,7 +575,7 @@ def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise DomainError("matrix is not positive semidefinite within tolerance")
     v = fix_phases(v)
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
-    return 0.5 * (s + adjoint(s))
+    return _hermitian_part(s, adjoint(s))
 
 
 def pinv(m, rcond: float = DEFAULT_RCOND) -> np.ndarray:

@@ -16,13 +16,12 @@ compiled at construction, contracted with every block of a stack.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionError, DomainError, ScaleError, StormerKitError
+from .errors import DimensionError, DomainError, ScaleError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -30,6 +29,8 @@ from .linalg import (
     _ValueObject,
     _eigvalsh,
     _held,
+    _hermitian_part,
+    _integer,
     _overflow,
     _positive_definite,
     adjoint,
@@ -224,17 +225,6 @@ class NecessityReport:
 _TRIAL_CHUNK = 256
 
 
-def _integer(value, what: str, error: type[StormerKitError]) -> int:
-    """``value`` read through ``operator.index``: an int or a numpy integer.
-    Raises ``error`` for anything else, bools and floats included."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{what} must be an integer, got {value!r}")
-
-
 def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
     """(n, d) as ints, d the block dimension of trial matrices (the map's
     own when d is None), after checking that trials have at least one block
@@ -275,29 +265,26 @@ def _hermitian_images(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
     Runs in the caller's ``np.errstate(**_QUIET)``: an overflow is reported
     by :func:`_image_spectra`."""
     m = _assemble(phi._apply(blocks))
-    h = m + adjoint(m)
-    h *= 0.5
-    return h
+    return _hermitian_part(m, adjoint(m))
 
 
-def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Ascending spectra, shape (k, nd), of a stack of k Hermitian images of
-    :func:`_hermitian_images`: the kernel of the necessity engine and of the
-    witness search.  Runs in the caller's ``np.errstate(**_QUIET)``, which
-    its stacked ``eigvalsh`` does not enter again.  Raises ScaleError (a
-    DomainError) where an image's spectrum overflows double precision: where
-    LAPACK fails on it, or where an end of it, and with it the PSD threshold
-    :func:`psd_margin` gives it, is not finite."""
+def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance):
+    """(ascending spectra, minimum eigenvalues, PSD thresholds), shapes
+    (k, nd), (k) and (k), of a stack of k Hermitian images of
+    :func:`_hermitian_images`, the last two by :func:`psd_margin`: the
+    kernel of the necessity engine and of the witness search.  Runs in the
+    caller's ``np.errstate(**_QUIET)``, which its stacked ``eigvalsh`` does
+    not enter again.  Raises ScaleError (a DomainError) where an image's
+    spectrum overflows double precision: where LAPACK fails on it, or where
+    an end of it, and with it its PSD threshold, is not finite."""
     try:
         w = _eigvalsh(h)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         raise _images_overflow(phi) from None
-    ends = w[:, :: max(1, w.shape[1] - 1)]  # each spectrum's lowest and highest, a view
-    # a threshold grows with its scale max(|w_min|, |w_max|): the one at
-    # the stack's largest scale is finite iff every image's is
-    if not math.isfinite(tol.threshold(np.abs(ends).max())):
+    lowest, thr = psd_margin(w, tol)
+    if not math.isfinite(thr.max()):
         raise _images_overflow(phi)
-    return w
+    return w, lowest, thr
 
 
 def _image_margin(
@@ -306,8 +293,7 @@ def _image_margin(
     """(minimum eigenvalue, PSD threshold) of each image of
     :func:`_image_spectra`, which raises its ScaleError."""
     with np.errstate(**_QUIET):
-        w = _image_spectra(phi, _hermitian_images(phi, blocks), tol)
-    return psd_margin(w, tol)
+        return _image_spectra(phi, _hermitian_images(phi, blocks), tol)[1:]
 
 
 def _images_overflow(phi: PositiveMap) -> ScaleError:
@@ -430,10 +416,10 @@ def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Toleranc
             if w[0] < current:
                 return int(t), float(w[0]), float(w[-1])
         return None
-    w = _image_spectra(phi, h, tol)
-    better = w[:, 0] < current
+    w, lowest, _ = _image_spectra(phi, h, tol)
+    better = lowest < current
     t = int(better.argmax())
-    return (t, float(w[t, 0]), float(w[t, -1])) if better[t] else None
+    return (t, float(lowest[t]), float(w[t, -1])) if better[t] else None
 
 
 def witness_search(
@@ -483,10 +469,10 @@ def witness_search(
     :func:`_image_spectra`'s ScaleError where one of them overflows.
 
     Only the candidate a restart ends on is judged, against the PSD
-    threshold ``tol.threshold(max(|lo|, |hi|))`` of its own spectrum, the
-    IEEE operations of :func:`psd_margin`.  The whole search runs in one
-    floating-point state, ``np.errstate(all="ignore")``, which its stacked
-    ``eigvalsh`` and Cholesky calls do not enter again; an overflow is reported by the
+    threshold :func:`psd_margin` gives the two ends of its own spectrum.
+    The whole search runs in one floating-point state,
+    ``np.errstate(all="ignore")``, which its stacked ``eigvalsh`` and
+    Cholesky calls do not enter again; an overflow is reported by the
     ScaleError below, in the window where it appears, and never as a numpy
     warning.
 
@@ -515,7 +501,7 @@ def witness_search(
                 for _ in range(steps)
             ]
             x = _boundary_grams(g[None], n, _FLOORS[:1])
-            w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)
+            w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)[0]
             # the ends of the current image's spectrum: its min_eig and top
             current, top, x = float(w[0, 0]), float(w[0, -1]), x[0]
             sigma = 0.3
@@ -539,7 +525,7 @@ def witness_search(
                 step += a + 1
             evaluations += 1 + step
             # the one threshold the restart reads: psd_margin's, of its last image
-            if current < -10.0 * tol.threshold(max(abs(current), abs(top))):
+            if current < -10.0 * psd_margin((current, top), tol)[1]:
                 return WitnessResult(
                     block=OperatorBlockMatrix.from_assembled(x, n),
                     min_eig=current,

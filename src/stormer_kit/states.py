@@ -22,6 +22,7 @@ from .linalg import (
     _frobenius,
     _held,
     _hermitian_part,
+    _integer,
     _op_norm,
     _psd_check,
     _psd_spectrum,
@@ -40,7 +41,8 @@ _EIG_FLOOR = -1e-9
 
 @dataclass(frozen=True, eq=False)
 class DensityState(_ValueObject):
-    """Normalized positive matrix on a bipartite space with dims (n, d).
+    """Normalized positive matrix on a bipartite space with dims (n, d),
+    kept as a pair of ints.
 
     The state owns a read-only copy of its matrix, as the other value
     objects do: it never aliases the caller's array, and writing into
@@ -54,50 +56,35 @@ class DensityState(_ValueObject):
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n, d = self.dims
+        try:  # a DimensionError of _integer is a ValueError too
+            n, d = (_integer(k, "state dims", DimensionError) for k in self.dims)
+        except (TypeError, ValueError):
+            raise DimensionError(f"state dims must be two integers, got {self.dims!r}") from None
         m = _held(require_square(self.matrix, "state matrix"))
         if n < 1 or d < 1 or m.shape[0] != n * d:
             raise DimensionError(
-                f"state of dims {self.dims} needs n, d >= 1 and a {n * d} x {n * d} matrix"
+                f"state of dims {(n, d)} needs n, d >= 1 and a {n * d} x {n * d} matrix"
             )
         mh = adjoint(m)
         scale = 1.0 + float(np.abs(m).max())
+        band = _HERM_EPS * scale
         try:
-            hermitian = np.abs(m - mh).max() <= _HERM_EPS * scale
+            # ||r||_F <= band / 2 settles it, with room for rounding: no
+            # modulus exceeds the Frobenius norm, and one whose squares
+            # underflow is far below the band.  A fresh state's zero
+            # residual so costs no abs().
+            r = m - mh
+            hermitian = _frobenius(r) <= 0.5 * band or np.abs(r).max() <= band
         except RuntimeWarning:  # where warnings are errors: the residual overflows
             hermitian = False
         if not hermitian:
             raise DomainError("state matrix is not Hermitian")
-        self._settle(m, mh, scale)
-
-    @classmethod
-    def _of_fresh(cls, dims: tuple[int, int], m: np.ndarray) -> "DensityState":
-        """The state of ``m``, a fresh n*d x n*d matrix whose Hermitian
-        residual is zero, such as ``(x + x*) / 2 / t``: the state takes
-        ``m`` over, read-only, without a copy, and skips the residual check
-        it would pass.  The finiteness check and both bands still run on
-        the same Hermitian part, so the state, its errors and ``_lowest``
-        are those of ``cls(dims, m)``.  (``m`` is Hermitian in value but
-        not always in the signs of its zeros, which can move the last bits
-        of its spectrum: the spectrum is still read off its Hermitian
-        part.)"""
-        if not np.isfinite(m).all():
-            raise DomainError("matrix entries must be finite")
-        m.flags.writeable = False
-        s = object.__new__(cls)
-        object.__setattr__(s, "dims", dims)
-        s._settle(m, adjoint(m), 1.0 + float(np.abs(m).max()))
-        return s
-
-    def _settle(self, m: np.ndarray, mh: np.ndarray, scale: float) -> None:
-        """The unit-trace and eigenvalue bands of a Hermitian ``m`` with
-        adjoint ``mh`` and largest entry ``scale - 1``; then ``m`` and its
-        lowest eigenvalue kept."""
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
         lowest = _psd_spectrum(_hermitian_part(m, mh), DEFAULT_TOL, m)[1]
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
+        object.__setattr__(self, "dims", (n, d))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_lowest", lowest)  # not a field: kept for reports
 
@@ -109,10 +96,9 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     holds :func:`stormer_test`'s checks for ``tol``, whatever the swapped
     side gave: its direct side judged the same matrix, whose Hermiticity it
     had decided.  Otherwise the matrix gets the boundary check of
-    :func:`is_psd`.  The state's own validation (fixed bands, independent of
-    ``tol``) always runs, through :meth:`DensityState._of_fresh`: the
-    normalized matrix is fresh, so the state takes it over without a copy,
-    and its Hermitian residual is zero, so it is not checked.
+    :func:`is_psd`.  The state is ``DensityState((n, d), h / trace)`` for
+    the Hermitian part ``h``, so its own validation (fixed bands,
+    independent of ``tol``) always runs in its constructor.
     """
     m = x.assembled()
     sides = x._sides.get(tol)
@@ -124,12 +110,13 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     # only a trace below that pays for the SVD.
     if tr <= tol.threshold(2.0 * _frobenius(m)) and tr <= tol.threshold(_op_norm(m)):
         raise DomainError("block matrix has (numerically) zero trace")
-    return DensityState._of_fresh((x.n, x.d), 0.5 * (m + adjoint(m)) / tr)
+    return DensityState((x.n, x.d), _hermitian_part(m, adjoint(m)) / tr)
 
 
 def partial_transpose_matrix(m, n: int, d: int, factor: int) -> np.ndarray:
     """Transpose of one tensor factor of a matrix on C^n (x) C^d."""
     a = require_square(m, "bipartite matrix")
+    n, d = _integer(n, "n", DimensionError), _integer(d, "d", DimensionError)
     if n < 1 or d < 1 or a.shape[0] != n * d:
         raise DimensionError(f"matrix must be {n * d} x {n * d} for positive dims ({n}, {d})")
     if factor not in (1, 2):
@@ -158,7 +145,7 @@ def _ppt_check(rho: DensityState, tol: Tolerance):
     """(verdict, min_eig, threshold) of :func:`is_ppt`: the one PT check,
     whose min_eig the reports print."""
     m = rho.matrix
-    return _psd_spectrum(_swap(0.5 * (m + adjoint(m)), rho.dims[0]), tol, m)
+    return _psd_spectrum(_swap(_hermitian_part(m, adjoint(m)), rho.dims[0]), tol, m)
 
 
 @dataclass(frozen=True, eq=False)

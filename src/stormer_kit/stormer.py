@@ -32,6 +32,7 @@ from .linalg import (
     _eig,
     _held,
     _hermitian_part,
+    _integer,
     _is_hermitian,
     _is_normal,
     _overflow,
@@ -72,9 +73,6 @@ class OperatorPair(_ValueObject):
         a2 = _held(require_square(self.a2, "a2"))
         if a1.shape != a2.shape:
             raise DimensionError(f"operator shapes differ: {a1.shape} vs {a2.shape}")
-        self._hold(a1, a2)
-
-    def _hold(self, a1: np.ndarray, a2: np.ndarray) -> None:
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
@@ -83,9 +81,9 @@ class OperatorPair(_ValueObject):
         return self.a1.shape[0]
 
     def swapped(self) -> "OperatorPair":
-        p = object.__new__(OperatorPair)
-        p._hold(self.a2, self.a1)
-        return p
+        """The pair (a2, a1), a new pair built by the constructor: it owns
+        its own copies and starts with nothing kept."""
+        return OperatorPair(self.a2, self.a1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +126,7 @@ class OperatorBlockMatrix(_ValueObject):
     @classmethod
     def from_assembled(cls, m, n: int) -> "OperatorBlockMatrix":
         a = require_square(m, "assembled matrix")
+        n = _integer(n, "n", DimensionError)
         if n < 1 or a.shape[0] % n != 0:
             raise DimensionError(f"size {a.shape[0]} is not a positive multiple of n={n}")
         return cls(_split(a, n))
@@ -306,16 +305,17 @@ def gram_row_block(row: np.ndarray) -> OperatorBlockMatrix:
     return OperatorBlockMatrix(np.einsum("ir,jc->ijrc", np.conj(r), r))
 
 
-def _ratio_operator(p: OperatorPair, rcond: float) -> tuple[RatioOperator, float]:
-    """The ratio operator and ``||a1||``, read off the same singular values."""
-    sv = _svdvals(p.a1)
+def _ratio_operator(a1: np.ndarray, a2: np.ndarray, rcond: float) -> tuple[RatioOperator, float]:
+    """The ratio operator a2 pinv(a1) and ``||a1||``, read off the same
+    singular values."""
+    sv = _svdvals(a1)
     degenerate = bool(sv[-1] <= rcond * sv[0])
-    return RatioOperator(p.a2 @ _pinv(p.a1, rcond), degenerate), float(sv[0])
+    return RatioOperator(a2 @ _pinv(a1, rcond), degenerate), float(sv[0])
 
 
 def ratio_operator(p: OperatorPair, rcond: float = DEFAULT_RCOND) -> RatioOperator:
     """T = a2 * pinv(a1), flagged degenerate when a1 is numerically singular."""
-    return _ratio_operator(p, rcond)[0]
+    return _ratio_operator(p.a1, p.a2, rcond)[0]
 
 
 def contraction_condition(
@@ -410,7 +410,7 @@ def canonical_decomposition(
     verdict kept there is reused.
     """
     _require_two_sided(p, tol)
-    return _canonical(p, tol, rcond)
+    return _canonical(p.a1, p.a2, tol, rcond)
 
 
 def _require_two_sided(p: OperatorPair, tol: Tolerance) -> None:
@@ -418,9 +418,10 @@ def _require_two_sided(p: OperatorPair, tol: Tolerance) -> None:
         raise DomainError("two-sided positivity condition not satisfied")
 
 
-def _canonical(p: OperatorPair, tol: Tolerance, rcond: float) -> CanonicalDecomposition:
-    """The decomposition of a pair already known to satisfy the condition."""
-    (t, degenerate), a1_norm = _ratio_operator(p, rcond)
+def _canonical(a1, a2, tol: Tolerance, rcond: float) -> CanonicalDecomposition:
+    """The decomposition of the pair's operators (a1, a2), taken in this
+    order, of a pair already known to satisfy the condition."""
+    (t, degenerate), a1_norm = _ratio_operator(a1, a2, rcond)
     if not _is_normal(t, tol):
         raise DomainError(
             "pair is degenerate and its ratio operator is not normal; "
@@ -429,7 +430,7 @@ def _canonical(p: OperatorPair, tol: Tolerance, rcond: float) -> CanonicalDecomp
             else "operator is not normal within tolerance"
         )
     lam, es = _eigenbasis(t)
-    g = adjoint(p.a1) @ es
+    g = adjoint(a1) @ es
     # np.linalg.norm(g, axis=0), written out as numpy's own body
     alphas = np.sqrt(np.add.reduce((g.conj() * g).real, axis=0))
     keep = alphas > tol.threshold(a1_norm)
@@ -494,7 +495,9 @@ def dual_decomposition(
     of the pair, not of the role order: the Gram block of (a2, a1) and its
     index swap are permutation-similar to those of (a1, a2).  So the check
     is :func:`stormer_test` on the pair's own Gram block, and a pair that
-    :func:`canonical_decomposition` has checked is not tested again.
+    :func:`canonical_decomposition` has checked is not tested again.  The
+    decomposition is then the canonical one of the pair's own operators
+    taken in the other order, (a2, a1): no second pair is built.
     """
     _require_two_sided(p, tol)
-    return _canonical(p.swapped(), tol, rcond)
+    return _canonical(p.a2, p.a1, tol, rcond)

@@ -170,6 +170,38 @@ def test_block_payload_rejects_malformed():
             block_from_payload({"n": n, "d": d, "blocks": []})
 
 
+def test_integer_fields_name_the_field_and_its_value(tmp_path):
+    one = matrix_to_payload(np.eye(1))
+    with pytest.raises(InputError, match=r"field 'cols' must be an integer, got 1\.0$"):
+        matrix_from_payload({"rows": 1, "cols": 1.0, "data": one["data"]})
+    with pytest.raises(InputError, match=r"field 'n' must be an integer, got True$"):
+        block_from_payload({"n": True, "d": 1, "blocks": [[one]]})
+    spec = tmp_path / "choi.json"
+    spec.write_text(json.dumps({"kind": "choi", "choi": matrix_to_payload(np.eye(4)), "input_dim": 2.0}))
+    with pytest.raises(InputError, match=r"field 'input_dim' must be an integer, got 2\.0$"):
+        load_map_spec(str(spec))
+
+
+def test_map_test_help_lists_the_named_maps(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as caught:
+        cli.build_parser().parse_args(["map-test", "--help"])
+    assert caught.value.code == 0
+    assert "identity | transpose | choi3 | spec file" in capsys.readouterr().out
+
+
+def test_building_the_parser_loads_no_map_code():
+    code = (
+        "import sys\n"
+        "from stormer_kit.cli import build_parser\n"
+        "build_parser()\n"
+        "print('stormer_kit.maps' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("payload", [{"A": 1, "B": 2}, [1, 2, 3], {"a": 1, "b": 2, "c": 3}])
 def test_partition_file_needs_a_b_and_c(tmp_path, payload):
     path = tmp_path / "partition.json"

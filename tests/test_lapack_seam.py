@@ -660,6 +660,29 @@ def test_lapack_entries_finds_factorizations():
     ]
 
 
+def new_uses(source: str) -> list[str]:
+    """Uses of ``__new__`` in source code: an object built without its
+    class's constructor."""
+    found = [
+        (node.lineno, f"{node.lineno}: {ast.unparse(node)}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    return [use for _, use in sorted(found)]
+
+
+def test_new_uses_finds_constructor_bypasses():
+    source = "s = object.__new__(cls)\nnew = super().__new__\nt = cls(1)\n"
+    assert new_uses(source) == ["1: object.__new__", "2: super().__new__"]
+
+
+def test_no_module_builds_an_object_past_its_constructor():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = {path.name: new_uses(path.read_text()) for path in modules}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def test_only_linalg_calls_numpy_factorizations():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5

@@ -118,6 +118,24 @@ def test_density_state_overflowing_residual_is_not_hermitian_where_warnings_are_
             DensityState((2, 2), _ANTI_CORNERS)
 
 
+# An anti-Hermitian off-diagonal pair: the residual m - m* is 2 m, finite in
+# every real and imaginary part, but its moduli, 1.5e308 * sqrt(2), overflow.
+_HALF_RESIDUAL = 0.75e308 * (1 + 1j)
+_MODULI_OVERFLOW = np.array([[0.5, _HALF_RESIDUAL], [-np.conj(_HALF_RESIDUAL), 0.5]])
+
+
+@pytest.mark.parametrize("mode", ["default", "error"])
+def test_density_state_residual_whose_moduli_overflow_is_not_hermitian(mode):
+    residual = _MODULI_OVERFLOW - _MODULI_OVERFLOW.conj().T
+    assert np.isfinite(residual).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.abs(residual)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        with pytest.raises(DomainError, match="state matrix is not Hermitian"):
+            DensityState((1, 2), _MODULI_OVERFLOW)
+
+
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(21)
     rho = product_state(rng, 2, 3)

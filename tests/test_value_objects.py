@@ -11,6 +11,7 @@ exactly what the separate computations give.
 
 import copy
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from stormer_kit import (
     DEFAULT_TOL,
     DensityState,
+    DimensionError,
     DomainError,
     OperatorBlockMatrix,
     OperatorPair,
@@ -30,10 +32,18 @@ from stormer_kit import (
     canonical_decomposition,
     choi_fixture,
     choi_matrix,
+    contraction_condition,
     dual_decomposition,
     gram_block,
+    gram_row_block,
+    gram_vectors,
+    is_ppt,
+    is_psd,
     make_decomposable,
     map_from_choi,
+    op_norm,
+    partial_transpose,
+    partial_transpose_matrix,
     psd_via_contraction,
     reconstruct_block,
     separable_decomposition,
@@ -46,6 +56,7 @@ from stormer_kit.sampling import (
     ginibre,
     haar_unitary,
     random_normal_operator,
+    random_partition,
     random_stormer_pair,
 )
 
@@ -286,6 +297,16 @@ def test_copies_own_fresh_arrays_and_keep_nothing():
         assert calls["eigvalsh"] == 2
 
 
+def test_the_swapped_pair_owns_fresh_arrays_and_keeps_nothing():
+    p = random_stormer_pair(np.random.default_rng(66), 3)
+    x = gram_block(p)
+    q = p.swapped()
+    assert np.array_equal(q.a1, p.a2) and np.array_equal(q.a2, p.a1)
+    assert not q.a1.flags.writeable and not q.a2.flags.writeable
+    assert not np.shares_memory(q.a1, p.a2) and not np.shares_memory(q.a2, p.a1)
+    assert gram_block(q) is not x
+
+
 # -- what a pair and a block keep ----------------------------------------------
 
 
@@ -520,3 +541,101 @@ def test_decompose_rate_script_prints_a_rate_per_stage(capsys):
     }
     assert [row[:2] for row in rows] == [[c, s] for c, names in stages.items() for s in names]
     assert all(len(row) == 3 and float(row[2]) > 0 for row in rows)
+
+
+# -- integer dimensions, read once at the boundary ----------------------------
+
+# Not integers: each raises DimensionError wherever a dimension is read.
+_NOT_DIMS = [2.0, True, np.float64(2.0), np.True_, "2", None]
+
+
+@pytest.mark.parametrize("bad", _NOT_DIMS, ids=repr)
+def test_state_dims_must_be_two_integers(bad):
+    m = np.eye(6) / 6
+    for dims in ((bad, 3), (2, bad), (2.0, 3), (True, 6), (1, 2, 3), (6,), 6):
+        with pytest.raises(DimensionError, match="state dims must be two integers"):
+            DensityState(dims, m)
+
+
+def test_state_keeps_its_dims_as_a_pair_of_ints():
+    m = np.eye(6) / 6
+    for dims in ((np.int64(2), np.int32(3)), [2, 3], np.array([2, 3])):
+        state = DensityState(dims, m)
+        for rho in (state, pickle.loads(pickle.dumps(state))):
+            assert rho.dims == (2, 3)
+            assert all(type(k) is int for k in rho.dims)
+            assert is_ppt(rho)
+            assert np.array_equal(partial_transpose(rho, 2), m)
+
+
+@pytest.mark.parametrize("bad", _NOT_DIMS, ids=repr)
+def test_from_assembled_reads_n_as_an_integer(bad):
+    with pytest.raises(DimensionError, match="n must be an integer"):
+        OperatorBlockMatrix.from_assembled(np.eye(4), bad)
+    x = OperatorBlockMatrix.from_assembled(np.eye(4), np.int64(2))
+    assert (x.n, x.d) == (2, 2)
+
+
+@pytest.mark.parametrize("bad", _NOT_DIMS, ids=repr)
+def test_partial_transpose_matrix_reads_its_dims_as_integers(bad):
+    m = np.arange(36.0).reshape(6, 6)
+    for n, d, name in ((bad, 3, "n"), (2, bad, "d")):
+        with pytest.raises(DimensionError, match=f"^{name} must be an integer"):
+            partial_transpose_matrix(m, n, d, 1)
+    assert np.array_equal(
+        partial_transpose_matrix(m, np.int64(2), np.int8(3), 1), partial_transpose_matrix(m, 2, 3, 1)
+    )
+
+
+# -- boundary checks: (call, error type, message fragment) --------------------
+
+_PAIR = OperatorPair(np.eye(2), np.eye(2))
+_NAN_BLOCK = np.zeros((2, 2, 2, 2), dtype=complex)
+_NAN_BLOCK[0, 1, 1, 0] = np.nan
+
+_BOUNDARY = [
+    pytest.param(lambda: is_psd(np.zeros((0, 0))), DimensionError,
+                 "expected a nonempty matrix, got shape (0, 0)", id="is_psd-empty"),
+    pytest.param(lambda: is_psd(np.zeros((2, 2, 2))), DimensionError,
+                 "expected a nonempty matrix, got shape (2, 2, 2)", id="is_psd-3d"),
+    pytest.param(lambda: is_psd(np.array([[1.0, np.nan], [np.nan, 1.0]])), DomainError,
+                 "matrix entries must be finite", id="is_psd-nan"),
+    pytest.param(lambda: is_psd(np.array([[np.inf]])), DomainError,
+                 "matrix entries must be finite", id="is_psd-inf"),
+    pytest.param(lambda: op_norm(np.zeros((3, 0))), DimensionError,
+                 "expected a nonempty matrix, got shape (3, 0)", id="op_norm-empty"),
+    pytest.param(lambda: op_norm(np.zeros((1, 2, 2))), DimensionError,
+                 "expected a nonempty matrix, got shape (1, 2, 2)", id="op_norm-3d"),
+    pytest.param(lambda: op_norm(np.array([[1.0, -np.inf]])), DomainError,
+                 "matrix entries must be finite", id="op_norm-inf"),
+    pytest.param(lambda: op_norm(np.array([[complex(0.0, np.nan)]])), DomainError,
+                 "matrix entries must be finite", id="op_norm-nan"),
+    pytest.param(lambda: OperatorBlockMatrix(np.zeros((2, 3, 2, 2))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (2, 3, 2, 2)", id="blocks-not-square"),
+    pytest.param(lambda: OperatorBlockMatrix(np.zeros((2, 2, 2, 3))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (2, 2, 2, 3)", id="blocks-not-d-by-d"),
+    pytest.param(lambda: OperatorBlockMatrix(np.zeros((2, 2, 2))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (2, 2, 2)", id="blocks-3d"),
+    pytest.param(lambda: OperatorBlockMatrix(_NAN_BLOCK), DomainError,
+                 "block entries must be finite", id="blocks-nan"),
+    pytest.param(lambda: gram_row_block(np.ones(3)), DimensionError,
+                 "row must have shape (n, d), got (3,)", id="gram_row_block-1d"),
+    pytest.param(lambda: contraction_condition(_PAIR, form="x"), ValueError,
+                 "unknown form 'x'", id="contraction_condition-form"),
+    pytest.param(lambda: random_partition(np.random.default_rng(0), 2, 2, "x"), ValueError,
+                 "unknown partition kind 'x'", id="random_partition-kind"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", _BOUNDARY)
+def test_boundary_checks_raise_their_error(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as caught:
+        call()
+    assert caught.type is error
+
+
+def test_gram_vectors_of_a_zero_block_has_no_rows():
+    for n, d in ((1, 1), (2, 3), (3, 2)):
+        rows = gram_vectors(OperatorBlockMatrix(np.zeros((n, n, d, d))))
+        assert rows.shape == (0, n, d)
+        assert rows.dtype == complex
