@@ -331,11 +331,11 @@ def main(argv=None) -> int:
         import numpy as np
 
         from .io import render_report
-        from .linalg import Tolerance
+        from .linalg import Tolerance, _SILENT
 
         args.tol = Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
         # an overflow is reported as an input error, not as a numpy warning
-        with np.errstate(all="ignore"):
+        with np.errstate(**_SILENT):
             report, code = _report(args, *args.handler(args))
         out = render_report(report, args.json)
     except StormerKitError as exc:

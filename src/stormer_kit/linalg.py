@@ -48,34 +48,27 @@ mark of a LAPACK failure, hands the input to the public function, which
 raises ``LinAlgError`` or returns what numpy returns.
 
 - One 2-d matrix takes the gufunc path in every function except
-  :func:`_cond`.  It tests its first output element for NaN and does not
-  silence floating-point errors as the public functions do (that would
-  cost about 2 us a call), so where LAPACK fails (on a matrix with
-  infinite or NaN entries, or one whose spectrum overflows) the gufunc call
-  also issues a RuntimeWarning (divide, invalid) before the same result or
-  error; where warnings are errors, that warning is raised in its place.
-- A stack of matrices takes the gufunc path in :func:`_cond` and
-  :func:`_qr`, the samplers' calls.  It runs under
-  ``np.errstate(all="ignore")`` and tests one output element per matrix, so
-  a stack warns or raises exactly as the public function does.
-- A stack in :func:`_eigvalsh`, the necessity engine's and the witness
-  search's call, takes the gufunc path too, with one NaN test per stack,
-  and enters no floating-point state: an errstate on every call would cost
-  what the wrapper does.  Its callers hold the state instead, with every
-  flag ignored, as numpy's wrapper ignores over, divide and under and
-  turns invalid into its error: the witness search one for the whole
-  search, the necessity engine one per stack of trials.  In it a stack
-  warns and raises exactly as the public function does.  Outside it, where
-  LAPACK fails, the gufunc's RuntimeWarnings come first, as for one
-  matrix.
+  :func:`_cond`, and tests its first output element for NaN.
+- A stack of matrices takes it in :func:`_eigvalsh`, :func:`_qr` and
+  :func:`_cond`, the samplers', the necessity engine's and the witness
+  search's calls, with one NaN test per stack.
 - :func:`_positive_definite`, the witness search's call, answers for each
   matrix of a stack, or for one matrix, whether ``np.linalg.cholesky``
   succeeds on it.  A failure is an answer, not an error, so it has no NaN
-  hand-off: one ``cholesky_lo`` call gives every verdict.  It enters no
-  floating-point state either, and takes the gufunc path only inside a
-  caller's state that silences every flag (``np.geterr()``); elsewhere it
-  factors one matrix at a time with numpy's function, so it warns as
-  numpy does, that is never.
+  hand-off: one ``cholesky_lo`` call gives every verdict.
+
+Floating-point state follows one rule.  No seam function and no private
+stack kernel enters or reads a state: an errstate on every call would cost
+what the wrapper does.  Each public call that runs stacked LAPACK calls
+(the samplers, the necessity engine, the witness search), or that reports
+an overflow as ScaleError instead of a warning, enters
+``np.errstate(**_SILENT)`` once, with every flag ignored, as numpy's
+wrappers ignore over, divide and under and turn invalid into their error
+or answer.  In it the gufunc path warns and raises exactly as the public
+function does.  Outside it, where LAPACK fails, the gufunc issues its
+RuntimeWarnings (divide, invalid) before the same result or error, and
+where warnings are errors, the first is raised in its place; a finite
+input that LAPACK solves issues none.
 
 Everything else takes the public path and calls the ``numpy.linalg``
 function itself: stacks in the other functions, other dtypes, a numpy
@@ -118,6 +111,10 @@ _COMPLEX128 = np.dtype(np.complex128)
 
 # -- the LAPACK seam ------------------------------------------------------
 
+# The package's one floating-point state, every flag ignored: the state of
+# ``np.errstate(**_SILENT)``, entered once by each public call that needs it.
+_SILENT = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+
 
 def _gufunc_path(a, name: str, stack: bool = False) -> bool:
     """True when ``a`` is one nonempty 2-d complex128 array (with ``stack``:
@@ -154,24 +151,20 @@ def _eigvalsh(a):
     return np.linalg.eigvalsh(a)
 
 
-# np.geterr() of a floating-point state in which every flag is ignored
-_SILENT = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-
-
 def _positive_definite(a):
     """True where a matrix of ``a`` (its lower triangle) is positive
     definite by Cholesky, that is where ``np.linalg.cholesky`` succeeds on
     it; ``a`` may be a stack, which gives a bool array of its leading
-    shape.  A failed factorization is an answer here, and numpy's function
-    issues no warning for it, while the gufunc flags it (invalid) and keeps
-    the flags LAPACK raised on the way.  So the gufunc path is taken only
-    where the caller's floating-point state already silences every flag, as
-    the witness search's does: the kernel enters none of its own.  The
-    gufunc fills a failed matrix's factor with NaN, and gives a completed
-    one a real diagonal, even from NaN entries, so a matrix's verdict is
-    that the imaginary part of its first pivot is a number.  Elsewhere each
-    matrix goes to numpy's function."""
-    if _gufunc_path(a, "cholesky", a.ndim > 2) and np.geterr() == _SILENT:
+    shape.  A failed factorization is an answer here, which numpy's
+    function gives without a warning, while the gufunc flags it (invalid)
+    and keeps the flags LAPACK raised on the way: in ``_SILENT``, as in the
+    witness search, no warning is issued either way.  The gufunc fills a
+    failed matrix's factor with NaN, and gives a completed one a real
+    diagonal, even from NaN entries, so a matrix's verdict is that the
+    imaginary part of its first pivot is a number.  A replaced
+    ``np.linalg.cholesky``, other dtypes and a numpy without the gufuncs
+    get numpy's function, one matrix at a time."""
+    if _gufunc_path(a, "cholesky", a.ndim > 2):
         pivot = _umath_linalg.cholesky_lo(a, signature="D->D")[..., 0, 0].imag
         return pivot == pivot
     verdict = np.empty(a.shape[:-2], dtype=bool)
@@ -220,27 +213,15 @@ def _qr(a, diag: bool = False):
     array without forming R: on the samplers' (20, 3, 3) stacks of Haar
     factors that takes 28 us a call against 43 us for ``np.linalg.qr`` and
     R's diagonal."""
-    one = _gufunc_path(a, "qr")
-    if one or _gufunc_path(a, "qr", stack=True):
+    stack = a.ndim > 2
+    if _gufunc_path(a, "qr", stack):
         f = a.astype(_COMPLEX128, copy=True)  # overwritten with R and the reflectors
-        if one:
-            q = _q_factor(f)
-            solved = q[0, 0] == q[0, 0]
-        else:
-            with np.errstate(all="ignore"):
-                q = _q_factor(f)
-            solved = _solved(q[..., 0, 0])
-        if solved:
+        tau = _umath_linalg.qr_r_raw(f, signature="D->D")
+        q = _umath_linalg.qr_reduced(f, tau, signature="DD->D")
+        if _solved(q[..., 0, 0]) if stack else q[0, 0] == q[0, 0]:
             return (q, np.diagonal(f, 0, -2, -1)) if diag else q
     q, r = np.linalg.qr(a)
     return (q, np.diagonal(r, 0, -2, -1)) if diag else q
-
-
-def _q_factor(f):
-    """Q of the reduced QR of ``f`` by numpy's two gufuncs, which overwrite
-    ``f`` with R and the reflectors."""
-    tau = _umath_linalg.qr_r_raw(f, signature="D->D")
-    return _umath_linalg.qr_reduced(f, tau, signature="DD->D")
 
 
 def _pinv(a, rcond: float):
@@ -265,9 +246,8 @@ def _cond(a):
     matrix takes the public path: the package asks for it only a few times
     per self-test."""
     if _gufunc_path(a, "cond", stack=True):
-        with np.errstate(all="ignore"):
-            s = _umath_linalg.svd(a, signature="D->d")
-            c = s[..., 0] / s[..., -1]
+        s = _umath_linalg.svd(a, signature="D->d")
+        c = s[..., 0] / s[..., -1]
         if _solved(c):
             return c
     return np.linalg.cond(a)
@@ -506,8 +486,12 @@ def eig_hermitian(m) -> HermitianEig:
 def _overflow(what: str, noun: str, *arrays: np.ndarray) -> ScaleError:
     """The ScaleError for finite ``arrays`` whose arithmetic overflows double
     precision: ``what`` says what overflowed, and the message names the
-    largest entry of the arrays, 1 when there are none (a named map)."""
+    largest modulus of the arrays' entries, 1 when there are none (a named
+    map).  Where a modulus itself overflows, it names the largest real or
+    imaginary part instead, which is finite."""
     scale = max((np.abs(a).max() for a in arrays), default=1.0)
+    if scale == math.inf:
+        scale = max(np.abs(part).max() for a in arrays for part in (a.real, a.imag))
     return ScaleError(f"{what}: {noun} entries reach {scale:.3e}; rescale the {noun}")
 
 

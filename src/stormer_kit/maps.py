@@ -100,7 +100,7 @@ class PositiveMap(_ValueObject):
             kp, kq = (np.array(part).reshape(-1, l, k) for part in (cp, cocp))
             # sum K[r, i] conj(K[c, j]) + sum L[r, j] conj(L[c, i]); an entry
             # that overflows is reported by _image_spectra's ScaleError
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(**_SILENT):
                 tensor = np.einsum("mri,mcj->ijrc", kp, kp.conj())
                 tensor = tensor + np.einsum("mrj,mci->ijrc", kq, kq.conj())
         elif self.kind == "choi_raw":
@@ -198,7 +198,7 @@ def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
     if k is None:
         raise DimensionError("dimension-agnostic map: pass input_dim explicitly")
     # an overflow is reported by the ScaleError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_SILENT):
         c = _assemble(phi.apply(np.eye(k * k).reshape(k, k, k, k)))
     if not np.isfinite(c).all():
         raise _images_overflow(phi)
@@ -230,7 +230,7 @@ def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
     own when d is None), after checking that trials have at least one block
     of positive size and that the map takes d x d input.  These are the
     checks :meth:`PositiveMap.apply` would make on every stack, made once
-    for the stacks that :func:`_image_spectra` maps unchecked."""
+    for the stacks that :func:`_hermitian_images` maps unchecked."""
     d = d if d is not None else phi.input_dim
     if d is None:
         raise DimensionError("dimension-agnostic map: pass d explicitly")
@@ -244,26 +244,20 @@ def _trial_dims(phi: PositiveMap, n, d) -> tuple[int, int]:
 
 def _trial_blocks(rng: np.random.Generator, count: int, n: int, d: int) -> np.ndarray:
     """``count`` two-sided-positive trial blocks, shape (count, n, n, d, d):
-    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise."""
+    Gram blocks of random pairs for n = 2, mixed Wishart blocks otherwise.
+    Runs in the engine's ``np.errstate(**_SILENT)``.  The blocks for n > 2
+    come from the public :func:`random_stormer_blocks`, whose own state
+    nests in it, so that a tracer of the public functions sees the sampler."""
     if n != 2:
         return random_stormer_blocks(rng, count, n, d)
     return _gram_blocks(_pair_stack(rng, count, d))
 
 
-# The floating-point state of the image kernel and of the witness search:
-# every flag ignored, over, divide and under as numpy's ``eigvalsh``
-# wrapper ignores them, and invalid, which the wrapper turns into its
-# error; :func:`_positive_definite` takes its gufunc path in it.  An
-# overflow of the images, or of their spectra, is reported by the kernel's
-# ScaleError instead of a warning.
-_QUIET = _SILENT
-
-
 def _hermitian_images(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
     """The Hermitian parts, shape (k, nd, nd), of the entrywise images of a
     stack of k sampled blocks, whose dimensions :func:`_trial_dims` checked.
-    Runs in the caller's ``np.errstate(**_QUIET)``: an overflow is reported
-    by :func:`_image_spectra`."""
+    Runs in the caller's ``np.errstate(**_SILENT)``: an overflow is
+    reported by :func:`_image_spectra`."""
     m = _assemble(phi._apply(blocks))
     return _hermitian_part(m, adjoint(m))
 
@@ -273,10 +267,10 @@ def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance):
     (k, nd), (k) and (k), of a stack of k Hermitian images of
     :func:`_hermitian_images`, the last two by :func:`psd_margin`: the
     kernel of the necessity engine and of the witness search.  Runs in the
-    caller's ``np.errstate(**_QUIET)``, which its stacked ``eigvalsh`` does
-    not enter again.  Raises ScaleError (a DomainError) where an image's
-    spectrum overflows double precision: where LAPACK fails on it, or where
-    an end of it, and with it its PSD threshold, is not finite."""
+    caller's ``np.errstate(**_SILENT)``, in which its stacked ``eigvalsh``
+    warns as numpy's does.  Raises ScaleError (a DomainError) where an
+    image's spectrum overflows double precision: where LAPACK fails on it,
+    or where an end of it, and with it its PSD threshold, is not finite."""
     try:
         w = _eigvalsh(h)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
@@ -285,15 +279,6 @@ def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance):
     if not math.isfinite(thr.max()):
         raise _images_overflow(phi)
     return w, lowest, thr
-
-
-def _image_margin(
-    phi: PositiveMap, blocks: np.ndarray, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray]:
-    """(minimum eigenvalue, PSD threshold) of each image of
-    :func:`_image_spectra`, which raises its ScaleError."""
-    with np.errstate(**_QUIET):
-        return _image_spectra(phi, _hermitian_images(phi, blocks), tol)[1:]
 
 
 def _images_overflow(phi: PositiveMap) -> ScaleError:
@@ -322,7 +307,8 @@ def theorem1_necessity_trial(
     (each taken to its Gram block) would for n = 2, and successive
     :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
     at most 256; every trial's arithmetic is the same as when run alone, so
-    the report depends on (phi, seed, trials, n, d, tol) only.  Raises
+    the report depends on (phi, seed, trials, n, d, tol) only.  Each stack
+    is drawn and mapped in one ``np.errstate(**_SILENT)``.  Raises
     DomainError when ``trials`` is not an integer of at least 1 or the
     images' spectra overflow, and DimensionError when n or d is not an
     integer of at least 1.
@@ -336,7 +322,9 @@ def theorem1_necessity_trial(
     worst = np.inf
     for start in range(0, trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, trials - start)
-        lowest, thr = _image_margin(phi, _trial_blocks(rng, count, n, d), tol)
+        with np.errstate(**_SILENT):
+            blocks = _trial_blocks(rng, count, n, d)
+            lowest, thr = _image_spectra(phi, _hermitian_images(phi, blocks), tol)[1:]
         violations += int(np.count_nonzero(lowest < -thr))
         worst = min(worst, float(lowest.min()))
     return NecessityReport(
@@ -381,7 +369,8 @@ def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Toleranc
     """(t, lowest, top) for the first Hermitian image ``h[t]`` of a witness
     window whose lowest eigenvalue, as ``eigvalsh`` computes it, is below
     ``current``, with the highest; None when no image is.  Runs in the
-    search's ``np.errstate(**_QUIET)``.
+    search's ``np.errstate(**_SILENT)``, in which the Cholesky and
+    ``eigvalsh`` calls issue no warning.
 
     One stacked Cholesky of H - (current + delta) I, delta of
     :func:`_margin`, clears every image it factors; the others get their
@@ -471,10 +460,8 @@ def witness_search(
     Only the candidate a restart ends on is judged, against the PSD
     threshold :func:`psd_margin` gives the two ends of its own spectrum.
     The whole search runs in one floating-point state,
-    ``np.errstate(all="ignore")``, which its stacked ``eigvalsh`` and
-    Cholesky calls do not enter again; an overflow is reported by the
-    ScaleError below, in the window where it appears, and never as a numpy
-    warning.
+    ``np.errstate(**_SILENT)``; an overflow is reported by the ScaleError
+    below, in the window where it appears, and never as a numpy warning.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
     (seed, r).  Raises DimensionError when n or d is not an integer of at
@@ -487,7 +474,7 @@ def witness_search(
     cand = np.empty((_WINDOW, nd, nd), dtype=complex)  # a window's kicked copies of G
     evaluations = 0
     restart = 0
-    with np.errstate(**_QUIET):  # one floating-point state for the whole search
+    with np.errstate(**_SILENT):  # one floating-point state for the whole search
         while evaluations < budget:
             rng = np.random.default_rng([seed, restart])
             g = ginibre(rng, nd)

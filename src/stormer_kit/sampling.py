@@ -13,7 +13,19 @@ import functools
 import numpy as np
 
 from . import _EXPORTS
-from .linalg import DEFAULT_TOL, Tolerance, _cond, _eigh, _eigvalsh, _op_norm, _qr, adjoint
+from .errors import DimensionError
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _SILENT,
+    _cond,
+    _eigh,
+    _eigvalsh,
+    _integer,
+    _op_norm,
+    _qr,
+    adjoint,
+)
 from .stormer import (
     OperatorBlockMatrix,
     OperatorPair,
@@ -35,8 +47,8 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     """Complex Gaussian matrix with iid standard entries (scaled by 1/sqrt 2).
 
     Draw order: the real parts, then the imaginary parts, row-major."""
-    if cols is None:
-        cols = rows
+    rows = _integer(rows, "rows", DimensionError)
+    cols = rows if cols is None else _integer(cols, "cols", DimensionError)
     return _complex_gaussian(*rng.standard_normal((2, rows, cols)))
 
 
@@ -123,9 +135,12 @@ def random_stormer_pairs(
     spans all ``count`` pairs and each later one twice the accepted run
     before it (at least one pair), so heavy rejection replays a bounded
     number of draws per pair instead of redrawing the whole tail.  The
-    algebra runs once on the stack.
+    algebra runs once on the stack, in ``np.errstate(**_SILENT)``.  Raises
+    DimensionError when ``count`` or ``d`` is not an integer.
     """
-    pairs = _pair_stack(rng, count, d, cond_max, center, radius)
+    count, d = _integer(count, "count", DimensionError), _integer(d, "d", DimensionError)
+    with np.errstate(**_SILENT):
+        pairs = _pair_stack(rng, count, d, cond_max, center, radius)
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -139,7 +154,9 @@ def _pair_stack(
 ) -> np.ndarray:
     """The pairs of :func:`random_stormer_pairs` as one (count, 2, d, d)
     stack, a1 and a2 of each pair side by side, so that the necessity
-    engine builds all Gram blocks with one broadcast product."""
+    engine builds all Gram blocks with one broadcast product.  Runs in the
+    caller's ``np.errstate(**_SILENT)``: a stacked ``cond`` that divides
+    0 by 0 hands its stack to numpy without a warning."""
     normals = np.empty((count, 4, d, d))  # per pair: a1 re, a1 im, Z re, Z im
     uniforms = np.empty((count, 2, d))  # per pair: disk radius and angle draws
     pairs = np.empty((count, 2, d, d), dtype=complex)
@@ -223,8 +240,12 @@ def random_stormer_blocks(
     from its normals once on the stack, by :func:`ginibre`'s formula, and
     the Gram products, traces, swapped spectra and mixing run once on the
     stack too, so ``count`` blocks consume the stream exactly as ``count``
-    calls of :func:`random_stormer_block` do.
+    calls of :func:`random_stormer_block` do.  They run in
+    ``np.errstate(**_SILENT)``.  Raises DimensionError when ``count``,
+    ``n`` or ``d`` is not an integer.
     """
+    count = _integer(count, "count", DimensionError)
+    n, d = _integer(n, "n", DimensionError), _integer(d, "d", DimensionError)
     nd = n * d
     normals = np.empty((count, 2, nd, nd))  # per block: G re, G im
     floor = np.empty(count)
@@ -232,7 +253,8 @@ def random_stormer_blocks(
         rng.standard_normal(out=normals[t])
         floor[t] = 0.2 * rng.random() if boundary is None else boundary
     g = _complex_gaussian(normals[:, 0], normals[:, 1])
-    return _split(_boundary_grams(g, n, floor), n)
+    with np.errstate(**_SILENT):
+        return _split(_boundary_grams(g, n, floor), n)
 
 
 def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
@@ -244,8 +266,9 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     The mix runs on the whole stack, and each matrix gets the arithmetic it
     gets alone: a stack at its floors comes back as it is, and in a stack
     both below and at its floors the kept matrices are picked out of the
-    mix with ``np.where``.  They divide by 1 instead of 1 - m0, which is 0
-    for a flat swapped spectrum (m0 = 1), so the discarded mix never warns.
+    mix with ``np.where``.  A kept matrix may divide 0 by 0 (a flat
+    swapped spectrum, m0 = 1), in the caller's ``np.errstate(**_SILENT)``:
+    its mix is discarded.
     """
     w = g @ adjoint(g)
     nd = w.shape[-1]
@@ -256,7 +279,7 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     if below == 0:
         return w
     every = below == low.size
-    mu = ((floor - m0) / (1.0 - m0 if every else np.where(low, 1.0 - m0, 1.0)))[:, None, None]
+    mu = ((floor - m0) / (1.0 - m0))[:, None, None]
     mixed = (1.0 - mu) * w
     mixed += mu * _identity(nd)
     return mixed if every else np.where(low[:, None, None], mixed, w)
@@ -311,7 +334,9 @@ def random_partition(rng: np.random.Generator, n: int, k: int, kind: str):
     matrix fails; ``indefinite`` draws Hermitian A, C and generic B;
     ``singular`` zeroes trailing eigenvalues of A first.  Returns blocks, not
     a Partition2, to keep this module decoupled from the blocks module.
+    Raises DimensionError when n or k is not an integer.
     """
+    n, k = _integer(n, "n", DimensionError), _integer(k, "k", DimensionError)
     if kind in ("psd", "inflated", "singular"):
         g = ginibre(rng, n + k)
         m = g @ adjoint(g)

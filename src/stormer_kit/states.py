@@ -24,6 +24,7 @@ from .linalg import (
     _hermitian_part,
     _integer,
     _op_norm,
+    _overflow,
     _psd_check,
     _psd_spectrum,
     adjoint,
@@ -49,7 +50,8 @@ class DensityState(_ValueObject):
     ``matrix`` raises ``ValueError``, so the validated matrix and the lowest
     eigenvalue kept from its validation cannot go stale.  A residual
     ``m - m*`` that overflows is not Hermitian; finite entries whose
-    Hermitian part or spectrum overflows raise ScaleError (a DomainError).
+    modulus, Hermitian part or spectrum overflows raise ScaleError (a
+    DomainError): an infinite modulus would make every band infinite.
     """
 
     dims: tuple[int, int]
@@ -67,6 +69,8 @@ class DensityState(_ValueObject):
             )
         mh = adjoint(m)
         scale = 1.0 + float(np.abs(m).max())
+        if scale == np.inf:
+            raise _overflow("entry modulus overflows", "matrix", m)
         band = _HERM_EPS * scale
         try:
             # ||r||_F <= band / 2 settles it, with room for rounding: no
@@ -119,7 +123,7 @@ def partial_transpose_matrix(m, n: int, d: int, factor: int) -> np.ndarray:
     n, d = _integer(n, "n", DimensionError), _integer(d, "d", DimensionError)
     if n < 1 or d < 1 or a.shape[0] != n * d:
         raise DimensionError(f"matrix must be {n * d} x {n * d} for positive dims ({n}, {d})")
-    if factor not in (1, 2):
+    if _integer(factor, "factor", InputError) not in (1, 2):
         raise InputError(f"factor must be 1 or 2, got {factor}")
     # The second factor's partial transpose is the first's of the transpose.
     return _swap(a if factor == 1 else a.T, n)

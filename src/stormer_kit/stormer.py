@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_RCOND,
     DEFAULT_TOL,
     Tolerance,
+    _SILENT,
     _ValueObject,
     _eig,
     _held,
@@ -217,7 +218,7 @@ def gram_block(p: OperatorPair) -> OperatorBlockMatrix:
     x = p._gram
     if x is None:
         d = p.dim
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_SILENT):
             b = _gram_blocks(np.concatenate((p.a1, p.a2)).reshape(2, d, d))
         try:
             x = OperatorBlockMatrix(b)

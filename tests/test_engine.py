@@ -27,7 +27,7 @@ from stormer_kit import (
     transpose_map,
 )
 from stormer_kit import maps as maps_module
-from stormer_kit.linalg import adjoint
+from stormer_kit.linalg import _SILENT, adjoint
 from stormer_kit.sampling import (
     _boundary_grams,
     _pair_stack,
@@ -374,13 +374,13 @@ def test_boundary_mix_equals_the_per_matrix_reference(n, k, below):
 
 
 def test_boundary_mix_keeps_a_flat_swapped_spectrum_without_warning():
-    # G = I: W = I, whose index swap is I, so m0 = 1 and 1 - m0 = 0; a mix
-    # computed for it and then discarded would divide by zero
+    # G = I: W = I, whose index swap is I, so m0 = 1 and 1 - m0 = 0; the mix
+    # computed for it divides 0 by 0, in the callers' _SILENT, and is discarded
     rng = np.random.default_rng(7)
     eye = np.eye(9, dtype=complex)
     g = np.stack([eye, ginibre(rng, 9), eye])
     m0 = _normalized_gram(g[1], 3)[1]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(**_SILENT):
         warnings.simplefilter("error")
         got = _boundary_grams(g, 3, np.array([0.05, m0 + 0.01, 0.05]))
         alone = _boundary_grams(g[:1], 3, np.array([0.05]))
@@ -483,6 +483,18 @@ def test_necessity_rate_script_prints_a_rate_per_map_kind(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == ["named", "kraus", "choi"]
     assert all(len(row) == 3 and min(map(float, row[1:])) > 0 for row in rows)
+
+
+def test_necessity_digest_script_prints_one_digest_of_its_sweep(monkeypatch, capsys):
+    # two calls per map and n, one of 20 trials and one of two stacks, whose
+    # reports the digest pins bit for bit
+    script = load_script("necessity_digest")
+    monkeypatch.setattr(script, "CALLS", [(1, 20), (2, 300)])
+    assert script.main() == 0
+    assert capsys.readouterr().out == (
+        "d5314e8196c5ab2ef542aab22f5dd73409beec1f80007dbdf4b025bf4df976ef"
+        "  156 reports, 0 violations\n"
+    )
 
 
 # Commands run in one process after the import check: each must leave scipy

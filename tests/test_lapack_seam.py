@@ -3,13 +3,16 @@
 One 2-d complex128 matrix, and a stack of them in ``_cond``, ``_qr`` and
 ``_eigvalsh``, takes the gufunc path, which calls numpy's ``_umath_linalg``
 gufuncs without the ``numpy.linalg`` wrapper; everything else takes the
-public path.  Both must give bit-equal results and raise the same errors (a
-stack in ``_cond`` and ``_qr`` also the same warnings, and one in
-``_eigvalsh`` the same warnings in the witness search's floating-point
-state), a wrapper installed over a ``numpy.linalg`` function must see every
-call, and no module but ``linalg`` may call a factorization itself.
+public path.  Both must give bit-equal results and raise the same errors,
+a wrapper installed over a ``numpy.linalg`` function must see every call,
+and no module but ``linalg`` may call a factorization itself.
 ``_positive_definite`` must give, matrix by matrix, the verdict of
-``np.linalg.cholesky`` and, like it, no warning.
+``np.linalg.cholesky``.
+
+No seam function enters or reads a floating-point state.  In the package's
+one state, ``np.errstate(**_SILENT)``, every stack warns exactly as numpy
+does and ``_positive_definite``, like numpy's function, never; outside it,
+the gufunc's own warnings come first, then numpy's answer.
 """
 
 import ast
@@ -31,7 +34,7 @@ from stormer_kit import (
     psd_via_contraction,
 )
 from stormer_kit import linalg
-from stormer_kit.maps import _QUIET
+from stormer_kit.linalg import _SILENT
 from stormer_kit.sampling import (
     ginibre,
     random_normal_operator,
@@ -117,8 +120,6 @@ def test_gufunc_path_is_bit_equal_to_numpy(name):
 # -- stacks: _cond, _qr and _eigvalsh take the gufunc path -------------------
 
 STACKED = ("cond", "qr", "eigvalsh")
-# the stacks that run under np.errstate(all="ignore"), so warn as numpy does
-SILENCED = ("cond", "qr")
 # (count, d): the stack shapes the library factorizes.  The necessity
 # engine's 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its
 # samplers' candidates and Haar factors (d = 2..4), the witness search's
@@ -278,17 +279,35 @@ def _one_failing(kind):
     return a
 
 
-@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
-@pytest.mark.parametrize("name", SILENCED)
-def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
-    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0
+def _assert_numpys_answer_by_the_one_rule(name, kind, capfd):
+    """A stack with one failing matrix gets numpy's exact answer: in
+    ``_SILENT`` with numpy's warnings; outside it after the gufunc's own
+    RuntimeWarnings, which come first.  Returns the warnings the seam
+    issued outside ``_SILENT``."""
     seam, public = SEAM[name]
     a = _one_failing(kind)
     assert linalg._gufunc_path(a, name, stack=True)
-    (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
+    with np.errstate(**_SILENT):
+        (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
     assert got_warnings == want_warnings
     _assert_same_outcome(got, want)
+    (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
+    _assert_same_outcome(got, want)
+    gufunc = got_warnings[: len(got_warnings) - len(want_warnings)]
+    assert got_warnings == gufunc + want_warnings
+    assert all(category is RuntimeWarning for category, _ in gufunc)
     assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+    return gufunc
+
+
+@pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
+@pytest.mark.parametrize("name", ["cond", "qr"])
+def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
+    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0,
+    # which only the seam's own division reports, outside _SILENT
+    gufunc = _assert_numpys_answer_by_the_one_rule(name, kind, capfd)
+    if (name, kind) == ("cond", "zero"):
+        assert gufunc == [(RuntimeWarning, "invalid value encountered in divide")]
 
 
 # -- stacks in _eigvalsh: the bare gufunc, in its caller's floating-point state
@@ -309,21 +328,17 @@ def test_eigvalsh_stacks_call_the_gufunc_without_numpys_function(monkeypatch):
 
 @pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
 def test_an_eigvalsh_stack_with_one_failing_matrix_gets_numpys_exact_answer(kind, capfd):
-    # the stack path enters no floating-point state: in the witness search's
-    # it warns and raises exactly as numpy does; outside it the gufunc's own
-    # warnings may come first, then numpy's answer
-    seam, public = SEAM["eigvalsh"]
-    a = _one_failing(kind)
-    assert linalg._gufunc_path(a, "eigvalsh", stack=True)
-    with np.errstate(**_QUIET):
-        (got, got_warnings), (want, want_warnings) = _observed(seam, a), _observed(public, a)
-    assert got_warnings == want_warnings
-    _assert_same_outcome(got, want)
-    _assert_same_outcome(_observed(seam, a)[0], _observed(public, a)[0])
-    assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
+    # the necessity engine's and the witness search's stacks, by the same rule
+    _assert_numpys_answer_by_the_one_rule("eigvalsh", kind, capfd)
 
 
 # -- _positive_definite: one Cholesky verdict per matrix ---------------------
+
+
+def _cholesky_gufunc(a):
+    """The seam's one ``cholesky_lo`` call on ``a``, whose warnings are the
+    ones :func:`linalg._positive_definite` issues outside ``_SILENT``."""
+    return linalg._umath_linalg.cholesky_lo(a, signature="D->D")
 
 
 def _cholesky_succeeds(a) -> bool:
@@ -414,7 +429,7 @@ def test_positive_definite_is_numpys_cholesky_verdict_in_a_silent_state(monkeypa
     monkeypatch.setattr(linalg._numpy_linalg, "cholesky", public)
     for label, a in CHOLESKY_INPUTS:
         assert linalg._gufunc_path(a, "cholesky", a.ndim > 2), label
-        with np.errstate(**_QUIET):
+        with np.errstate(**_SILENT):
             got = linalg._positive_definite(a)
         assert np.array_equal(got, want[label]), label
 
@@ -422,26 +437,41 @@ def test_positive_definite_is_numpys_cholesky_verdict_in_a_silent_state(monkeypa
 @pytest.mark.parametrize("state", ["quiet", "default"])
 def test_positive_definite_gives_numpys_verdict_and_warnings(state, capfd):
     # numpy's function issues no warning for a matrix it cannot factor, and
-    # neither does the kernel, inside the witness search's state and outside
+    # neither does the kernel in _SILENT, the witness search's state; outside
+    # it the gufunc's warnings come first, then the same verdicts
+    warned = 0
     for label, a in CHOLESKY_INPUTS:
-        with np.errstate(**(_QUIET if state == "quiet" else {})):
+        with np.errstate(**(_SILENT if state == "quiet" else {})):
             outcome, got_warnings = _observed(linalg._positive_definite, a)
-            want_warnings = [
+            gufunc_warnings = _observed(_cholesky_gufunc, a)[1]
+            numpy_warnings = [
                 w for i in np.ndindex(a.shape[:-2]) for w in _observed(_cholesky_succeeds, a[i])[1]
             ]
-        assert got_warnings == want_warnings == [], label
+        assert numpy_warnings == [], label
+        assert got_warnings == gufunc_warnings, label
+        assert all(category is RuntimeWarning for category, _ in got_warnings), label
+        warned += bool(got_warnings)
         assert outcome[0] == "returns", label
         _assert_verdicts(outcome[1][0], a, label)
+    assert (warned > 0) == (state == "default")
     assert "On entry to" not in "".join(capfd.readouterr())  # no LAPACK argument error
 
 
 def test_positive_definite_where_warnings_are_errors():
+    # in _SILENT every verdict is numpy's; outside it the gufunc's first
+    # warning, where it has one, is raised in the verdicts' place
     for label, a in CHOLESKY_INPUTS:
+        gufunc_warnings = _observed(_cholesky_gufunc, a)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for state in (_QUIET, {}):
-                with np.errstate(**state):
-                    _assert_verdicts(linalg._positive_definite(a), a, label)
+            with np.errstate(**_SILENT):
+                _assert_verdicts(linalg._positive_definite(a), a, label)
+            if not gufunc_warnings:
+                _assert_verdicts(linalg._positive_definite(a), a, label)
+                continue
+            with pytest.raises(RuntimeWarning) as raised:
+                linalg._positive_definite(a)
+            assert str(raised.value) == gufunc_warnings[0][1], label
 
 
 @pytest.mark.parametrize("state", ["quiet", "default"])
@@ -458,7 +488,7 @@ def test_a_wrapper_over_numpys_cholesky_sees_every_matrix(state, monkeypatch):
     for label, a in CHOLESKY_INPUTS:
         assert not linalg._gufunc_path(a, "cholesky", a.ndim > 2)
         calls.clear()
-        with np.errstate(**(_QUIET if state == "quiet" else {})):
+        with np.errstate(**(_SILENT if state == "quiet" else {})):
             got = linalg._positive_definite(a)
         assert np.array_equal(got, want[label]), label
         assert len(calls) == int(np.prod(a.shape[:-2])), label
@@ -469,11 +499,11 @@ def test_positive_definite_on_other_inputs_takes_the_public_path(monkeypatch):
     others = [stack.real.copy(), stack.astype(">c16"), stack.astype(np.complex64)]
     for a in others + [b[0] for b in others]:
         assert not linalg._gufunc_path(a, "cholesky", a.ndim > 2)
-        with np.errstate(**_QUIET):
+        with np.errstate(**_SILENT):
             _assert_verdicts(linalg._positive_definite(a), a, a.dtype)
     monkeypatch.setattr(linalg, "_umath_linalg", None)
     for label, a in CHOLESKY_INPUTS:
-        with np.errstate(**_QUIET):
+        with np.errstate(**_SILENT):
             _assert_verdicts(linalg._positive_definite(a), a, label)
 
 
@@ -692,3 +722,92 @@ def test_only_linalg_calls_numpy_factorizations():
         if path.name != "linalg.py"
     }
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+# -- one floating-point rule: only public entries hold np.errstate(**_SILENT) --
+
+SEAM_FUNCTIONS = {
+    "_eigvalsh", "_eigh", "_svdvals", "_eig", "_qr", "_pinv", "_cond", "_positive_definite"
+}
+
+
+def _numpy_attribute(node, names) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in names
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def _silent_state(node) -> bool:
+    """True for the call ``np.errstate(**_SILENT)``."""
+    return (
+        not node.args
+        and len(node.keywords) == 1
+        and node.keywords[0].arg is None
+        and isinstance(node.keywords[0].value, ast.Name)
+        and node.keywords[0].value.id == "_SILENT"
+    )
+
+
+def state_breaches(source: str) -> list[str]:
+    """Breaches of the floating-point rule in source code: a seam function
+    that enters ``np.errstate`` or reads ``np.geterr``, an ``np.errstate``
+    other than ``np.errstate(**_SILENT)``, and any use of ``np.geterr`` or
+    ``np.seterr``, or an import of the three from numpy."""
+    tree = ast.parse(source)
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in SEAM_FUNCTIONS:
+            found += [
+                f"{node.lineno}: {fn.name} uses np.{node.attr}"
+                for node in ast.walk(fn)
+                if _numpy_attribute(node, ("errstate", "geterr"))
+            ]
+    silent = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _numpy_attribute(node.func, ("errstate",))
+        and _silent_state(node)
+    }
+    for node in ast.walk(tree):
+        if _numpy_attribute(node, ("geterr", "seterr")):
+            found.append(f"{node.lineno}: np.{node.attr}")
+        elif _numpy_attribute(node, ("errstate",)) and id(node) not in silent:
+            found.append(f"{node.lineno}: np.errstate without **_SILENT")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = {alias.name for alias in node.names} & {"errstate", "geterr", "seterr"}
+            found += [f"{node.lineno}: from numpy import {name}" for name in sorted(names)]
+    return sorted(found, key=lambda breach: int(breach.split(":")[0]))
+
+
+def test_state_breaches_finds_every_kind():
+    source = (
+        "import numpy as np\n"
+        "from numpy import geterr\n"
+        "def _cond(a):\n"
+        "    with np.errstate(**_SILENT):\n"
+        "        return a\n"
+        "def _qr(a):\n"
+        "    return np.geterr() == _SILENT\n"
+        "def entry(a):\n"
+        "    with np.errstate(all='ignore'), np.errstate(**_SILENT):\n"
+        "        return np.errstate\n"
+    )
+    assert state_breaches(source) == [
+        "2: from numpy import geterr",
+        "4: _cond uses np.errstate",
+        "7: _qr uses np.geterr",
+        "7: np.geterr",
+        "9: np.errstate without **_SILENT",
+        "10: np.errstate without **_SILENT",
+    ]
+
+
+def test_only_public_entries_hold_the_one_floating_point_state():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = {path.name: state_breaches(path.read_text()) for path in modules}
+    assert {name: breaches for name, breaches in found.items() if breaches} == {}

@@ -46,7 +46,7 @@ from stormer_kit import (
 )
 from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
-from stormer_kit.linalg import _psd_check, fix_phases
+from stormer_kit.linalg import _overflow, _psd_check, fix_phases
 from stormer_kit.stormer import _swap, _two_sided
 from stormer_kit.sampling import (
     ginibre,
@@ -644,6 +644,19 @@ def test_overflow_raises_scale_error_where_warnings_are_errors(name):
         warnings.simplefilter("error")
         with pytest.raises(ScaleError, match=r"overflows: \w+ entries reach 1\.000e\+308"):
             _OVERFLOWING[name]()
+
+
+def test_overflow_names_the_largest_part_where_a_modulus_overflows():
+    # both parts of the corner are finite, its modulus 1.5e308 * sqrt(2) is
+    # not: the message names the largest part; a finite modulus as before
+    message = "spectrum overflows: matrix entries reach {}; rescale the matrix"
+    for corner, scale in ((1.5e308, "1.500e+308"), (3e307, "4.243e+307")):
+        a = np.array([[corner * (1 + 1j), 1], [0, 0]])
+        assert str(_overflow("spectrum overflows", "matrix", a)) == message.format(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleError, match=f"^{re.escape(message.format('1.500e+308'))}$"):
+            is_psd(np.array([[1.5e308 * (1 + 1j), 1], [0, 0]]))
 
 
 # Hermitian matrices whose Hermitian part overflows (the corners add to

@@ -136,6 +136,22 @@ def test_density_state_residual_whose_moduli_overflow_is_not_hermitian(mode):
             DensityState((1, 2), _MODULI_OVERFLOW)
 
 
+# A finite entry whose modulus, 1.3e308 * sqrt(2), overflows: bands scaled
+# by the largest modulus would all be infinite and accept the matrix.
+_MODULUS_OVERFLOWS = np.array([[0.5, 1.3e308 * (1 + 1j)], [0, 0.5]])
+
+
+@pytest.mark.parametrize("mode", ["default", "error"])
+def test_density_state_entry_whose_modulus_overflows_is_a_scale_error(mode):
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.abs(_MODULUS_OVERFLOWS)).any()
+    message = r"^entry modulus overflows: matrix entries reach 1\.300e\+308; rescale the matrix$"
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        with pytest.raises(ScaleError, match=message):
+            DensityState((1, 2), _MODULUS_OVERFLOWS)
+
+
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(21)
     rho = product_state(rng, 2, 3)

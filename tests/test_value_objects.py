@@ -22,6 +22,7 @@ from stormer_kit import (
     DensityState,
     DimensionError,
     DomainError,
+    InputError,
     OperatorBlockMatrix,
     OperatorPair,
     Partition2,
@@ -57,7 +58,10 @@ from stormer_kit.sampling import (
     haar_unitary,
     random_normal_operator,
     random_partition,
+    random_stormer_block,
+    random_stormer_blocks,
     random_stormer_pair,
+    random_stormer_pairs,
 )
 
 from helpers import (
@@ -624,6 +628,31 @@ _BOUNDARY = [
                  "unknown form 'x'", id="contraction_condition-form"),
     pytest.param(lambda: random_partition(np.random.default_rng(0), 2, 2, "x"), ValueError,
                  "unknown partition kind 'x'", id="random_partition-kind"),
+    pytest.param(lambda: random_partition(np.random.default_rng(0), 2.0, 2, "psd"), DimensionError,
+                 "n must be an integer, got 2.0", id="random_partition-float"),
+    pytest.param(lambda: random_partition(np.random.default_rng(0), 2, True, "psd"),
+                 DimensionError, "k must be an integer, got True", id="random_partition-bool"),
+    pytest.param(lambda: ginibre(np.random.default_rng(0), 2.5), DimensionError,
+                 "rows must be an integer, got 2.5", id="ginibre-rows"),
+    pytest.param(lambda: ginibre(np.random.default_rng(0), 2, 2.0), DimensionError,
+                 "cols must be an integer, got 2.0", id="ginibre-cols"),
+    pytest.param(lambda: random_stormer_pair(np.random.default_rng(0), 2.0), DimensionError,
+                 "d must be an integer, got 2.0", id="random_stormer_pair-float"),
+    pytest.param(lambda: random_stormer_pair(np.random.default_rng(0), True), DimensionError,
+                 "d must be an integer, got True", id="random_stormer_pair-bool"),
+    pytest.param(lambda: random_stormer_pairs(np.random.default_rng(0), 2.0, 2), DimensionError,
+                 "count must be an integer, got 2.0", id="random_stormer_pairs-count"),
+    pytest.param(lambda: random_stormer_block(np.random.default_rng(0), 2, 2.0), DimensionError,
+                 "d must be an integer, got 2.0", id="random_stormer_block-float"),
+    pytest.param(lambda: random_stormer_block(np.random.default_rng(0), True, 2), DimensionError,
+                 "n must be an integer, got True", id="random_stormer_block-bool"),
+    pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), 2.5, 2, 2),
+                 DimensionError, "count must be an integer, got 2.5",
+                 id="random_stormer_blocks-count"),
+    pytest.param(lambda: partial_transpose_matrix(np.eye(4), 2, 2, True), InputError,
+                 "factor must be an integer, got True", id="partial_transpose_matrix-bool"),
+    pytest.param(lambda: partial_transpose_matrix(np.eye(4), 2, 2, 1.0), InputError,
+                 "factor must be an integer, got 1.0", id="partial_transpose_matrix-float"),
 ]
 
 

@@ -31,7 +31,8 @@ from stormer_kit import (
 )
 from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
-from stormer_kit.maps import _QUIET, _first_better, _margin
+from stormer_kit.linalg import _SILENT
+from stormer_kit.maps import _first_better, _margin
 from stormer_kit.sampling import ginibre
 
 from helpers import hermitize, lapack_calls, load_script, oracle_witness_search
@@ -273,7 +274,7 @@ def test_the_cholesky_margin_keeps_the_decisions_of_eigvalsh(scale):
                 currents = [_ulps(lowest, j) for j in range(-4, 5)]
                 currents += [lowest + k * delta for k in (-2, -1, 1, 2)]
                 for current in currents:
-                    with np.errstate(**_QUIET):
+                    with np.errstate(**_SILENT):
                         got = _first_better(phi, h, current, DEFAULT_TOL)
                     assert got == _eigvalsh_only(h, current), (m, current)
 
@@ -285,7 +286,7 @@ def test_a_window_above_the_current_minimum_takes_no_spectrum(scale, calls):
     # spectrum in one stacked call
     h = scale * _common_spectrum(np.random.default_rng(2028), 9)
     current = float(np.linalg.eigvalsh(h)[:, 0].min()) - scale
-    with lapack_calls(("eigvalsh", "cholesky")) as counted, np.errstate(**_QUIET):
+    with lapack_calls(("eigvalsh", "cholesky")) as counted, np.errstate(**_SILENT):
         assert _first_better(choi_fixture(), h, current, DEFAULT_TOL) is None
     assert (counted["eigvalsh"], counted["cholesky"]) == calls
 
