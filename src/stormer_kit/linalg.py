@@ -52,10 +52,17 @@ raises ``LinAlgError`` or returns what numpy returns.
 - A stack of matrices takes it in :func:`_eigvalsh`, :func:`_qr` and
   :func:`_cond`, the samplers', the necessity engine's and the witness
   search's calls, with one NaN test per stack.
-- :func:`_positive_definite`, the witness search's call, answers for each
-  matrix of a stack, or for one matrix, whether ``np.linalg.cholesky``
-  succeeds on it.  A failure is an answer, not an error, so it has no NaN
-  hand-off: one ``cholesky_lo`` call gives every verdict.
+- :func:`_positive_definite` answers for each matrix of a stack, or for
+  one matrix, whether ``np.linalg.cholesky`` succeeds on it.  A failure is
+  an answer, not an error, so it has no NaN hand-off: one ``cholesky_lo``
+  call gives every verdict.  Its callers are the witness search and
+  :func:`_well_conditioned`, the pair sampler's condition test, which
+  clears a candidate a1 when its Gram matrix, shifted by
+  ||a1||_F^2 (1 / cond_max^2 + 16 m^3 eps), is positive definite: a bound
+  on the smallest singular value, with room for the rounding of the Gram
+  product, of the Cholesky and of the SVD.  Only the candidates it does
+  not clear get :func:`_cond`, so its verdicts are those of
+  ``_cond(a1) <= cond_max``.
 
 Floating-point state follows one rule.  No seam function and no private
 stack kernel enters or reads a state: an errstate on every call would cost
@@ -107,6 +114,10 @@ _HERMITICITY_REL = 1e-6
 _PHASE_CUTOFF = 1e-12
 
 _COMPLEX128 = np.dtype(np.complex128)
+
+_EPS = float(np.finfo(float).eps)
+# The smallest normal double.
+_TINY = float(np.finfo(float).tiny)
 
 
 # -- the LAPACK seam ------------------------------------------------------
@@ -241,16 +252,65 @@ def _cond(a):
     ``s[..., 0] / s[..., -1]`` of the extreme singular values.  A stack takes
     the gufunc path; a NaN ratio, from a LAPACK failure or from 0 / 0 on a
     zero matrix, hands the stack to numpy, which raises or applies its rule
-    that such a NaN reads inf.  On the samplers' stacks of 20 candidates
-    (d = 2..4) this takes 4-13 us a call less than ``np.linalg.cond``.  One
-    matrix takes the public path: the package asks for it only a few times
-    per self-test."""
+    that such a NaN reads inf.  On stacks of 20 candidates (d = 2..4) this
+    takes 4-13 us a call less than ``np.linalg.cond``; the pair sampler
+    asks it only about the candidates :func:`_well_conditioned` does not
+    clear.  One matrix takes the public path: the package asks for it only
+    a few times per self-test."""
     if _gufunc_path(a, "cond", stack=True):
         s = _umath_linalg.svd(a, signature="D->d")
         c = s[..., 0] / s[..., -1]
         if _solved(c):
             return c
     return np.linalg.cond(a)
+
+
+def _well_conditioned(a, cond_max):
+    """``_cond(a) <= cond_max`` for a stack ``a`` of m x m matrices, the
+    pair sampler's rejection test, with an SVD only for the matrices one
+    stacked :func:`_positive_definite` cannot clear.  Runs in the caller's
+    ``np.errstate(**_SILENT)``.
+
+    Let c = ``cond_max``, u = eps / 2, G the Gram matrix A* A of a matrix
+    A as computed, f its trace, which is F^2 = ||A||_F^2 up to rounding,
+    and s_1 >= ... >= s_m A's singular values, so s_1^2 <= F^2.  The
+    Cholesky tests G - tau I with tau = f (1 / c^2 + delta), delta =
+    16 m^3 eps.  Counting errors to first order, in multiples of u F^2:
+    G's entries are complex inner products of length m, off by at most
+    (m + 2) u |A|* |A| (Higham 2002, section 3.6), so G is off by
+    (m + 2) in norm and f is at least (1 - (2 m + 2) u) F^2; subtracting
+    tau rounds each diagonal entry by 1 more, since tau <= 2 F^2; and a
+    Cholesky that completes has factored the shifted matrix within a
+    backward error of m + 1 (Higham 2002, Theorem 10.3), where none of its
+    entries overflows.  Gradual underflow adds at most u tiny per
+    operation, below u F^2 since F^2 is a normal number, and at most 4 m^2
+    over these steps.  So a matrix the Cholesky clears has
+    s_m^2 >= tau - (4 m^2 + 2 m + 4) u F^2.  The SVD
+    returns singular values within e = p(m) u s_1 of the exact ones,
+    p a modest function (LAPACK Users' Guide, section 4.9), which the
+    margin takes as m^3, and the computed ratio is at most c (rounding is
+    monotone, c a double) where s_1 + e <= c (s_m - e), which holds when
+    s_m^2 >= F^2 / c^2 + 4 m^3 u F^2, for c >= 1.  Since tau, rounded four
+    times, is at least F^2 / c^2 + (32 m^3 - 2 m - 6) u F^2, and
+    28 m^3 > 4 m^2 + 4 m + 10 for m >= 1, every matrix the Cholesky clears
+    is one ``_cond`` accepts; the others get ``_cond``, in one call.
+
+    A stack whose ``cond_max`` is not a number in [1, inf), or with a
+    matrix whose trace f is not a finite normal number (a zero matrix,
+    entries whose squares overflow, a NaN), gets ``_cond`` whole.
+    Elsewhere every entry of G is finite, at most f in magnitude."""
+    if 1.0 <= cond_max < math.inf:
+        m = a.shape[-1]
+        g = adjoint(a) @ a
+        f = np.einsum("...ii->...", g).real
+        if f.size and _TINY <= f.min() and f.max() < math.inf:
+            diag = np.einsum("...ii->...i", g)
+            diag -= (f * (1.0 / (cond_max * cond_max) + 16.0 * m**3 * _EPS))[..., None]
+            clear = _positive_definite(g)
+            if not clear.all():
+                clear[~clear] = _cond(a[~clear]) <= cond_max
+            return clear
+    return _cond(a) <= cond_max
 
 
 def as_matrix(m) -> np.ndarray:

@@ -26,6 +26,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _SILENT,
+    _EPS,
+    _TINY,
     _ValueObject,
     _eigvalsh,
     _held,
@@ -140,9 +142,23 @@ class PositiveMap(_ValueObject):
         itself: ``a`` is a finite complex array of shape (..., k, k) with k
         the map's input dimension.  Each image gets the arithmetic it gets
         alone: a map given by data contracts with its contiguous Choi
-        tensor, one einsum for the whole stack."""
+        tensor, one einsum for the whole stack.
+
+        For output dimension l >= 2 the einsum gets C-contiguous blocks, a
+        copy where ``a`` is a strided view such as the :func:`_split` blocks
+        of the engine's n >= 3 trials, on which it runs up to twice as
+        fast.  Its inner loop then runs over each image's l x l entries,
+        which are contiguous in both layouts, and every entry sums the
+        products over (i, j) in the same order, so the images are equal
+        bit for bit (``tests/test_engine.py`` checks every layout the
+        engine makes).  At l = 1 the image has no such axis, the loop runs
+        over the block itself and its summation order follows the layout:
+        ``a`` is kept as it is."""
         if self.kind != "named":
-            return np.einsum("...ij,ijrc->...rc", a, self._tensor)
+            tensor = self._tensor
+            if tensor.shape[-1] > 1:
+                a = np.ascontiguousarray(a)
+            return np.einsum("...ij,ijrc->...rc", a, tensor)
         if self.name == "identity":
             return a.copy(order="K")
         if self.name == "transpose":
@@ -353,10 +369,9 @@ _WINDOW = 5
 # never below 1e-7.
 _FLOORS = np.maximum(1e-7, np.cumprod(np.r_[1e-2, np.full(_STEPS_PER_RESTART, 0.985)]))
 
-_EPS = float(np.finfo(float).eps)
 # The square root of the smallest normal double: a window's sum of squares
 # at least that normal double lost at most a relative 1e-13 to underflow.
-_SMALLEST_NORM = math.sqrt(np.finfo(float).tiny)
+_SMALLEST_NORM = math.sqrt(_TINY)
 
 
 def _margin(m: int, norm: float, current: float) -> float:

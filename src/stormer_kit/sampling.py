@@ -18,12 +18,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _SILENT,
-    _cond,
     _eigh,
     _eigvalsh,
     _integer,
     _op_norm,
     _qr,
+    _well_conditioned,
     adjoint,
 )
 from .stormer import (
@@ -46,10 +46,20 @@ __all__ = sorted(
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     """Complex Gaussian matrix with iid standard entries (scaled by 1/sqrt 2).
 
-    Draw order: the real parts, then the imaginary parts, row-major."""
-    rows = _integer(rows, "rows", DimensionError)
-    cols = rows if cols is None else _integer(cols, "cols", DimensionError)
+    Draw order: the real parts, then the imaginary parts, row-major.
+    Raises DimensionError unless ``rows`` and ``cols`` are integers of at
+    least 0."""
+    rows = _size(rows, "rows", 0)
+    cols = rows if cols is None else _size(cols, "cols", 0)
     return _complex_gaussian(*rng.standard_normal((2, rows, cols)))
+
+
+def _size(value, what: str, least: int) -> int:
+    """``value`` read by :func:`_integer`; DimensionError below ``least``."""
+    size = _integer(value, what, DimensionError)
+    if size < least:
+        raise DimensionError(f"{what} must be at least {least}, got {size}")
+    return size
 
 
 # The Ginibre scale, computed once instead of on every draw.
@@ -126,7 +136,10 @@ def random_stormer_pairs(
     every a1 candidate is accepted (rejection is rare at the default
     ``cond_max``): per pair, one call draws the 4 d^2 normals of the
     candidate and of U and one call the 2 d disk uniforms, and one stacked
-    ``_cond`` then tests the window's candidates.  If the first
+    Cholesky of their shifted Gram matrices then tests the window's
+    candidates, with an SVD only for those it cannot clear (see
+    ``linalg._well_conditioned``; the verdicts are the condition numbers'
+    own).  If the first
     rejected candidate is the window's j-th, every draw after it came from
     the wrong place in the stream: the bit generator is rewound to the
     window's start, the j accepted pairs' draws are replayed (the same calls
@@ -136,9 +149,10 @@ def random_stormer_pairs(
     before it (at least one pair), so heavy rejection replays a bounded
     number of draws per pair instead of redrawing the whole tail.  The
     algebra runs once on the stack, in ``np.errstate(**_SILENT)``.  Raises
-    DimensionError when ``count`` or ``d`` is not an integer.
+    DimensionError unless ``count`` is an integer of at least 0 and ``d``
+    one of at least 1; ``count`` 0 gives empty stacks.
     """
-    count, d = _integer(count, "count", DimensionError), _integer(d, "d", DimensionError)
+    count, d = _size(count, "count", 0), _size(d, "d", 1)
     with np.errstate(**_SILENT):
         pairs = _pair_stack(rng, count, d, cond_max, center, radius)
     return pairs[:, 0], pairs[:, 1]
@@ -155,8 +169,9 @@ def _pair_stack(
     """The pairs of :func:`random_stormer_pairs` as one (count, 2, d, d)
     stack, a1 and a2 of each pair side by side, so that the necessity
     engine builds all Gram blocks with one broadcast product.  Runs in the
-    caller's ``np.errstate(**_SILENT)``: a stacked ``cond`` that divides
-    0 by 0 hands its stack to numpy without a warning."""
+    caller's ``np.errstate(**_SILENT)``: a Cholesky that fails, or a
+    stacked ``cond`` that divides 0 by 0 and hands its stack to numpy, does
+    so without a warning."""
     normals = np.empty((count, 4, d, d))  # per pair: a1 re, a1 im, Z re, Z im
     uniforms = np.empty((count, 2, d))  # per pair: disk radius and angle draws
     pairs = np.empty((count, 2, d, d), dtype=complex)
@@ -174,8 +189,7 @@ def _pair_stack(
         start = bitgen.state
         draw(done, stop)
         a1[done:stop] = _complex_gaussian(normals[done:stop, 0], normals[done:stop, 1])
-        # (<=): a NaN condition number rejects, as in a one-pair loop
-        accepted = _cond(a1[done:stop]) <= cond_max
+        accepted = _well_conditioned(a1[done:stop], cond_max)
         run = stop - done if accepted.all() else int(accepted.argmin())
         if run < stop - done:
             bitgen.state = start
@@ -241,11 +255,11 @@ def random_stormer_blocks(
     the Gram products, traces, swapped spectra and mixing run once on the
     stack too, so ``count`` blocks consume the stream exactly as ``count``
     calls of :func:`random_stormer_block` do.  They run in
-    ``np.errstate(**_SILENT)``.  Raises DimensionError when ``count``,
-    ``n`` or ``d`` is not an integer.
+    ``np.errstate(**_SILENT)``.  Raises DimensionError unless ``count`` is
+    an integer of at least 0 and ``n`` and ``d`` ones of at least 1;
+    ``count`` 0 gives an empty stack.
     """
-    count = _integer(count, "count", DimensionError)
-    n, d = _integer(n, "n", DimensionError), _integer(d, "d", DimensionError)
+    count, n, d = _size(count, "count", 0), _size(n, "n", 1), _size(d, "d", 1)
     nd = n * d
     normals = np.empty((count, 2, nd, nd))  # per block: G re, G im
     floor = np.empty(count)

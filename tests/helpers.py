@@ -87,6 +87,20 @@ def lapack_calls(names=("eigvalsh", "eigh", "svd")):
             setattr(np.linalg, name, fn)
 
 
+def cond_sizes(monkeypatch) -> list:
+    """Install a wrapper over ``np.linalg.cond`` that records the number of
+    matrices of each call, and return that list.  The seam then takes its
+    public path, so the list holds every matrix ``_cond`` is asked about."""
+    original, sizes = np.linalg.cond, []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    return sizes
+
+
 def rel_fro(delta, ref) -> float:
     return float(np.linalg.norm(delta) / max(np.linalg.norm(ref), 1e-300))
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from stormer_kit import (
+    DEFAULT_TOL,
     DimensionError,
     DomainError,
     choi_fixture,
@@ -43,6 +44,7 @@ from stormer_kit.stormer import _assemble, _split, _swap
 
 from helpers import (
     CASES,
+    cond_sizes,
     expand,
     kraus_products,
     lapack_calls,
@@ -51,6 +53,7 @@ from helpers import (
     oracle_block,
     oracle_boundary,
     oracle_disk,
+    oracle_image_spectrum,
     oracle_necessity,
     oracle_normal_operator,
     oracle_pair,
@@ -455,26 +458,89 @@ def test_necessity_eigvalsh_calls_do_not_grow_with_trials():
     assert counts == [2, 2]
 
 
-def test_necessity_tests_each_stack_of_pairs_with_one_cond_call():
+def test_necessity_tests_each_stack_of_pairs_without_a_cond_call():
     counts = []
     for trials in (20, 200):
         with lapack_calls(("cond",)) as calls:
             theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=2, d=3)
         counts.append(calls["cond"])
-    # one stacked rejection test; no a1 candidate of these streams is rejected
-    assert counts == [1, 1]
+    # the Cholesky certificate clears every a1 candidate of these streams
+    assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10, -1e-10])
+def test_a_candidate_on_cond_max_leaves_the_stream_as_single_draws_do(offset, monkeypatch):
+    # cond_max within 1e-10 of the largest condition number of 20 candidates
+    # (746.6): the certificate cannot clear that candidate, which gets the
+    # SVD; at -1e-10 it is rejected, and the stream redraws it
+    first = np.random.default_rng(7)  # draws each pair's first a1 candidate
+    cond_max = max(np.linalg.cond(oracle_pair(first, 3, np.inf)[0]) for _ in range(20))
+    cond_max *= 1.0 + offset
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    sizes = cond_sizes(monkeypatch)
+    a1, a2 = random_stormer_pairs(rng, 20, 3, cond_max)
+    if offset >= 0:  # one stack, whose one uncleared candidate gets cond alone
+        assert sizes == [1]
+    monkeypatch.undo()
+    for t in range(20):
+        w1, w2 = oracle_pair(ref, 3, cond_max)
+        assert np.array_equal(a1[t], w1) and np.array_equal(a2[t], w2)
+    assert rng.random() == ref.random()
 
 
 def test_necessity_factorizes_each_stack_once_per_stage():
-    # per stack of pairs: one stacked cond for the rejection test, one qr for
-    # the Haar factors and one eigvalsh for the images; per stack of blocks:
-    # two eigvalsh, the swap floors and the images.  300 trials are 2 stacks.
-    names = ("cond", "qr", "eigvalsh")
-    for n, want in ((2, {"cond": 1, "qr": 1, "eigvalsh": 1}), (3, {"eigvalsh": 2})):
+    # per stack of pairs: no cond (the certificate clears every candidate),
+    # one Cholesky per candidate, which a wrapper over numpy's function sees
+    # one matrix at a time, one qr for the Haar factors and one eigvalsh for
+    # the images; per stack of blocks: two eigvalsh, the swap floors and the
+    # images.  300 trials are 2 stacks, of 256 and 44 trials.
+    names = ("cond", "cholesky", "qr", "eigvalsh")
+    for n, want in ((2, {"qr": 1, "eigvalsh": 1}), (3, {"eigvalsh": 2})):
         for trials, stacks in ((20, 1), (300, 2)):
             with lapack_calls(names) as calls:
                 theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=n, d=3)
-            assert dict(calls) == {name: stacks * want.get(name, 0) for name in names}
+            per_stage = {name: stacks * want.get(name, 0) for name in names}
+            per_stage["cholesky"] = trials if n == 2 else 0
+            assert dict(calls) == per_stage
+
+
+def test_necessity_counts_a_violation_between_one_and_two_thresholds():
+    # x -> x - 3e-9 tr(x) I on 2 x 2 matrices: of 10 Gram trials, the
+    # image of trial 3 has its lowest eigenvalue between -2 thr and -thr,
+    # and that of trial 5 below -2 thr; both are violations
+    phi = map_from_choi(choi_matrix(identity_map(), 2) - 3e-9 * np.eye(4), 2)
+    rng = np.random.default_rng(0)
+    ratios = []
+    for _ in range(10):
+        a1, a2 = oracle_pair(rng, 2)
+        a1h, a2h = adjoint(a1), adjoint(a2)
+        x = np.array([[a1h @ a1, a1h @ a2], [a2h @ a1, a2h @ a2]])
+        w = oracle_image_spectrum(phi, x)
+        ratios.append(w[0] / DEFAULT_TOL.threshold(max(abs(w[0]), abs(w[-1]))))
+    ratios = np.array(ratios)
+    assert list(np.flatnonzero(ratios < -1.0)) == [3, 5]
+    assert -2.0 < ratios[3] and ratios[5] < -2.0
+    rep = theorem1_necessity_trial(phi, seed=0, trials=10, n=2, d=2)
+    assert rep.violations == 2
+    assert (rep.violations, rep.worst_min_eig) == oracle_necessity(phi, 0, 10, 2, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_maps_on_split_views_equal_the_einsum_on_the_view(d, n):
+    # _apply copies strided blocks to C order for output dimension l >= 2
+    # and keeps them at l = 1; either way each image must be what the einsum
+    # gives on the view itself, bit for bit
+    rng = np.random.default_rng(40 + 10 * d + n)
+    for l in range(1, 6):
+        phi = make_decomposable(_kraus(rng, d, l, 2), _kraus(rng, d, l, 1))
+        for psi in (phi, map_from_choi(choi_matrix(phi), d)):
+            m = ginibre(rng, 6 * n * d, n * d).reshape(6, n * d, n * d)
+            view = _split(m, n)
+            want = np.einsum("...ij,ijrc->...rc", view, psi._tensor)
+            assert np.array_equal(psi._apply(view), want)
+            if l > 1:
+                assert np.array_equal(psi._apply(np.ascontiguousarray(view)), want)
 
 
 def test_necessity_rate_script_prints_a_rate_per_map_kind(capsys):

@@ -7,7 +7,8 @@ public path.  Both must give bit-equal results and raise the same errors,
 a wrapper installed over a ``numpy.linalg`` function must see every call,
 and no module but ``linalg`` may call a factorization itself.
 ``_positive_definite`` must give, matrix by matrix, the verdict of
-``np.linalg.cholesky``.
+``np.linalg.cholesky``, and ``_well_conditioned`` that of
+``_cond(a) <= cond_max``.
 
 No seam function enters or reads a floating-point state.  In the package's
 one state, ``np.errstate(**_SILENT)``, every stack warns exactly as numpy
@@ -45,7 +46,7 @@ from stormer_kit.sampling import (
 )
 from stormer_kit.stormer import _swap
 
-from helpers import hermitize
+from helpers import cond_sizes, hermitize
 
 # numpy.linalg name -> (the seam's call, numpy's public call)
 SEAM = {
@@ -505,6 +506,83 @@ def test_positive_definite_on_other_inputs_takes_the_public_path(monkeypatch):
     for label, a in CHOLESKY_INPUTS:
         with np.errstate(**_SILENT):
             _assert_verdicts(linalg._positive_definite(a), a, label)
+
+
+# -- the pair sampler's condition test: a Cholesky certificate before the SVD --
+
+_COND_MAXES = [0.0, 0.5, 1.0, 10.0, 1e3, 1e8, np.inf, np.nan]
+
+
+def _bisected(rng, m, cond_max):
+    """Two matrices U diag(1, ..., 1, low) V, for Haar U and V and adjacent
+    doubles low, the first rejected and the second accepted by
+    ``_cond <= cond_max``."""
+    u, v = (linalg._qr(ginibre(rng, m)) for _ in range(2))
+
+    def make(low):
+        s = np.ones(m)
+        s[-1] = low
+        return (u * s) @ v
+
+    def accepted(low):
+        return bool(linalg._cond(make(low)[None])[0] <= cond_max)
+
+    lo, hi = 0.25 / cond_max, 4.0 / cond_max
+    assert not accepted(lo) and accepted(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return make(lo), make(hi)
+
+
+def _condition_stacks(m, cond_max):
+    """(label, stack) of m x m candidates: Ginibre draws, a unitary, a scaled
+    identity, a rank-deficient matrix, eight pairs bisected onto
+    ``cond_max`` where it is a finite number above 1 (at 1e8 they fail a
+    certificate without its margin), and whole stacks at the edges of the
+    certificate's range: a zero matrix, tiny and huge scales."""
+    rng = np.random.default_rng(1000 + m)
+    parts = [ginibre(rng, 5 * m, m).reshape(5, m, m), linalg._qr(ginibre(rng, m))[None]]
+    parts.append(2.5 * np.eye(m, dtype=complex)[None])
+    if m > 1:
+        parts.append(random_rank_deficient(rng, m, m, m - 1)[None])
+        if 1.0 < cond_max < np.inf:
+            parts += [np.stack(_bisected(rng, m, cond_max)) for _ in range(8)]
+    mixed = np.concatenate(parts)
+    return [
+        ("mixed", mixed),
+        ("ginibre", mixed[:5]),
+        ("zero", np.concatenate([mixed, np.zeros((1, m, m), dtype=complex)])),
+        ("scaled_down", 1e-100 * mixed),
+        ("scaled_up", 1e100 * mixed),
+        ("tiny", 1e-170 * mixed),
+        ("huge", 1e160 * mixed),
+    ]
+
+
+@pytest.mark.parametrize("cond_max", _COND_MAXES)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_condition_certificate_gives_conds_verdicts(m, cond_max):
+    for label, a in _condition_stacks(m, cond_max):
+        with np.errstate(**_SILENT):
+            got = linalg._well_conditioned(a, cond_max)
+            want = linalg._cond(a) <= cond_max
+        assert np.array_equal(got, want), label
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_condition_certificate_hands_only_uncleared_candidates_to_cond(m, monkeypatch):
+    # the Ginibre draws, the unitary and the scaled identity are cleared;
+    # the rank-deficient matrix and the bisected pairs, each on cond_max or
+    # just above it, cannot be; a stack with a zero matrix goes whole
+    stacks = dict(_condition_stacks(m, 1e3))
+    sizes = cond_sizes(monkeypatch)
+    with np.errstate(**_SILENT):
+        assert linalg._well_conditioned(stacks["ginibre"], 1e3).all()
+        assert sizes == []
+        assert list(linalg._well_conditioned(stacks["mixed"][-2:], 1e3)) == [False, True]
+        linalg._well_conditioned(stacks["mixed"], 1e3)
+        linalg._well_conditioned(stacks["zero"], 1e3)
+    assert sizes == [2, 1 + 2 * 8, len(stacks["zero"])]
 
 
 def test_svd_failure_raises_numpys_linalg_error():

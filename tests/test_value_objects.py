@@ -649,6 +649,23 @@ _BOUNDARY = [
     pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), 2.5, 2, 2),
                  DimensionError, "count must be an integer, got 2.5",
                  id="random_stormer_blocks-count"),
+    pytest.param(lambda: ginibre(np.random.default_rng(0), -1), DimensionError,
+                 "rows must be at least 0, got -1", id="ginibre-negative-rows"),
+    pytest.param(lambda: ginibre(np.random.default_rng(0), 2, -3), DimensionError,
+                 "cols must be at least 0, got -3", id="ginibre-negative-cols"),
+    pytest.param(lambda: random_stormer_pairs(np.random.default_rng(0), 2, 0), DimensionError,
+                 "d must be at least 1, got 0", id="random_stormer_pairs-d0"),
+    pytest.param(lambda: random_stormer_pairs(np.random.default_rng(0), -1, 2), DimensionError,
+                 "count must be at least 0, got -1", id="random_stormer_pairs-negative"),
+    pytest.param(lambda: random_stormer_pair(np.random.default_rng(0), -2), DimensionError,
+                 "d must be at least 1, got -2", id="random_stormer_pair-negative"),
+    pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), 2, 0, 2),
+                 DimensionError, "n must be at least 1, got 0", id="random_stormer_blocks-n0"),
+    pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), 2, 2, 0),
+                 DimensionError, "d must be at least 1, got 0", id="random_stormer_blocks-d0"),
+    pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), -1, 2, 2),
+                 DimensionError, "count must be at least 0, got -1",
+                 id="random_stormer_blocks-negative"),
     pytest.param(lambda: partial_transpose_matrix(np.eye(4), 2, 2, True), InputError,
                  "factor must be an integer, got True", id="partial_transpose_matrix-bool"),
     pytest.param(lambda: partial_transpose_matrix(np.eye(4), 2, 2, 1.0), InputError,
@@ -661,6 +678,15 @@ def test_boundary_checks_raise_their_error(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)) as caught:
         call()
     assert caught.type is error
+
+
+def test_samplers_of_no_draws_give_empty_stacks():
+    rng = np.random.default_rng(0)
+    a1, a2 = random_stormer_pairs(rng, 0, 3)
+    assert a1.shape == a2.shape == (0, 3, 3)
+    assert random_stormer_blocks(rng, 0, 2, 3).shape == (0, 2, 2, 3, 3)
+    assert ginibre(rng, 0).shape == (0, 0) and ginibre(rng, 2, 0).shape == (2, 0)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
 
 def test_gram_vectors_of_a_zero_block_has_no_rows():
