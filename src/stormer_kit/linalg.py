@@ -53,9 +53,10 @@ raises ``LinAlgError`` or returns what numpy returns.
   :func:`_cond`, the samplers', the necessity engine's and the witness
   search's calls, with one NaN test per stack.
 - :func:`_positive_definite` answers for each matrix of a stack, or for
-  one matrix, whether ``np.linalg.cholesky`` succeeds on it.  A failure is
-  an answer, not an error, so it has no NaN hand-off: one ``cholesky_lo``
-  call gives every verdict.  Its callers are the witness search and
+  one matrix, whether ``np.linalg.cholesky`` succeeds on it with a factor
+  free of NaN, that is without an overflow.  A failure is an answer, not
+  an error, so it has no NaN hand-off: one ``cholesky_lo`` call gives
+  every verdict.  Its callers are the witness search and
   :func:`_well_conditioned`, the pair sampler's condition test, which
   clears a candidate a1 when its Gram matrix, shifted by
   ||a1||_F^2 (1 / cond_max^2 + 16 m^3 eps), is positive definite: a bound
@@ -164,27 +165,37 @@ def _eigvalsh(a):
 
 def _positive_definite(a):
     """True where a matrix of ``a`` (its lower triangle) is positive
-    definite by Cholesky, that is where ``np.linalg.cholesky`` succeeds on
-    it; ``a`` may be a stack, which gives a bool array of its leading
-    shape.  A failed factorization is an answer here, which numpy's
-    function gives without a warning, while the gufunc flags it (invalid)
-    and keeps the flags LAPACK raised on the way: in ``_SILENT``, as in the
-    witness search, no warning is issued either way.  The gufunc fills a
-    failed matrix's factor with NaN, and gives a completed one a real
-    diagonal, even from NaN entries, so a matrix's verdict is that the
-    imaginary part of its first pivot is a number.  A replaced
-    ``np.linalg.cholesky``, other dtypes and a numpy without the gufuncs
-    get numpy's function, one matrix at a time."""
+    definite by Cholesky: where ``np.linalg.cholesky`` completes on it and
+    the last pivot of its factor is a number.  ``a`` may be a stack, which
+    gives a bool array of its leading shape.  A failed factorization is an
+    answer here, which numpy's function gives without a warning, while the
+    gufunc flags it (invalid) and keeps the flags LAPACK raised on the way:
+    in ``_SILENT``, as in the witness search, no warning is issued either
+    way.
+
+    The gufunc fills a failed matrix's factor with NaN.  A completed one
+    can hold NaN too, since LAPACK stops only at a pivot that is <= 0,
+    which NaN is not: on ``[[1e-300, 0, 1e200], [0, 1, 0], [1e200, 0, 1]]``
+    an entry overflows and the last pivot is NaN.  Pivot j is the square
+    root of a_jj less the sum of |l_jk|^2 over row j, so a NaN in row j
+    makes it NaN, and an infinite entry makes it -inf, which stops the
+    factorization, or NaN.  A NaN pivot divides every entry of its column
+    below it, so every later row, and every later pivot, holds NaN.  So
+    the last pivot is a number exactly where the factor holds no NaN, and,
+    for finite input, no infinite entry: where the factorization completed
+    without an overflow.  A replaced ``np.linalg.cholesky``, other dtypes
+    and a numpy without the gufuncs get numpy's function, one matrix at a
+    time, under the same rule."""
     if _gufunc_path(a, "cholesky", a.ndim > 2):
-        pivot = _umath_linalg.cholesky_lo(a, signature="D->D")[..., 0, 0].imag
+        pivot = _umath_linalg.cholesky_lo(a, signature="D->D")[..., -1, -1].real
         return pivot == pivot
     verdict = np.empty(a.shape[:-2], dtype=bool)
     for i in np.ndindex(verdict.shape):
         try:
-            np.linalg.cholesky(a[i])
-            verdict[i] = True
+            pivot = np.linalg.cholesky(a[i])[-1, -1].real
         except np.linalg.LinAlgError:
-            verdict[i] = False
+            pivot = math.nan
+        verdict[i] = pivot == pivot
     return verdict[()]
 
 
@@ -282,9 +293,9 @@ def _well_conditioned(a, cond_max):
     tau rounds each diagonal entry by 1 more, since tau <= 2 F^2; and a
     Cholesky that completes has factored the shifted matrix within a
     backward error of m + 1 (Higham 2002, Theorem 10.3), where none of its
-    entries overflows.  Gradual underflow adds at most u tiny per
-    operation, below u F^2 since F^2 is a normal number, and at most 4 m^2
-    over these steps.  So a matrix the Cholesky clears has
+    entries overflows, as in every factorization it clears.  Gradual
+    underflow adds at most u tiny per operation, below u F^2 since F^2 is
+    a normal number, and at most 4 m^2 over these steps.  So a matrix the Cholesky clears has
     s_m^2 >= tau - (4 m^2 + 2 m + 4) u F^2.  The SVD
     returns singular values within e = p(m) u s_1 of the exact ones,
     p a modest function (LAPACK Users' Guide, section 4.9), which the

@@ -369,6 +369,67 @@ _WINDOW = 5
 # never below 1e-7.
 _FLOORS = np.maximum(1e-7, np.cumprod(np.r_[1e-2, np.full(_STEPS_PER_RESTART, 0.985)]))
 
+# The low 32-bit word of a raw 64-bit output.
+_WORD = 0xFFFFFFFF
+
+
+def _words(raw):
+    """The 32-bit words of the raw 64-bit outputs ``raw()`` gives, the low
+    one of each first.  An output is drawn only when its low word is
+    asked for, and its high word waits in the generator until it is."""
+    while True:
+        v = raw()
+        yield v & _WORD
+        yield v >> 32
+
+
+def _kicks(rng: np.random.Generator, nd: int, steps: int) -> list:
+    """``steps`` witness kicks (i, j, z), each what
+    ``(rng.integers(nd), rng.integers(nd),
+    rng.standard_normal() + 1j * rng.standard_normal())`` gives, in that
+    order, with i and j as Python ints; for 1 <= nd <= 2**32, the only
+    sizes whose window fits in memory.
+
+    ``Generator.integers(nd)`` draws by Lemire's bounded-integer rule
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    29(1), 2019): a 32-bit word v gives m = v nd, accepted when
+    m mod 2**32 >= (2**32 - nd) mod nd, and the index m >> 32; a rejected
+    word is replaced by the next.  nd = 1 draws no word.  The words are the
+    halves of the bit generator's raw 64-bit outputs, the low one first;
+    the high one waits in a buffer, which the 64-bit draws of
+    ``standard_normal`` do not touch.  Here :func:`_words` holds the
+    waiting word, so one ``random_raw()`` call gives two words, and one
+    ``standard_normal(2)`` call gives the two normals: half the generator
+    calls.  The raw stream is the part of numpy's random API that NEP 19
+    keeps stable; ``tests/test_witness.py`` checks the rule against
+    ``Generator.integers`` itself.
+
+    The generator's own 32-bit buffer must be empty on entry, as it is for
+    a generator that has drawn only doubles since it was seeded.  This
+    helper does not update it, so the generator must draw no 32-bit word
+    after it: the witness search discards a restart's generator once its
+    kicks are drawn."""
+    normal = rng.standard_normal
+    words = _words(rng.bit_generator.random_raw)
+    threshold = (_WORD + 1 - nd) % nd
+
+    def index() -> int:
+        if nd > 1:
+            for v in words:
+                m = v * nd
+                if m & _WORD >= threshold:
+                    return m >> 32
+        return 0
+
+    kicks = []
+    for _ in range(steps):
+        i = index()
+        j = index()
+        a, b = normal(2).tolist()
+        kicks.append((i, j, a + 1j * b))
+    return kicks
+
+
 # The square root of the smallest normal double: a window's sum of squares
 # at least that normal double lost at most a relative 1e-13 to underflow.
 _SMALLEST_NORM = math.sqrt(_TINY)
@@ -392,7 +453,8 @@ def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Toleranc
     spectrum, one at a time in window order, until one is below.  Let F,
     the Frobenius norm of the whole window, bound each image's norm, m be
     its size, u = eps / 2 and s the shift as rounded.  A Cholesky that
-    completes on H - sI as rounded (each diagonal entry off by at most
+    completes without an overflow, the only kind :func:`_positive_definite`
+    clears, on H - sI as rounded (each diagonal entry off by at most
     u (F + |s|)) has factored a PSD matrix within a backward error of norm
     at most about m (m + 1) u (F + |s|) (Higham 2002, Theorem 10.3), so
     lambda_min(H) >= s - (m^2 + m + 1) u (F + |s|) to first order.
@@ -479,9 +541,13 @@ def witness_search(
     below, in the window where it appears, and never as a numpy warning.
 
     Deterministic in (seed, budget): restart r uses the stream seeded by
-    (seed, r).  Raises DimensionError when n or d is not an integer of at
-    least 1, and DomainError when ``budget`` is not an integer or the
-    images' spectra overflow.
+    (seed, r).  It draws G with :func:`ginibre`, then per step the kick's
+    entry (i, j) and its value, ``rng.integers(nd)`` twice and
+    ``rng.standard_normal() + 1j * rng.standard_normal()``: the stream of
+    those Generator calls, which :func:`_kicks` reads off the raw bit
+    stream with half as many calls.  Raises DimensionError when n or d is
+    not an integer of at least 1, and DomainError when ``budget`` is not an
+    integer or the images' spectra overflow.
     """
     budget = _integer(budget, "budget", DomainError)
     n, d = _trial_dims(phi, n, d)
@@ -494,14 +560,7 @@ def witness_search(
             rng = np.random.default_rng([seed, restart])
             g = ginibre(rng, nd)
             steps = min(_STEPS_PER_RESTART, budget - evaluations - 1)
-            kicks = [
-                (
-                    rng.integers(nd),
-                    rng.integers(nd),
-                    rng.standard_normal() + 1j * rng.standard_normal(),
-                )
-                for _ in range(steps)
-            ]
+            kicks = _kicks(rng, nd, steps)
             x = _boundary_grams(g[None], n, _FLOORS[:1])
             w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)[0]
             # the ends of the current image's spectrum: its min_eig and top

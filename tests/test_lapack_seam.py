@@ -7,8 +7,8 @@ public path.  Both must give bit-equal results and raise the same errors,
 a wrapper installed over a ``numpy.linalg`` function must see every call,
 and no module but ``linalg`` may call a factorization itself.
 ``_positive_definite`` must give, matrix by matrix, the verdict of
-``np.linalg.cholesky``, and ``_well_conditioned`` that of
-``_cond(a) <= cond_max``.
+``np.linalg.cholesky`` and a factor free of NaN, and ``_well_conditioned``
+that of ``_cond(a) <= cond_max``.
 
 No seam function enters or reads a floating-point state.  In the package's
 one state, ``np.errstate(**_SILENT)``, every stack warns exactly as numpy
@@ -343,12 +343,20 @@ def _cholesky_gufunc(a):
 
 
 def _cholesky_succeeds(a) -> bool:
-    """Whether ``np.linalg.cholesky`` factors ``a``."""
+    """Whether ``np.linalg.cholesky`` factors ``a`` into a factor that holds
+    no NaN, read entry by entry: a NaN or an overflow does not stop the
+    factorization."""
     try:
-        np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return not np.isnan(factor).any()
+
+
+# A finite, indefinite matrix (lowest eigenvalue -1e200) whose factor
+# overflows: 1e200 / 1e-150 is inf, and the last pivot NaN, which LAPACK's
+# test of a pivot, <= 0, lets through.
+OVERFLOWING = np.array([[1e-300, 0, 1e200], [0, 1, 0], [1e200, 0, 1]], dtype=complex)
 
 
 def _cholesky_stacks():
@@ -374,6 +382,8 @@ def _cholesky_stacks():
                 diag[m // 2, m // 2] = bad
                 mats.append(diag)
             mats += [NONFINITE[kind] for kind in NONFINITE if m == 3]
+        if m == 3:
+            mats.append(OVERFLOWING)
         out.append((f"kinds{m}", np.array(mats)))
     a = out[2][1][:4].reshape(2, 2, 3, 3)
     held = out[5][1].copy()
@@ -506,6 +516,58 @@ def test_positive_definite_on_other_inputs_takes_the_public_path(monkeypatch):
     for label, a in CHOLESKY_INPUTS:
         with np.errstate(**_SILENT):
             _assert_verdicts(linalg._positive_definite(a), a, label)
+
+
+def _overflow_seeded(m):
+    """m x m identities with 1e-300 at (r, r) and 1e200 at (s, r) and
+    (r, s), for every row r and every row s below it: indefinite, and the
+    factor's entry (s, r) overflows."""
+    out = []
+    for r in range(m - 1):
+        for s in range(r + 1, m):
+            a = np.eye(m, dtype=complex)
+            a[r, r] = 1e-300
+            a[s, r] = a[r, s] = 1e200
+            out.append(a)
+    return out
+
+
+def _public_cholesky(monkeypatch):
+    """numpy's function behind a wrapper, so the kernel takes its per-matrix
+    path."""
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: original(a))
+
+
+@pytest.mark.parametrize("public", [False, True])
+def test_an_overflowing_factor_is_not_positive_definite(public, monkeypatch):
+    if public:
+        _public_cholesky(monkeypatch)
+    with np.errstate(**_SILENT):
+        factor = np.linalg.cholesky(OVERFLOWING)  # completes, with inf and NaN
+        assert np.isinf(factor).any() and np.isnan(factor).any()
+        assert linalg._positive_definite(OVERFLOWING) == np.False_
+        stack = np.array([np.eye(3), OVERFLOWING, 2.0 * np.eye(3)], dtype=complex)
+        assert linalg._positive_definite(stack).tolist() == [True, False, True]
+    assert np.linalg.eigvalsh(OVERFLOWING)[0] == -1e200
+
+
+@pytest.mark.parametrize("public", [False, True])
+@pytest.mark.parametrize("m", range(2, 13))
+def test_overflow_seeded_at_any_row_is_not_positive_definite(m, public, monkeypatch):
+    if public:
+        _public_cholesky(monkeypatch)
+    seeded = _overflow_seeded(m)
+    definite = np.eye(m, dtype=complex)
+    with np.errstate(**_SILENT):
+        for a in seeded:
+            assert np.linalg.eigvalsh(a)[0] < 0
+            assert np.isnan(np.linalg.cholesky(a)).any()  # completed, with NaN
+            assert linalg._positive_definite(a) == np.False_
+        # each one between definite matrices
+        stack = np.array([x for a in seeded for x in (definite, a)] + [definite])
+        got = linalg._positive_definite(stack)
+    assert got.tolist() == [True, False] * len(seeded) + [True]
 
 
 # -- the pair sampler's condition test: a Cholesky certificate before the SVD --

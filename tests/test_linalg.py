@@ -28,6 +28,16 @@ def test_is_hermitian_examples():
     assert is_hermitian(np.array([[2, 1j], [-1j, 2]]))
 
 
+@pytest.mark.parametrize(
+    "abs_eps, hermitian", [(0.5, True), (float(np.nextafter(0.5, 0.0)), False)]
+)
+def test_is_hermitian_holds_a_residual_equal_to_its_threshold(abs_eps, hermitian):
+    # ||a - a*||_2 is exactly 0.5; the Frobenius norm, 0.707, does not settle
+    # it, so the residual's operator norm meets the threshold itself
+    a = np.array([[0, 0.5], [0, 0]])
+    assert is_hermitian(a, Tolerance(abs_eps=abs_eps, rel_eps=0.0)) == hermitian
+
+
 def test_is_hermitian_rejects_nonsquare():
     with pytest.raises(DimensionError):
         is_hermitian(np.ones((2, 3)))

@@ -4,14 +4,16 @@
 must return what the one-step climb in ``helpers.oracle_witness_search``
 returns, for every map kind, block count and budget.  A window judges its
 candidates by a shifted Cholesky first; on near ties and at extreme scales
-every decision must be the one ``eigvalsh`` alone makes.  Its LAPACK calls
-are counted (a gate independent of machine speed), and decomposable maps
-must never yield a witness.
+every decision must be the one ``eigvalsh`` alone makes.  Its kicks,
+read off the raw bit stream, must be the draws of the Generator calls.
+Its LAPACK calls are counted (a gate independent of machine speed), and
+decomposable maps must never yield a witness.
 """
 
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from stormer_kit import (
 from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
 from stormer_kit.linalg import _SILENT
-from stormer_kit.maps import _first_better, _margin
+from stormer_kit.maps import _first_better, _kicks, _margin
 from stormer_kit.sampling import ginibre
 
 from helpers import hermitize, lapack_calls, load_script, oracle_witness_search
@@ -81,6 +83,89 @@ def test_window_matches_the_one_step_climb(label, n):
         got = witness_search(phi, seed=seed, budget=budget, n=n, d=d)
         want = oracle_witness_search(phi, seed=seed, budget=budget, n=n, d=d)
         assert _same(got, want), (label, n, budget)
+
+
+# -- the kicks: Generator.integers read off the raw bit stream ---------------
+
+# Sizes nd of the kick draw: small ones, powers of two, and three next to
+# 2**31 that reject about half their words, up to 2**32, its largest.
+KICK_SIZES = [1, 2, 3, 5, 8, 9, 12, 16, 27, 36, 100, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32]
+NEP_19 = (
+    "maps._kicks no longer gives what Generator.integers and standard_normal "
+    "draw: NEP 19 keeps numpy's raw bit stream stable across versions, not "
+    "integers' rule, which _kicks reads off that stream"
+)
+
+
+def _generator_kicks(rng, nd, steps):
+    """The kicks as Generator calls, one at a time."""
+    return [
+        (rng.integers(nd), rng.integers(nd), rng.standard_normal() + 1j * rng.standard_normal())
+        for _ in range(steps)
+    ]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 600])
+@pytest.mark.parametrize("nd", KICK_SIZES)
+def test_kicks_are_the_generator_calls(nd, steps):
+    # each generator first draws its restart's G, as the search does, and
+    # ends where the Generator calls leave it in the 64-bit stream
+    for seed in range(5):
+        got_rng, want_rng = (np.random.default_rng([seed, 11]) for _ in range(2))
+        for rng in (got_rng, want_rng):
+            ginibre(rng, 3)
+        got, want = _kicks(got_rng, nd, steps), _generator_kicks(want_rng, nd, steps)
+        assert len(got) == steps
+        assert all(type(i) is int and type(j) is int for i, j, _ in got)
+        for part in range(3):  # i, j and z
+            assert np.array_equal([k[part] for k in got], [k[part] for k in want]), NEP_19
+        assert got_rng.bit_generator.random_raw() == want_rng.bit_generator.random_raw(), NEP_19
+
+
+@pytest.mark.parametrize("nd", [3, 2**31 + 1, 2**32 - 1])
+def test_a_kick_word_on_the_threshold_is_taken_and_one_below_it_drawn_again(nd):
+    # a word lands on Lemire's threshold with probability 2**-32, which no
+    # stream above reaches: script the raw outputs, low word first, of a
+    # stand-in generator whose normals are zeros
+    t = (2**32 - nd) % nd
+    on, below = (k * pow(nd, -1, 2**32) % 2**32 for k in (t, t - 1))
+    words = [below, on, on, below, below, on, on, below]
+    raws = iter([low | high << 32 for low, high in zip(words[::2], words[1::2])])
+    rng = SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=raws.__next__), standard_normal=np.zeros
+    )
+    index = on * nd >> 32
+    assert _kicks(rng, nd, 2) == [(index, index, 0j)] * 2
+    assert next(raws, None) is None
+
+
+def _kick_edges():
+    """(map, n, d, seed, found) whose kicks draw their entries from
+    nd = n d = 1, where ``integers(1)`` draws no word, and nd = 8, a power
+    of two, where it rejects none; ``found`` says whether the largest
+    budget ends on a witness, as it does for a map from M_1 with an
+    indefinite Choi matrix."""
+    h = ginibre(np.random.default_rng(7), 2)
+    scalar = map_from_choi(h + h.conj().T, 1)
+    return [
+        (identity_map(), 1, 1, 1, False),
+        (scalar, 1, None, 3, True),
+        (transpose_map(), 2, 4, 2, False),
+        (scalar, 8, None, 5, True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "phi, n, d, seed, found",
+    _kick_edges(),
+    ids=["identity-1", "scalar-1", "transpose-8", "scalar-8"],
+)
+def test_kicks_at_the_edges_of_the_index_draw_match_the_one_step_climb(phi, n, d, seed, found):
+    for budget in BUDGETS:
+        got = witness_search(phi, seed=seed, budget=budget, n=n, d=d)
+        want = oracle_witness_search(phi, seed=seed, budget=budget, n=n, d=d)
+        assert _same(got, want), (n, budget)
+    assert (got is not None) == found
 
 
 def test_the_comparison_covers_found_witnesses():
