@@ -11,9 +11,17 @@ necessity benchmark repeats, and prints the microseconds per trial: the
 fastest of a few repeats, each the mean over calls with fresh seeds.
 The Kraus and Choi rows run one kernel, the contraction with the Choi
 tensor, on the same tensor: a Kraus map is compiled to its Choi twin's, so
-the two rows differ by noise alone.  Exits 0.
+the two rows differ by noise alone.
+
+Each row also gives the matrices diagonalized per trial over the same
+calls: the images' spectra, and at n = 3 the sampler's swap floors, one per
+trial.  They are counted in a separate, untimed pass by a wrapper over
+``numpy.linalg.eigvalsh`` that sums each call's leading dimensions; the
+library's seam then calls that public function, whose results are its own.
+Exits 0.
 """
 
+import math
 import sys
 import time
 from pathlib import Path
@@ -62,12 +70,36 @@ def us_per_trial(phi, n: int, trials: int, calls: int, repeats: int) -> float:
     return best * 1e6
 
 
+def matrices_per_trial(phi, n: int, trials: int, calls: int) -> float:
+    """Matrices ``numpy.linalg.eigvalsh`` is given per trial over the calls
+    that :func:`us_per_trial` times, in a pass of its own."""
+    original, count = np.linalg.eigvalsh, 0
+
+    def counting(a, *args, **kwargs):
+        nonlocal count
+        count += math.prod(np.shape(a)[:-2])
+        return original(a, *args, **kwargs)
+
+    np.linalg.eigvalsh = counting
+    try:
+        for seed in range(1, calls + 1):
+            theorem1_necessity_trial(phi, seed=seed, trials=trials, n=n, d=D)
+    finally:
+        np.linalg.eigvalsh = original
+    return count / (calls * trials)
+
+
 def main(trials: int = TRIALS, calls: int = CALLS, repeats: int = REPEATS) -> int:
-    print(f"us per trial, {trials} trials per call, d = {D}")
-    print(f"{'map':8s}{'n=2':>10s}{'n=3':>10s}")
+    print(f"us per trial and matrices diagonalized per trial, {trials} trials per call, d = {D}")
+    print(f"{'map':8s}{'us n=2':>10s}{'us n=3':>10s}{'eig n=2':>10s}{'eig n=3':>10s}")
     for kind, phi in maps().items():
         rates = [us_per_trial(phi, n, trials, calls, repeats) for n in (2, 3)]
-        print(f"{kind:8s}" + "".join(f"{r:10.1f}" for r in rates))
+        counts = [matrices_per_trial(phi, n, trials, calls) for n in (2, 3)]
+        print(
+            f"{kind:8s}"
+            + "".join(f"{r:10.1f}" for r in rates)
+            + "".join(f"{c:10.2f}" for c in counts)
+        )
     return 0
 
 

@@ -279,22 +279,22 @@ def _hermitian_images(phi: PositiveMap, blocks: np.ndarray) -> np.ndarray:
 
 
 def _image_spectra(phi: PositiveMap, h: np.ndarray, tol: Tolerance):
-    """(ascending spectra, minimum eigenvalues, PSD thresholds), shapes
-    (k, nd), (k) and (k), of a stack of k Hermitian images of
-    :func:`_hermitian_images`, the last two by :func:`psd_margin`: the
-    kernel of the necessity engine and of the witness search.  Runs in the
-    caller's ``np.errstate(**_SILENT)``, in which its stacked ``eigvalsh``
-    warns as numpy's does.  Raises ScaleError (a DomainError) where an
-    image's spectrum overflows double precision: where LAPACK fails on it,
-    or where an end of it, and with it its PSD threshold, is not finite."""
+    """Ascending spectra, shape (k, nd), of a stack of k Hermitian images
+    of :func:`_hermitian_images`: a restart's first image in the witness
+    search, and the necessity stacks and witness windows beyond the range
+    of the shifted-Cholesky test (:func:`_screen`).  Runs in the caller's
+    ``np.errstate(**_SILENT)``, in which its stacked ``eigvalsh`` warns as
+    numpy's does.  Raises ScaleError (a DomainError) where an image's
+    spectrum overflows double precision: where LAPACK fails on it, or
+    where an end of it, and with it its :func:`psd_margin` threshold, is
+    not finite."""
     try:
         w = _eigvalsh(h)
     except np.linalg.LinAlgError:  # numpy's answer to a NaN spectrum
         raise _images_overflow(phi) from None
-    lowest, thr = psd_margin(w, tol)
-    if not math.isfinite(thr.max()):
+    if not math.isfinite(psd_margin(w, tol)[1].max()):
         raise _images_overflow(phi)
-    return w, lowest, thr
+    return w
 
 
 def _images_overflow(phi: PositiveMap) -> ScaleError:
@@ -302,6 +302,100 @@ def _images_overflow(phi: PositiveMap) -> ScaleError:
     entry of its Kraus operators or Choi matrix."""
     choi = () if phi.choi is None else (phi.choi,)
     return _overflow("map images overflow", "map", *phi.kraus_cp, *phi.kraus_cocp, *choi)
+
+
+# The square root of the smallest normal double: a stack's sum of squares
+# at least that normal double lost at most a relative 1e-13 to underflow.
+_SMALLEST_NORM = math.sqrt(_TINY)
+
+
+def _margin(m: int, norm: float, current: float) -> float:
+    """The shift margin of :func:`_screen` for m x m Hermitian images of
+    operator norm at most ``norm``: 8 m^3 eps (norm + |current|)."""
+    return 8.0 * m**3 * _EPS * (norm + abs(current))
+
+
+def _screen(h: np.ndarray, tol: Tolerance):
+    """The shifted-Cholesky test of a stack of m x m Hermitian images: a
+    function that gives, for a number ``current``, a bool array that is
+    True where an image's lowest eigenvalue, as ``eigvalsh`` computes it,
+    is provably above ``current``; None for a stack beyond the test's
+    range.  The one certificate of the necessity engine
+    (:func:`_stack_report`) and of the witness search
+    (:func:`_first_better`).  Runs in the caller's
+    ``np.errstate(**_SILENT)``.
+
+    One stacked Cholesky of H - (current + delta) I, delta of
+    :func:`_margin`, clears every image it factors.  Let F, the Frobenius
+    norm of the whole stack, bound each image's norm, u = eps / 2 and s
+    the shift as rounded.  A Cholesky that completes without an overflow,
+    the only kind :func:`_positive_definite` clears, on H - sI as rounded
+    (each diagonal entry off by at most u (F + |s|)) has factored a PSD
+    matrix within a backward error of norm at most about m (m + 1) u
+    (F + |s|) (Higham 2002, Theorem 10.3), so
+    lambda_min(H) >= s - (m^2 + m + 1) u (F + |s|) to first order.
+    ``eigvalsh`` returns the exact eigenvalues of H + E with
+    ||E|| <= p(m) u ||H||, p a modest function (LAPACK Users' Guide,
+    section 4.7), which the margin takes as m^3.  With s at least
+    current + delta - u |current + delta|, these errors add up to less than
+    a third of delta = 16 m^3 u (F + |current|): a cleared image's computed
+    lowest eigenvalue is above ``current``.
+
+    The range: the stack's sum of squares is a finite normal number, and
+    the PSD threshold at its scale 2F is finite.  There every image's
+    spectrum is finite and below 2F in magnitude, so its threshold is
+    finite and a bare ``eigvalsh`` gives what :func:`_image_spectra` would.
+    Beyond it the caller takes every spectrum through
+    :func:`_image_spectra`, and so its ScaleError where one overflows."""
+    f = math.sqrt(np.vdot(h, h).real)
+    if not (_SMALLEST_NORM <= f < math.inf and math.isfinite(tol.threshold(2.0 * f))):
+        return None
+    m = h.shape[-1]
+
+    def clears(current: float) -> np.ndarray:
+        return _positive_definite(h - (current + _margin(m, f, current)) * _identity(m))
+
+    return clears
+
+
+def _stack_report(phi: PositiveMap, h: np.ndarray, tol: Tolerance) -> tuple[int, float]:
+    """(violations, smallest minimum eigenvalue) of a stack of Hermitian
+    trial images, the part of the necessity report it sets, from the
+    spectra of only the trials that can set it.  Runs in the engine's
+    ``np.errstate(**_SILENT)``.
+
+    The two probes are the trials whose smallest diagonal entry is lowest,
+    since that entry bounds the lowest eigenvalue from above; their spectra
+    give u, the lower of their lowest eigenvalues.  Where u > 0, the
+    shifted Cholesky of :func:`_screen` proves of every trial it clears
+    that its lowest eigenvalue, as ``eigvalsh`` computes it, is above u: a
+    cleared trial is neither the stack's minimum nor a violation, since
+    its threshold is at least 0.  Only the others get a spectrum, in one
+    stack.  Probes at or below 0, as rank-deficient images give (the Gram
+    images of n = 2 trials under many maps), leave every other trial to
+    that spectrum, and a
+    stack beyond the test's range gets every spectrum through
+    :func:`_image_spectra`.  No trial is diagonalized twice, and each
+    spectrum is the one ``eigvalsh`` gives the trial alone, so the report
+    is the one every trial's spectrum gives.  A stack whose lowest computed
+    eigenvalue is at least 0 has no violation, and needs no threshold."""
+    screen = _screen(h, tol)
+    if screen is None:
+        w = _image_spectra(phi, h, tol)
+    else:
+        order = np.argsort(h.diagonal(0, -2, -1).real.min(-1))
+        w = _eigvalsh(h[order[:2]])
+        rest = order[2:]
+        u = w[:, 0].min()
+        if u > 0.0 and rest.size:
+            rest = rest[~screen(u)[rest]]
+        if rest.size:
+            w = np.concatenate((w, _eigvalsh(h[rest])))
+    worst = float(w[:, 0].min())
+    if worst >= 0.0:
+        return 0, worst
+    lowest, thr = psd_margin(w, tol)
+    return int(np.count_nonzero(lowest < -thr)), worst
 
 
 def theorem1_necessity_trial(
@@ -324,7 +418,13 @@ def theorem1_necessity_trial(
     :func:`random_stormer_block` calls otherwise.  Trials run in stacks of
     at most 256; every trial's arithmetic is the same as when run alone, so
     the report depends on (phi, seed, trials, n, d, tol) only.  Each stack
-    is drawn and mapped in one ``np.errstate(**_SILENT)``.  Raises
+    is drawn, mapped and judged in one ``np.errstate(**_SILENT)``.
+
+    The report prints only the smallest minimum eigenvalue and the count
+    of violations, so only the trials that can set them are diagonalized
+    (:func:`_stack_report`): two probes, then those that one shifted
+    Cholesky of the stack cannot prove to lie above the probes' minimum.
+    The report is the one every trial's spectrum gives, bit for bit.  Raises
     DomainError when ``trials`` is not an integer of at least 1 or the
     images' spectra overflow, and DimensionError when n or d is not an
     integer of at least 1.
@@ -340,9 +440,9 @@ def theorem1_necessity_trial(
         count = min(_TRIAL_CHUNK, trials - start)
         with np.errstate(**_SILENT):
             blocks = _trial_blocks(rng, count, n, d)
-            lowest, thr = _image_spectra(phi, _hermitian_images(phi, blocks), tol)[1:]
-        violations += int(np.count_nonzero(lowest < -thr))
-        worst = min(worst, float(lowest.min()))
+            found, lowest = _stack_report(phi, _hermitian_images(phi, blocks), tol)
+        violations += found
+        worst = min(worst, lowest)
     return NecessityReport(
         trials=trials, violations=violations, worst_min_eig=worst, n=n, d=d
     )
@@ -430,17 +530,6 @@ def _kicks(rng: np.random.Generator, nd: int, steps: int) -> list:
     return kicks
 
 
-# The square root of the smallest normal double: a window's sum of squares
-# at least that normal double lost at most a relative 1e-13 to underflow.
-_SMALLEST_NORM = math.sqrt(_TINY)
-
-
-def _margin(m: int, norm: float, current: float) -> float:
-    """The shift margin of :func:`_first_better` for m x m Hermitian images
-    of operator norm at most ``norm``: 8 m^3 eps (norm + |current|)."""
-    return 8.0 * m**3 * _EPS * (norm + abs(current))
-
-
 def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Tolerance):
     """(t, lowest, top) for the first Hermitian image ``h[t]`` of a witness
     window whose lowest eigenvalue, as ``eigvalsh`` computes it, is below
@@ -448,44 +537,24 @@ def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Toleranc
     search's ``np.errstate(**_SILENT)``, in which the Cholesky and
     ``eigvalsh`` calls issue no warning.
 
-    One stacked Cholesky of H - (current + delta) I, delta of
-    :func:`_margin`, clears every image it factors; the others get their
-    spectrum, one at a time in window order, until one is below.  Let F,
-    the Frobenius norm of the whole window, bound each image's norm, m be
-    its size, u = eps / 2 and s the shift as rounded.  A Cholesky that
-    completes without an overflow, the only kind :func:`_positive_definite`
-    clears, on H - sI as rounded (each diagonal entry off by at most
-    u (F + |s|)) has factored a PSD matrix within a backward error of norm
-    at most about m (m + 1) u (F + |s|) (Higham 2002, Theorem 10.3), so
-    lambda_min(H) >= s - (m^2 + m + 1) u (F + |s|) to first order.
-    ``eigvalsh`` returns the exact eigenvalues of H + E with
-    ||E|| <= p(m) u ||H||, p a modest function (LAPACK Users' Guide,
-    section 4.7), which the margin takes as m^3.  With s at least
-    current + delta - u |current + delta|, these errors add up to less than
-    a third of delta = 16 m^3 u (F + |current|): a cleared image's computed
-    lowest eigenvalue is above ``current``, and every decision is the one
-    ``eigvalsh`` alone makes.
-
-    A window whose sum of squares is not a finite normal number, or at
-    whose scale 2F the PSD threshold is not finite, gets every spectrum in
-    one stack through :func:`_image_spectra`, and so its ScaleError where
-    an image's spectrum overflows.  Elsewhere every image's spectrum is
-    finite and below 2F in magnitude, so its threshold is finite: the
-    overflow checks of :func:`_image_spectra` cannot fail, and an image the
-    test does not clear gets a bare ``eigvalsh``."""
-    f = math.sqrt(np.vdot(h, h).real)
-    if _SMALLEST_NORM <= f < math.inf and math.isfinite(tol.threshold(2.0 * f)):
-        m = h.shape[-1]
-        shift = current + _margin(m, f, current)
-        for t in np.flatnonzero(~_positive_definite(h - shift * _identity(m))):
+    The shifted Cholesky of :func:`_screen` proves of every image it
+    clears that it is not below ``current``; the others get a bare
+    ``eigvalsh``, one at a time in window order, until one is below.  So
+    every decision is the one ``eigvalsh`` alone makes.  A window beyond
+    that test's range gets every spectrum in one stack through
+    :func:`_image_spectra`, and so its ScaleError where an image's
+    spectrum overflows."""
+    screen = _screen(h, tol)
+    if screen is not None:
+        for t in np.flatnonzero(~screen(current)):
             w = _eigvalsh(h[t])
             if w[0] < current:
                 return int(t), float(w[0]), float(w[-1])
         return None
-    w, lowest, _ = _image_spectra(phi, h, tol)
-    better = lowest < current
+    w = _image_spectra(phi, h, tol)
+    better = w[:, 0] < current
     t = int(better.argmax())
-    return (t, float(lowest[t]), float(w[t, -1])) if better[t] else None
+    return (t, float(w[t, 0]), float(w[t, -1])) if better[t] else None
 
 
 def witness_search(
@@ -506,7 +575,12 @@ def witness_search(
     both positivity conditions hold by construction) and annealing the
     boundary floor downward.  Returns the witness of the first restart whose
     image minimum eigenvalue ends below ten PSD floors, or None if the budget
-    is exhausted.
+    is exhausted.  At n d = 1 every candidate of every restart is the 1 x 1
+    block G G* scaled to trace 1, which rounds to 1 or to the double below
+    it, whatever G and the kicks are: a map whose restart 0 ends without a
+    witness has none at any restart, unless its image lies within a
+    rounding of the witness threshold, so the search returns None after
+    restart 0 instead of spending its budget.
 
     A step kicks one entry of the current G; an improving step is accepted
     and widens the kick (sigma * 1.2, at most 1), a rejected one narrows it
@@ -562,7 +636,7 @@ def witness_search(
             steps = min(_STEPS_PER_RESTART, budget - evaluations - 1)
             kicks = _kicks(rng, nd, steps)
             x = _boundary_grams(g[None], n, _FLOORS[:1])
-            w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)[0]
+            w = _image_spectra(phi, _hermitian_images(phi, _split(x, n)), tol)
             # the ends of the current image's spectrum: its min_eig and top
             current, top, x = float(w[0, 0]), float(w[0, -1]), x[0]
             sigma = 0.3
@@ -593,5 +667,7 @@ def witness_search(
                     evaluations=evaluations,
                     restart=restart,
                 )
+            if nd == 1:  # every restart climbs over the blocks of restart 0
+                break
             restart += 1
     return None

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from . import _EXPORTS
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -257,9 +257,14 @@ def random_stormer_blocks(
     calls of :func:`random_stormer_block` do.  They run in
     ``np.errstate(**_SILENT)``.  Raises DimensionError unless ``count`` is
     an integer of at least 0 and ``n`` and ``d`` ones of at least 1;
-    ``count`` 0 gives an empty stack.
+    ``count`` 0 gives an empty stack.  Raises DomainError unless
+    ``boundary`` is None or in [0, 1]: a floor above the trace scale c
+    mixes past the identity, and one below 0 stops short of the swapped
+    side's boundary, so neither gives two-sided-positive blocks.
     """
     count, n, d = _size(count, "count", 0), _size(n, "n", 1), _size(d, "d", 1)
+    if boundary is not None and not 0.0 <= boundary <= 1.0:
+        raise DomainError(f"boundary must be in [0, 1], got {boundary!r}")
     nd = n * d
     normals = np.empty((count, 2, nd, nd))  # per block: G re, G im
     floor = np.empty(count)
@@ -315,7 +320,7 @@ def random_stormer_block(
     boundary: float | None = None,
 ) -> OperatorBlockMatrix:
     """One block matrix of :func:`random_stormer_blocks` (same draws, same
-    values)."""
+    values, same errors)."""
     return OperatorBlockMatrix(random_stormer_blocks(rng, 1, n, d, boundary)[0])
 
 

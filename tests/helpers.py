@@ -4,6 +4,7 @@ import contextlib
 import functools
 import importlib.util
 import io
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from stormer_kit import (
 )
 from stormer_kit import cli, stormer
 from stormer_kit.linalg import fix_phases
+from stormer_kit.sampling import ginibre
 
 
 def load_script(name):
@@ -87,17 +89,19 @@ def lapack_calls(names=("eigvalsh", "eigh", "svd")):
             setattr(np.linalg, name, fn)
 
 
-def cond_sizes(monkeypatch) -> list:
-    """Install a wrapper over ``np.linalg.cond`` that records the number of
-    matrices of each call, and return that list.  The seam then takes its
-    public path, so the list holds every matrix ``_cond`` is asked about."""
-    original, sizes = np.linalg.cond, []
+def stack_sizes(monkeypatch, name) -> list:
+    """Install a wrapper over ``np.linalg.<name>`` that records the number
+    of matrices of each call (1 for one matrix), and return that list.  The
+    seam then takes its public path, so the list holds every matrix the
+    seam's function is asked about: ``"cond"`` for ``_cond``,
+    ``"eigvalsh"`` for ``_eigvalsh``."""
+    original, sizes = getattr(np.linalg, name), []
 
     def counting(a, *args, **kwargs):
-        sizes.append(len(a))
+        sizes.append(math.prod(np.shape(a)[:-2]))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cond", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return sizes
 
 
@@ -166,6 +170,22 @@ def kraus_products(phi, a) -> np.ndarray:
     for kr in phi.kraus_cocp:
         out = out + kr @ np.swapaxes(a, -1, -2) @ adjoint(kr)
     return out
+
+
+def common_spectrum(rng, m, count=5) -> np.ndarray:
+    """``count`` Hermitian m x m matrices Q diag(lam) Q* with one random
+    spectrum lam and unitary Q's: equal spectra in exact arithmetic, whose
+    computed lowest eigenvalues differ in their last bits."""
+    lam = np.sort(rng.standard_normal(m))
+    qs = [np.linalg.qr(ginibre(rng, m)).Q for _ in range(count)]
+    return np.array([hermitize((q * lam) @ q.conj().T) for q in qs])
+
+
+def ulps(x, steps) -> float:
+    """``x`` moved ``steps`` doubles up, or down where ``steps`` < 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return float(x)
 
 
 def oracle_ginibre(rng, rows, cols=None) -> np.ndarray:

@@ -7,6 +7,7 @@ the reference exactly, not approximately.
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,16 +20,18 @@ from stormer_kit import (
     DEFAULT_TOL,
     DimensionError,
     DomainError,
+    OperatorBlockMatrix,
     choi_fixture,
     choi_matrix,
     identity_map,
     make_decomposable,
     map_from_choi,
+    stormer_test,
     theorem1_necessity_trial,
     transpose_map,
 )
 from stormer_kit import maps as maps_module
-from stormer_kit.linalg import _SILENT, adjoint
+from stormer_kit.linalg import _SILENT, adjoint, psd_margin
 from stormer_kit.sampling import (
     _boundary_grams,
     _pair_stack,
@@ -44,7 +47,7 @@ from stormer_kit.stormer import _assemble, _split, _swap
 
 from helpers import (
     CASES,
-    cond_sizes,
+    common_spectrum,
     expand,
     kraus_products,
     lapack_calls,
@@ -57,6 +60,8 @@ from helpers import (
     oracle_necessity,
     oracle_normal_operator,
     oracle_pair,
+    stack_sizes,
+    ulps,
 )
 
 
@@ -409,6 +414,28 @@ def test_stacked_blocks_at_a_zero_boundary_mix_only_those_below_it(n, d):
     assert 0 < kept < 40
 
 
+@pytest.mark.parametrize("boundary", [3.0, -0.5, math.nan, math.inf, 1.0 + 1e-15, -1e-300])
+def test_block_samplers_reject_a_boundary_outside_zero_one(boundary):
+    # at seed 0, n = d = 2, boundary 3 mixes past the identity (direct side
+    # down to -1.59) and -0.5 or nan stops short of the swapped side's
+    # boundary (-0.068)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="boundary must be in"):
+        random_stormer_blocks(rng, 3, 2, 2, boundary=boundary)
+    with pytest.raises(DomainError, match="boundary must be in"):
+        random_stormer_block(rng, 2, 2, boundary=boundary)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize("boundary", [0.0, 1.0])
+def test_block_samplers_at_either_end_of_the_boundary_pass_the_two_sided_test(boundary):
+    rng = np.random.default_rng(0)
+    for n, d in ((2, 2), (3, 2), (2, 3)):
+        for b in random_stormer_blocks(rng, 10, n, d, boundary=boundary):
+            assert stormer_test(OperatorBlockMatrix(b))
+        assert stormer_test(random_stormer_block(rng, n, d, boundary=boundary))
+
+
 @pytest.mark.parametrize("layout", ["split", "contiguous"])
 def test_choi3_image_equals_the_per_block_reference(layout):
     # the witness search maps _split views of its assembled candidates
@@ -454,8 +481,9 @@ def test_necessity_eigvalsh_calls_do_not_grow_with_trials():
         with lapack_calls() as calls:
             theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=3, d=3)
         counts.append(calls["eigvalsh"])
-    # one stacked call for the swap floors, one for the images
-    assert counts == [2, 2]
+    # one stacked call for the swap floors, one for the two probes and one
+    # for the trials the shifted Cholesky does not clear
+    assert counts == [3, 3]
 
 
 def test_necessity_tests_each_stack_of_pairs_without_a_cond_call():
@@ -477,7 +505,7 @@ def test_a_candidate_on_cond_max_leaves_the_stream_as_single_draws_do(offset, mo
     cond_max = max(np.linalg.cond(oracle_pair(first, 3, np.inf)[0]) for _ in range(20))
     cond_max *= 1.0 + offset
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    sizes = cond_sizes(monkeypatch)
+    sizes = stack_sizes(monkeypatch, "cond")
     a1, a2 = random_stormer_pairs(rng, 20, 3, cond_max)
     if offset >= 0:  # one stack, whose one uncleared candidate gets cond alone
         assert sizes == [1]
@@ -491,16 +519,20 @@ def test_a_candidate_on_cond_max_leaves_the_stream_as_single_draws_do(offset, mo
 def test_necessity_factorizes_each_stack_once_per_stage():
     # per stack of pairs: no cond (the certificate clears every candidate),
     # one Cholesky per candidate, which a wrapper over numpy's function sees
-    # one matrix at a time, one qr for the Haar factors and one eigvalsh for
-    # the images; per stack of blocks: two eigvalsh, the swap floors and the
-    # images.  300 trials are 2 stacks, of 256 and 44 trials.
+    # one matrix at a time, one qr for the Haar factors and two eigvalsh for
+    # the images, the probes and the others: the transpose map's Gram
+    # images are rank-deficient, so their probes are not above 0 and no
+    # image is screened.  Per stack of blocks: three eigvalsh, the swap
+    # floors, the probes and the images the screen does not clear, and the
+    # screen's one Cholesky of every image.  300 trials are 2 stacks, of 256
+    # and 44 trials.
     names = ("cond", "cholesky", "qr", "eigvalsh")
-    for n, want in ((2, {"qr": 1, "eigvalsh": 1}), (3, {"eigvalsh": 2})):
+    for n, want in ((2, {"qr": 1, "eigvalsh": 2}), (3, {"eigvalsh": 3})):
         for trials, stacks in ((20, 1), (300, 2)):
             with lapack_calls(names) as calls:
                 theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=n, d=3)
             per_stage = {name: stacks * want.get(name, 0) for name in names}
-            per_stage["cholesky"] = trials if n == 2 else 0
+            per_stage["cholesky"] = trials
             assert dict(calls) == per_stage
 
 
@@ -525,6 +557,118 @@ def test_necessity_counts_a_violation_between_one_and_two_thresholds():
     assert (rep.violations, rep.worst_min_eig) == oracle_necessity(phi, 0, 10, 2, 2)
 
 
+def test_necessity_diagonalizes_each_trial_at_most_once(monkeypatch):
+    # matrices per eigvalsh call, per stack: at n = 2 the two probes, then
+    # every other image (the transpose map's Gram images are rank-deficient);
+    # at n = 3 the swap floors, the two probes and the images the screen
+    # does not clear, far fewer than the trials.  300 trials are stacks of
+    # 256 and 44
+    want = {
+        (2, 20): [2, 18],
+        (2, 300): [2, 254, 2, 42],
+        (3, 20): [20, 2, 6],
+        (3, 300): [256, 2, 8, 44, 2, 2],
+    }
+    for (n, trials), sizes in want.items():
+        got = stack_sizes(monkeypatch, "eigvalsh")
+        theorem1_necessity_trial(transpose_map(), seed=0, trials=trials, n=n, d=3)
+        monkeypatch.undo()
+        assert got == sizes
+        images = sum(got) - (trials if n == 3 else 0)
+        assert images <= trials and (n == 2 or images < trials)
+
+
+def _screens(monkeypatch) -> list:
+    """Install a wrapper over the engine's shifted-Cholesky test that
+    records False for a stack beyond its range and True for each Cholesky
+    it runs, and return that list."""
+    original, runs = maps_module._screen, []
+
+    def recording(h, tol):
+        clears = original(h, tol)
+        if clears is None:
+            runs.append(False)
+            return None
+
+        def running(current):
+            runs.append(True)
+            return clears(current)
+
+        return running
+
+    monkeypatch.setattr(maps_module, "_screen", recording)
+    return runs
+
+
+def _screen_cases():
+    """(label, map, n, d, seed, trials, screens): stacks that take each path
+    of the engine, with what the shifted Cholesky does on each stack."""
+    rng = np.random.default_rng(20)
+    dec = ENGINE_MAPS[4][1]  # cp+cocp, 3 -> 2
+    choi = choi_matrix(dec)
+    shifted = map_from_choi(choi_matrix(identity_map(), 3) - 0.1 * np.eye(9), 3)
+    cases = [
+        ("full-rank n=2", dec, 2, 3, 0, 20, [True]),
+        ("full-rank n=3", dec, 3, 3, 0, 20, [True]),
+        ("full-rank n=3, kraus 2->4", make_decomposable(_kraus(rng, 2, 4, 3), []), 3, 2, 0, 20, [True]),
+        # rank-deficient Gram images: probes at or below 0
+        ("identity n=2", identity_map(), 2, 3, 0, 20, []),
+        # probes above 0, two violations among the images not cleared
+        ("violation n=3", shifted, 3, 3, 1, 20, [True]),
+        ("scale 1e100", map_from_choi(1e100 * choi, 3), 3, 3, 0, 20, [True]),
+        ("scale 1e-100", map_from_choi(1e-100 * choi, 3), 3, 3, 0, 20, [True]),
+        # a sum of squares that overflows or is not a normal number
+        ("scale 1e160", map_from_choi(1e160 * choi, 3), 3, 3, 0, 20, [False]),
+        ("scale 1e-160", map_from_choi(1e-160 * choi, 3), 3, 3, 0, 20, [False]),
+    ]
+    # one and two trials are all probes; 300 are two screened stacks
+    for trials, screens in ((1, []), (2, []), (3, [True]), (300, [True, True])):
+        cases.append((f"{trials} trials", dec, 3, 3, 2, trials, screens))
+    return cases
+
+
+SCREEN_CASES = _screen_cases()
+
+
+@pytest.mark.parametrize(
+    "label,phi,n,d,seed,trials,screens", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES]
+)
+def test_the_screen_keeps_the_per_trial_report(label, phi, n, d, seed, trials, screens, monkeypatch):
+    runs = _screens(monkeypatch)
+    rep = theorem1_necessity_trial(phi, seed=seed, trials=trials, n=n, d=d)
+    assert runs == screens
+    assert (rep.violations, rep.worst_min_eig) == oracle_necessity(phi, seed, trials, n, d)
+    assert (rep.violations > 0) == (label == "violation n=3")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-160, 1e160])
+def test_the_screen_margin_keeps_the_minimum_and_count_of_near_ties(scale):
+    # v I, whose spectrum is v itself, is one probe; v sits a few doubles,
+    # and one or two margins, on either side of the computed lowest
+    # eigenvalue of each of five matrices with one spectrum (ties in exact
+    # arithmetic).  Above 0 the screen runs at u <= v, below 0 every image
+    # is a violation: either way the report is the one every spectrum gives
+    rng = np.random.default_rng(2029)
+    phi = choi_fixture()  # names the map of a ScaleError alone
+    for m in (1, 2, 3, 6, 9):
+        for offset in (0.25, -0.25):
+            ties = common_spectrum(rng, m)
+            ties += (offset - np.linalg.eigvalsh(ties)[:, 0].min()) * np.eye(m)
+            f = math.sqrt(np.vdot(ties, ties).real)  # at scale 1: 1e160 F overflows
+            ties *= scale
+            for lowest in np.linalg.eigvalsh(ties)[:, 0]:
+                delta = scale * maps_module._margin(m, f, lowest / scale)
+                probes = [ulps(lowest, j) for j in range(-4, 5)]
+                probes += [lowest + k * delta for k in (-2, -1, 1, 2)]
+                for v in probes:
+                    h = np.concatenate(([v * np.eye(m)], ties)).astype(complex)
+                    lowest, thr = psd_margin(np.linalg.eigvalsh(h), DEFAULT_TOL)
+                    want = (int(np.count_nonzero(lowest < -thr)), float(lowest.min()))
+                    with np.errstate(**_SILENT):
+                        got = maps_module._stack_report(phi, h, DEFAULT_TOL)
+                    assert got == want, (m, v)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 @pytest.mark.parametrize("d", range(1, 6))
 def test_maps_on_split_views_equal_the_einsum_on_the_view(d, n):
@@ -544,11 +688,16 @@ def test_maps_on_split_views_equal_the_einsum_on_the_view(d, n):
 
 
 def test_necessity_rate_script_prints_a_rate_per_map_kind(capsys):
+    # per trial at n = 2 the images' spectra, at most one; at n = 3 the
+    # swap floors' one more
     script = load_script("necessity_rate")
-    assert script.main(trials=2, calls=1, repeats=1) == 0
+    assert script.main(trials=20, calls=1, repeats=1) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == ["named", "kraus", "choi"]
-    assert all(len(row) == 3 and min(map(float, row[1:])) > 0 for row in rows)
+    for row in rows:
+        assert len(row) == 5 and min(map(float, row[1:3])) > 0
+        at2, at3 = map(float, row[3:])
+        assert 0 < at2 <= 1 and 1 < at3 < 2
 
 
 def test_necessity_digest_script_prints_one_digest_of_its_sweep(monkeypatch, capsys):

@@ -303,9 +303,11 @@ GOLDEN_EIGVALSH = {
     "make_state_identity": 4,
     # the state's validation, the partial transpose
     "ppt_check_bell": 2,
-    # one stacked call for the trial images
-    "map_test_transpose": 1,
-    "map_test_kraus": 1,
+    # the two probes, then the other trial images: all of them for the
+    # transpose map's rank-deficient Gram images, those the shifted
+    # Cholesky does not clear for the Kraus map's
+    "map_test_transpose": 2,
+    "map_test_kraus": 2,
 }
 
 

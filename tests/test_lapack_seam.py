@@ -46,7 +46,7 @@ from stormer_kit.sampling import (
 )
 from stormer_kit.stormer import _swap
 
-from helpers import cond_sizes, hermitize
+from helpers import hermitize, stack_sizes
 
 # numpy.linalg name -> (the seam's call, numpy's public call)
 SEAM = {
@@ -637,7 +637,7 @@ def test_condition_certificate_hands_only_uncleared_candidates_to_cond(m, monkey
     # the rank-deficient matrix and the bisected pairs, each on cond_max or
     # just above it, cannot be; a stack with a zero matrix goes whole
     stacks = dict(_condition_stacks(m, 1e3))
-    sizes = cond_sizes(monkeypatch)
+    sizes = stack_sizes(monkeypatch, "cond")
     with np.errstate(**_SILENT):
         assert linalg._well_conditioned(stacks["ginibre"], 1e3).all()
         assert sizes == []

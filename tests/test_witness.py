@@ -37,7 +37,7 @@ from stormer_kit.linalg import _SILENT
 from stormer_kit.maps import _first_better, _kicks, _margin
 from stormer_kit.sampling import ginibre
 
-from helpers import hermitize, lapack_calls, load_script, oracle_witness_search
+from helpers import common_spectrum, lapack_calls, load_script, oracle_witness_search, ulps
 
 FIXTURE = Path(__file__).parent / "fixtures" / "choi3_witness.json"
 
@@ -166,6 +166,23 @@ def test_kicks_at_the_edges_of_the_index_draw_match_the_one_step_climb(phi, n, d
         want = oracle_witness_search(phi, seed=seed, budget=budget, n=n, d=d)
         assert _same(got, want), (n, budget)
     assert (got is not None) == found
+
+
+def test_a_search_at_nd_one_ends_after_restart_zero():
+    # at n d = 1 every candidate is the block [1], up to its last bit: a map
+    # with no witness at restart 0 makes one restart's LAPACK calls whatever
+    # its budget, and a map with one returns the witness it always did
+    counts = []
+    for budget in (601, 10**6):
+        with lapack_calls(("eigvalsh", "cholesky")) as calls:
+            assert witness_search(identity_map(), n=1, d=1, budget=budget) is None
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["eigvalsh"] > 0
+    phi = map_from_choi(np.array([[-1.0]]), 1)
+    for budget in (1, 601, 10**6):
+        got = witness_search(phi, n=1, d=1, budget=budget)
+        want = oracle_witness_search(phi, n=1, d=1, budget=budget)
+        assert _same(got, want) and got.restart == 0
 
 
 def test_the_comparison_covers_found_witnesses():
@@ -309,15 +326,6 @@ def test_witness_digest_script_prints_one_digest_of_its_sweep(monkeypatch, capsy
 # -- the Cholesky test of a window against eigvalsh alone ---------------------
 
 
-def _common_spectrum(rng, m, count=5):
-    """``count`` Hermitian m x m matrices Q diag(lam) Q* with one random
-    spectrum lam and unitary Q's: equal spectra in exact arithmetic, whose
-    computed lowest eigenvalues differ in their last bits."""
-    lam = np.sort(rng.standard_normal(m))
-    qs = [np.linalg.qr(ginibre(rng, m)).Q for _ in range(count)]
-    return np.array([hermitize((q * lam) @ q.conj().T) for q in qs])
-
-
 def _eigvalsh_only(h, current):
     """(t, lowest, top) of the first matrix of ``h`` whose lowest eigenvalue,
     by eigvalsh, is below ``current``, or None: the decision of a window
@@ -328,13 +336,6 @@ def _eigvalsh_only(h, current):
         return None
     t = int(better[0])
     return t, float(w[t, 0]), float(w[t, -1])
-
-
-def _ulps(x, steps):
-    """``x`` moved ``steps`` doubles up, or down where ``steps`` < 0."""
-    for _ in range(abs(steps)):
-        x = np.nextafter(x, math.inf if steps > 0 else -math.inf)
-    return float(x)
 
 
 # 1 and 1e+-100 take the Cholesky test; at 1e+-160 a window's sum of squares
@@ -352,11 +353,11 @@ def test_the_cholesky_margin_keeps_the_decisions_of_eigvalsh(scale):
     phi = choi_fixture()
     for m in (1, 2, 3, 6, 9, 12):
         for _ in range(4):
-            h = scale * _common_spectrum(rng, m)
+            h = scale * common_spectrum(rng, m)
             f = math.sqrt(np.vdot(h, h).real)
             for lowest in np.linalg.eigvalsh(h)[:, 0]:
                 delta = _margin(m, f, lowest)
-                currents = [_ulps(lowest, j) for j in range(-4, 5)]
+                currents = [ulps(lowest, j) for j in range(-4, 5)]
                 currents += [lowest + k * delta for k in (-2, -1, 1, 2)]
                 for current in currents:
                     with np.errstate(**_SILENT):
@@ -369,7 +370,7 @@ def test_a_window_above_the_current_minimum_takes_no_spectrum(scale, calls):
     # five images the shifted Cholesky factors: proved not better without a
     # spectrum.  Beyond the Cholesky test's range the window takes every
     # spectrum in one stacked call
-    h = scale * _common_spectrum(np.random.default_rng(2028), 9)
+    h = scale * common_spectrum(np.random.default_rng(2028), 9)
     current = float(np.linalg.eigvalsh(h)[:, 0].min()) - scale
     with lapack_calls(("eigvalsh", "cholesky")) as counted, np.errstate(**_SILENT):
         assert _first_better(choi_fixture(), h, current, DEFAULT_TOL) is None
