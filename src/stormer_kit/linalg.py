@@ -41,28 +41,33 @@ the signatures and the post-processing ``numpy.linalg`` uses, so its
 results are bit-equal to the public functions' by construction, without
 their Python wrapper.  On one matrix the wrapper costs a few microseconds
 a call, about as much as LAPACK takes at the 2x2 to 12x12 sizes used here.
-On the necessity engine's stacks of 20 matrices of 2x2 to 4x4 the stack
-path saves 4-13 us a ``cond`` call, and 7-15 us a ``qr`` call that returns
-R's diagonal (see CHANGES for the measurement).  A NaN output, the gufuncs'
-mark of a LAPACK failure, hands the input to the public function, which
-raises ``LinAlgError`` or returns what numpy returns.
+On the samplers' stacks of 20 Haar factors the stack path saves 7-15 us a
+``qr`` call that returns R's diagonal (see CHANGES for the measurement).
+A NaN output, the gufuncs' mark of a LAPACK failure, hands the input to
+the public function, which raises ``LinAlgError`` or returns what numpy
+returns.
 
-- One 2-d matrix takes the gufunc path in every function except
-  :func:`_cond`, and tests its first output element for NaN.
-- A stack of matrices takes it in :func:`_eigvalsh`, :func:`_qr` and
-  :func:`_cond`, the samplers', the necessity engine's and the witness
-  search's calls, with one NaN test per stack.
+- One 2-d matrix takes the gufunc path, which tests its first output
+  element for NaN, in every function except :func:`_cond`, which calls
+  ``np.linalg.cond`` on every input.
+- A stack of matrices takes it in :func:`_eigvalsh` and :func:`_qr`, the
+  samplers', the necessity engine's and the witness search's calls, with
+  one NaN test per stack.
 - :func:`_positive_definite` answers for each matrix of a stack, or for
   one matrix, whether ``np.linalg.cholesky`` succeeds on it with a factor
   free of NaN, that is without an overflow.  A failure is an answer, not
   an error, so it has no NaN hand-off: one ``cholesky_lo`` call gives
-  every verdict.  Its callers are the witness search and
-  :func:`_well_conditioned`, the pair sampler's condition test, which
-  clears a candidate a1 when its Gram matrix, shifted by
-  ||a1||_F^2 (1 / cond_max^2 + 16 m^3 eps), is positive definite: a bound
-  on the smallest singular value, with room for the rounding of the Gram
-  product, of the Cholesky and of the SVD.  Only the candidates it does
-  not clear get :func:`_cond`, so its verdicts are those of
+  every verdict.  Its one caller is :func:`_above`, the package's one
+  certificate of positive definiteness: a Cholesky of a stack shifted by
+  current + delta, which proves of every matrix it factors that its
+  lowest eigenvalue is above current + 2 delta / 3.  Three clients read
+  it, each closing its proof with its own last step: the necessity engine
+  and the witness search (``maps._screen``, the rounding of ``eigvalsh``),
+  and :func:`_well_conditioned`, the pair sampler's condition test, which
+  clears a candidate a1 whose Gram matrix lies provably above
+  top / cond_max^2, top the stack's largest squared Frobenius norm (the
+  rounding of the Gram product and of the SVD).  Only the candidates it
+  does not clear get :func:`_cond`, so its verdicts are those of
   ``_cond(a1) <= cond_max``.
 
 Floating-point state follows one rule.  No seam function and no private
@@ -87,6 +92,7 @@ such as a call counter, sees every call.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -259,65 +265,95 @@ def _pinv(a, rcond: float):
 
 
 def _cond(a):
-    """2-norm condition number, as ``np.linalg.cond(a)``: the ratio
-    ``s[..., 0] / s[..., -1]`` of the extreme singular values.  A stack takes
-    the gufunc path; a NaN ratio, from a LAPACK failure or from 0 / 0 on a
-    zero matrix, hands the stack to numpy, which raises or applies its rule
-    that such a NaN reads inf.  On stacks of 20 candidates (d = 2..4) this
-    takes 4-13 us a call less than ``np.linalg.cond``; the pair sampler
-    asks it only about the candidates :func:`_well_conditioned` does not
-    clear.  One matrix takes the public path: the package asks for it only
-    a few times per self-test."""
-    if _gufunc_path(a, "cond", stack=True):
-        s = _umath_linalg.svd(a, signature="D->d")
-        c = s[..., 0] / s[..., -1]
-        if _solved(c):
-            return c
+    """2-norm condition number, as ``np.linalg.cond(a)``, whose function it
+    calls; ``a`` may be a stack.  The pair sampler asks it only about the
+    candidates :func:`_well_conditioned` does not clear, as a rule none, and
+    the self-test about a few single matrices."""
     return np.linalg.cond(a)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(m: int) -> np.ndarray:
+    """The read-only m x m identity, built once per size: the shift of
+    :func:`_above` and the mix of ``sampling._boundary_grams``."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+def _margin(m: int, scale: float, current: float) -> float:
+    """The shift margin of :func:`_above` for m x m Hermitian matrices of
+    norm at most ``scale``: 8 m^3 eps (scale + |current|)."""
+    return 8.0 * m**3 * _EPS * (scale + abs(current))
+
+
+def _above(h, current: float, scale: float):
+    """True where a matrix of the stack ``h`` of m x m Hermitian matrices,
+    each of norm at most ``scale``, is provably positive definite after a
+    shift by ``current``: a bool array of its leading shape, from one
+    stacked :func:`_positive_definite` of h - (current + delta) I, delta of
+    :func:`_margin`, one scalar shift for the whole stack.  The package's
+    one certificate of positive definiteness: the necessity engine and the
+    witness search call it through ``maps._screen``, the pair sampler
+    through :func:`_well_conditioned`.  Each passes its own numbers and
+    closes the lemma below with its own last step.  Runs in the caller's
+    ``np.errstate(**_SILENT)``.
+
+    The lemma: every matrix it clears has an exact lowest eigenvalue above
+    current + 2 delta / 3.  Let u = eps / 2, so delta =
+    16 m^3 u (scale + |current|), and s the shift as rounded, at least
+    current + delta - u |current + delta|.  Each diagonal entry of h - sI
+    is rounded once, off by at most u (scale + |s|).  A Cholesky that
+    completes without an overflow, the only kind :func:`_positive_definite`
+    clears, has factored that matrix within a backward error of norm at
+    most about m (m + 1) u (scale + |s|) (Higham 2002, Theorem 10.3), so
+    lambda_min(h) >= s - (m^2 + m + 1) u (scale + |s|) to first order.
+    Where ``scale`` is a normal number, gradual underflow adds at most
+    u tiny <= u scale per operation of an entry, m^2 u scale in all.
+    These errors and the shift's rounding add up to at most
+    (2 m^2 + m + 2) u (scale + |current|), less than delta / 3 for every
+    m >= 1."""
+    m = h.shape[-1]
+    return _positive_definite(h - (current + _margin(m, scale, current)) * _identity(m))
 
 
 def _well_conditioned(a, cond_max):
     """``_cond(a) <= cond_max`` for a stack ``a`` of m x m matrices, the
-    pair sampler's rejection test, with an SVD only for the matrices one
-    stacked :func:`_positive_definite` cannot clear.  Runs in the caller's
+    pair sampler's rejection test, with an SVD only for the matrices the
+    certificate :func:`_above` cannot clear.  Runs in the caller's
     ``np.errstate(**_SILENT)``.
 
     Let c = ``cond_max``, u = eps / 2, G the Gram matrix A* A of a matrix
     A as computed, f its trace, which is F^2 = ||A||_F^2 up to rounding,
-    and s_1 >= ... >= s_m A's singular values, so s_1^2 <= F^2.  The
-    Cholesky tests G - tau I with tau = f (1 / c^2 + delta), delta =
-    16 m^3 eps.  Counting errors to first order, in multiples of u F^2:
-    G's entries are complex inner products of length m, off by at most
-    (m + 2) u |A|* |A| (Higham 2002, section 3.6), so G is off by
-    (m + 2) in norm and f is at least (1 - (2 m + 2) u) F^2; subtracting
-    tau rounds each diagonal entry by 1 more, since tau <= 2 F^2; and a
-    Cholesky that completes has factored the shifted matrix within a
-    backward error of m + 1 (Higham 2002, Theorem 10.3), where none of its
-    entries overflows, as in every factorization it clears.  Gradual
-    underflow adds at most u tiny per operation, below u F^2 since F^2 is
-    a normal number, and at most 4 m^2 over these steps.  So a matrix the Cholesky clears has
-    s_m^2 >= tau - (4 m^2 + 2 m + 4) u F^2.  The SVD
-    returns singular values within e = p(m) u s_1 of the exact ones,
-    p a modest function (LAPACK Users' Guide, section 4.9), which the
-    margin takes as m^3, and the computed ratio is at most c (rounding is
-    monotone, c a double) where s_1 + e <= c (s_m - e), which holds when
-    s_m^2 >= F^2 / c^2 + 4 m^3 u F^2, for c >= 1.  Since tau, rounded four
-    times, is at least F^2 / c^2 + (32 m^3 - 2 m - 6) u F^2, and
-    28 m^3 > 4 m^2 + 4 m + 10 for m >= 1, every matrix the Cholesky clears
-    is one ``_cond`` accepts; the others get ``_cond``, in one call.
+    top the largest f of the stack, and s_1 >= ... >= s_m A's singular
+    values, so s_1^2 <= F^2.  G's entries are complex inner products of
+    length m, off by at most (m + 2) u |A|* |A| (Higham 2002, section 3.6),
+    so G is off by (m + 2) u F^2 in norm and f is at least
+    (1 - (2 m + 2) u) F^2: ``scale`` 2 top bounds the norm of every G of
+    the stack.  With ``current`` top / c^2, delta =
+    16 m^3 u (2 top + top / c^2) is at least 32 m^3 u top, and by the
+    lemma of :func:`_above` a matrix it clears has
+    lambda_min(G) > top / c^2 + 21 m^3 u top.  Gradual underflow in G adds
+    at most m u tiny <= m u F^2, since F^2 is a normal number, so
+    s_m^2 >= lambda_min(G) - (2 m + 2) u F^2, and with top >= f,
+    s_m^2 >= F^2 / c^2 + (21 m^3 - 4 m - 4) u F^2.  The SVD returns
+    singular values within e = p(m) u s_1 of the exact ones, p a modest
+    function (LAPACK Users' Guide, section 4.9), which the margin takes as
+    m^3, and the computed ratio is at most c (rounding is monotone, c a
+    double) where s_1 + e <= c (s_m - e), which holds when
+    s_m^2 >= F^2 / c^2 + 4 m^3 u F^2, for c >= 1.  Since
+    17 m^3 > 4 m + 4 for m >= 1, every matrix the certificate clears is
+    one ``_cond`` accepts; the others get ``_cond``, in one call.
 
     A stack whose ``cond_max`` is not a number in [1, inf), or with a
     matrix whose trace f is not a finite normal number (a zero matrix,
     entries whose squares overflow, a NaN), gets ``_cond`` whole.
     Elsewhere every entry of G is finite, at most f in magnitude."""
     if 1.0 <= cond_max < math.inf:
-        m = a.shape[-1]
         g = adjoint(a) @ a
         f = np.einsum("...ii->...", g).real
-        if f.size and _TINY <= f.min() and f.max() < math.inf:
-            diag = np.einsum("...ii->...i", g)
-            diag -= (f * (1.0 / (cond_max * cond_max) + 16.0 * m**3 * _EPS))[..., None]
-            clear = _positive_definite(g)
+        if f.size and _TINY <= f.min() and (top := f.max()) < math.inf:
+            clear = _above(g, top / (cond_max * cond_max), 2.0 * top)
             if not clear.all():
                 clear[~clear] = _cond(a[~clear]) <= cond_max
             return clear

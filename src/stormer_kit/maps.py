@@ -11,6 +11,13 @@ positive non-decomposable map on 3 x 3 matrices is provided as a fixture.
 A map given by data, Kraus families or a Choi matrix, is one object under
 the Choi correspondence, and is applied by one kernel: its Choi tensor,
 compiled at construction, contracted with every block of a stack.
+
+The necessity engine and the witness search diagonalize only the images
+that can change their answer.  Both ask of the others whether their lowest
+eigenvalue lies above a number, with the package's one certificate of
+positive definiteness, the shifted Cholesky ``linalg._above``;
+:func:`_screen` holds the range in which they ask it and the last step of
+its proof, the rounding of ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -26,21 +33,20 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _SILENT,
-    _EPS,
     _TINY,
     _ValueObject,
+    _above,
     _eigvalsh,
     _held,
     _hermitian_part,
     _integer,
     _overflow,
-    _positive_definite,
     adjoint,
     as_matrix,
     psd_margin,
     require_square,
 )
-from .sampling import _boundary_grams, _identity, _pair_stack, ginibre, random_stormer_blocks
+from .sampling import _boundary_grams, _pair_stack, _size, ginibre, random_stormer_blocks
 from .stormer import OperatorBlockMatrix, _assemble, _gram_blocks, _split
 
 __all__ = list(_EXPORTS["maps"])
@@ -207,10 +213,12 @@ def map_from_choi(choi, input_dim: int) -> PositiveMap:
 
 def choi_matrix(phi: PositiveMap, input_dim: int | None = None) -> np.ndarray:
     """Choi matrix on (input) x (output): the assembled block matrix of the
-    entrywise image of the matrix-unit block matrix.  Raises the ScaleError
-    of :func:`_images_overflow` (a DomainError) when the images overflow
-    double precision."""
-    k = input_dim or phi.input_dim
+    entrywise image of the matrix-unit block matrix, for the map's own input
+    dimension unless ``input_dim`` is given.  Raises DimensionError unless
+    ``input_dim`` is None or an integer of at least 1, or where neither it
+    nor the map fixes one, and the ScaleError of :func:`_images_overflow`
+    (a DomainError) when the images overflow double precision."""
+    k = phi.input_dim if input_dim is None else _size(input_dim, "input_dim", 1)
     if k is None:
         raise DimensionError("dimension-agnostic map: pass input_dim explicitly")
     # an overflow is reported by the ScaleError below, not as a numpy warning
@@ -309,36 +317,23 @@ def _images_overflow(phi: PositiveMap) -> ScaleError:
 _SMALLEST_NORM = math.sqrt(_TINY)
 
 
-def _margin(m: int, norm: float, current: float) -> float:
-    """The shift margin of :func:`_screen` for m x m Hermitian images of
-    operator norm at most ``norm``: 8 m^3 eps (norm + |current|)."""
-    return 8.0 * m**3 * _EPS * (norm + abs(current))
-
-
 def _screen(h: np.ndarray, tol: Tolerance):
     """The shifted-Cholesky test of a stack of m x m Hermitian images: a
     function that gives, for a number ``current``, a bool array that is
     True where an image's lowest eigenvalue, as ``eigvalsh`` computes it,
     is provably above ``current``; None for a stack beyond the test's
-    range.  The one certificate of the necessity engine
-    (:func:`_stack_report`) and of the witness search
-    (:func:`_first_better`).  Runs in the caller's
-    ``np.errstate(**_SILENT)``.
+    range.  The certificate is :func:`linalg._above`; this function holds
+    the range rule and the last step of its proof for the necessity engine
+    (:func:`_stack_report`) and the witness search (:func:`_first_better`).
+    Runs in the caller's ``np.errstate(**_SILENT)``.
 
-    One stacked Cholesky of H - (current + delta) I, delta of
-    :func:`_margin`, clears every image it factors.  Let F, the Frobenius
-    norm of the whole stack, bound each image's norm, u = eps / 2 and s
-    the shift as rounded.  A Cholesky that completes without an overflow,
-    the only kind :func:`_positive_definite` clears, on H - sI as rounded
-    (each diagonal entry off by at most u (F + |s|)) has factored a PSD
-    matrix within a backward error of norm at most about m (m + 1) u
-    (F + |s|) (Higham 2002, Theorem 10.3), so
-    lambda_min(H) >= s - (m^2 + m + 1) u (F + |s|) to first order.
-    ``eigvalsh`` returns the exact eigenvalues of H + E with
-    ||E|| <= p(m) u ||H||, p a modest function (LAPACK Users' Guide,
-    section 4.7), which the margin takes as m^3.  With s at least
-    current + delta - u |current + delta|, these errors add up to less than
-    a third of delta = 16 m^3 u (F + |current|): a cleared image's computed
+    The scale is F, the Frobenius norm of the whole stack, which bounds
+    each image's norm.  By the lemma of :func:`linalg._above`, an image
+    it clears has an exact lowest eigenvalue above current + 2 delta / 3,
+    delta = 8 m^3 eps (F + |current|).  ``eigvalsh`` returns the exact
+    eigenvalues of H + E with ||E|| <= p(m) u ||H||, u = eps / 2 and p a
+    modest function (LAPACK Users' Guide, section 4.7), which the margin
+    takes as m^3: at most delta / 16.  So a cleared image's computed
     lowest eigenvalue is above ``current``.
 
     The range: the stack's sum of squares is a finite normal number, and
@@ -350,12 +345,7 @@ def _screen(h: np.ndarray, tol: Tolerance):
     f = math.sqrt(np.vdot(h, h).real)
     if not (_SMALLEST_NORM <= f < math.inf and math.isfinite(tol.threshold(2.0 * f))):
         return None
-    m = h.shape[-1]
-
-    def clears(current: float) -> np.ndarray:
-        return _positive_definite(h - (current + _margin(m, f, current)) * _identity(m))
-
-    return clears
+    return lambda current: _above(h, current, f)
 
 
 def _stack_report(phi: PositiveMap, h: np.ndarray, tol: Tolerance) -> tuple[int, float]:

@@ -8,7 +8,7 @@ streams from a root seed.
 
 from __future__ import annotations
 
-import functools
+import cmath
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .linalg import (
     _SILENT,
     _eigh,
     _eigvalsh,
+    _identity,
     _integer,
     _op_norm,
     _qr,
@@ -150,9 +151,19 @@ def random_stormer_pairs(
     number of draws per pair instead of redrawing the whole tail.  The
     algebra runs once on the stack, in ``np.errstate(**_SILENT)``.  Raises
     DimensionError unless ``count`` is an integer of at least 0 and ``d``
-    one of at least 1; ``count`` 0 gives empty stacks.
+    one of at least 1; ``count`` 0 gives empty stacks.  Raises DomainError,
+    before any draw, for a ``cond_max`` no candidate meets, on which the
+    rejection loop would never end: a NaN, a number below 1, or 1 at
+    d > 1, where a Ginibre a1's condition number is above 1.  Raises
+    DomainError too where ``center`` or ``radius`` is not finite, which
+    would give non-finite pairs.
     """
     count, d = _size(count, "count", 0), _size(d, "d", 1)
+    if not (cond_max > 1.0 or cond_max == 1.0 and d == 1):
+        raise DomainError(f"cond_max must be above 1 (at d = 1, at least 1), got {cond_max!r}")
+    for name, value in (("center", center), ("radius", radius)):
+        if not cmath.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     with np.errstate(**_SILENT):
         pairs = _pair_stack(rng, count, d, cond_max, center, radius)
     return pairs[:, 0], pairs[:, 1]
@@ -169,9 +180,8 @@ def _pair_stack(
     """The pairs of :func:`random_stormer_pairs` as one (count, 2, d, d)
     stack, a1 and a2 of each pair side by side, so that the necessity
     engine builds all Gram blocks with one broadcast product.  Runs in the
-    caller's ``np.errstate(**_SILENT)``: a Cholesky that fails, or a
-    stacked ``cond`` that divides 0 by 0 and hands its stack to numpy, does
-    so without a warning."""
+    caller's ``np.errstate(**_SILENT)``, in which a Cholesky that fails
+    does so without a warning."""
     normals = np.empty((count, 4, d, d))  # per pair: a1 re, a1 im, Z re, Z im
     uniforms = np.empty((count, 2, d))  # per pair: disk radius and angle draws
     pairs = np.empty((count, 2, d, d), dtype=complex)
@@ -224,7 +234,8 @@ def random_stormer_pair(
     center: complex = 1.5,
     radius: float = 1.0,
 ) -> OperatorPair:
-    """One pair of :func:`random_stormer_pairs` (same draws, same values)."""
+    """One pair of :func:`random_stormer_pairs` (same draws, same values,
+    same errors)."""
     a1, a2 = random_stormer_pairs(rng, 1, d, cond_max, center, radius)
     return OperatorPair(a1[0], a2[0])
 
@@ -302,15 +313,6 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     mixed = (1.0 - mu) * w
     mixed += mu * _identity(nd)
     return mixed if every else np.where(low[:, None, None], mixed, w)
-
-
-@functools.lru_cache(maxsize=16)
-def _identity(nd: int) -> np.ndarray:
-    """The read-only nd x nd identity of :func:`_boundary_grams`' mix, built
-    once per size."""
-    eye = np.eye(nd)
-    eye.flags.writeable = False
-    return eye
 
 
 def random_stormer_block(

@@ -31,7 +31,7 @@ from stormer_kit import (
     transpose_map,
 )
 from stormer_kit import maps as maps_module
-from stormer_kit.linalg import _SILENT, adjoint, psd_margin
+from stormer_kit.linalg import _SILENT, _margin, adjoint, psd_margin
 from stormer_kit.sampling import (
     _boundary_grams,
     _pair_stack,
@@ -427,6 +427,36 @@ def test_block_samplers_reject_a_boundary_outside_zero_one(boundary):
     assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
 
+# (argument, value, d): arguments no pair meets.  Below 1, at 1 for d > 1
+# and at NaN no Ginibre a1 meets cond_max, and the rejection loop would run
+# forever; a center or radius that is not finite gives non-finite pairs
+_UNMET = [
+    ("cond_max", 0.5, 2), ("cond_max", 1.0, 2), ("cond_max", 1.0, 3), ("cond_max", 0.5, 1),
+    ("cond_max", -math.inf, 2), ("cond_max", math.nan, 2), ("cond_max", math.nan, 1),
+    ("center", math.inf, 2), ("center", complex(1.5, math.nan), 2), ("center", math.nan, 1),
+    ("radius", math.inf, 2), ("radius", -math.inf, 3), ("radius", math.nan, 2),
+]
+
+
+@pytest.mark.parametrize("name,value,d", _UNMET)
+def test_pair_samplers_reject_arguments_no_pair_meets(name, value, d):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        random_stormer_pairs(rng, 3, d, **{name: value})
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        random_stormer_pair(rng, d, **{name: value})
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+def test_pair_samplers_at_d1_meet_cond_max_one():
+    # every nonzero 1 x 1 matrix has condition number 1: no candidate is rejected
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    a1, a2 = random_stormer_pairs(rng, 5, 1, cond_max=1.0)
+    want = [oracle_pair(ref, 1, 1.0) for _ in range(5)]
+    assert np.array_equal(a1, [w[0] for w in want])
+    assert np.array_equal(a2, [w[1] for w in want])
+
+
 @pytest.mark.parametrize("boundary", [0.0, 1.0])
 def test_block_samplers_at_either_end_of_the_boundary_pass_the_two_sided_test(boundary):
     rng = np.random.default_rng(0)
@@ -657,7 +687,7 @@ def test_the_screen_margin_keeps_the_minimum_and_count_of_near_ties(scale):
             f = math.sqrt(np.vdot(ties, ties).real)  # at scale 1: 1e160 F overflows
             ties *= scale
             for lowest in np.linalg.eigvalsh(ties)[:, 0]:
-                delta = scale * maps_module._margin(m, f, lowest / scale)
+                delta = scale * _margin(m, f, lowest / scale)
                 probes = [ulps(lowest, j) for j in range(-4, 5)]
                 probes += [lowest + k * delta for k in (-2, -1, 1, 2)]
                 for v in probes:

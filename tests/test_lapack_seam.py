@@ -1,14 +1,15 @@
 """The LAPACK seam in ``linalg`` against numpy's public functions.
 
-One 2-d complex128 matrix, and a stack of them in ``_cond``, ``_qr`` and
+One 2-d complex128 matrix, and a stack of them in ``_qr`` and
 ``_eigvalsh``, takes the gufunc path, which calls numpy's ``_umath_linalg``
-gufuncs without the ``numpy.linalg`` wrapper; everything else takes the
-public path.  Both must give bit-equal results and raise the same errors,
-a wrapper installed over a ``numpy.linalg`` function must see every call,
-and no module but ``linalg`` may call a factorization itself.
-``_positive_definite`` must give, matrix by matrix, the verdict of
-``np.linalg.cholesky`` and a factor free of NaN, and ``_well_conditioned``
-that of ``_cond(a) <= cond_max``.
+gufuncs without the ``numpy.linalg`` wrapper; everything else, and every
+``_cond`` call, takes the public path.  Both must give bit-equal results
+and raise the same errors, a wrapper installed over a ``numpy.linalg``
+function must see every call, and no module but ``linalg`` may call a
+factorization itself.  ``_positive_definite`` must give, matrix by matrix,
+the verdict of ``np.linalg.cholesky`` and a factor free of NaN, and only
+the one certificate ``_above`` may call it; ``_well_conditioned`` must
+give the verdicts of ``_cond(a) <= cond_max``.
 
 No seam function enters or reads a floating-point state.  In the package's
 one state, ``np.errstate(**_SILENT)``, every stack warns exactly as numpy
@@ -118,9 +119,9 @@ def test_gufunc_path_is_bit_equal_to_numpy(name):
         assert_bit_equal(got, public(a), label)
 
 
-# -- stacks: _cond, _qr and _eigvalsh take the gufunc path -------------------
+# -- stacks: _qr and _eigvalsh take the gufunc path --------------------------
 
-STACKED = ("cond", "qr", "eigvalsh")
+STACKED = ("qr", "eigvalsh")
 # (count, d): the stack shapes the library factorizes.  The necessity
 # engine's 20-trial images (6x6 and 12x12 for n = 2, 9x9 for n = 3), its
 # samplers' candidates and Haar factors (d = 2..4), the witness search's
@@ -304,11 +305,11 @@ def _assert_numpys_answer_by_the_one_rule(name, kind, capfd):
 @pytest.mark.parametrize("kind", [*NONFINITE, "zero"])
 @pytest.mark.parametrize("name", ["cond", "qr"])
 def test_a_stack_with_one_failing_matrix_gets_numpys_exact_answer(name, kind, capfd):
-    # one bad matrix among good ones; a zero matrix makes cond divide 0 by 0,
-    # which only the seam's own division reports, outside _SILENT
+    # one bad matrix among good ones; _cond is numpy's function, so it issues
+    # numpy's warnings and no others, on a zero matrix's 0 / 0 too
     gufunc = _assert_numpys_answer_by_the_one_rule(name, kind, capfd)
-    if (name, kind) == ("cond", "zero"):
-        assert gufunc == [(RuntimeWarning, "invalid value encountered in divide")]
+    if name == "cond":
+        assert gufunc == []
 
 
 # -- stacks in _eigvalsh: the bare gufunc, in its caller's floating-point state
@@ -742,7 +743,7 @@ def test_results_are_unchanged_without_the_gufuncs(monkeypatch):
     want = {name: [SEAM[name][0](a) for _, a in inputs[name]] for name in SEAM}
     monkeypatch.setattr(linalg, "_umath_linalg", None)
     assert not linalg._gufunc_path(INPUTS[0][1], "eigvalsh")
-    assert not linalg._gufunc_path(STACKS[0][1], "cond", stack=True)
+    assert not linalg._gufunc_path(STACKS[0][1], "qr", stack=True)
     for name in SEAM:
         for (label, a), w in zip(inputs[name], want[name]):
             assert_bit_equal(SEAM[name][0](a), w, label)
@@ -864,10 +865,68 @@ def test_only_linalg_calls_numpy_factorizations():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
+# -- one certificate: only linalg._above calls _positive_definite -------------
+
+
+def certificate_uses(source: str, kernel: str | None) -> list[str]:
+    """Uses of ``_positive_definite`` in source code outside the body of
+    the function named ``kernel`` (None: anywhere), and imports of it."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == kernel
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "_positive_definite" for alias in node.names):
+                found.append(f"{node.lineno}: imports _positive_definite")
+        elif id(node) not in inside and (
+            isinstance(node, ast.Name) and node.id == "_positive_definite"
+            or isinstance(node, ast.Attribute) and node.attr == "_positive_definite"
+        ):
+            found.append(f"{node.lineno}: _positive_definite")
+    return sorted(found, key=lambda use: int(use.split(":")[0]))
+
+
+def test_certificate_uses_finds_every_kind():
+    source = (
+        "from .linalg import _SILENT, _positive_definite\n"
+        "def _screen(h):\n"
+        "    return lambda current: _positive_definite(h - current)\n"
+        "def _above(h, current):\n"
+        "    return _positive_definite(h - current)\n"
+        "clear = linalg._positive_definite(g)\n"
+        "check = _positive_definite\n"
+    )
+    assert certificate_uses(source, "_above") == [
+        "1: imports _positive_definite",
+        "3: _positive_definite",
+        "6: _positive_definite",
+        "7: _positive_definite",
+    ]
+    assert "5: _positive_definite" in certificate_uses(source, None)
+
+
+def test_only_the_certificate_calls_positive_definite():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = {
+        path.name: certificate_uses(path.read_text(), "_above" if path.name == "linalg.py" else None)
+        for path in modules
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # the certificate itself does call it
+    assert certificate_uses((SRC / "linalg.py").read_text(), None) != []
+
+
 # -- one floating-point rule: only public entries hold np.errstate(**_SILENT) --
 
 SEAM_FUNCTIONS = {
-    "_eigvalsh", "_eigh", "_svdvals", "_eig", "_qr", "_pinv", "_cond", "_positive_definite"
+    "_eigvalsh", "_eigh", "_svdvals", "_eig", "_qr", "_pinv", "_cond", "_positive_definite",
+    "_above",
 }
 
 

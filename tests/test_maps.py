@@ -114,6 +114,18 @@ def test_choi_matrix_of_a_dimension_agnostic_map_needs_its_input_dimension():
     assert np.array_equal(choi_matrix(transpose_map(), 2), np.eye(4)[[0, 2, 1, 3]])
 
 
+@pytest.mark.parametrize("input_dim", [0, -1, 2.5, True, np.float64(2.0), "2"])
+def test_choi_matrix_rejects_an_input_dimension_that_is_no_positive_integer(input_dim):
+    for phi in (identity_map(), choi_fixture()):
+        with pytest.raises(DimensionError, match="^input_dim must be"):
+            choi_matrix(phi, input_dim)
+
+
+def test_choi_matrix_reads_a_numpy_integer_input_dimension():
+    assert np.array_equal(choi_matrix(transpose_map(), np.int64(2)), choi_matrix(transpose_map(), 2))
+    assert np.array_equal(choi_matrix(choi_fixture(), np.int32(3)), choi_matrix(choi_fixture()))
+
+
 def test_make_decomposable_identity_and_transpose():
     rng = np.random.default_rng(4)
     x = ginibre(rng, 3)

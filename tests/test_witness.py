@@ -34,7 +34,8 @@ from stormer_kit import (
 from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
 from stormer_kit.linalg import _SILENT
-from stormer_kit.maps import _first_better, _kicks, _margin
+from stormer_kit.linalg import _margin
+from stormer_kit.maps import _first_better, _kicks
 from stormer_kit.sampling import ginibre
 
 from helpers import common_spectrum, lapack_calls, load_script, oracle_witness_search, ulps
