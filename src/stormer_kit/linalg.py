@@ -27,7 +27,10 @@ written, for this module and the others.
 
 Public functions validate their arguments; the private ``_``-prefixed
 kernels they share assume a validated square complex array and are what
-the rest of the package calls on data it has validated already.  The
+the rest of the package calls on data it has validated already.  One of
+them, :func:`_fix_phases`, the phase rule of every eigenvector and basis
+matrix the package returns, assumes more: a pivot in every column, which
+each unit column has.  The
 package's value objects own read-only copies of their arrays made by
 :func:`_held`, and share one pickling rule, :class:`_ValueObject`.
 
@@ -531,31 +534,23 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _is_hermitian(a, adjoint(a), tol)
 
 
-def fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonnegligible entry is real positive.
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry above the cutoff is real
+    positive.  Assumes every column has such an entry, as every unit column
+    of length m does (one of modulus at least 1/sqrt(m)): the callers'
+    eigenvector and basis matrices.
 
     The arithmetic is that of rotating one column at a time: hypot is what
     abs() of a complex scalar computes (np.abs of an array can differ in the
     last bit), and each column is scaled as a row of the transpose against a
     broadcast scalar, the loop numpy uses for array * scalar.  Scaling in
     place, ``out *= phases``, is not that loop: numpy's broadcast complex
-    multiply fuses its products and changes last bits.  When every column
-    has a pivot, as eigenvector matrices always do, all columns are scaled
-    at once, without selecting them.
+    multiply fuses its products and changes last bits.
     """
     a = np.asarray(v, dtype=complex)
-    big = np.abs(a) > _PHASE_CUTOFF
-    first = big.argmax(axis=0)
-    every = np.arange(a.shape[1])
-    if big[first, every].all():
-        pivots = a[first, every]
-        return (a.T * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))[:, None]).T
-    out = np.array(a)
-    cols = np.flatnonzero(big.any(axis=0))
-    pivots = out[first[cols], cols]
-    phases = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
-    out[:, cols] = (out.T[cols] * phases[:, None]).T
-    return out
+    first = (np.abs(a) > _PHASE_CUTOFF).argmax(axis=0)
+    pivots = a[first, np.arange(a.shape[1])]
+    return (a.T * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))[:, None]).T
 
 
 def eig_hermitian(m) -> HermitianEig:
@@ -587,7 +582,7 @@ def eig_hermitian(m) -> HermitianEig:
             )
     # the eigh of is_psd's kernel, which raises ScaleError on an overflow
     w, v = _psd_spectrum(h, DEFAULT_TOL, a, vectors=True)[3:]
-    return HermitianEig(w, fix_phases(v))
+    return HermitianEig(w, _fix_phases(v))
 
 
 def _overflow(what: str, noun: str, *arrays: np.ndarray) -> ScaleError:
@@ -664,7 +659,7 @@ def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     psd, w, v = _psd_check(require_square(m), tol, vectors=True)
     if not psd:
         raise DomainError("matrix is not positive semidefinite within tolerance")
-    v = fix_phases(v)
+    v = _fix_phases(v)
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
     return _hermitian_part(s, adjoint(s))
 

@@ -90,8 +90,20 @@ def uniform_disk(
 ) -> np.ndarray:
     """Points uniform in a complex disk.
 
-    Draw order: the ``count`` radius draws, then the ``count`` angle draws."""
-    return _disk_points(rng.random((2, count)), center, radius)
+    Draw order: the ``count`` radius draws, then the ``count`` angle draws.
+    Raises, before any draw, DomainError where ``center`` or ``radius`` is
+    not finite and DimensionError unless ``count`` is an integer of at
+    least 0."""
+    _finite_disk(center, radius)
+    return _disk_points(rng.random((2, _size(count, "count", 0))), center, radius)
+
+
+def _finite_disk(center: complex, radius: float) -> None:
+    """DomainError where the disk's ``center`` or ``radius`` is not finite,
+    which would give non-finite points."""
+    for name, value in (("center", center), ("radius", radius)):
+        if not cmath.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _disk_points(u: np.ndarray, center: complex, radius: float) -> np.ndarray:
@@ -107,7 +119,10 @@ def _disk_points(u: np.ndarray, center: complex, radius: float) -> np.ndarray:
 def random_normal_operator(
     rng: np.random.Generator, d: int, center: complex = 1.5, radius: float = 1.0
 ) -> np.ndarray:
-    """U diag(lam) U* with Haar U and lam uniform in a disk."""
+    """U diag(lam) U* with Haar U and lam uniform in a disk: the draws of
+    :func:`haar_unitary`, then those of :func:`uniform_disk`, whose
+    DomainError it raises before any draw."""
+    _finite_disk(center, radius)
     u = haar_unitary(rng, d)
     lam = uniform_disk(rng, d, center, radius)
     return (u * lam) @ adjoint(u)
@@ -155,15 +170,13 @@ def random_stormer_pairs(
     before any draw, for a ``cond_max`` no candidate meets, on which the
     rejection loop would never end: a NaN, a number below 1, or 1 at
     d > 1, where a Ginibre a1's condition number is above 1.  Raises
-    DomainError too where ``center`` or ``radius`` is not finite, which
-    would give non-finite pairs.
+    DomainError too, first, where ``center`` or ``radius`` is not finite,
+    which would give non-finite pairs.
     """
+    _finite_disk(center, radius)
     count, d = _size(count, "count", 0), _size(d, "d", 1)
     if not (cond_max > 1.0 or cond_max == 1.0 and d == 1):
         raise DomainError(f"cond_max must be above 1 (at d = 1, at least 1), got {cond_max!r}")
-    for name, value in (("center", center), ("radius", radius)):
-        if not cmath.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
     with np.errstate(**_SILENT):
         pairs = _pair_stack(rng, count, d, cond_max, center, radius)
     return pairs[:, 0], pairs[:, 1]

@@ -31,6 +31,7 @@ from .linalg import (
     _SILENT,
     _ValueObject,
     _eig,
+    _fix_phases,
     _held,
     _hermitian_part,
     _integer,
@@ -44,7 +45,6 @@ from .linalg import (
     _svdvals,
     adjoint,
     as_matrix,
-    fix_phases,
     is_psd,
     pinv,
     require_square,
@@ -89,7 +89,7 @@ class OperatorPair(_ValueObject):
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlockMatrix(_ValueObject):
-    """An n x n array of d x d operator blocks.
+    """An n x n array of d x d operator blocks, n and d at least 1.
 
     The assembled matrix lives on the tensor product (block index) x (space),
     i.e. entry (i*d + r, j*d + c) of the assembled matrix is blocks[i, j, r, c].
@@ -103,7 +103,7 @@ class OperatorBlockMatrix(_ValueObject):
 
     def __post_init__(self) -> None:
         b = _held(np.asarray(self.blocks, dtype=complex))
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
+        if b.ndim != 4 or b.size == 0 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
             raise DimensionError(f"blocks must have shape (n, n, d, d), got {b.shape}")
         if not np.isfinite(b).all():
             raise DomainError("block entries must be finite")
@@ -276,22 +276,17 @@ def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.nda
     Returns an array of shape (r, n, d): row k holds the n operators
     v_1^(k), ..., v_n^(k), each a 1 x d functional stored as a d-vector.
     Obtained from the eigendecomposition of the assembled matrix's Hermitian
-    part that its PSD check was read off; eigenvalues within tolerance of
-    zero are clipped.
+    part that its PSD check was read off: one row per positive eigenvalue.
+    The others, within tolerance of zero since the check passed, are
+    dropped, so a block with no positive eigenvalue gives r = 0, a complex
+    (0, n, d) array.
     """
     psd, w, v = _psd_check(x.assembled(), tol, vectors=True)
     if not psd:
         raise DomainError("block matrix is not PSD; no Gram factorization")
-    v = fix_phases(v)
-    w = np.clip(w, 0.0, None)
-    keep = np.flatnonzero(w > 0.0)
-    rows = []
-    for k in keep:
-        chunk = np.sqrt(w[k]) * np.conj(v[:, k])
-        rows.append(chunk.reshape(x.n, x.d))
-    if not rows:
-        return np.zeros((0, x.n, x.d), dtype=complex)
-    return np.array(rows)
+    keep = w > 0.0
+    v = _fix_phases(v)
+    return (np.sqrt(w[keep])[:, None] * np.conj(v[:, keep]).T).reshape(-1, x.n, x.d)
 
 
 def gram_row_block(row: np.ndarray) -> OperatorBlockMatrix:
@@ -358,10 +353,7 @@ def spectral_resolution(t, tol: Tolerance = DEFAULT_TOL) -> SpectralResolution:
     factorization.  Eigenvalues and basis columns are then sorted ascending
     by (real, imag).  Raises for input that is not normal within tolerance.
     """
-    return _spectral_resolution(require_square(t), tol)
-
-
-def _spectral_resolution(a: np.ndarray, tol: Tolerance) -> SpectralResolution:
+    a = require_square(t)
     if not _is_normal(a, tol):
         raise DomainError("operator is not normal within tolerance")
     return _eigenbasis(a)
@@ -371,7 +363,7 @@ def _eigenbasis(a: np.ndarray) -> SpectralResolution:
     """The resolution of an operator already known to be normal."""
     lam, v = _eig(a)
     order = np.lexsort((lam.imag, lam.real))
-    es = fix_phases(_qr(v)[:, order])
+    es = _fix_phases(_qr(v)[:, order])
     # + 0.0 turns the negative zeros that the reflections and the phase
     # rotation leave into zeros, so reports never print -0.0.
     es += 0.0
@@ -384,11 +376,13 @@ def reconstruct_a2(a1, lambdas, vectors) -> np.ndarray:
     a = require_square(a1, "a1")
     lam = np.asarray(lambdas, dtype=complex)
     es = as_matrix(vectors)
-    if es.shape[0] != a.shape[0] or es.shape[1] != lam.shape[0]:
+    if lam.ndim != 1 or es.shape[0] != a.shape[0] or es.shape[1] != lam.shape[0]:
         raise DimensionError(
             f"need {a.shape[0]}-vectors, one per eigenvalue; got {es.shape} "
-            f"for {lam.shape[0]} eigenvalues"
+            f"for eigenvalues of shape {lam.shape}"
         )
+    if not np.isfinite(lam).all():
+        raise DomainError("eigenvalues must be finite")
     g = adjoint(a) @ es
     return np.einsum("i,ri,ci->rc", lam, es, np.conj(g))
 

@@ -31,7 +31,7 @@ from stormer_kit import (
     stormer_test,
 )
 from stormer_kit import cli, stormer
-from stormer_kit.linalg import fix_phases
+from stormer_kit.linalg import _fix_phases
 from stormer_kit.sampling import ginibre
 
 
@@ -535,7 +535,7 @@ def oracle_eigenbasis(a) -> SpectralResolution:
                 q, _ = np.linalg.qr(z[:, start:stop])
                 z[:, start:stop] = q
             start = stop
-    return SpectralResolution(lam, fix_phases(z))
+    return SpectralResolution(lam, _fix_phases(z))
 
 
 @contextlib.contextmanager

@@ -448,6 +448,24 @@ def test_pair_samplers_reject_arguments_no_pair_meets(name, value, d):
     assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
 
+@pytest.mark.parametrize("name,value,d", [row for row in _UNMET if row[0] != "cond_max"])
+def test_disk_samplers_reject_a_center_or_radius_that_is_not_finite(name, value, d):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        uniform_disk(rng, d, **{name: value})
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        random_normal_operator(rng, d, **{name: value})
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True])
+def test_uniform_disk_rejects_a_count_that_is_no_size_before_any_draw(count):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match="^count must be"):
+        uniform_disk(rng, count)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
 def test_pair_samplers_at_d1_meet_cond_max_one():
     # every nonzero 1 x 1 matrix has condition number 1: no candidate is rejected
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)

@@ -46,6 +46,7 @@ from stormer_kit import (
     partial_transpose,
     partial_transpose_matrix,
     psd_via_contraction,
+    reconstruct_a2,
     reconstruct_block,
     separable_decomposition,
     state_from_block,
@@ -62,6 +63,7 @@ from stormer_kit.sampling import (
     random_stormer_blocks,
     random_stormer_pair,
     random_stormer_pairs,
+    uniform_disk,
 )
 
 from helpers import (
@@ -624,6 +626,20 @@ _BOUNDARY = [
                  "block entries must be finite", id="blocks-nan"),
     pytest.param(lambda: gram_row_block(np.ones(3)), DimensionError,
                  "row must have shape (n, d), got (3,)", id="gram_row_block-1d"),
+    pytest.param(lambda: OperatorBlockMatrix(np.zeros((1, 1, 0, 0))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (1, 1, 0, 0)", id="blocks-d0"),
+    pytest.param(lambda: OperatorBlockMatrix(np.zeros((0, 0, 2, 2))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (0, 0, 2, 2)", id="blocks-n0"),
+    pytest.param(lambda: gram_row_block(np.zeros((2, 0))), DimensionError,
+                 "blocks must have shape (n, n, d, d), got (2, 2, 0, 0)", id="gram_row_block-d0"),
+    pytest.param(lambda: reconstruct_a2(np.eye(2), 1.0, np.eye(2)), DimensionError,
+                 "for eigenvalues of shape ()", id="reconstruct_a2-scalar"),
+    pytest.param(lambda: reconstruct_a2(np.eye(2), [[1, 2]], np.eye(2)), DimensionError,
+                 "for eigenvalues of shape (1, 2)", id="reconstruct_a2-2d"),
+    pytest.param(lambda: reconstruct_a2(np.eye(2), [np.nan, 1.0], np.eye(2)), DomainError,
+                 "eigenvalues must be finite", id="reconstruct_a2-nan"),
+    pytest.param(lambda: reconstruct_a2(np.eye(2), [1.0, complex(0, np.inf)], np.eye(2)),
+                 DomainError, "eigenvalues must be finite", id="reconstruct_a2-inf"),
     pytest.param(lambda: contraction_condition(_PAIR, form="x"), ValueError,
                  "unknown form 'x'", id="contraction_condition-form"),
     pytest.param(lambda: random_partition(np.random.default_rng(0), 2, 2, "x"), ValueError,
@@ -649,6 +665,10 @@ _BOUNDARY = [
     pytest.param(lambda: random_stormer_blocks(np.random.default_rng(0), 2.5, 2, 2),
                  DimensionError, "count must be an integer, got 2.5",
                  id="random_stormer_blocks-count"),
+    pytest.param(lambda: uniform_disk(np.random.default_rng(0), -1), DimensionError,
+                 "count must be at least 0, got -1", id="uniform_disk-negative"),
+    pytest.param(lambda: uniform_disk(np.random.default_rng(0), 2.5), DimensionError,
+                 "count must be an integer, got 2.5", id="uniform_disk-float"),
     pytest.param(lambda: ginibre(np.random.default_rng(0), -1), DimensionError,
                  "rows must be at least 0, got -1", id="ginibre-negative-rows"),
     pytest.param(lambda: ginibre(np.random.default_rng(0), 2, -3), DimensionError,
