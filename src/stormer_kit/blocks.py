@@ -130,12 +130,12 @@ def psd_via_contraction(
     fails, after numpy's overflow warnings or, where warnings are errors,
     without them.
     """
-    psd, wa, va = _psd_check(p.a, tol, vectors=True)
-    psd, wc, vc = _psd_check(p.c, tol, vectors=True) if psd else (False, None, None)
-    if not psd:
+    a = _psd_check(p.a, tol, vectors=True)
+    c = _psd_check(p.c, tol, vectors=True) if a.ok else a
+    if not c.ok:
         return _NO_CANDIDATE
-    sa, sa_inv = _sqrt_and_pinv_sqrt(wa, va, rcond)
-    sc, sc_inv = _sqrt_and_pinv_sqrt(wc, vc, rcond)
+    sa, sa_inv = _sqrt_and_pinv_sqrt(a.w, a.v, rcond)
+    sc, sc_inv = _sqrt_and_pinv_sqrt(c.w, c.v, rcond)
     try:
         w0 = sa_inv @ p.b @ sc_inv
         r = sa @ w0 @ sc - p.b
@@ -155,4 +155,4 @@ def psd_via_contraction(
 
 def psd_oracle(p: Partition2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Full-eigenvalue positivity check of the assembled partition."""
-    return _psd_check(assemble(p), tol)[0]
+    return _psd_check(assemble(p), tol).ok

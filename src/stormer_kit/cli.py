@@ -80,8 +80,8 @@ def cmd_check_psd(args):
     from .linalg import _psd_check, op_norm, require_square
 
     m = require_square(load_matrix(args.file))
-    ok, lowest, _ = _psd_check(m, args.tol)
-    return ok, {"min_eig": float(lowest), "op_norm": op_norm(m)}
+    check = _psd_check(m, args.tol)
+    return check.ok, {"min_eig": float(check.lowest), "op_norm": op_norm(m)}
 
 
 def cmd_block_check(args):
@@ -92,10 +92,10 @@ def cmd_block_check(args):
     a, b, c = load_partition_blocks(args.file)
     p = Partition2(a, b, c)
     cert = psd_via_contraction(p, args.tol, args.rcond)
-    oracle, lowest, _ = _psd_check(assemble(p), args.tol)
+    oracle = _psd_check(assemble(p), args.tol)
     metrics = {
-        "min_eig": float(lowest),
-        "oracle_psd": int(oracle),
+        "min_eig": float(oracle.lowest),
+        "oracle_psd": int(oracle.ok),
         "factorization_psd": int(cert.psd),
     }
     if math.isfinite(cert.residual):
@@ -109,8 +109,8 @@ def _two_sided_metrics(x, tol):
     from .stormer import _two_sided
 
     direct, swapped = _two_sided(x, tol)
-    metrics = {"min_eig_direct": float(direct[1]), "min_eig_swapped": float(swapped[1])}
-    return direct[0] and swapped[0], metrics
+    metrics = {"min_eig_direct": float(direct.lowest), "min_eig_swapped": float(swapped.lowest)}
+    return direct.ok and swapped.ok, metrics
 
 
 def cmd_stormer_check(args):
@@ -173,16 +173,16 @@ def cmd_make_state(args):
         return False, metrics, None, str(exc)
     sep = separable_decomposition(dec)
     metrics["residual"] = _rel_fro(separable_state(sep) - rho.matrix, rho.matrix)
-    ppt, lowest, _ = _ppt_check(rho, tol)
-    metrics["min_eig_partial_transpose"] = float(lowest)
-    metrics["ppt"] = int(ppt)
+    ppt = _ppt_check(rho, tol)
+    metrics["min_eig_partial_transpose"] = float(ppt.lowest)
+    metrics["ppt"] = int(ppt.ok)
     artifacts = {
         "state": matrix_to_payload(rho.matrix),
         "weights": [float(w) for w in sep.weights],
         "factor1": matrix_to_payload(sep.factor1),
         "factor2": matrix_to_payload(sep.factor2),
     }
-    return ppt, metrics, artifacts
+    return ppt.ok, metrics, artifacts
 
 
 def cmd_ppt_check(args):
@@ -190,8 +190,8 @@ def cmd_ppt_check(args):
     from .states import DensityState, _ppt_check
 
     rho = DensityState((args.n, args.d), load_matrix(args.state))
-    ppt, lowest, _ = _ppt_check(rho, args.tol)
-    return ppt, {"min_eig_partial_transpose": float(lowest)}
+    ppt = _ppt_check(rho, args.tol)
+    return ppt.ok, {"min_eig_partial_transpose": float(ppt.lowest)}
 
 
 def cmd_map_test(args):

@@ -581,8 +581,8 @@ def eig_hermitian(m) -> HermitianEig:
                 f"{_HERMITICITY_REL:.0e} * (1 + {scale:.3e})"
             )
     # the eigh of is_psd's kernel, which raises ScaleError on an overflow
-    w, v = _psd_spectrum(h, DEFAULT_TOL, a, vectors=True)[3:]
-    return HermitianEig(w, _fix_phases(v))
+    s = _psd_spectrum(h, DEFAULT_TOL, a, vectors=True)
+    return HermitianEig(s.w, _fix_phases(s.v))
 
 
 def _overflow(what: str, noun: str, *arrays: np.ndarray) -> ScaleError:
@@ -609,15 +609,25 @@ def _hermitian_part(a: np.ndarray, ah: np.ndarray) -> np.ndarray:
     return h
 
 
-def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False):
-    """(verdict, min_eig, threshold) of Hermitian ``h`` by its spectrum
-    alone: ``min_eig >= -threshold`` (see :func:`psd_margin`).  ``h`` is
-    formed from ``a`` (its Hermitian part, perhaps index-swapped), whose
-    largest entry the ScaleError names when finite entries give a
-    spectrum that overflows: ``h`` may have overflowed already.  With
-    ``vectors``, the spectrum is that of one ``eigh``, whose eigenvalues and
-    eigenvectors follow: (verdict, min_eig, threshold, w, v), for a caller
-    that goes on to factor ``h``."""
+class _Verdict(NamedTuple):
+    """One PSD decision: ``ok`` iff ``lowest >= -threshold`` (see
+    :func:`psd_margin`), read off the ascending spectrum ``w``; ``v`` holds
+    the eigenvectors where an ``eigh`` read it, None after an ``eigvalsh``."""
+
+    ok: bool
+    lowest: float
+    threshold: float
+    w: np.ndarray
+    v: np.ndarray | None
+
+
+def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = False) -> _Verdict:
+    """The :class:`_Verdict` of Hermitian ``h`` by its spectrum alone.
+    ``h`` is formed from ``a`` (its Hermitian part, perhaps index-swapped),
+    whose largest entry the ScaleError names when finite entries give a
+    spectrum that overflows: ``h`` may have overflowed already.
+    ``vectors`` asks for the one ``eigh`` of a caller that goes on to
+    factor ``h``; without it the spectrum is an ``eigvalsh``."""
     try:
         w, v = _eigh(h) if vectors else (_eigvalsh(h), None)
         lowest, thr = psd_margin(w, tol)
@@ -625,22 +635,21 @@ def _psd_spectrum(h: np.ndarray, tol: Tolerance, a: np.ndarray, vectors: bool = 
         lowest = thr = math.nan
     if not (math.isfinite(lowest) and math.isfinite(thr)):
         raise _overflow("spectrum overflows", "matrix", a)
-    verdict = bool(lowest >= -thr)
-    return (verdict, lowest, thr, w, v) if vectors else (verdict, lowest, thr)
+    return _Verdict(bool(lowest >= -thr), lowest, thr, w, v)
 
 
-def _psd_check(a: np.ndarray, tol: Tolerance, vectors: bool = False):
-    """(verdict, min_eig, threshold) of :func:`is_psd`, the PSD check of a
-    matrix whose Hermiticity nobody has settled: :func:`_psd_spectrum` on
-    its Hermitian part, with a false verdict where the residual ``a - a*``
-    exceeds the threshold.  Its min_eig and threshold are the numbers
-    reports print.  With ``vectors``, (verdict, w, v): the same rules read
-    off one ``eigh`` of the Hermitian part, whose eigenpairs ``w``, ``v``
-    factor it."""
+def _psd_check(a: np.ndarray, tol: Tolerance, vectors: bool = False) -> _Verdict:
+    """The :class:`_Verdict` of :func:`is_psd`, the PSD check of a matrix
+    whose Hermiticity nobody has settled: :func:`_psd_spectrum` of its
+    Hermitian part, whose ``ok`` is false where the residual ``a - a*``
+    exceeds the threshold.  Its ``lowest`` and ``threshold`` are the numbers
+    reports print; with ``vectors``, its eigenpairs factor the Hermitian
+    part.  The spectrum's record is returned as it is: only an input whose
+    spectrum passes and whose residual does not gets a second record."""
     ah = adjoint(a)
-    verdict, lowest, thr, *wv = _psd_spectrum(_hermitian_part(a, ah), tol, a, vectors)
-    hermitian = _is_hermitian(a, ah, tol, thr)
-    return (bool(hermitian and verdict), *(wv if vectors else (lowest, thr)))
+    s = _psd_spectrum(_hermitian_part(a, ah), tol, a, vectors)
+    hermitian = _is_hermitian(a, ah, tol, s.threshold)
+    return s if hermitian or not s.ok else _Verdict(False, s.lowest, s.threshold, s.w, s.v)
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -649,18 +658,18 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     ScaleError (a DomainError) when M's spectrum overflows double
     precision, after numpy's RuntimeWarnings for the overflow; where
     warnings are errors, without them."""
-    return _psd_check(require_square(m), tol)[0]
+    return _psd_check(require_square(m), tol).ok
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix, eigenvalues clipped at zero:
     the root of the Hermitian part of any matrix :func:`is_psd` accepts at
     ``tol``, from the eigendecomposition its check was read off."""
-    psd, w, v = _psd_check(require_square(m), tol, vectors=True)
-    if not psd:
+    check = _psd_check(require_square(m), tol, vectors=True)
+    if not check.ok:
         raise DomainError("matrix is not positive semidefinite within tolerance")
-    v = _fix_phases(v)
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
+    v = _fix_phases(check.v)
+    s = (v * np.sqrt(np.clip(check.w, 0.0, None))) @ adjoint(v)
     return _hermitian_part(s, adjoint(s))
 
 
@@ -730,4 +739,4 @@ def is_hyponormal(t, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = require_square(t)
     c = _self_commutator(a)
     _require_finite_commutator(a, c)
-    return _psd_check(c, tol)[0]
+    return _psd_check(c, tol).ok

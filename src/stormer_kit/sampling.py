@@ -74,8 +74,10 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    return _haar_from_ginibre(ginibre(rng, d))
+    """Haar-distributed unitary via QR of a Ginibre matrix.  Raises
+    DimensionError, before any draw, unless ``d`` is an integer of at
+    least 1."""
+    return _haar_from_ginibre(ginibre(rng, _size(d, "d", 1)))
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -120,8 +122,10 @@ def random_normal_operator(
     rng: np.random.Generator, d: int, center: complex = 1.5, radius: float = 1.0
 ) -> np.ndarray:
     """U diag(lam) U* with Haar U and lam uniform in a disk: the draws of
-    :func:`haar_unitary`, then those of :func:`uniform_disk`, whose
-    DomainError it raises before any draw."""
+    :func:`haar_unitary`, then those of :func:`uniform_disk`.  Raises
+    their errors before any draw: uniform_disk's DomainError, and
+    haar_unitary's DimensionError unless ``d`` is an integer of at least
+    1."""
     _finite_disk(center, radius)
     u = haar_unitary(rng, d)
     lam = uniform_disk(rng, d, center, radius)
@@ -351,7 +355,8 @@ def random_near_normal(rng: np.random.Generator, d: int, noise: float = 0.0) -> 
 
     With noise 0 the result is normal up to roundoff; nonzero noise gives
     candidates for rejection sampling on hyponormality at a controlled
-    distance from the normal set.
+    distance from the normal set.  Raises DimensionError, before any draw,
+    unless ``d`` is an integer of at least 1.
     """
     t = random_normal_operator(rng, d)
     t *= rng.uniform(2.0, 6.0) / _op_norm(t)

@@ -17,8 +17,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _cond,
-    _eigvalsh,
     _psd_check,
+    _psd_spectrum,
     _rel_fro,
     adjoint,
     is_contraction,
@@ -27,7 +27,6 @@ from .linalg import (
     is_psd,
     op_norm,
     pinv,
-    psd_margin,
     sqrt_psd,
 )
 from .maps import identity_map, theorem1_necessity_trial, transpose_map
@@ -58,8 +57,8 @@ def _suite_gram_positivity(rng, tol):
         d = int(rng.integers(2, 7))
         a1, a2 = ginibre(rng, d), ginibre(rng, d)
         m = gram_block(OperatorPair(a1, a2)).assembled()
-        lowest, thr = psd_margin(_eigvalsh(m), tol)
-        worst = min(worst, lowest + thr)
+        check = _psd_spectrum(m, tol, m)
+        worst = min(worst, check.lowest + check.threshold)
     return {"passed": bool(worst >= 0.0), "worst_margin": float(worst)}
 
 
@@ -72,9 +71,9 @@ def _suite_partition_equivalence(rng, tol):
         a, b, c = random_partition(rng, n, k, kinds[trial % 4])
         p = Partition2(a, b, c)
         cert = psd_via_contraction(p, tol)
-        oracle, lowest, thr = _psd_check(assemble(p), tol)
-        if cert.psd != oracle:
-            if abs(lowest) <= 2.0 * thr:
+        oracle = _psd_check(assemble(p), tol)
+        if cert.psd != oracle.ok:
+            if abs(oracle.lowest) <= 2.0 * oracle.threshold:
                 boundary += 1
             else:
                 mismatches += 1

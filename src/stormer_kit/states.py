@@ -85,7 +85,7 @@ class DensityState(_ValueObject):
             raise DomainError("state matrix is not Hermitian")
         if abs(m.trace() - 1.0) > _TRACE_EPS * scale:
             raise DomainError("state matrix must have unit trace")
-        lowest = _psd_spectrum(_hermitian_part(m, mh), DEFAULT_TOL, m)[1]
+        lowest = _psd_spectrum(_hermitian_part(m, mh), DEFAULT_TOL, m).lowest
         if lowest < _EIG_FLOOR * scale:
             raise DomainError("state matrix has a negative eigenvalue")
         object.__setattr__(self, "dims", (n, d))
@@ -106,7 +106,7 @@ def state_from_block(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> De
     """
     m = x.assembled()
     sides = x._sides.get(tol)
-    if not (sides[0] if sides else _psd_check(m, tol))[0]:
+    if not (sides[0] if sides else _psd_check(m, tol)).ok:
         raise DomainError("block matrix is not PSD; cannot form a state")
     tr = float(m.trace().real)
     # ||m||_2 <= ||m||_F: a trace above the threshold at twice the Frobenius
@@ -142,12 +142,12 @@ def is_ppt(rho: DensityState, tol: Tolerance = DEFAULT_TOL) -> bool:
     fixed bands, so the verdict reads only the spectrum of the partial
     transpose's Hermitian part, against ``tol``'s PSD threshold.
     """
-    return _ppt_check(rho, tol)[0]
+    return _ppt_check(rho, tol).ok
 
 
 def _ppt_check(rho: DensityState, tol: Tolerance):
-    """(verdict, min_eig, threshold) of :func:`is_ppt`: the one PT check,
-    whose min_eig the reports print."""
+    """The :class:`_Verdict` of :func:`is_ppt`, the one PT check, read off
+    an ``eigvalsh``: its ``lowest`` is the number reports print."""
     m = rho.matrix
     return _psd_spectrum(_swap(_hermitian_part(m, adjoint(m)), rho.dims[0]), tol, m)
 

@@ -249,14 +249,14 @@ def stormer_test(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     without recomputing, and another tolerance gets its own.
     """
     direct, swapped = _two_sided(x, tol)
-    return direct[0] and swapped[0]
+    return direct.ok and swapped.ok
 
 
 def _two_sided(x: OperatorBlockMatrix, tol: Tolerance):
-    """The (verdict, min_eig, threshold) checks of the assembled matrix and
-    of its index swap that :func:`stormer_test` keeps on ``x``: one
-    Hermiticity decision, then the spectra of one Hermitian part and its
-    swap."""
+    """The pair of :class:`_Verdict` records, of the assembled matrix and of
+    its index swap, that :func:`stormer_test` keeps on ``x``: one
+    Hermiticity decision, then the spectra (``eigvalsh``) of one Hermitian
+    part and its swap."""
     sides = x._sides.get(tol)
     if sides is None:
         m = x.assembled()
@@ -281,12 +281,12 @@ def gram_vectors(x: OperatorBlockMatrix, tol: Tolerance = DEFAULT_TOL) -> np.nda
     dropped, so a block with no positive eigenvalue gives r = 0, a complex
     (0, n, d) array.
     """
-    psd, w, v = _psd_check(x.assembled(), tol, vectors=True)
-    if not psd:
+    check = _psd_check(x.assembled(), tol, vectors=True)
+    if not check.ok:
         raise DomainError("block matrix is not PSD; no Gram factorization")
-    keep = w > 0.0
-    v = _fix_phases(v)
-    return (np.sqrt(w[keep])[:, None] * np.conj(v[:, keep]).T).reshape(-1, x.n, x.d)
+    keep = check.w > 0.0
+    v = _fix_phases(check.v)
+    return (np.sqrt(check.w[keep])[:, None] * np.conj(v[:, keep]).T).reshape(-1, x.n, x.d)
 
 
 def gram_row_block(row: np.ndarray) -> OperatorBlockMatrix:

@@ -36,6 +36,8 @@ from stormer_kit.sampling import (
     _boundary_grams,
     _pair_stack,
     ginibre,
+    haar_unitary,
+    random_near_normal,
     random_normal_operator,
     random_stormer_block,
     random_stormer_blocks,
@@ -463,6 +465,17 @@ def test_uniform_disk_rejects_a_count_that_is_no_size_before_any_draw(count):
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionError, match="^count must be"):
         uniform_disk(rng, count)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize("d", [2.5, 0, True])
+@pytest.mark.parametrize(
+    "sampler", [haar_unitary, random_normal_operator, random_near_normal], ids=lambda f: f.__name__
+)
+def test_unitary_and_normal_samplers_reject_a_d_that_is_no_size_before_any_draw(sampler, d):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match="^d must be"):
+        sampler(rng, d)
     assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
 

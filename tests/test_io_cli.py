@@ -10,12 +10,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stormer_kit import InputError, OperatorBlockMatrix, choi_matrix, swap_block
+from stormer_kit import (
+    InputError,
+    OperatorBlockMatrix,
+    OperatorPair,
+    choi_matrix,
+    gram_block,
+    swap_block,
+)
 from stormer_kit import cli
 from stormer_kit.io import (
     block_from_payload,
     block_to_payload,
     load_map_spec,
+    load_matrix,
     load_partition_blocks,
     matrix_from_payload,
     matrix_to_payload,
@@ -336,6 +344,29 @@ def test_stormer_check_reports_both_sides_when_the_direct_side_fails(tmp_path):
     assert direct < -1e-3
     assert json.loads(out)["metrics"] == {"min_eig_direct": direct, "min_eig_swapped": swapped}
     assert calls["eigvalsh"] == 2
+
+
+@pytest.mark.parametrize(
+    "a1,a2",
+    [
+        ("id2.json", "diag_1i.json"),
+        ("id2.json", "nilpotent2.json"),
+        ("singular2.json", "singular2.json"),
+        ("id2.json", "id2.json"),
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_stormer_check_on_a_written_gram_block_reports_as_on_its_pair(tmp_path, a1, a2, as_json):
+    # the --block input of a fixture pair's Gram block, written as a block
+    # payload, gives the verdict and metrics of --a1/--a2, byte for byte
+    pair = OperatorPair(load_matrix(FIXTURES / a1), load_matrix(FIXTURES / a2))
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block_to_payload(gram_block(pair))))
+    flag = ["--json"] if as_json else []
+    code, out, err = run_cli_inprocess(["stormer-check", "--block", str(path), *flag])
+    want = run_cli_inprocess(expand(["stormer-check", "--a1", a1, "--a2", a2, *flag]))
+    assert (code, out, err) == want
+    assert err == "" and "min_eig_direct" in out
 
 
 def test_verdicts_agree_with_their_margins_where_a_swap_doubles_the_residual():

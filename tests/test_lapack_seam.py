@@ -1010,3 +1010,139 @@ def test_only_public_entries_hold_the_one_floating_point_state():
     assert len(modules) > 5
     found = {path.name: state_breaches(path.read_text()) for path in modules}
     assert {name: breaches for name, breaches in found.items() if breaches} == {}
+
+
+# -- one verdict record: PSD decisions are read by field name ----------------
+
+VERDICT_KERNELS = {"_psd_spectrum", "_psd_check", "_ppt_check"}
+
+
+def _called(node) -> str | None:
+    """The name a call calls, for a plain or dotted name, else None."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+    return None
+
+
+def _consumer(node, parent):
+    """The node that receives ``node``'s value: past the branches of a
+    conditional expression and the operands of ``and``/``or``."""
+    while isinstance(parent.get(id(node)), (ast.IfExp, ast.BoolOp)):
+        up = parent[id(node)]
+        if isinstance(up, ast.IfExp) and node is up.test:
+            break
+        node = up
+    return node, parent.get(id(node))
+
+
+def _positional(node, user) -> bool:
+    """True where ``user`` reads ``node``'s value by position: a subscript,
+    a starred expression, a tuple or list target it is assigned to, or the
+    iterable of a loop or comprehension."""
+    if isinstance(user, ast.Subscript):
+        return node is user.value
+    if isinstance(user, ast.Starred):
+        return True
+    if isinstance(user, (ast.Assign, ast.For, ast.comprehension)):
+        value = user.value if isinstance(user, ast.Assign) else user.iter
+        return node is value and (
+            not isinstance(user, ast.Assign)
+            or any(isinstance(t, (ast.Tuple, ast.List)) for t in user.targets)
+        )
+    return False
+
+
+def _shown(user) -> str:
+    """``user`` as the lint reports it: a loop by its header."""
+    if isinstance(user, ast.For):
+        return f"for {ast.unparse(user.target)} in {ast.unparse(user.iter)}"
+    return ast.unparse(user)
+
+
+def _two_records(user) -> bool:
+    """True where ``user`` assigns to exactly two plain names."""
+    return (
+        isinstance(user, ast.Assign)
+        and len(user.targets) == 1
+        and isinstance(user.targets[0], ast.Tuple)
+        and len(user.targets[0].elts) == 2
+        and all(isinstance(t, ast.Name) for t in user.targets[0].elts)
+    )
+
+
+def verdict_reads(source: str) -> list[str]:
+    """Reads by position of a verdict record in source code: a result of
+    ``_psd_spectrum``, ``_psd_check`` or ``_ppt_check``, or a name bound to
+    one in the same function, that is subscripted, starred, unpacked or
+    iterated; and a ``_two_sided`` result not unpacked into its two
+    records, which are read by the same rule."""
+    tree = ast.parse(source)
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        inner = [n for n in ast.walk(scope) if n is not scope and isinstance(n, ast.FunctionDef)]
+        nested = {id(n) for fn in inner for n in ast.walk(fn)}
+        nodes = [n for n in ast.walk(scope) if id(n) not in nested]
+        bound = set()
+        for node in nodes:
+            name = _called(node)
+            if name not in VERDICT_KERNELS and name != "_two_sided":
+                continue
+            value, user = _consumer(node, parent)
+            if name == "_two_sided":
+                if _two_records(user):
+                    bound |= {t.id for t in user.targets[0].elts}
+                else:
+                    found.append((node.lineno, f"{node.lineno}: {ast.unparse(node)} not unpacked"))
+            elif _positional(value, user):
+                found.append((node.lineno, f"{node.lineno}: {_shown(user)}"))
+            elif isinstance(user, ast.Assign):
+                bound |= {t.id for t in user.targets if isinstance(t, ast.Name)}
+            elif isinstance(user, ast.NamedExpr):
+                bound.add(user.target.id)
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id in bound and isinstance(node.ctx, ast.Load):
+                user = parent.get(id(node))
+                if _positional(node, user):
+                    found.append((node.lineno, f"{node.lineno}: {_shown(user)}"))
+    return [read for _, read in sorted(set(found))]
+
+
+def test_verdict_reads_finds_every_kind():
+    source = (
+        "ok, lowest, _ = _psd_check(m, tol)\n"
+        "verdict = linalg._psd_spectrum(h, tol, m)[0]\n"
+        "def f(rho, sides):\n"
+        "    check = _ppt_check(rho, tol)\n"
+        "    w, v = check[3:]\n"
+        "    good = check.ok and check.lowest\n"
+        "    return (sides[0] if sides else _psd_check(m, tol))[0]\n"
+        "sides = _two_sided(x, tol)\n"
+        "direct, swapped = _two_sided(x, tol)\n"
+        "ok = _two_sided(x, tol)[0] or swapped[0]\n"
+        "print(*_psd_check(m, tol))\n"
+        "for r in _psd_spectrum(h, tol, m):\n"
+        "    pass\n"
+        "ok = _psd_check(m, tol).ok\n"
+    )
+    assert verdict_reads(source) == [
+        "1: ok, lowest, _ = _psd_check(m, tol)",
+        "2: linalg._psd_spectrum(h, tol, m)[0]",
+        "5: check[3:]",
+        "7: (sides[0] if sides else _psd_check(m, tol))[0]",
+        "8: _two_sided(x, tol) not unpacked",
+        "10: _two_sided(x, tol) not unpacked",
+        "10: swapped[0]",
+        "11: *_psd_check(m, tol)",
+        "12: for r in _psd_spectrum(h, tol, m)",
+    ]
+
+
+def test_no_module_reads_a_verdict_by_position():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = {path.name: verdict_reads(path.read_text()) for path in modules}
+    assert {name: reads for name, reads in found.items() if reads} == {}

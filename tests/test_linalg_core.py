@@ -46,7 +46,8 @@ from stormer_kit import (
 )
 from stormer_kit import linalg
 from stormer_kit.io import block_from_payload
-from stormer_kit.linalg import _fix_phases, _overflow, _psd_check
+from stormer_kit.linalg import _Verdict, _fix_phases, _overflow, _psd_check, _psd_spectrum
+from stormer_kit.states import _ppt_check
 from stormer_kit.stormer import _swap, _two_sided
 from stormer_kit.sampling import (
     ginibre,
@@ -59,6 +60,7 @@ from stormer_kit.sampling import (
 from helpers import (
     hermitize,
     lapack_calls,
+    load_script,
     min_eig,
     oracle_eig_hermitian,
     oracle_fix_phases,
@@ -167,16 +169,44 @@ def psd_check_samples(kind, tol):
 @pytest.mark.parametrize("kind", ["psd", "indefinite", "near", "nonherm"])
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=1e-4)])
 def test_psd_check_is_the_is_psd_verdict_and_its_margin(kind, tol):
+    # both values of ``vectors`` in one test (a loop, which keeps the test
+    # ids): it picks eigh or eigvalsh, and the record's shape is the same
     verdicts = set()
     for a in psd_check_samples(kind, tol):
-        verdict, lowest, thr = _psd_check(a, tol)
-        assert verdict == is_psd(a, tol) == oracle_is_psd(a, tol)
-        assert lowest == min_eig(a)  # bit-equal to an independent spectrum
-        assert thr == psd_margin(np.linalg.eigvalsh(hermitize(a)), tol)[1]
+        h = hermitize(a)
+        check = _psd_check(a, tol)
+        assert check.ok == is_psd(a, tol) == oracle_is_psd(a, tol)
+        assert check.lowest == min_eig(a)  # bit-equal to an independent spectrum
+        assert check.threshold == psd_margin(np.linalg.eigvalsh(h), tol)[1]
         if np.array_equal(a, adjoint(a)):
-            assert (lowest + thr >= 0) == verdict
-        verdicts.add(verdict)
+            assert (check.lowest + check.threshold >= 0) == check.ok
+        verdicts.add(check.ok)
+        for vectors in (False, True):
+            check = _psd_check(a, tol, vectors)
+            spectrum = _psd_spectrum(h, tol, a, vectors)
+            for r in (check, spectrum):
+                assert type(r) is _Verdict
+                assert r.w[0] == r.lowest
+                assert (r.v is None) == (not vectors)
+            want = np.linalg.eigh(h)[0] if vectors else np.linalg.eigvalsh(h)
+            assert np.array_equal(check.w, want) and np.array_equal(spectrum.w, want)
+            assert check.threshold == spectrum.threshold == psd_margin(want, tol)[1]
+            assert spectrum.ok == (spectrum.lowest >= -spectrum.threshold)
+            hermitian = svd_norm(a - adjoint(a)) <= check.threshold
+            assert check.ok == (spectrum.ok and hermitian)
     assert verdicts == ({True} if kind == "psd" else {True, False})
+
+
+def test_verdict_digest_script_prints_one_digest_of_the_pool(monkeypatch, capsys):
+    # one batch of the decompose pool: ten pairs and four partitions, whose
+    # verdicts and factorizations the digest pins bit for bit
+    script = load_script("verdict_digest")
+    monkeypatch.setattr(script, "BATCHES", 1)
+    assert script.main() == 0
+    assert capsys.readouterr().out == (
+        "c58c0196d62978a70a7e810a102acef43450b42a379fe142c671f6564cf1dbb6"
+        "  34 verdicts\n"
+    )
 
 
 # -- fix_phases ------------------------------------------------------------
@@ -288,12 +318,28 @@ def test_stormer_test_boundary_check_in_the_svd_band(d, factor):
             assert stormer_test(x) == oracle_stormer_test(x.blocks)
             # Hermiticity is decided once, at the boundary: each side's
             # verdict is the sign test of its margin
-            sides = _two_sided(x, DEFAULT_TOL)
-            for verdict, lowest, thr in sides:
-                assert verdict == (lowest >= -thr)
-            assert stormer_test(x) == (sides[0][0] and sides[1][0])
-            swapped = _swap(x.assembled(), x.n)
-            swapped_over += asymmetry(swapped) > sides[1][2]
+            direct, swapped = _two_sided(x, DEFAULT_TOL)
+            h = hermitize(x.assembled())
+            for side, m in ((direct, h), (swapped, _swap(h, x.n))):
+                assert type(side) is _Verdict
+                assert side.w[0] == side.lowest and side.v is None
+                assert side.ok == (side.lowest >= -side.threshold)
+                # each side is the eigvalsh record of its Hermitian part; an
+                # eigh of the same part gives a record of the same shape
+                for vectors in (False, True):
+                    r = _psd_spectrum(m, DEFAULT_TOL, m, vectors)
+                    assert type(r) is _Verdict and (r.v is None) == (not vectors)
+                    assert r.w[0] == r.lowest
+                    if not vectors:
+                        assert (r.ok, r.lowest) == (side.ok, side.lowest)
+                        assert r.threshold == side.threshold
+            assert stormer_test(x) == (direct.ok and swapped.ok)
+            if direct.ok:
+                ppt = _ppt_check(state_from_block(x), DEFAULT_TOL)
+                assert type(ppt) is _Verdict and ppt.v is None
+                assert ppt.w[0] == ppt.lowest
+                assert ppt.ok == (ppt.lowest >= -ppt.threshold)
+            swapped_over += asymmetry(_swap(x.assembled(), x.n)) > swapped.threshold
     if factor < 1.0 and d > 1:
         # at d = 1 the swap is the transpose, with the block's own residual
         assert swapped_over > 0
