@@ -278,7 +278,7 @@ def _cond(a):
 @functools.lru_cache(maxsize=16)
 def _identity(m: int) -> np.ndarray:
     """The read-only m x m identity, built once per size: the shift of
-    :func:`_above` and the mix of ``sampling._boundary_grams``."""
+    :func:`_above`."""
     eye = np.eye(m)
     eye.flags.writeable = False
     return eye

@@ -536,7 +536,7 @@ def _first_better(phi: PositiveMap, h: np.ndarray, current: float, tol: Toleranc
     spectrum overflows."""
     screen = _screen(h, tol)
     if screen is not None:
-        for t in np.flatnonzero(~screen(current)):
+        for t in (~screen(current)).nonzero()[0]:
             w = _eigvalsh(h[t])
             if w[0] < current:
                 return int(t), float(w[0]), float(w[-1])

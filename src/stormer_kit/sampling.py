@@ -20,7 +20,6 @@ from .linalg import (
     _SILENT,
     _eigh,
     _eigvalsh,
-    _identity,
     _integer,
     _op_norm,
     _qr,
@@ -280,10 +279,11 @@ def random_stormer_blocks(
     ``0.2 * rng.random()``: bit for bit what ``rng.uniform(0.0, 0.2)``
     computes (0.0 + 0.2 u), at a fraction of its call cost.  G is combined
     from its normals once on the stack, by :func:`ginibre`'s formula, and
-    the Gram products, traces, swapped spectra and mixing run once on the
-    stack too, so ``count`` blocks consume the stream exactly as ``count``
-    calls of :func:`random_stormer_block` do.  They run in
-    ``np.errstate(**_SILENT)``.  Raises DimensionError unless ``count`` is
+    the Gram products, traces, swapped spectra and the mix run once on the
+    stack too, in the one straight-line kernel :func:`_boundary_grams`, so
+    ``count`` blocks consume the stream exactly as ``count`` calls of
+    :func:`random_stormer_block` do and equal theirs bit for bit.  They run
+    in ``np.errstate(**_SILENT)``.  Raises DimensionError unless ``count`` is
     an integer of at least 0 and ``n`` and ``d`` ones of at least 1;
     ``count`` 0 gives an empty stack.  Raises DomainError unless
     ``boundary`` is None or in [0, 1]: a floor above the trace scale c
@@ -310,26 +310,22 @@ def _boundary_grams(g: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
     eigenvalue is its floor (exact, the mix is affine); those at their
     floor are kept.
 
-    The mix runs on the whole stack, and each matrix gets the arithmetic it
-    gets alone: a stack at its floors comes back as it is, and in a stack
-    both below and at its floors the kept matrices are picked out of the
-    mix with ``np.where``.  A kept matrix may divide 0 by 0 (a flat
-    swapped spectrum, m0 = 1), in the caller's ``np.errstate(**_SILENT)``:
-    its mix is discarded.
+    One straight-line mix, in place, for the whole stack: each matrix is
+    scaled by 1 - mu and gets mu added to its diagonal, the same arithmetic
+    in a stack as alone.  A kept matrix has mu = 0, so it is scaled by
+    1 and gets 0 on its diagonal: every entry stays as it was, up to the
+    sign of a part that is exactly 0.  A kept matrix may divide 0 by 0 (a
+    flat swapped spectrum, m0 = 1), in the caller's
+    ``np.errstate(**_SILENT)``; ``np.where`` discards the quotient.
     """
     w = g @ adjoint(g)
-    nd = w.shape[-1]
+    k, nd, _ = w.shape
     w *= (nd / w.trace(0, -2, -1).real)[:, None, None]
     m0 = _eigvalsh(_swap(w, n))[:, 0]
-    low = m0 < floor
-    below = np.count_nonzero(low)
-    if below == 0:
-        return w
-    every = below == low.size
-    mu = ((floor - m0) / (1.0 - m0))[:, None, None]
-    mixed = (1.0 - mu) * w
-    mixed += mu * _identity(nd)
-    return mixed if every else np.where(low[:, None, None], mixed, w)
+    mu = np.where(m0 < floor, (floor - m0) / (1.0 - m0), 0.0)
+    w *= (1.0 - mu)[:, None, None]
+    w.reshape(k, nd * nd)[:, :: nd + 1] += mu[:, None]
+    return w
 
 
 def random_stormer_block(
@@ -346,7 +342,12 @@ def random_stormer_block(
 def random_rank_deficient(
     rng: np.random.Generator, rows: int, cols: int, rank: int
 ) -> np.ndarray:
-    """Random matrix of the given rank (rank <= min(rows, cols))."""
+    """Random matrix of the given rank (rank <= min(rows, cols)).  Raises
+    DimensionError, before any draw, unless ``rows``, ``cols`` and ``rank``
+    are integers of at least 0 and ``rank`` is at most min(rows, cols)."""
+    rows, cols, rank = _size(rows, "rows", 0), _size(cols, "cols", 0), _size(rank, "rank", 0)
+    if rank > min(rows, cols):
+        raise DimensionError(f"rank must be at most min(rows, cols), got {rank}")
     return ginibre(rng, rows, rank) @ ginibre(rng, rank, cols)
 
 
@@ -355,9 +356,12 @@ def random_near_normal(rng: np.random.Generator, d: int, noise: float = 0.0) -> 
 
     With noise 0 the result is normal up to roundoff; nonzero noise gives
     candidates for rejection sampling on hyponormality at a controlled
-    distance from the normal set.  Raises DimensionError, before any draw,
-    unless ``d`` is an integer of at least 1.
+    distance from the normal set.  Raises, before any draw, DomainError
+    unless ``noise`` is finite and at least 0, and DimensionError unless
+    ``d`` is an integer of at least 1.
     """
+    if not 0.0 <= noise < np.inf:
+        raise DomainError(f"noise must be finite and at least 0, got {noise!r}")
     t = random_normal_operator(rng, d)
     t *= rng.uniform(2.0, 6.0) / _op_norm(t)
     if noise > 0.0:
@@ -373,9 +377,10 @@ def random_partition(rng: np.random.Generator, n: int, k: int, kind: str):
     matrix fails; ``indefinite`` draws Hermitian A, C and generic B;
     ``singular`` zeroes trailing eigenvalues of A first.  Returns blocks, not
     a Partition2, to keep this module decoupled from the blocks module.
-    Raises DimensionError when n or k is not an integer.
+    Raises, before any draw, DimensionError unless ``n`` and ``k`` are
+    integers of at least 1, and DomainError for an unknown ``kind``.
     """
-    n, k = _integer(n, "n", DimensionError), _integer(k, "k", DimensionError)
+    n, k = _size(n, "n", 1), _size(k, "k", 1)
     if kind in ("psd", "inflated", "singular"):
         g = ginibre(rng, n + k)
         m = g @ adjoint(g)
@@ -393,7 +398,7 @@ def random_partition(rng: np.random.Generator, n: int, k: int, kind: str):
         ha = ginibre(rng, n)
         hc = ginibre(rng, k)
         return ha + adjoint(ha), ginibre(rng, n, k), hc + adjoint(hc)
-    raise ValueError(f"unknown partition kind {kind!r}")
+    raise DomainError(f"unknown partition kind {kind!r}")
 
 
 def find_nontrivial_block(

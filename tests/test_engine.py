@@ -39,6 +39,8 @@ from stormer_kit.sampling import (
     haar_unitary,
     random_near_normal,
     random_normal_operator,
+    random_partition,
+    random_rank_deficient,
     random_stormer_block,
     random_stormer_blocks,
     random_stormer_pair,
@@ -379,7 +381,7 @@ def test_boundary_mix_equals_the_per_matrix_reference(n, k, below):
     for t in range(k):
         w, _ = _normalized_gram(g[t], n)
         want = oracle_boundary(w, n, floor[t])
-        assert np.array_equal(got[t], want)
+        assert got[t].tobytes() == want.tobytes()  # the sign of a zero counts too
         assert np.array_equal(got[t], w) != is_below[t]
 
 
@@ -402,7 +404,7 @@ def test_boundary_mix_keeps_a_flat_swapped_spectrum_without_warning():
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])
 def test_stacked_blocks_at_a_zero_boundary_mix_only_those_below_it(n, d):
     # at boundary 0, blocks whose swap is already PSD are kept and the rest
-    # mixed, so the stack takes the mixed path
+    # mixed, in one stack
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -410,7 +412,7 @@ def test_stacked_blocks_at_a_zero_boundary_mix_only_those_below_it(n, d):
     kept = 0
     for t in range(40):
         want = oracle_block(ref, n, d, boundary=0.0)
-        assert np.array_equal(blocks[t], want)
+        assert blocks[t].tobytes() == want.tobytes()  # the sign of a zero counts too
         swapped_min = np.linalg.eigvalsh(_swap(_assemble(blocks[t]), n))[0]
         kept += swapped_min > 1e-12
     assert 0 < kept < 40
@@ -476,6 +478,55 @@ def test_unitary_and_normal_samplers_reject_a_d_that_is_no_size_before_any_draw(
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionError, match="^d must be"):
         sampler(rng, d)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, 2, 5), "^rank must be at most min"),
+        ((3, 2, 3), "^rank must be at most min"),
+        ((2, 2, -1), "^rank must be at least 0"),
+        ((2, 2, 1.0), "^rank must be an integer"),
+    ],
+)
+def test_rank_deficient_sampler_rejects_a_rank_it_cannot_give_before_any_draw(args, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match=message):
+        random_rank_deficient(rng, *args)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(2, 2, 2), (3, 2, 1), (2, 3, 0)])
+def test_rank_deficient_sampler_gives_its_rank(rows, cols, rank):
+    m = random_rank_deficient(np.random.default_rng(0), rows, cols, rank)
+    assert m.shape == (rows, cols)
+    assert np.linalg.matrix_rank(m) == rank
+
+
+@pytest.mark.parametrize("noise", [math.nan, -1.0, math.inf, -math.inf])
+def test_near_normal_sampler_rejects_a_noise_that_is_not_finite_and_at_least_0(noise):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="^noise must be finite and at least 0"):
+        random_near_normal(rng, 3, noise)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
+
+
+@pytest.mark.parametrize(
+    "n,k,kind,error,message",
+    [
+        (-1, 2, "psd", DimensionError, "^n must be at least 1, got -1"),
+        (0, 2, "psd", DimensionError, "^n must be at least 1, got 0"),
+        (2, 0, "indefinite", DimensionError, "^k must be at least 1, got 0"),
+        (2, 2, "x", DomainError, "^unknown partition kind 'x'"),
+    ],
+)
+def test_partition_sampler_rejects_sizes_below_1_and_unknown_kinds_before_any_draw(
+    n, k, kind, error, message
+):
+    rng = np.random.default_rng(0)
+    with pytest.raises(error, match=message):
+        random_partition(rng, n, k, kind)
     assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
 

@@ -642,7 +642,7 @@ _BOUNDARY = [
                  DomainError, "eigenvalues must be finite", id="reconstruct_a2-inf"),
     pytest.param(lambda: contraction_condition(_PAIR, form="x"), ValueError,
                  "unknown form 'x'", id="contraction_condition-form"),
-    pytest.param(lambda: random_partition(np.random.default_rng(0), 2, 2, "x"), ValueError,
+    pytest.param(lambda: random_partition(np.random.default_rng(0), 2, 2, "x"), DomainError,
                  "unknown partition kind 'x'", id="random_partition-kind"),
     pytest.param(lambda: random_partition(np.random.default_rng(0), 2.0, 2, "psd"), DimensionError,
                  "n must be an integer, got 2.0", id="random_partition-float"),
