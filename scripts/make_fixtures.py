@@ -87,6 +87,8 @@ def main() -> None:
     one = matrix_to_payload(np.eye(1))
     dump("block_row_scalar.json", {"n": 1, "d": 1, "blocks": [5]})
     dump("block_row_object.json", {"n": 1, "d": 1, "blocks": [{"0": one}]})
+    # a block file whose d, too large to allocate, disagrees with its block
+    dump("block_huge_d.json", {"n": 1, "d": 1000000, "blocks": [[one]]})
     dump("bool_entries.json", {"rows": 1, "cols": 1, "data": [[True, False]]})
     dump("nonint_dims.json", {"rows": True, "cols": 1.9, "data": [[1.0, 0.0]]})
     # a JSON integer of 401 digits, too large for a double

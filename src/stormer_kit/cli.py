@@ -117,9 +117,10 @@ def cmd_stormer_check(args):
     from .io import load_block
     from .stormer import gram_block
 
-    if args.block is not None:
+    pair = (args.a1, args.a2)
+    if args.block is not None and pair == (None, None):
         x = load_block(args.block)
-    elif args.a1 is not None and args.a2 is not None:
+    elif args.block is None and None not in pair:
         x = gram_block(_load_pair(args))
     else:
         raise InputError("pass either --block or both --a1 and --a2")

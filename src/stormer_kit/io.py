@@ -107,14 +107,14 @@ def block_from_payload(obj) -> OperatorBlockMatrix:
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise InputError(f"blocks must be an {n} x {n} nested list")
-    blocks = np.empty((n, n, d, d), dtype=complex)
+    blocks = []  # read and checked before any array of the file's d is built
     for i in range(n):
         for j in range(n):
             m = matrix_from_payload(rows[i][j])
             if m.shape != (d, d):
                 raise InputError(f"block ({i},{j}) must be {d} x {d}, got {m.shape}")
-            blocks[i, j] = m
-    return OperatorBlockMatrix(blocks)
+            blocks.append(m)
+    return OperatorBlockMatrix(np.reshape(blocks, (n, n, d, d)))
 
 
 def load_json(path) -> object:

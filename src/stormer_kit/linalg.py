@@ -89,8 +89,12 @@ input that LAPACK solves issues none.
 Everything else takes the public path and calls the ``numpy.linalg``
 function itself: stacks in the other functions, other dtypes, a numpy
 without ``_umath_linalg`` (private API), and a ``numpy.linalg`` attribute
-that is no longer numpy's own function, so a wrapper installed over one,
-such as a call counter, sees every call.
+that is no longer numpy's own function, so a wrapper installed over one
+sees every call.  That wrapper is the benchmark's tracer
+(``perfbench/spans.py``), which counts and times through ``numpy.linalg``.
+The test suite counts at :func:`_gufunc_path` and ``np.linalg.cond``
+instead, the two points where each seam call decides its path, so a
+counted call takes the path an uncounted one takes.
 """
 
 from __future__ import annotations

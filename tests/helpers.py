@@ -5,10 +5,11 @@ import functools
 import importlib.util
 import io
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stormer_kit import (
     DEFAULT_TOL,
@@ -30,7 +31,7 @@ from stormer_kit import (
     op_norm,
     stormer_test,
 )
-from stormer_kit import cli, stormer
+from stormer_kit import cli, linalg, stormer
 from stormer_kit.linalg import _fix_phases
 from stormer_kit.sampling import ginibre
 
@@ -60,49 +61,54 @@ def run_cli_inprocess(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _seam_sizes(monkeypatch) -> defaultdict:
+    """Wrap, with ``monkeypatch``, the two points where the LAPACK seam
+    decides its path, and return a mapping from each seam name
+    (``"eigvalsh"``, ``"svd"`` for ``_svdvals``, ``"cholesky"`` for
+    ``_positive_definite``, ...) to the number of matrices of each of its
+    calls, 1 for one matrix, filled as the calls are made.  Every seam
+    function but ``_cond`` asks ``linalg._gufunc_path`` once per call, and
+    ``_cond`` always calls ``np.linalg.cond``.  The wrappers return what
+    the wrapped functions return, so a counted call takes the path an
+    uncounted one takes, with the same result."""
+    sizes, path, cond = defaultdict(list), linalg._gufunc_path, np.linalg.cond
+
+    def counted_path(a, name, stack=False):
+        sizes[name].append(math.prod(np.shape(a)[:-2]))
+        return path(a, name, stack)
+
+    def counted_cond(a, *args, **kwargs):
+        sizes["cond"].append(math.prod(np.shape(a)[:-2]))
+        return cond(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gufunc_path", counted_path)
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    return sizes
+
+
 @contextlib.contextmanager
 def lapack_calls(names=("eigvalsh", "eigh", "svd")):
-    """Count calls to the named ``numpy.linalg`` functions made in the block.
+    """Count the LAPACK calls of the named seam functions made in the block.
 
-    Yields a Counter keyed by name; any ``numpy.linalg`` function may be
-    named, such as ``"cond"`` for the samplers' rejection tests.  The library
-    calls these through the module attribute, so patching it sees every call;
-    numpy's own internal uses (such as the SVD inside ``pinv`` or ``cond``)
-    are not counted.
+    Yields a Counter keyed by name, such as ``"cond"`` for the samplers'
+    rejection tests, filled when the block ends.  numpy's own internal uses
+    (such as the SVD inside ``pinv`` or ``cond``) are not counted.
+    ``"cholesky"`` counts matrices, not calls: the certificate factors a
+    whole stack in one call, and what its pins fix is how many matrices it
+    factors.
     """
-    calls = Counter({name: 0 for name in names})
-    originals = {name: getattr(np.linalg, name) for name in names}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name, fn in originals.items():
-        setattr(np.linalg, name, counting(name, fn))
-    try:
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = _seam_sizes(monkeypatch)
         yield calls
-    finally:
-        for name, fn in originals.items():
-            setattr(np.linalg, name, fn)
+    calls.update({n: sum(sizes[n]) if n == "cholesky" else len(sizes[n]) for n in names})
 
 
 def stack_sizes(monkeypatch, name) -> list:
-    """Install a wrapper over ``np.linalg.<name>`` that records the number
-    of matrices of each call (1 for one matrix), and return that list.  The
-    seam then takes its public path, so the list holds every matrix the
-    seam's function is asked about: ``"cond"`` for ``_cond``,
-    ``"eigvalsh"`` for ``_eigvalsh``."""
-    original, sizes = getattr(np.linalg, name), []
-
-    def counting(a, *args, **kwargs):
-        sizes.append(math.prod(np.shape(a)[:-2]))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return sizes
+    """The number of matrices of each LAPACK call the seam makes for
+    ``name`` until ``monkeypatch`` is undone, 1 for one matrix: ``"cond"``
+    for ``_cond``, ``"eigvalsh"`` for ``_eigvalsh``."""
+    return _seam_sizes(monkeypatch)[name]
 
 
 def rel_fro(delta, ref) -> float:

@@ -630,14 +630,13 @@ def test_a_candidate_on_cond_max_leaves_the_stream_as_single_draws_do(offset, mo
 
 def test_necessity_factorizes_each_stack_once_per_stage():
     # per stack of pairs: no cond (the certificate clears every candidate),
-    # one Cholesky per candidate, which a wrapper over numpy's function sees
-    # one matrix at a time, one qr for the Haar factors and two eigvalsh for
-    # the images, the probes and the others: the transpose map's Gram
-    # images are rank-deficient, so their probes are not above 0 and no
-    # image is screened.  Per stack of blocks: three eigvalsh, the swap
-    # floors, the probes and the images the screen does not clear, and the
-    # screen's one Cholesky of every image.  300 trials are 2 stacks, of 256
-    # and 44 trials.
+    # one Cholesky per candidate (the count is of matrices), one qr for the
+    # Haar factors and two eigvalsh for the images, the probes and the
+    # others: the transpose map's Gram images are rank-deficient, so their
+    # probes are not above 0 and no image is screened.  Per stack of
+    # blocks: three eigvalsh, the swap floors, the probes and the images the
+    # screen does not clear, and the screen's one Cholesky of every image.
+    # 300 trials are 2 stacks, of 256 and 44 trials.
     names = ("cond", "cholesky", "qr", "eigvalsh")
     for n, want in ((2, {"qr": 1, "eigvalsh": 2}), (3, {"eigvalsh": 3})):
         for trials, stacks in ((20, 1), (300, 2)):

@@ -72,6 +72,11 @@ MALFORMED = [
     # block rows that are not lists
     ["stormer-check", "--block", "block_row_scalar.json"],
     ["stormer-check", "--block", "block_row_object.json"],
+    # a block file whose d disagrees with its blocks, checked before any
+    # array of that d is allocated
+    ["stormer-check", "--block", "block_huge_d.json"],
+    # a block file and a pair at once
+    ["stormer-check", "--block", "flip_block.json", "--a1", "id2.json", "--a2", "id2.json"],
     # JSON booleans are not numbers
     ["check-psd", "bool_entries.json"],
     # an integer entry too large for a double

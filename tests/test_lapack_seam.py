@@ -6,7 +6,9 @@ gufuncs without the ``numpy.linalg`` wrapper; everything else, and every
 ``_cond`` call, takes the public path.  Both must give bit-equal results
 and raise the same errors, a wrapper installed over a ``numpy.linalg``
 function must see every call, and no module but ``linalg`` may call a
-factorization itself.  ``_positive_definite`` must give, matrix by matrix,
+factorization itself.  Each seam call asks one of the test helpers' two
+counting points, ``_gufunc_path`` or ``np.linalg.cond``, once, and a
+counted call takes the path an uncounted one takes.  ``_positive_definite`` must give, matrix by matrix,
 the verdict of ``np.linalg.cholesky`` and a factor free of NaN, and only
 the one certificate ``_above`` may call it; ``_well_conditioned`` must
 give the verdicts of ``_cond(a) <= cond_max``.
@@ -47,7 +49,7 @@ from stormer_kit.sampling import (
 )
 from stormer_kit.stormer import _swap
 
-from helpers import hermitize, stack_sizes
+from helpers import hermitize, lapack_calls, stack_sizes
 
 # numpy.linalg name -> (the seam's call, numpy's public call)
 SEAM = {
@@ -863,6 +865,100 @@ def test_only_linalg_calls_numpy_factorizations():
         if path.name != "linalg.py"
     }
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+# -- one counting point: each seam call decides its path once ----------------
+
+# The eight seam functions.  The test helpers count their LAPACK calls by
+# wrapping ``_gufunc_path``, which each but ``_cond`` asks once per call, and
+# ``np.linalg.cond``, which ``_cond`` always calls.
+SEAM_KERNELS = (
+    "_eigvalsh", "_eigh", "_svdvals", "_eig", "_qr", "_pinv", "_cond", "_positive_definite",
+)
+COUNTING_POINTS = ("_gufunc_path", "np.linalg.cond")
+
+
+def path_decisions(source: str) -> dict:
+    """For each seam function in ``source``, its calls of the two counting
+    points, sorted: ``"<callee> once"`` for the call that runs exactly once
+    on every call of the function, the test (or the first operand of an
+    ``and`` test) of an ``if``, or the value of a ``return``, in its first
+    statement that is not an assignment or its docstring; ``"<callee>
+    nested"`` for any other."""
+    found = {}
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in SEAM_KERNELS):
+            continue
+        first = next(s for s in fn.body if not isinstance(s, (ast.Assign, ast.Expr)))
+        head = first.test if isinstance(first, ast.If) else getattr(first, "value", None)
+        if isinstance(head, ast.BoolOp) and isinstance(head.op, ast.And):
+            head = head.values[0]
+        found[fn.name] = sorted(
+            f"{ast.unparse(node.func)} {'once' if node is head else 'nested'}"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in COUNTING_POINTS
+        )
+    return found
+
+
+def test_path_decisions_finds_every_kind():
+    source = (
+        "def _eigh(a):\n"
+        "    stack = a.ndim > 2\n"
+        "    if _gufunc_path(a, 'eigh') and stack:\n"
+        "        return _gufunc_path(a, 'eigh')\n"
+        "def _eig(a):\n"
+        "    for m in a:\n"
+        "        _gufunc_path(m, 'eig')\n"
+        "def _qr(a):\n"
+        "    if a.ndim > 2 and _gufunc_path(a, 'qr'):\n"
+        "        return a\n"
+        "def _cond(a):\n"
+        '    """Docstring."""\n'
+        "    return np.linalg.cond(a)\n"
+        "def _pinv(a):\n"
+        "    ok = _gufunc_path(a, 'pinv')\n"
+        "    return np.linalg.pinv(a) if ok else a\n"
+        "def other(a):\n"
+        "    return _gufunc_path(a, 'svd')\n"
+    )
+    assert path_decisions(source) == {
+        "_eigh": ["_gufunc_path nested", "_gufunc_path once"],
+        "_eig": ["_gufunc_path nested"],
+        "_qr": ["_gufunc_path nested"],
+        "_cond": ["np.linalg.cond once"],
+        "_pinv": ["_gufunc_path nested"],
+    }
+
+
+def test_each_seam_function_decides_its_path_once():
+    found = path_decisions((SRC / "linalg.py").read_text())
+    assert found == {
+        name: ["np.linalg.cond once" if name == "_cond" else "_gufunc_path once"]
+        for name in SEAM_KERNELS
+    }
+
+
+def test_counted_seam_calls_take_their_uncounted_path():
+    # every seam function on its gufunc-path inputs, counted: the path still
+    # answers True, every result is bit-equal to the uncounted call's, and
+    # the counts hold each call (each Cholesky matrix) once
+    kernels = {name: (SEAM[name][0], INPUTS + STACKS_OF.get(name, [])) for name in SEAM}
+    kernels["cholesky"] = (linalg._positive_definite, CHOLESKY_INPUTS)
+    with np.errstate(**_SILENT):
+        want = {name: [seam(a) for _, a in inputs] for name, (seam, inputs) in kernels.items()}
+        with lapack_calls(kernels) as calls:
+            for name, (seam, inputs) in kernels.items():
+                for (label, a), w in zip(inputs, want[name]):
+                    if name != "cond":
+                        assert linalg._gufunc_path(a, name, a.ndim > 2), label
+                    assert_bit_equal(seam(a), w, label)
+    # the checks above ask the path once more for each input
+    assert calls == {
+        **{name: 2 * len(inputs) for name, (_, inputs) in kernels.items()},
+        "cond": len(kernels["cond"][1]),
+        "cholesky": 2 * sum(a[..., 0, 0].size for _, a in CHOLESKY_INPUTS),
+    }
 
 
 # -- one certificate: only linalg._above calls _positive_definite -------------

@@ -233,8 +233,7 @@ def test_seed_42_replay_eigvalsh_calls():
     # per window for the boundary mix, and one per image spectrum the
     # Cholesky test leaves to compute: 2,629 of 4,646 windows take one, the
     # step they accept.  The one-step climb made two per evaluation
-    # (33,656).  A counter over numpy's cholesky sends the seam down its
-    # public path, one call per candidate
+    # (33,656).  Cholesky counts matrices: one per candidate
     assert calls == {"eigvalsh": 7331, "eigh": 0, "svd": 0, "cholesky": 23151}
 
 
